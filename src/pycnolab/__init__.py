@@ -4,6 +4,7 @@ stratified hydrostatic shallow-water dynamics with thickness diffusivity.
 
 from .core import (
     DEFAULT_LENGTH,
+    BlowUpError,
     Field1D,
     Field2D,
     LevelGrid,
@@ -13,7 +14,7 @@ from .core import (
     sobolev_norm,
     spectral_derivative,
 )
-from .bilayer import BilayerParams, BilayerState, BlowUpError
+from .bilayer import BilayerParams, BilayerState
 from .hyperbolicity import (
     HyperbolicityReport,
     StatePoint,

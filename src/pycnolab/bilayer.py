@@ -19,10 +19,17 @@ u replaced by Ubar + V reproduce the diffusive mass equations exactly, and
 with the same pressure gradients, so diffusion acts as a plain viscosity
 on V. `bd_residual` checks that identity along stored trajectories.
 
-Space is Fourier pseudo-spectral with 2/3 dealiasing applied to every
-nonlinear product; time is explicit RK4 under the step constraint
+Numerically this system is the two-level case of the isopycnal column of
+`stratified`: level edges (-1, -Hbar_s, 0), densities (rho_b, rho_s),
+shear (Ubar_b, Ubar_s), h = (H_b/Hbar_b, H_s/Hbar_s) and u = (U_b, U_s);
+the cell thicknesses w_i (1 + h_i) are then the layer depths, and the
+column pressure (1/rho) W d_x h is exactly the pair of gradients above.
+`step` and `integrate` march that column with the shared RK4 and time
+loop. What stays here is specific to two layers: the exact CFL bound
 dt <= cfl * min(dx / lambda_max, dx^2 / (2 kappa)) with lambda_max the
-largest characteristic speed over the grid.
+largest root of the characteristic quartic over the grid, hyperbolicity
+margins and the sigma gate, the total-velocity residual, the symmetrizer
+energy and the CSV interfaces.
 """
 
 import math
@@ -30,26 +37,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field1D, SobolevIndex
+from .core import (
+    CFL_DEFAULT,
+    BlowUpError,  # noqa: F401  (re-exported: bilayer.BlowUpError)
+    Field1D,
+    LevelGrid,
+    SobolevIndex,
+    check_step,
+    check_thickness,
+    csv_cell,
+)
 from .hyperbolicity import (
     coefficient_arrays,
-    critical_froude,
+    froude_table,
     max_characteristic_speed,
     quartic_roots_batch,
     symmetrizer_fields,
 )
+from .stratified import (
+    Run,
+    StratifiedProfile,
+    column_rhs,
+    march,
+    rk4,
+    self_pressure,
+)
 
-DEPTH_FLOOR = 1e-6
-CFL_DEFAULT = 0.4
 BLOWUP_NORM_INDEX = SobolevIndex(2.0)
-
-
-class BlowUpError(RuntimeError):
-    """Raised when a run produces non-finite fields or vanishing depth."""
-
-    def __init__(self, message, t):
-        super().__init__(f"{message} at t = {t:.6g}")
-        self.t = t
 
 
 @dataclass
@@ -127,57 +141,53 @@ def _totals(stacked, params):
     return hs, hb, us, ub
 
 
-def _check_depths(hs, hb, t):
-    m = min(float(hs.min()), float(hb.min()))
-    if m <= DEPTH_FLOOR:
-        raise BlowUpError(f"layer depth fell to {m:.3e} (floor {DEPTH_FLOOR})", t)
+def column_profile(params):
+    """The two-level column of a bilayer run: edges (-1, -Hbar_s, 0)."""
+    return StratifiedProfile(LevelGrid((-1.0, -params.Hbar_s, 0.0)),
+                             (params.rho_b, params.rho_s),
+                             (params.Ubar_b, params.Ubar_s))
 
 
-def _rhs(stacked, grid, params, t):
-    """Time derivative of the stacked deviations (4, n_x)."""
-    hs, hb, us, ub = _totals(stacked, params)
-    _check_depths(hs, hb, t)
-    d = grid.derivative
-    dHs = d(stacked[0])
-    dHb = d(stacked[1])
-    dUs = d(stacked[2])
-    dUb = d(stacked[3])
+def _to_column(state, params):
+    """Column arrays (h, u), lower level first, and the column_rhs arguments."""
+    stacked = state.stacked()
+    h = np.array([stacked[1] / params.Hbar_b, stacked[0] / params.Hbar_s])
+    profile = column_profile(params)
+    return h, stacked[[3, 2]], (state.grid, profile, params.kappa,
+                                self_pressure(profile))
 
-    rhs_Hs = -d(grid.dealias(hs * us))
-    rhs_Hb = -d(grid.dealias(hb * ub))
-    adv_s, adv_b = us, ub
-    if params.kappa > 0.0:
-        rhs_Hs += params.kappa * d(stacked[0], order=2)
-        rhs_Hb += params.kappa * d(stacked[1], order=2)
-        adv_s = us - params.kappa * dHs / hs
-        adv_b = ub - params.kappa * dHb / hb
-    rr = params.rho_ratio
-    rhs_Us = -grid.dealias(adv_s * dUs) - dHs - dHb
-    rhs_Ub = -grid.dealias(adv_b * dUb) - rr * dHs - dHb
-    return np.array([rhs_Hs, rhs_Hb, rhs_Us, rhs_Ub])
+
+def _from_column(h, u, params):
+    """Stacked deviations (H_s, H_b, U_s, U_b) of column arrays."""
+    return np.array([params.Hbar_s * h[1], params.Hbar_b * h[0], u[1], u[0]])
+
+
+def _rhs(state, params):
+    h, u, column = _to_column(state, params)
+    dh, du = column_rhs(h, u, state.t, *column)
+    return tuple(Field1D(row, state.grid)
+                 for row in _from_column(dh, du, params))
 
 
 def rhs_nondiffusive(state, params):
     """Plain-system time derivatives; params.kappa must be 0."""
     if params.kappa != 0.0:
         raise ValueError("rhs_nondiffusive needs kappa = 0")
-    out = _rhs(state.stacked(), state.grid, params, state.t)
-    return tuple(Field1D(row, state.grid) for row in out)
+    return _rhs(state, params)
 
 
 def rhs_diffusive(state, params):
     """Diffusive-system time derivatives; params.kappa must be positive."""
     if params.kappa <= 0.0:
         raise ValueError("rhs_diffusive needs kappa > 0")
-    out = _rhs(state.stacked(), state.grid, params, state.t)
-    return tuple(Field1D(row, state.grid) for row in out)
+    return _rhs(state, params)
 
 
 def total_velocity(state, params):
     """The fields V_l = U_l - kappa d_x H_l / (Hbar_l + H_l)."""
     stacked = state.stacked()
     hs, hb, _, _ = _totals(stacked, params)
-    _check_depths(hs, hb, state.t)
+    check_thickness((hs, hb), state.t)
     g = state.grid
     Vs = stacked[2] - params.kappa * g.derivative(stacked[0]) / hs
     Vb = stacked[3] - params.kappa * g.derivative(stacked[1]) / hb
@@ -198,25 +208,13 @@ def cfl_limit(state, params, cfl=CFL_DEFAULT):
     return dt
 
 
-def _rk4(stacked, grid, params, t, dt):
-    k1 = _rhs(stacked, grid, params, t)
-    k2 = _rhs(stacked + 0.5 * dt * k1, grid, params, t + 0.5 * dt)
-    k3 = _rhs(stacked + 0.5 * dt * k2, grid, params, t + 0.5 * dt)
-    k4 = _rhs(stacked + dt * k3, grid, params, t + dt)
-    return stacked + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def step(state, params, dt, cfl=CFL_DEFAULT):
-    """One RK4 step; rejects dt beyond the CFL limit."""
-    limit = cfl_limit(state, params, cfl)
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt = {dt:.3e} exceeds the stability limit {limit:.3e} "
-            f"(cfl = {cfl})")
-    out = _rk4(state.stacked(), state.grid, params, state.t, dt)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("non-finite fields after step", state.t + dt)
-    return BilayerState.from_arrays(state.t + dt, state.grid, out)
+    """One RK4 step of the two-level column; rejects dt beyond the CFL limit."""
+    check_step(dt, cfl_limit(state, params, cfl), state.t)
+    h, u, column = _to_column(state, params)
+    h, u = rk4(h, u, state.t, dt, *column)
+    return BilayerState.from_arrays(state.t + dt, state.grid,
+                                    _from_column(h, u, params))
 
 
 # ----------------------------------------------------------------------
@@ -241,9 +239,8 @@ class MarginTable:
     def _build(self):
         decades = math.log10(self.hi / self.lo)
         n = max(17, int(decades * self.per_decade) + 1)
-        self.nodes = np.geomspace(self.lo, self.hi, n)
-        self.fr_minus = np.array(
-            [critical_froude(h, self.rho_ratio)[0] for h in self.nodes])
+        self.nodes, self.fr_minus, _ = froude_table(
+            self.rho_ratio, self.lo, self.hi, n_nodes=n)
 
     def __call__(self, ratios):
         rmin, rmax = float(np.min(ratios)), float(np.max(ratios))
@@ -257,7 +254,7 @@ class MarginTable:
 def pointwise_margin(state, params, table=None):
     """Fr_-(H_s/H_b) - |u_b - u_s|/sqrt(h_b) at every grid point."""
     hs, hb, us, ub = _totals(state.stacked(), params)
-    _check_depths(hs, hb, state.t)
+    check_thickness((hs, hb), state.t)
     ratios = hs / hb
     if table is None:
         table = MarginTable(params.rho_ratio,
@@ -285,20 +282,9 @@ def in_margin_set(state, params, sigma, table=None):
 # trajectories
 # ----------------------------------------------------------------------
 
-@dataclass(eq=False)
-class Trajectory:
+@dataclass(eq=False, kw_only=True)
+class Trajectory(Run):
     params: BilayerParams
-    dt: float
-    n_steps: int
-    states: list
-    diagnostics: dict
-    blown_up: bool = False
-    blowup_time: float = None
-    warnings: tuple = ()
-
-    @property
-    def final(self):
-        return self.states[-1]
 
     @property
     def times(self):
@@ -323,16 +309,10 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
     `snapshot_every` steps. If `sigma` is given the initial state must
     lie in the sigma-margin set; dropping below sigma/2 along the run is
     recorded as a warning, not an error. The run halts with a blow-up
-    flag when the H^2 norm passes blowup_factor times its initial value
-    or depths hit the positivity floor.
+    flag when the H^2 norm passes blowup_factor times its initial value,
+    depths hit the positivity floor or the CFL limit tightens below the
+    step (see `stratified.march`).
     """
-    T = float(T)
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    target = cfl_limit(initial, params, cfl) if dt is None else float(dt)
-    n_steps = max(1, math.ceil(T / target - 1e-12))
-    dt = T / n_steps
-
     table = None
     if sigma is not None:
         ok, table = in_margin_set(initial, params, sigma, table)
@@ -340,57 +320,24 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
             raise ValueError(
                 f"initial state leaves the sigma = {sigma} margin set")
 
-    norm0 = combined_norm(initial)
-    ceiling = blowup_factor * max(norm0, 1e-8)
-    warnings = []
+    def record(st, norm):
+        nonlocal table
+        margin, table = pointwise_margin(st, params, table)
+        return {"t": st.t, "mass_s": float(st.H_s.values.mean()),
+                "mass_b": float(st.H_b.values.mean()), "hs_norm": norm,
+                "margin": float(margin.min())}
 
-    diag = {"t": [], "mass_s": [], "mass_b": [], "hs_norm": [], "margin": []}
-    states = [initial]
-
-    def record(st):
-        margin, _ = pointwise_margin(st, params, table) if table is not None \
-            else pointwise_margin(st, params)
-        diag["t"].append(st.t)
-        diag["mass_s"].append(float(st.H_s.values.mean()))
-        diag["mass_b"].append(float(st.H_b.values.mean()))
-        diag["hs_norm"].append(combined_norm(st))
-        diag["margin"].append(float(margin.min()))
-        return margin
-
-    if table is None:
-        _, table = pointwise_margin(initial, params)
-    record(initial)
-
-    state = initial
-    blown_up = False
-    blowup_time = None
-    for i in range(1, n_steps + 1):
-        try:
-            state = step(state, params, dt, cfl)
-        except BlowUpError as err:
-            blown_up = True
-            blowup_time = err.t
-            warnings.append(str(err))
-            break
-        if i % snapshot_every == 0 or i == n_steps:
-            states.append(state)
-            margin = record(state)
-            if sigma is not None and float(margin.min()) < 0.5 * sigma:
-                warnings.append(
-                    f"margin fell below sigma/2 = {0.5 * sigma} at t = {state.t:.6g}")
-                sigma = None  # warn once
-            if diag["hs_norm"][-1] > ceiling:
-                blown_up = True
-                blowup_time = state.t
-                warnings.append(
-                    f"H^2 norm {diag['hs_norm'][-1]:.3e} passed the ceiling "
-                    f"{ceiling:.3e} at t = {state.t:.6g}")
-                break
-
-    return Trajectory(
-        params=params, dt=dt, n_steps=n_steps, states=states,
-        diagnostics={k: np.array(v) for k, v in diag.items()},
-        blown_up=blown_up, blowup_time=blowup_time, warnings=tuple(warnings))
+    if dt is None:
+        dt = cfl_limit(initial, params, cfl)
+    run = march(initial, lambda st, dt: step(st, params, dt, cfl), T, dt,
+                combined_norm, record, snapshot_every, blowup_factor)
+    if sigma is not None:
+        low = run["diagnostics"]["margin"] < 0.5 * sigma
+        if low.any():
+            t_low = run["diagnostics"]["t"][np.argmax(low)]
+            run["warnings"] = (f"margin fell below sigma/2 = {0.5 * sigma} "
+                               f"at t = {t_low:.6g}",) + run["warnings"]
+    return Trajectory(params=params, **run)
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +428,7 @@ def energy_functional(base, perturbation, params):
     pert_u, pert_v = perturbation
     grid = base_u.grid
     hs, hb, us, ub = _totals(base_u.stacked(), params)
-    _check_depths(hs, hb, base_u.t)
+    check_thickness((hs, hb), base_u.t)
     lam = _middle_root_shift(hs, hb, us, ub, params.rho_ratio)
     S = symmetrizer_fields(params.rho_ratio, hs, hb, us, ub, lam)
 
@@ -552,11 +499,6 @@ def load_initial_csv(path, grid, t=0.0):
     fields = [Field1D(np.asarray(data[name], dtype=float), grid)
               for name in BilayerState.FIELDS]
     return BilayerState(t, *fields)
-
-
-def csv_cell(value):
-    """Shortest exact decimal form of one float (plain, not numpy repr)."""
-    return repr(float(value))
 
 
 def write_snapshots(trajectory, f):

@@ -5,15 +5,19 @@
 
 Configs are JSON objects carrying a "schema" version field; every value
 has a default, so --config may be omitted for a desk-scale run. Each
+subcommand accepts only the keys it reads (CONFIG_KEYS); any other key,
+top-level or inside "params"/"initial", is a configuration error. Each
 experiment writes its CSV artifacts plus one <id>_summary.json with
 {id, seed, pass, slope, interval, files}; --plots adds small SVG plots.
-The seed appears in the summary and as a leading comment line in every
-CSV. --threads sizes the sweep worker pool; reruns at a fixed thread
-count reproduce the CSV bytes exactly.
+The seed appears in the summary and as a trailing comment line in every
+CSV, and reruns reproduce the CSV bytes exactly. --threads is accepted
+and validated so existing scripts keep running, but has no effect: every
+experiment runs serially.
 
 Exit codes: 0 the experiment passed, 1 an invariant or slope expectation
-failed, 2 the configuration is invalid, 3 a run blew up or the sweep was
-inconclusive.
+failed, 2 the configuration is invalid, 3 a run blew up (depth floor,
+non-finite fields, norm ceiling, or a CFL limit that tightened below the
+step mid-run) or the sweep was inconclusive.
 """
 
 import argparse
@@ -27,8 +31,7 @@ from . import bilayer
 from . import harness
 from . import refined
 from . import stratified
-from .bilayer import csv_cell
-from .core import LevelGrid, SpatialGrid
+from .core import BlowUpError, LevelGrid, SpatialGrid, csv_cell
 from .hyperbolicity import StatePoint, atlas, classify, \
     count_line_intersections
 
@@ -40,6 +43,48 @@ INCONCLUSIVE = 3
 
 class ConfigError(ValueError):
     pass
+
+
+_PARAMS = {"params." + k for k in
+           ("rho_s", "rho_b", "Hbar_s", "Hbar_b", "Ubar_s", "Ubar_b")}
+_INITIAL = {"initial." + k for k in
+            ("kind", "amplitudes", "wavenumber", "center", "width")}
+# grid, two-layer constants and initial data, shared by runs and sweeps
+_SETUP = {"n_x", "length"} | _PARAMS | _INITIAL
+_COLUMN = _SETUP | {"n_r", "cluster", "epsilon", "shape", "kappa", "T", "dt"}
+_SWEEP = _SETUP | {"T", "s", "cfl", "expected_slope", "slope_tolerance"}
+
+# the keys each subcommand reads, besides schema, id, experiment and seed;
+# only simulate-bilayer takes its diffusivity from "params.kappa", the
+# others read a top-level "kappa" or none
+CONFIG_KEYS = {
+    "atlas": {"h_ratio", "rho_ratios", "intercepts", "n_samples"},
+    "classify": {"points", "samples"},
+    "simulate-bilayer": _SETUP | {"params.kappa", "kappa", "cfl", "dt", "T",
+                                 "snapshot_every", "sigma"},
+    "simulate-stratified": _COLUMN | {"cfl", "snapshot_every"},
+    "refine": _COLUMN | {"s", "agreement_tol", "ratio_slack"},
+    "sweep-kappa": _SWEEP | {"kappas"},
+    "sweep-epsilon": _SWEEP | {"epsilons", "kappa", "shape", "band_factor",
+                               "n_r", "cluster"},
+    "check-all": {"kappa", "n_points"},
+}
+
+
+def _check_keys(cfg, experiment):
+    keys = set()
+    for key, value in cfg.items():
+        if key in ("params", "initial"):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config {key!r} must be a JSON object")
+            keys.update(f"{key}.{k}" for k in value)
+        else:
+            keys.add(key)
+    allowed = CONFIG_KEYS[experiment] | {"schema", "id", "experiment", "seed"}
+    unknown = sorted(keys - allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys for {experiment}: {', '.join(unknown)}")
 
 
 def _load_config(path, experiment):
@@ -61,6 +106,7 @@ def _load_config(path, experiment):
     if declared is not None and declared != experiment:
         raise ConfigError(
             f"config declares id {declared!r}, running {experiment!r}")
+    _check_keys(cfg, experiment)
     return cfg
 
 
@@ -97,29 +143,11 @@ class Artifacts:
         return data
 
 
-def _params(cfg):
-    p = cfg.get("params", {})
-    return bilayer.BilayerParams(
-        rho_s=p.get("rho_s", 0.5), rho_b=p.get("rho_b", 1.0),
-        Hbar_s=p.get("Hbar_s", 1.0 / 3.0), Hbar_b=p.get("Hbar_b", 2.0 / 3.0),
-        Ubar_s=p.get("Ubar_s", 0.0), Ubar_b=p.get("Ubar_b", 0.0),
-        kappa=float(cfg.get("kappa", p.get("kappa", 0.0))))
-
-
-def _initial(cfg, grid):
-    init = cfg.get("initial", {})
-    return bilayer.make_initial(
-        grid, kind=init.get("kind", "sine"),
-        amplitudes=init.get("amplitudes", {"H_s": 0.05, "U_s": 0.02}),
-        wavenumber=init.get("wavenumber", 1),
-        center=init.get("center"), width=init.get("width"))
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_atlas(cfg, art, threads, plots):
+def cmd_atlas(cfg, art, plots):
     h_ratio = float(cfg.get("h_ratio", 0.5))
     rho_ratios = [float(r) for r in cfg.get("rho_ratios", [0.1, 0.5, 0.9])]
     intercepts = [float(c) for c in cfg.get("intercepts", [0.5, 1.5, 2.5])]
@@ -161,7 +189,7 @@ def cmd_atlas(cfg, art, threads, plots):
     return PASS if all_match else FAIL
 
 
-def cmd_classify(cfg, art, threads, plots):
+def cmd_classify(cfg, art, plots):
     rng = np.random.default_rng(art.seed)
     points = []
     if "points" in cfg:
@@ -190,11 +218,11 @@ def cmd_classify(cfg, art, threads, plots):
     return PASS
 
 
-def cmd_simulate_bilayer(cfg, art, threads, plots):
+def cmd_simulate_bilayer(cfg, art, plots):
     grid = SpatialGrid(int(cfg.get("n_x", 256)),
                        float(cfg.get("length", 2.0 * np.pi)))
-    params = _params(cfg)
-    initial = _initial(cfg, grid)
+    params = harness.params_from_config(cfg)
+    initial = harness.initial_from_config(cfg, grid)
     cfl = float(cfg.get("cfl", 0.4))
     dt = cfg.get("dt")
     if dt is None:
@@ -221,11 +249,11 @@ def cmd_simulate_bilayer(cfg, art, threads, plots):
 def _stratified_setup(cfg):
     grid = SpatialGrid(int(cfg.get("n_x", 256)),
                        float(cfg.get("length", 2.0 * np.pi)))
-    params = _params(cfg)
+    params = harness.params_from_config(cfg)
     levels = LevelGrid.with_interface(
         int(cfg.get("n_r", 64)), -params.Hbar_s,
         cluster=float(cfg.get("cluster", 6.0)))
-    bi_initial = _initial(cfg, grid)
+    bi_initial = harness.initial_from_config(cfg, grid)
     _, state = stratified.embed_bilayer(bi_initial, params, levels)
     return grid, params, levels, bi_initial, state
 
@@ -243,7 +271,7 @@ def _target_profile(cfg, params, levels):
     return stratified.smooth_pycnocline(spec, levels)
 
 
-def cmd_simulate_stratified(cfg, art, threads, plots):
+def cmd_simulate_stratified(cfg, art, plots):
     grid, params, levels, _, state = _stratified_setup(cfg)
     profile, _ = _target_profile(cfg, params, levels)
     kappa = float(cfg.get("kappa", 0.1))
@@ -281,7 +309,7 @@ def cmd_simulate_stratified(cfg, art, threads, plots):
     return INCONCLUSIVE if traj.blown_up else PASS
 
 
-def cmd_refine(cfg, art, threads, plots):
+def cmd_refine(cfg, art, plots):
     # n_x stays modest by default: the substitution path differentiates
     # the large fields separately, so its rounding floor grows with the
     # top wavenumber while the closed form stays quiet
@@ -295,7 +323,7 @@ def cmd_refine(cfg, art, threads, plots):
     target, _ = stratified.smooth_pycnocline(spec, levels)
 
     sharp, _ = stratified.embed_bilayer(
-        _initial(cfg, grid), params, levels)
+        harness.initial_from_config(cfg, grid), params, levels)
     dt = cfg.get("dt")
     if dt is None:
         dt = stratified.cfl_limit(state, sharp, kappa) / 2.0
@@ -330,7 +358,7 @@ def cmd_refine(cfg, art, threads, plots):
     return PASS if passed else FAIL
 
 
-def _run_sweep(experiment, fn, cfg, art, threads, plots):
+def _run_sweep(experiment, fn, cfg, art, plots):
     defaults = {
         "sweep-kappa": {
             "kappas": [1e-4, 3.16e-4, 1e-3, 3.16e-3, 1e-2],
@@ -342,7 +370,7 @@ def _run_sweep(experiment, fn, cfg, art, threads, plots):
     }[experiment]
     merged = dict(defaults)
     merged.update(cfg)
-    result = fn(merged, threads=threads)
+    result = fn(merged)
     result.meta["seed"] = art.seed
     name = experiment.replace("-", "_")
     art.write(f"{name}.csv", lambda f: harness.write_sweep_csv(result, f),
@@ -366,17 +394,16 @@ def _run_sweep(experiment, fn, cfg, art, threads, plots):
     return PASS if result.passed else FAIL
 
 
-def cmd_sweep_kappa(cfg, art, threads, plots):
-    return _run_sweep("sweep-kappa", harness.sweep_kappa, cfg, art, threads,
+def cmd_sweep_kappa(cfg, art, plots):
+    return _run_sweep("sweep-kappa", harness.sweep_kappa, cfg, art, plots)
+
+
+def cmd_sweep_epsilon(cfg, art, plots):
+    return _run_sweep("sweep-epsilon", harness.sweep_epsilon, cfg, art,
                       plots)
 
 
-def cmd_sweep_epsilon(cfg, art, threads, plots):
-    return _run_sweep("sweep-epsilon", harness.sweep_epsilon, cfg, art,
-                      threads, plots)
-
-
-def cmd_check_all(cfg, art, threads, plots):
+def cmd_check_all(cfg, art, plots):
     merged = dict(cfg)
     merged["seed"] = art.seed
     report = harness.check_all(merged)
@@ -424,7 +451,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="sweep worker pool size (default: 1)")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--plots", action="store_true",
                        help="also write SVG plots")
     return parser
@@ -438,8 +465,8 @@ def main(argv=None):
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         art = Artifacts(args.out, seed)
-        return COMMANDS[args.command](cfg, art, args.threads, args.plots)
-    except bilayer.BlowUpError as err:
+        return COMMANDS[args.command](cfg, art, args.plots)
+    except BlowUpError as err:
         print(f"blow-up: {err}", file=sys.stderr)
         return INCONCLUSIVE
     except (ConfigError, KeyError, TypeError, ValueError) as err:

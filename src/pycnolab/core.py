@@ -13,11 +13,54 @@ w_i = e_{i+1} - e_i. Keeping edges explicit lets a layer interface sit
 exactly on an edge, which the embedding identities need.
 
 All fields are immutable once constructed; operations return new arrays.
+
+The failure policy shared by every solver also lives here: one positivity
+floor on cell thickness, one default CFL number, one blow-up exception
+and one step-limit exception.
 """
 
 import numpy as np
 
 DEFAULT_LENGTH = 2.0 * np.pi
+DEPTH_FLOOR = 1e-6
+CFL_DEFAULT = 0.4
+
+
+class BlowUpError(RuntimeError):
+    """Raised when a run produces non-finite fields or vanishing depth."""
+
+    def __init__(self, message, t):
+        super().__init__(f"{message} at t = {t:.6g}")
+        self.t = t
+
+
+class StepLimitError(ValueError):
+    """A step longer than the stability limit of the state it starts from."""
+
+
+def check_thickness(thickness, t):
+    """Raise BlowUpError when a cell thickness is at or below DEPTH_FLOOR.
+
+    For a column the thickness of cell i is w_i (1 + h_i); at two levels
+    that is the layer depth Hbar_l + H_l.
+    """
+    m = float(np.min(thickness))
+    if m <= DEPTH_FLOOR:
+        raise BlowUpError(
+            f"cell thickness fell to {m:.3e} (floor {DEPTH_FLOOR})", t)
+
+
+def check_step(dt, limit, t):
+    """Raise StepLimitError when dt exceeds the stability limit."""
+    if dt > limit * (1.0 + 1e-12):
+        raise StepLimitError(
+            f"dt = {dt:.3e} exceeds the stability limit {limit:.3e} "
+            f"at t = {t:.6g}")
+
+
+def csv_cell(value):
+    """Shortest exact decimal form of one float (plain, not numpy repr)."""
+    return repr(float(value))
 
 
 class SobolevIndex(float):

@@ -22,7 +22,6 @@ byte for byte.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,7 @@ from scipy import stats
 from . import bilayer
 from . import refined
 from . import stratified
-from .bilayer import csv_cell
-from .core import Field2D, LevelGrid, SpatialGrid
+from .core import Field2D, LevelGrid, SpatialGrid, csv_cell
 from .hyperbolicity import (
     StatePoint,
     classify,
@@ -125,16 +123,18 @@ def _bilayer_difference_norm(a, b, s):
     return math.sqrt(total)
 
 
-def _params_from_config(cfg):
+def params_from_config(cfg):
+    """Two-layer constants of a config; a top-level kappa wins over params."""
     p = cfg.get("params", {})
     return bilayer.BilayerParams(
         rho_s=p.get("rho_s", 0.5), rho_b=p.get("rho_b", 1.0),
         Hbar_s=p.get("Hbar_s", 1.0 / 3.0), Hbar_b=p.get("Hbar_b", 2.0 / 3.0),
         Ubar_s=p.get("Ubar_s", 0.0), Ubar_b=p.get("Ubar_b", 0.0),
-        kappa=p.get("kappa", 0.0))
+        kappa=float(cfg.get("kappa", p.get("kappa", 0.0))))
 
 
-def _initial_from_config(cfg, grid):
+def initial_from_config(cfg, grid):
+    """Two-layer initial deviations of a config's "initial" section."""
     init = cfg.get("initial", {})
     return bilayer.make_initial(
         grid, kind=init.get("kind", "sine"),
@@ -143,7 +143,7 @@ def _initial_from_config(cfg, grid):
         center=init.get("center"), width=init.get("width"))
 
 
-def sweep_kappa(config, threads=1):
+def sweep_kappa(config):
     """Terminal distance between diffusive runs and the plain run.
 
     All runs share one dt (the stability step of the most diffusive
@@ -160,8 +160,8 @@ def sweep_kappa(config, threads=1):
     cfl = float(cfg.get("cfl", 0.4))
     grid = SpatialGrid(int(cfg.get("n_x", 256)),
                        float(cfg.get("length", 2.0 * np.pi)))
-    base = _params_from_config(cfg)
-    initial = _initial_from_config(cfg, grid)
+    base = params_from_config(cfg)
+    initial = initial_from_config(cfg, grid)
 
     def with_kappa(k):
         return bilayer.BilayerParams(base.rho_s, base.rho_b, base.Hbar_s,
@@ -187,11 +187,7 @@ def sweep_kappa(config, threads=1):
             passed=False, inconclusive=True,
             detail="kappa = 0 run blew up", meta={"dt": dt, "T": T})
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, kappas))
-    else:
-        runs = [run(k) for k in kappas]
+    runs = [run(k) for k in kappas]
 
     diffs = []
     for k, traj in zip(kappas, runs):
@@ -250,7 +246,7 @@ def _terminal_level_distances(strat_final, bi_final, params, s):
     return np.sqrt(hn * hn + un * un)
 
 
-def sweep_epsilon(config, threads=1):
+def sweep_epsilon(config):
     """Distance of smoothed-pycnocline runs to the sharp two-layer run.
 
     All runs start from the same embedded two-layer data and share one
@@ -271,7 +267,7 @@ def sweep_epsilon(config, threads=1):
     band_factor = float(cfg.get("band_factor", 3.0))
     grid = SpatialGrid(int(cfg.get("n_x", 256)),
                        float(cfg.get("length", 2.0 * np.pi)))
-    params = _params_from_config(cfg)
+    params = params_from_config(cfg)
     levels = LevelGrid.with_interface(int(cfg.get("n_r", 64)),
                                       -params.Hbar_s,
                                       cluster=float(cfg.get("cluster", 6.0)))
@@ -279,7 +275,7 @@ def sweep_epsilon(config, threads=1):
                                       params.Hbar_s, params.Hbar_b,
                                       params.Ubar_s, params.Ubar_b,
                                       kappa=kappa)
-    bi_initial = _initial_from_config(cfg, grid)
+    bi_initial = initial_from_config(cfg, grid)
     _, strat_initial = stratified.embed_bilayer(bi_initial, params, levels)
 
     targets = []
@@ -311,15 +307,9 @@ def sweep_epsilon(config, threads=1):
     if bi_run.blown_up:
         return bail("two-layer run blew up")
 
-    def run(profile):
-        return stratified.integrate(strat_initial, profile, kappa, T, dt=dt,
-                                    snapshot_every=10 ** 9)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, targets))
-    else:
-        runs = [run(p) for p in targets]
+    runs = [stratified.integrate(strat_initial, profile, kappa, T, dt=dt,
+                                 snapshot_every=10 ** 9)
+            for profile in targets]
 
     exterior = []
     exterior_sup = []
@@ -472,6 +462,17 @@ def _suite_embedding():
     levels = LevelGrid.with_interface(24, -params.Hbar_s)
     bistate = bilayer.make_initial(grid, amplitudes={"H_s": 0.05,
                                                      "U_b": 0.02})
+    # the two-layer system runs as the two-level column, so its pressure
+    # is checked against the closed-form layer gradients first
+    H_s, H_b = bistate.H_s.values, bistate.H_b.values
+    d = grid.derivative
+    P = stratified.pressure_matrix(bilayer.column_profile(params))
+    press = P @ d(np.array([H_b / params.Hbar_b, H_s / params.Hbar_s]))
+    closed = np.array([d(params.rho_ratio * H_s + H_b), d(H_s + H_b)])
+    gap = float(np.max(np.abs(press - closed)))
+    if gap > 1e-12:
+        return False, (f"two-level pressure differs from the layer "
+                       f"gradients by {gap:.3e}")
     profile, state = stratified.embed_bilayer(bistate, params, levels)
     dH_s, dH_b, dU_s, dU_b = bilayer.rhs_diffusive(bistate, params)
     dh, du = stratified.rhs(state, profile, params.kappa)
@@ -498,7 +499,8 @@ def _suite_embedding():
                 float(np.max(np.abs(strat.final.u.values - want_u))))
     if drift > 1e-10:
         return False, f"embedded trajectory drifted by {drift:.3e}"
-    return True, f"derivatives match to {err:.1e}, runs to {drift:.1e}"
+    return True, (f"pressure matches to {gap:.1e}, derivatives to "
+                  f"{err:.1e}, runs to {drift:.1e}")
 
 
 def _suite_lipschitz(rng, n_triples):

@@ -20,23 +20,28 @@ bound.
 The forcing is stored at the reference snapshot times and interpolated
 with a four-point Lagrange cubic in t, so it is exact at the nodes and
 does not cap the fourth-order accuracy of the stepper.
+
+The forced system is the column kernel of `stratified` with the
+interpolated forcing as its pressure tendency, stepped by the same RK4
+and time loop, under the same failure policy; only the step limit is
+the transport one (`advective_limit`), since no wave couples the levels.
 """
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field2D
-from .bilayer import BlowUpError, csv_cell
+from .core import CFL_DEFAULT, check_step, csv_cell
 from .stratified import (
     StratifiedState,
+    StratifiedTrajectory,
+    column_record,
+    march,
     pressure_matrix,
+    rk4,
     state_norm,
 )
-
-CFL_DEFAULT = 0.4
-DEPTH_FLOOR = 1e-6
 
 
 def _lagrange_stencil(times, t):
@@ -115,27 +120,6 @@ def build_forcing(trajectory, target_profile):
 # the forced system
 # ----------------------------------------------------------------------
 
-def _check_depth(h_tot, t):
-    m = float(h_tot.min())
-    if m <= DEPTH_FLOOR:
-        raise BlowUpError(
-            f"isopycnal depth fell to {m:.3e} (floor {DEPTH_FLOOR})", t)
-
-
-def _forced_rhs(h, u, grid, ubar, kappa, force, t):
-    h_tot = 1.0 + h
-    _check_depth(h_tot, t)
-    u_tot = ubar[:, None] + u
-    d = grid.derivative
-    dh = -d(grid.dealias(h_tot * u_tot))
-    adv = u_tot
-    if kappa > 0.0:
-        dh += kappa * d(h, order=2)
-        adv = u_tot - kappa * d(h) / h_tot
-    du = -grid.dealias(adv * d(u)) + force
-    return dh, du
-
-
 def advective_limit(state, profile, kappa, cfl=CFL_DEFAULT):
     """Stability step for the pressureless transport (no wave coupling)."""
     u_tot = profile.ubar[:, None] + state.u.values
@@ -146,22 +130,9 @@ def advective_limit(state, profile, kappa, cfl=CFL_DEFAULT):
     return dt
 
 
-@dataclass(eq=False)
-class RefinedRun:
-    profile: object
-    kappa: float
-    dt: float
-    n_steps: int
-    states: list
+@dataclass(eq=False, kw_only=True)
+class RefinedRun(StratifiedTrajectory):
     reference: ReferenceRun
-    diagnostics: dict
-    blown_up: bool = False
-    blowup_time: float = None
-    warnings: tuple = ()
-
-    @property
-    def final(self):
-        return self.states[-1]
 
 
 def solve_refined(initial, profile, forcing, kappa, T, dt=None,
@@ -170,11 +141,9 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
 
     `forcing` is a ReferenceRun whose horizon must reach T; when dt is
     omitted the step is the smaller of the reference snapshot spacing and
-    the transport stability limit.
+    the transport stability limit, which every step re-checks.
     """
     T = float(T)
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
     if initial.levels != forcing.levels or initial.grid != forcing.grid:
         raise ValueError("initial data and forcing live on different grids")
     if profile.levels != initial.levels:
@@ -185,73 +154,21 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
             f"{forcing.horizon:.6g}")
     if dt is None:
         spacing = float(np.min(np.diff(forcing.times)))
-        target = min(spacing, advective_limit(initial, profile, kappa, cfl))
-    else:
-        target = float(dt)
-    n_steps = max(1, math.ceil(T / target - 1e-12))
-    dt = T / n_steps
+        dt = min(spacing, advective_limit(initial, profile, kappa, cfl))
+    # RK4 stages 2 and 3, and the end of one step and the start of the
+    # next, query the same time
+    at = functools.lru_cache(maxsize=1)(forcing.forcing)
 
-    g = initial.grid
-    levels = initial.levels
-    ubar = profile.ubar
-    norm0 = state_norm(initial)
-    ceiling = blowup_factor * max(norm0, 1e-8)
-    warnings = []
-    diag = {"t": [], "min_depth": [], "norm": [], "mass": []}
-    states = [initial]
+    def advance(state, dt):
+        check_step(dt, advective_limit(state, profile, kappa, cfl), state.t)
+        h, u = rk4(state.h.values, state.u.values, state.t, dt, state.grid,
+                   profile, kappa, lambda dxh, t: at(t))
+        return StratifiedState.from_arrays(state.t + dt, state.grid,
+                                           state.levels, h, u)
 
-    def record(st):
-        diag["t"].append(st.t)
-        diag["min_depth"].append(float((1.0 + st.h.values).min()))
-        diag["norm"].append(state_norm(st))
-        diag["mass"].append(st.h.values.mean(axis=1))
-
-    record(initial)
-    state = initial
-    blown_up = False
-    blowup_time = None
-    for i in range(1, n_steps + 1):
-        h0, u0 = state.h.values, state.u.values
-        t = state.t
-        try:
-            f1 = forcing.forcing(t)
-            f2 = forcing.forcing(t + 0.5 * dt)
-            f4 = forcing.forcing(t + dt)
-            k1h, k1u = _forced_rhs(h0, u0, g, ubar, kappa, f1, t)
-            k2h, k2u = _forced_rhs(h0 + 0.5 * dt * k1h, u0 + 0.5 * dt * k1u,
-                                   g, ubar, kappa, f2, t + 0.5 * dt)
-            k3h, k3u = _forced_rhs(h0 + 0.5 * dt * k2h, u0 + 0.5 * dt * k2u,
-                                   g, ubar, kappa, f2, t + 0.5 * dt)
-            k4h, k4u = _forced_rhs(h0 + dt * k3h, u0 + dt * k3u,
-                                   g, ubar, kappa, f4, t + dt)
-        except BlowUpError as err:
-            blown_up = True
-            blowup_time = err.t
-            warnings.append(str(err))
-            break
-        h1 = h0 + (dt / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-        u1 = u0 + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        if not (np.all(np.isfinite(h1)) and np.all(np.isfinite(u1))):
-            blown_up = True
-            blowup_time = t + dt
-            warnings.append(f"non-finite fields at t = {t + dt:.6g}")
-            break
-        state = StratifiedState.from_arrays(t + dt, g, levels, h1, u1)
-        if i % snapshot_every == 0 or i == n_steps:
-            states.append(state)
-            record(state)
-            if diag["norm"][-1] > ceiling:
-                blown_up = True
-                blowup_time = state.t
-                warnings.append(
-                    f"H^2 norm {diag['norm'][-1]:.3e} passed the ceiling "
-                    f"{ceiling:.3e} at t = {state.t:.6g}")
-                break
-
-    return RefinedRun(
-        profile=profile, kappa=kappa, dt=dt, n_steps=n_steps, states=states,
-        reference=forcing, diagnostics={k: np.array(v) for k, v in diag.items()},
-        blown_up=blown_up, blowup_time=blowup_time, warnings=tuple(warnings))
+    run = march(initial, advance, T, dt, state_norm, column_record,
+                snapshot_every, blowup_factor)
+    return RefinedRun(profile=profile, kappa=kappa, reference=forcing, **run)
 
 
 # ----------------------------------------------------------------------

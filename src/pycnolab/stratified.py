@@ -22,6 +22,13 @@ That exactness is what turns two-layer states into exact solutions of
 this system: `embed_bilayer` maps a bilayer state onto an
 interface-aligned level grid and the level-wise dynamics reproduces the
 bilayer dynamics to rounding.
+
+This module hosts the only dynamics of the package. `column_rhs` is the
+column right-hand side with a pluggable pressure tendency: the
+self-consistent -(1/rho) W d_x h here, at two levels for `bilayer`, or a
+prescribed forcing for `refined`. `rk4` is the one classical RK4 step
+and `march` the one fixed-step time loop, which turns blow-ups and
+mid-run CFL breaches into flagged, truncated trajectories.
 """
 
 import math
@@ -30,11 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .core import Field2D
-from .bilayer import BlowUpError, csv_cell
-
-DEPTH_FLOOR = 1e-6
-CFL_DEFAULT = 0.4
+from .core import (
+    CFL_DEFAULT,
+    BlowUpError,
+    Field2D,
+    StepLimitError,
+    check_step,
+    check_thickness,
+    csv_cell,
+)
 
 
 class StratifiedProfile:
@@ -156,30 +167,46 @@ def montgomery_lipschitz_check(profile1, profile2, h):
 # dynamics
 # ----------------------------------------------------------------------
 
-def _check_depth(h_tot, t):
-    m = float(h_tot.min())
-    if m <= DEPTH_FLOOR:
-        raise BlowUpError(
-            f"isopycnal depth fell to {m:.3e} (floor {DEPTH_FLOOR})", t)
+def self_pressure(profile):
+    """Pressure tendency -(1/rho) W d_x h of the self-consistent column."""
+    P = pressure_matrix(profile)
+    return lambda dxh, t: -(P @ dxh)
 
 
-def _rhs(h, u, grid, profile, kappa, t):
-    """Stacked time derivatives for raw (n_r, n_x) arrays."""
+def column_rhs(h, u, t, grid, profile, kappa, pressure):
+    """Stacked time derivatives for raw (n_r, n_x) arrays.
+
+    `pressure(dxh, t)` returns the pressure tendency added to du; a cell
+    thickness w_i (1 + h_i) at or below the floor raises BlowUpError.
+    """
     h_tot = 1.0 + h
-    _check_depth(h_tot, t)
+    check_thickness(profile.levels.w[:, None] * h_tot, t)
     u_tot = profile.ubar[:, None] + u
     d = grid.derivative
     dxh = d(h)
-    dxu = d(u)
 
     dh = -d(grid.dealias(h_tot * u_tot))
     adv = u_tot
     if kappa > 0.0:
         dh += kappa * d(h, order=2)
         adv = u_tot - kappa * dxh / h_tot
-    press = pressure_matrix(profile) @ dxh
-    du = -grid.dealias(adv * dxu) - press
+    du = -grid.dealias(adv * d(u)) + pressure(dxh, t)
     return dh, du
+
+
+def rk4(h, u, t, dt, *column):
+    """One classical RK4 step of column_rhs(h, u, t, *column)."""
+    k1h, k1u = column_rhs(h, u, t, *column)
+    k2h, k2u = column_rhs(h + 0.5 * dt * k1h, u + 0.5 * dt * k1u,
+                          t + 0.5 * dt, *column)
+    k3h, k3u = column_rhs(h + 0.5 * dt * k2h, u + 0.5 * dt * k2u,
+                          t + 0.5 * dt, *column)
+    k4h, k4u = column_rhs(h + dt * k3h, u + dt * k3u, t + dt, *column)
+    h1 = h + (dt / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
+    u1 = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    if not (np.all(np.isfinite(h1)) and np.all(np.isfinite(u1))):
+        raise BlowUpError("non-finite fields after step", t + dt)
+    return h1, u1
 
 
 def rhs(state, profile, kappa):
@@ -188,8 +215,8 @@ def rhs(state, profile, kappa):
         raise ValueError("state and profile live on different level grids")
     if kappa < 0.0:
         raise ValueError(f"kappa must be non-negative, got {kappa}")
-    dh, du = _rhs(state.h.values, state.u.values, state.grid, profile,
-                  kappa, state.t)
+    dh, du = column_rhs(state.h.values, state.u.values, state.t, state.grid,
+                        profile, kappa, self_pressure(profile))
     return (Field2D(dh, state.grid, state.levels),
             Field2D(du, state.grid, state.levels))
 
@@ -218,30 +245,20 @@ def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
 
 def step(state, profile, kappa, dt, cfl=CFL_DEFAULT):
     """One RK4 step of the level-coupled system."""
-    limit = cfl_limit(state, profile, kappa, cfl)
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt = {dt:.3e} exceeds the stability limit {limit:.3e}")
-    g = state.grid
-    h0, u0 = state.h.values, state.u.values
-    t = state.t
-    k1h, k1u = _rhs(h0, u0, g, profile, kappa, t)
-    k2h, k2u = _rhs(h0 + 0.5 * dt * k1h, u0 + 0.5 * dt * k1u, g, profile,
-                    kappa, t + 0.5 * dt)
-    k3h, k3u = _rhs(h0 + 0.5 * dt * k2h, u0 + 0.5 * dt * k2u, g, profile,
-                    kappa, t + 0.5 * dt)
-    k4h, k4u = _rhs(h0 + dt * k3h, u0 + dt * k3u, g, profile, kappa, t + dt)
-    h1 = h0 + (dt / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-    u1 = u0 + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    if not (np.all(np.isfinite(h1)) and np.all(np.isfinite(u1))):
-        raise BlowUpError("non-finite fields after step", t + dt)
-    return StratifiedState.from_arrays(t + dt, g, state.levels, h1, u1)
+    check_step(dt, cfl_limit(state, profile, kappa, cfl), state.t)
+    h, u = rk4(state.h.values, state.u.values, state.t, dt, state.grid,
+               profile, kappa, self_pressure(profile))
+    return StratifiedState.from_arrays(state.t + dt, state.grid, state.levels,
+                                       h, u)
 
 
-@dataclass(eq=False)
-class StratifiedTrajectory:
-    profile: StratifiedProfile
-    kappa: float
+# ----------------------------------------------------------------------
+# the time loop
+# ----------------------------------------------------------------------
+
+@dataclass(eq=False, kw_only=True)
+class Run:
+    """Fields every trajectory shares; `march` fills them."""
     dt: float
     n_steps: int
     states: list
@@ -255,6 +272,67 @@ class StratifiedTrajectory:
         return self.states[-1]
 
 
+@dataclass(eq=False, kw_only=True)
+class StratifiedTrajectory(Run):
+    profile: StratifiedProfile
+    kappa: float
+
+
+def march(initial, advance, T, dt, norm, record, snapshot_every=1,
+          blowup_factor=1e3):
+    """Fixed-step trajectory to time T under one failure policy.
+
+    The step is the largest one not above `dt` that divides T evenly;
+    `advance(state, dt)` takes one step. Snapshots are stored every
+    `snapshot_every` steps and at the end, each with the diagnostics row
+    `record(state, norm(state))`. A step that raises BlowUpError (depth
+    floor, non-finite fields), a state whose stability limit has
+    tightened below dt (StepLimitError after the first step: a
+    "cfl-breach"), or a snapshot norm above blowup_factor times the
+    initial one ends the run with the trajectory truncated and flagged.
+    A dt beyond the limit of the initial state stays a ValueError.
+    Returns the keyword fields of `Run`.
+    """
+    T = float(T)
+    if T <= 0.0:
+        raise ValueError(f"horizon must be positive, got {T}")
+    n_steps = max(1, math.ceil(T / float(dt) - 1e-12))
+    dt = T / n_steps
+
+    size = norm(initial)
+    ceiling = blowup_factor * max(size, 1e-8)
+    rows = [record(initial, size)]
+    states = [initial]
+    state = initial
+    failure = None
+    for i in range(1, n_steps + 1):
+        try:
+            state = advance(state, dt)
+        except StepLimitError as err:
+            if i == 1:
+                raise
+            failure = (f"cfl-breach: {err}", state.t)
+            break
+        except BlowUpError as err:
+            failure = (str(err), err.t)
+            break
+        if i % snapshot_every == 0 or i == n_steps:
+            states.append(state)
+            size = norm(state)
+            rows.append(record(state, size))
+            if size > ceiling:
+                failure = (f"H^2 norm {size:.3e} passed the ceiling "
+                           f"{ceiling:.3e} at t = {state.t:.6g}", state.t)
+                break
+
+    return dict(
+        dt=dt, n_steps=n_steps, states=states,
+        diagnostics={k: np.array([row[k] for row in rows]) for k in rows[0]},
+        blown_up=failure is not None,
+        blowup_time=None if failure is None else failure[1],
+        warnings=() if failure is None else (failure[0],))
+
+
 def state_norm(state, s=2.0):
     """Worst-level H^s size of (h, u) together."""
     g = state.grid
@@ -263,62 +341,27 @@ def state_norm(state, s=2.0):
     return float(np.max(np.sqrt(hn * hn + un * un)))
 
 
+def column_record(state, norm):
+    """Diagnostics row of a column snapshot: min depth, norm, level masses."""
+    return {"t": state.t, "min_depth": float((1.0 + state.h.values).min()),
+            "norm": norm, "mass": state.h.values.mean(axis=1)}
+
+
 def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
               snapshot_every=1, blowup_factor=1e3):
     """Fixed-step RK4 trajectory of the stratified system to time T.
 
-    Mirrors the bilayer driver: the step divides T evenly, snapshots and
-    diagnostics (per-level masses, worst-level H^2 norm, min depth) are
-    recorded every `snapshot_every` steps, and the run halts flagged when
-    the norm passes blowup_factor times its initial value, depths touch
-    the positivity floor, or fields go non-finite.
+    The step comes from the CFL limit of the initial state unless `dt` is
+    given; `march` stores snapshots and diagnostics (per-level masses,
+    worst-level H^2 norm, min depth) every `snapshot_every` steps and
+    flags the run when it blows up.
     """
-    T = float(T)
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    target = cfl_limit(initial, profile, kappa, cfl) if dt is None else float(dt)
-    n_steps = max(1, math.ceil(T / target - 1e-12))
-    dt = T / n_steps
-
-    norm0 = state_norm(initial)
-    ceiling = blowup_factor * max(norm0, 1e-8)
-    warnings = []
-    diag = {"t": [], "min_depth": [], "norm": [], "mass": []}
-    states = [initial]
-
-    def record(st):
-        diag["t"].append(st.t)
-        diag["min_depth"].append(float((1.0 + st.h.values).min()))
-        diag["norm"].append(state_norm(st))
-        diag["mass"].append(st.h.values.mean(axis=1))
-
-    record(initial)
-    state = initial
-    blown_up = False
-    blowup_time = None
-    for i in range(1, n_steps + 1):
-        try:
-            state = step(state, profile, kappa, dt, cfl)
-        except BlowUpError as err:
-            blown_up = True
-            blowup_time = err.t
-            warnings.append(str(err))
-            break
-        if i % snapshot_every == 0 or i == n_steps:
-            states.append(state)
-            record(state)
-            if diag["norm"][-1] > ceiling:
-                blown_up = True
-                blowup_time = state.t
-                warnings.append(
-                    f"H^2 norm {diag['norm'][-1]:.3e} passed the ceiling "
-                    f"{ceiling:.3e} at t = {state.t:.6g}")
-                break
-
-    return StratifiedTrajectory(
-        profile=profile, kappa=kappa, dt=dt, n_steps=n_steps, states=states,
-        diagnostics={k: np.array(v) for k, v in diag.items()},
-        blown_up=blown_up, blowup_time=blowup_time, warnings=tuple(warnings))
+    if dt is None:
+        dt = cfl_limit(initial, profile, kappa, cfl)
+    run = march(initial, lambda st, dt: step(st, profile, kappa, dt, cfl),
+                T, dt, state_norm, column_record, snapshot_every,
+                blowup_factor)
+    return StratifiedTrajectory(profile=profile, kappa=kappa, **run)
 
 
 # ----------------------------------------------------------------------

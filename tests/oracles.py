@@ -139,6 +139,58 @@ def linearized_mode_evolution(rho_ratio, Hbar_s, Hbar_b, Ubar_s, Ubar_b,
 
 
 # ----------------------------------------------------------------------
+# two-layer dynamics straight from the equations
+# ----------------------------------------------------------------------
+
+def two_layer_rhs(fields, rho_ratio, Hbar_s, Hbar_b, Ubar_s, Ubar_b, kappa,
+                  L):
+    """Time derivatives of stacked (H_s, H_b, U_s, U_b) deviations.
+
+    Spells out, with its own FFTs and 2/3 dealiasing of the products,
+
+        d/dt H_l = -d_x(h_l u_l) + kappa d_x^2 H_l
+        d/dt U_s = -(u_s - kappa d_x H_s / h_s) d_x U_s - d_x H_s - d_x H_b
+        d/dt U_b = -(u_b - kappa d_x H_b / h_b) d_x U_b
+                   - (rho_s/rho_b) d_x H_s - d_x H_b
+
+    with h_l = Hbar_l + H_l and u_l = Ubar_l + U_l.
+    """
+    H_s, H_b, U_s, U_b = np.asarray(fields, dtype=float)
+    n = H_s.size
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    ik = 2j * np.pi * k / L
+    keep = np.abs(k) <= n / 3.0
+
+    def dx(f, order=1):
+        return np.fft.ifft(ik ** order * np.fft.fft(f)).real
+
+    def dealias(f):
+        return np.fft.ifft(keep * np.fft.fft(f)).real
+
+    h_s, h_b = Hbar_s + H_s, Hbar_b + H_b
+    u_s, u_b = Ubar_s + U_s, Ubar_b + U_b
+    return np.array([
+        -dx(dealias(h_s * u_s)) + kappa * dx(H_s, 2),
+        -dx(dealias(h_b * u_b)) + kappa * dx(H_b, 2),
+        -dealias((u_s - kappa * dx(H_s) / h_s) * dx(U_s)) - dx(H_s) - dx(H_b),
+        -dealias((u_b - kappa * dx(H_b) / h_b) * dx(U_b))
+        - rho_ratio * dx(H_s) - dx(H_b),
+    ])
+
+
+def two_layer_run(fields, dt, n_steps, *constants):
+    """Classical RK4 march of two_layer_rhs(., *constants) for n_steps."""
+    y = np.array(fields, dtype=float)
+    for _ in range(n_steps):
+        k1 = two_layer_rhs(y, *constants)
+        k2 = two_layer_rhs(y + 0.5 * dt * k1, *constants)
+        k3 = two_layer_rhs(y + 0.5 * dt * k2, *constants)
+        k4 = two_layer_rhs(y + dt * k3, *constants)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+# ----------------------------------------------------------------------
 # slow transforms and norms
 # ----------------------------------------------------------------------
 

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from pycnolab import cli
+from pycnolab import bilayer, cli, stratified
+from pycnolab.core import LevelGrid, SpatialGrid
 
 
 def write_config(tmp_path, name, payload):
@@ -72,6 +73,14 @@ class TestConfigHandling:
         code = cli.main(["classify", "--threads", "0",
                          "--out", str(tmp_path / "o")])
         assert code == cli.CONFIG_ERROR
+
+    def test_unknown_keys_rejected(self, tmp_path):
+        for payload in ({"kapas": [1.0]}, {"params": {"kappa": 0.1}},
+                        {"initial": {"amplitude": {"H_s": 0.1}}}):
+            cfg = write_config(tmp_path, "c.json", payload)
+            code = cli.main(["sweep-kappa", "--config", cfg,
+                             "--out", str(tmp_path / "o")])
+            assert code == cli.CONFIG_ERROR, payload
 
     def test_bad_value_inside_config(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"n_x": 7, "T": 0.1})
@@ -195,6 +204,31 @@ class TestRunCommands:
         diag = np.genfromtxt(out / "diagnostics.csv", delimiter=",",
                              names=True)
         assert float(np.max(diag["mass_drift"])) < 1e-12
+
+    def test_mid_run_cfl_breach_is_flagged(self, tmp_path, capsys):
+        # a step just inside the initial limit that the state's own
+        # steepening overtakes is a flagged run, not a config error
+        grid = SpatialGrid(256)
+        params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0)
+        levels = LevelGrid.with_interface(16, -params.Hbar_s, cluster=0.0)
+        profile, state = stratified.embed_bilayer(
+            bilayer.make_initial(grid, amplitudes={"H_s": 0.05,
+                                                   "U_s": 0.02}),
+            params, levels)
+        limit = stratified.cfl_limit(state, profile, 0.0)
+        payload = {"n_r": 16, "cluster": 0, "kappa": 0, "T": 1}
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "c.json", dict(payload, dt=0.999 * limit))
+        code = cli.main(["simulate-stratified", "--config", cfg,
+                         "--out", str(out)])
+        assert code == cli.INCONCLUSIVE
+        assert "cfl-breach" in capsys.readouterr().err
+        assert read_summary(out, "simulate-stratified")["pass"] is False
+        # a step beyond the initial limit is still a config error
+        cfg = write_config(tmp_path, "c.json", dict(payload, dt=1.5 * limit))
+        code = cli.main(["simulate-stratified", "--config", cfg,
+                         "--out", str(tmp_path / "p")])
+        assert code == cli.CONFIG_ERROR
 
     def test_refine_consistency(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

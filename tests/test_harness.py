@@ -69,13 +69,6 @@ class TestSweepKappa:
         # larger kappa, larger departure
         assert np.all(np.diff(res.series["difference"]) > 0.0)
 
-    def test_threaded_run_matches_serial(self):
-        serial = harness.sweep_kappa(SMALL_KAPPA_CFG)
-        pooled = harness.sweep_kappa(SMALL_KAPPA_CFG, threads=3)
-        assert np.array_equal(serial.series["difference"],
-                              pooled.series["difference"])
-        assert serial.fit.slope == pooled.fit.slope
-
     def test_blowup_is_inconclusive(self):
         cfg = dict(SMALL_KAPPA_CFG)
         cfg["initial"] = {"amplitudes": {"H_s": -0.31, "U_s": 0.9}}

@@ -174,22 +174,30 @@ class TestDynamics:
             assert np.all(du.values == 0.0)
 
     def test_embedded_rhs_matches_two_layer(self):
+        # both the embedded column and the two-level column of the bilayer
+        # module against the two-layer equations spelled out in oracles
         for kappa in (0.0, 0.1):
             bistate, profile, state = embedded_pair()
             params = bilayer.BilayerParams(PARAMS.rho_s, PARAMS.rho_b,
                                            PARAMS.Hbar_s, PARAMS.Hbar_b,
                                            kappa=kappa)
-            rhs_fn = (bilayer.rhs_diffusive if kappa > 0.0
-                      else bilayer.rhs_nondiffusive)
-            dH_s, dH_b, dU_s, dU_b = rhs_fn(bistate, params)
+            want = oracles.two_layer_rhs(
+                bistate.stacked(), params.rho_ratio, params.Hbar_s,
+                params.Hbar_b, params.Ubar_s, params.Ubar_b, kappa,
+                bistate.grid.length)
             dh, du = rhs(state, profile, kappa)
-            want_h = embed_rows(state.levels, dH_s.values / PARAMS.Hbar_s,
-                                dH_b.values / PARAMS.Hbar_b)
-            want_u = embed_rows(state.levels, dU_s.values, dU_b.values)
+            want_h = embed_rows(state.levels, want[0] / PARAMS.Hbar_s,
+                                want[1] / PARAMS.Hbar_b)
+            want_u = embed_rows(state.levels, want[2], want[3])
             err_h = np.max(np.abs(dh.values - want_h))
             err_u = np.max(np.abs(du.values - want_u))
             assert err_h <= 1e-12, f"kappa {kappa}: dh off by {err_h:.3e}"
             assert err_u <= 1e-12, f"kappa {kappa}: du off by {err_u:.3e}"
+            rhs_fn = (bilayer.rhs_diffusive if kappa > 0.0
+                      else bilayer.rhs_nondiffusive)
+            got = np.array([f.values for f in rhs_fn(bistate, params)])
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-12, f"kappa {kappa}: two-level rhs off {err:.3e}"
 
     def test_constant_density_column_is_shallow_water(self):
         # r-independent data over a uniform background reduces every level
