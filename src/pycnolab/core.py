@@ -6,7 +6,10 @@ the Parseval sum
 
     ||f||_{H^s}^2 = sum_k (1 + xi_k^2)^s |fhat_k|^2 * L / n_x^2 ,
 
-which reduces to the left-Riemann L^2 quadrature at s = 0. The vertical
+which reduces to the left-Riemann L^2 quadrature at s = 0. Derivatives
+and the 2/3-rule dealiasing act on real fields through real FFTs: every
+SpatialGrid holds the multipliers i*xi and the dealias mask over the
+rfftfreq half-spectrum, built once and read-only. The vertical
 structure lives on a cell decomposition of (-1, 0): cell edges
 -1 = e_0 < ... < e_{n_r} = 0, level positions at cell midpoints, weights
 w_i = e_{i+1} - e_i. Keeping edges explicit lets a layer interface sit
@@ -88,13 +91,17 @@ class SpatialGrid:
         self.dx = length / n_x
         self.x = np.arange(n_x) * self.dx
         self.x.flags.writeable = False
-        # angular wavenumbers in FFT order
+        # angular wavenumbers in FFT order (the H^s norms sum over these)
         k = np.fft.fftfreq(n_x, d=1.0 / n_x)
         self.xi = 2.0 * np.pi * k / length
         self.xi.flags.writeable = False
-        # 2/3-rule mask: keep |k| <= n_x/3
-        self._dealias_mask = (np.abs(k) <= n_x / 3.0)
-        self._dealias_mask.flags.writeable = False
+        # spectral multipliers of real fields, over the rfft half-spectrum
+        k = np.fft.rfftfreq(n_x, d=1.0 / n_x)
+        self.ixi = 2j * np.pi * k / length
+        self.ixi.flags.writeable = False
+        # 2/3 rule: keep k <= n_x/3
+        self.dealias_mask = k <= n_x / 3.0
+        self.dealias_mask.flags.writeable = False
 
     def __eq__(self, other):
         return (isinstance(other, SpatialGrid)
@@ -110,16 +117,15 @@ class SpatialGrid:
         """Spectral d^order/dx^order along the last axis of `values`."""
         if order < 1 or order != int(order):
             raise ValueError(f"derivative order must be a positive integer, got {order}")
-        fhat = np.fft.fft(values, axis=-1)
-        fhat *= (1j * self.xi) ** int(order)
-        out = np.fft.ifft(fhat, axis=-1).real
-        return out
+        fhat = np.fft.rfft(values, axis=-1)
+        fhat *= self.ixi ** int(order)
+        return np.fft.irfft(fhat, n=self.n_x, axis=-1)
 
     def dealias(self, values):
         """Apply the 2/3 rule along the last axis (zero modes |k| > n_x/3)."""
-        fhat = np.fft.fft(values, axis=-1)
-        fhat *= self._dealias_mask
-        return np.fft.ifft(fhat, axis=-1).real
+        fhat = np.fft.rfft(values, axis=-1)
+        fhat *= self.dealias_mask
+        return np.fft.irfft(fhat, n=self.n_x, axis=-1)
 
     def sobolev_norm_values(self, values, s):
         """Discrete H^s norm of a bare 1-D sample array (last axis if 2-D...

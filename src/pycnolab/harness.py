@@ -292,7 +292,7 @@ def sweep_epsilon(config):
         dt = min(dt, stratified.cfl_limit(strat_initial, profile, kappa, cfl))
     dt *= 0.9
 
-    bi_run = bilayer.integrate(bi_initial, bi_params, T, dt=dt,
+    bi_run = bilayer.integrate(bi_initial, bi_params, T, dt=dt, cfl=cfl,
                                snapshot_every=10 ** 9)
     expected = float(cfg.get("expected_slope", 1.0))
     tolerance = float(cfg.get("slope_tolerance", 0.2))
@@ -308,7 +308,7 @@ def sweep_epsilon(config):
         return bail("two-layer run blew up")
 
     runs = [stratified.integrate(strat_initial, profile, kappa, T, dt=dt,
-                                 snapshot_every=10 ** 9)
+                                 cfl=cfl, snapshot_every=10 ** 9)
             for profile in targets]
 
     exterior = []

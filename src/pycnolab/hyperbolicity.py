@@ -38,6 +38,7 @@ precisely when its leading principal minors (rr, rr(1-rr),
 rr^2 (H_s (1-rr) - us^2), rr^2 P(l)) are positive.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,15 +139,17 @@ def quartic_discriminant(c3, c2, c1, c0):
     """Discriminant of l^4 + c3 l^3 + c2 l^2 + c1 l + c0 (vectorized).
 
     Positive means four real roots here (two real roots always exist),
-    negative means exactly two.
+    negative means exactly two. Powers are spelled as products, so a
+    Python float and an array element give the same bits.
     """
     b, c, d, e = c3, c2, c1, c0
-    return (256.0 * e**3 - 192.0 * b * d * e**2 - 128.0 * c**2 * e**2
-            + 144.0 * c * d**2 * e - 27.0 * d**4 + 144.0 * b**2 * c * e**2
-            - 6.0 * b**2 * d**2 * e - 80.0 * b * c**2 * d * e
-            + 18.0 * b * c * d**3 + 16.0 * c**4 * e - 4.0 * c**3 * d**2
-            - 27.0 * b**4 * e**2 + 18.0 * b**3 * c * d * e - 4.0 * b**3 * d**3
-            - 4.0 * b**2 * c**3 * e + b**2 * c**2 * d**2)
+    b2, c2, d2, e2 = b * b, c * c, d * d, e * e
+    return (256.0 * e2 * e - 192.0 * b * d * e2 - 128.0 * c2 * e2
+            + 144.0 * c * d2 * e - 27.0 * d2 * d2 + 144.0 * b2 * c * e2
+            - 6.0 * b2 * d2 * e - 80.0 * b * c2 * d * e
+            + 18.0 * b * c * d2 * d + 16.0 * c2 * c2 * e - 4.0 * c2 * c * d2
+            - 27.0 * b2 * b2 * e2 + 18.0 * b2 * b * c * d * e
+            - 4.0 * b2 * b * d2 * d - 4.0 * b2 * c2 * c * e + b2 * c2 * d2)
 
 
 def quartic_roots(coefficients, polish=True):
@@ -205,8 +208,13 @@ def _real_count(roots, tol):
 # ----------------------------------------------------------------------
 
 def _disc_of_intercept(c, h_ratio, rho_ratio):
-    """Discriminant of the normalized quartic (H_b=1, H_s=h, U_s=0, U_b=c)."""
-    c = np.asarray(c, dtype=float)
+    """Discriminant of the normalized quartic (H_b=1, H_s=h, U_s=0, U_b=c).
+
+    A Python float stays a float, so the bisection runs without numpy
+    scalars; arrays give the same values elementwise, bit for bit.
+    """
+    if not isinstance(c, float):
+        c = np.asarray(c, dtype=float)
     h = h_ratio
     c3 = -2.0 * c
     c2 = c * c - 1.0 - h
@@ -230,7 +238,7 @@ def critical_froude(h_ratio, rho_ratio, tol=1e-10, scan_points=256):
     if not 0.0 < rho_ratio < 1.0:
         raise ValueError(f"rho_ratio must lie in (0, 1), got {rho_ratio}")
 
-    c_hi = 2.0 * (2.0 + np.sqrt(h_ratio))
+    c_hi = 2.0 * (2.0 + math.sqrt(h_ratio))
     while _disc_of_intercept(c_hi, h_ratio, rho_ratio) <= 0.0:
         c_hi *= 2.0
         if c_hi > 1e6:
@@ -263,8 +271,10 @@ def critical_froude(h_ratio, rho_ratio, tol=1e-10, scan_points=256):
                 lo = mid
         return 0.5 * (lo + hi)
 
-    fr_minus = bisect(cs[neg[0] - 1] if neg[0] > 0 else 0.0, cs[neg[0]], True)
-    fr_plus = bisect(cs[neg[-1]], cs[neg[-1] + 1], False)
+    first, last = int(neg[0]), int(neg[-1])
+    fr_minus = bisect(float(cs[first - 1]) if first > 0 else 0.0,
+                      float(cs[first]), True)
+    fr_plus = bisect(float(cs[last]), float(cs[last + 1]), False)
     return fr_minus, fr_plus
 
 

@@ -26,13 +26,18 @@ bilayer dynamics to rounding.
 This module hosts the only dynamics of the package. `column_rhs` is the
 column right-hand side with a pluggable pressure tendency: the
 self-consistent -(1/rho) W d_x h here, at two levels for `bilayer`, or a
-prescribed forcing for `refined`. `rk4` is the one classical RK4 step
-and `march` the one fixed-step time loop, which turns blow-ups and
-mid-run CFL breaches into flagged, truncated trajectories.
+prescribed forcing for `refined`; it makes eight real FFTs per call.
+`rk4` is the one classical RK4 step and `march` the one fixed-step time
+loop, which turns blow-ups and mid-run CFL breaches into flagged,
+truncated trajectories. The CFL estimate takes the gravity-wave speeds
+from the symmetric form a R a, R[i, j] = rho[max(i, j)] and
+a = sqrt(depth w / rho), which is similar to diag(depth) (1/rho) W; the
+profile-only matrices are built once per (immutable) StratifiedProfile.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -67,6 +72,26 @@ class StratifiedProfile:
         self.levels = levels
         self.rho = rho
         self.ubar = ubar
+
+    def _density_matrix(self):
+        """R[i, j] = rho[max(i, j)], the density of the upper level."""
+        idx = np.arange(self.levels.n_r)
+        return self.rho[np.maximum(idx[:, None], idx[None, :])]
+
+    @cached_property
+    def _step_matrices(self):
+        """(1/rho) W and the symmetric b R b, built once, read-only.
+
+        b = sqrt(w / rho); with a = sqrt(depth) b, a R a = q (b R b) q,
+        q = diag(sqrt(depth)), is similar to diag(depth) (1/rho) W.
+        """
+        R = self._density_matrix()
+        b = np.sqrt(self.levels.w / self.rho)
+        out = (self.levels.w[None, :] * R / self.rho[:, None],
+               b[:, None] * R * b[None, :])
+        for m in out:
+            m.flags.writeable = False
+        return out
 
     @property
     def M_bound(self):
@@ -123,14 +148,15 @@ class PycnoclineSpec:
 
 def montgomery_kernel(profile):
     """The (n_r, n_r) matrix W with Psi = W @ h columns."""
-    w = profile.levels.w
-    idx = np.arange(profile.levels.n_r)
-    return w[None, :] * profile.rho[np.maximum(idx[:, None], idx[None, :])]
+    return profile.levels.w[None, :] * profile._density_matrix()
 
 
 def pressure_matrix(profile):
-    """(1/rho) W: rows give the pressure-gradient coupling per level."""
-    return montgomery_kernel(profile) / profile.rho[:, None]
+    """(1/rho) W: rows give the pressure-gradient coupling per level.
+
+    Built once per profile and read-only.
+    """
+    return profile._step_matrices[0]
 
 
 def montgomery(profile, h):
@@ -178,19 +204,27 @@ def column_rhs(h, u, t, grid, profile, kappa, pressure):
 
     `pressure(dxh, t)` returns the pressure tendency added to du; a cell
     thickness w_i (1 + h_i) at or below the floor raises BlowUpError.
+    One fused real-FFT pass computes what `grid.derivative` and
+    `grid.dealias` compose to: h and u are transformed once, the
+    dealiased flux derivative and the diffusion are summed in spectral
+    space, and each output is inverted once (eight real transforms).
     """
     h_tot = 1.0 + h
     check_thickness(profile.levels.w[:, None] * h_tot, t)
     u_tot = profile.ubar[:, None] + u
-    d = grid.derivative
-    dxh = d(h)
+    rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
+    ixi, keep = grid.ixi, grid.dealias_mask
+    h_hat = rfft(h)
+    dxh = irfft(ixi * h_hat, n)
+    dxu = irfft(ixi * rfft(u), n)
 
-    dh = -d(grid.dealias(h_tot * u_tot))
+    dh_hat = -(ixi * keep) * rfft(h_tot * u_tot)
     adv = u_tot
     if kappa > 0.0:
-        dh += kappa * d(h, order=2)
+        dh_hat += kappa * (ixi * ixi) * h_hat
         adv = u_tot - kappa * dxh / h_tot
-    du = -grid.dealias(adv * d(u)) + pressure(dxh, t)
+    dh = irfft(dh_hat, n)
+    du = pressure(dxh, t) - irfft(keep * rfft(adv * dxu), n)
     return dh, du
 
 
@@ -226,14 +260,19 @@ def wave_speed_estimate(state, profile):
 
     Advection bound max|ubar + u| plus the fastest internal gravity wave
     of the frozen-coefficient linearization, whose squared speeds are the
-    eigenvalues of diag(1+h) @ (1/rho)W; per-level maxima of 1+h give a
-    safe bound.
+    eigenvalues of diag(depth) (1/rho) W with depth the per-level maximum
+    of 1 + h (a safe bound). That matrix is similar to the symmetric
+    a R a (see StratifiedProfile), so `eigvalsh` gives the same real
+    spectrum; a non-monotone rho makes some of it negative, hence the
+    largest magnitude. A level with no positive depth left counts as
+    depth 0; the thickness floor rejects such a state on its first step.
     """
     u_tot = profile.ubar[:, None] + state.u.values
-    depth = np.max(1.0 + state.h.values, axis=1)
-    K = depth[:, None] * pressure_matrix(profile)
-    c2 = float(np.max(np.abs(np.linalg.eigvals(K))))
-    return float(np.max(np.abs(u_tot))) + math.sqrt(max(c2, 0.0))
+    q = np.sqrt(np.maximum(np.max(1.0 + state.h.values, axis=1), 0.0))
+    bRb = profile._step_matrices[1]
+    lam = np.linalg.eigvalsh(q[:, None] * bRb * q[None, :])
+    c2 = float(np.max(np.abs(lam)))
+    return float(np.max(np.abs(u_tot))) + math.sqrt(c2)
 
 
 def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):

@@ -228,6 +228,20 @@ def montgomery_by_loops(rho, weights, h_column):
     return np.array(psi)
 
 
+def dense_wave_speed_squared(rho, weights, depth):
+    """max |eigvals(diag(depth) (1/rho) W)|, W[i, j] = w_j rho[max(i, j)].
+
+    The frozen-coefficient squared gravity-wave speeds of a column,
+    from the unsymmetrized matrix built entry by entry.
+    """
+    n = len(rho)
+    K = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            K[i, j] = depth[i] / rho[i] * weights[j] * rho[max(i, j)]
+    return float(np.max(np.abs(np.linalg.eigvals(K))))
+
+
 # ----------------------------------------------------------------------
 # closed-form pycnocline distances (exact integrals over (-1, 0))
 # ----------------------------------------------------------------------

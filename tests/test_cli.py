@@ -133,6 +133,16 @@ class TestSweepCommands:
         header = (out / "sweep_epsilon.csv").read_text().splitlines()[0]
         assert header == "abscissa,all_levels,exterior,exterior_sup"
 
+    def test_sweep_epsilon_honours_cfl(self, tmp_path):
+        # the configured cfl sets dt and the limit every run re-checks;
+        # checking against the default 0.4 rejected the first step
+        cfg = write_config(tmp_path, "c.json", {
+            "n_x": 64, "n_r": 16, "T": 0.1, "cfl": 0.8,
+            "epsilons": [0.001, 0.004, 0.016, 0.064, 0.1]})
+        code = cli.main(["sweep-epsilon", "--config", cfg,
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.PASS
+
 
 class TestRunCommands:
     def test_check_all(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from pycnolab import hyperbolicity
 from pycnolab.hyperbolicity import (
     AtlasCurves,
     StatePoint,
@@ -185,6 +186,21 @@ class TestCriticalFroude:
             fine = critical_froude(h, rr, scan_points=2048)
             assert abs(coarse[0] - fine[0]) <= 1e-8, f"Fr_- unstable at {(h, rr)}"
             assert abs(coarse[1] - fine[1]) <= 1e-8, f"Fr_+ unstable at {(h, rr)}"
+
+    def test_scalar_and_array_discriminants_agree(self):
+        # the bisection evaluates Python floats, the scan whole arrays;
+        # both must give the same bits so the brackets are unchanged
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            h = float(rng.uniform(0.05, 5.0))
+            rr = float(rng.uniform(0.02, 0.98))
+            cs = np.concatenate([np.linspace(0.0, 12.0, 97),
+                                 rng.uniform(0.0, 12.0, 64)])
+            array = hyperbolicity._disc_of_intercept(cs, h, rr)
+            for c, want in zip(cs, array):
+                got = hyperbolicity._disc_of_intercept(float(c), h, rr)
+                assert type(got) is float
+                assert got == want, f"c={c!r}, h={h!r}, rr={rr!r}"
 
     def test_rejects_bad_ratios(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,31 @@ class TestDynamics:
         assert np.max(np.abs(dh.values[4] - want_h)) <= 1e-13
         assert np.max(np.abs(du.values[4] - want_u)) <= 1e-13
 
+    def test_fused_rhs_matches_derivative_composition(self):
+        # white noise fills every mode, the Nyquist one and those at the
+        # 2/3 cutoff included, which smooth data leaves empty
+        rng = np.random.default_rng(23)
+        levels = LevelGrid.uniform(16)
+        grid = SpatialGrid(64)
+        prof = random_profile(rng, levels, shear=0.3)
+        h = 0.1 * rng.standard_normal((16, 64))
+        u = 0.1 * rng.standard_normal((16, 64))
+        state = StratifiedState.from_arrays(0.0, grid, levels, h, u)
+        d, P = grid.derivative, pressure_matrix(prof)
+        h_tot = 1.0 + h
+        u_tot = prof.ubar[:, None] + u
+        for kappa in (0.0, 0.1):
+            want_h = -d(grid.dealias(h_tot * u_tot))
+            adv = u_tot
+            if kappa > 0.0:
+                want_h = want_h + kappa * d(h, order=2)
+                adv = u_tot - kappa * d(h) / h_tot
+            want_u = -grid.dealias(adv * d(u)) - P @ d(h)
+            dh, du = rhs(state, prof, kappa)
+            for got, want in ((dh.values, want_h), (du.values, want_u)):
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err <= 1e-12, f"kappa {kappa}: relative gap {err:.3e}"
+
     def test_depth_floor_aborts(self):
         levels = LevelGrid.uniform(6)
         grid = SpatialGrid(16)
@@ -343,6 +368,50 @@ class TestStepIntegrate:
         est = wave_speed_estimate(state, profile)
         assert est >= 0.99 * fast, (
             f"estimate {est:.4f} fell below the two-layer speed {fast:.4f}")
+
+    def test_speed_estimate_matches_dense_eigenproblem(self):
+        # the symmetric form against max|eigvals(diag(depth)(1/rho)W)|,
+        # including non-monotone densities with negative eigenvalues
+        rng = np.random.default_rng(29)
+        grid = SpatialGrid(32)
+        negative = 0
+        for trial in range(12):
+            n_r = int(rng.integers(2, 40))
+            levels = LevelGrid.with_interface(
+                n_r, -rng.uniform(0.2, 0.8), cluster=rng.uniform(0.0, 6.0))
+            rho = rng.uniform(0.5, 2.0, n_r)
+            if trial % 2 == 0:
+                rho = np.sort(rho)[::-1]
+            prof = StratifiedProfile(levels, rho, 0.3 * rng.standard_normal(n_r))
+            state = StratifiedState.from_arrays(
+                0.0, grid, levels, 0.2 * rng.standard_normal((n_r, 32)),
+                0.2 * rng.standard_normal((n_r, 32)))
+            depth = np.max(1.0 + state.h.values, axis=1)
+            c2 = oracles.dense_wave_speed_squared(rho, levels.w, depth)
+            want = (np.max(np.abs(prof.ubar[:, None] + state.u.values))
+                    + np.sqrt(c2))
+            got = wave_speed_estimate(state, prof)
+            assert abs(got - want) <= 1e-12 * want, (
+                f"trial {trial}: {got!r} against {want!r}")
+            K = depth[:, None] * pressure_matrix(prof)
+            negative += bool(np.min(np.linalg.eigvals(K).real) < 0.0)
+        assert negative >= 3, "no non-monotone profile was exercised"
+
+    def test_level_without_depth_is_flagged(self):
+        # a whole level below zero depth still gets a finite CFL step,
+        # and the thickness floor then flags the run on its first step
+        levels = LevelGrid.uniform(4)
+        grid = SpatialGrid(16)
+        prof = StratifiedProfile(levels, np.array([2.0, 1.5, 1.2, 1.0]),
+                                 np.zeros(4))
+        h = np.zeros((4, 16))
+        h[1] = -1.5
+        state = StratifiedState.from_arrays(0.0, grid, levels, h,
+                                            np.zeros((4, 16)))
+        assert np.isfinite(wave_speed_estimate(state, prof))
+        traj = integrate(state, prof, 0.0, T=0.1)
+        assert traj.blown_up
+        assert "cell thickness" in traj.warnings[0]
 
 
 class TestEmbedding:
