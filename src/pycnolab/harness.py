@@ -146,8 +146,9 @@ def initial_from_config(cfg, grid):
 def sweep_kappa(config):
     """Terminal distance between diffusive runs and the plain run.
 
-    All runs share one dt (the stability step of the most diffusive
-    member) so the measured differences isolate the kappa terms.
+    All runs share one dt (the smallest stability step of the members,
+    the plain run included) so the measured differences isolate the
+    kappa terms.
     """
     cfg = dict(config)
     kappas = sorted(float(k) for k in cfg.get("kappas", []))
@@ -558,8 +559,10 @@ def _suite_richardson():
     base = bilayer.cfl_limit(initial, params) / 2.0
     finest = bilayer.integrate(initial, params, T, dt=base / 32.0,
                                snapshot_every=10 ** 9).final
+    # the diffusion is stepped exactly, so the error at base/8 already
+    # sits near the rounding floor; the halvings are taken above it
     errs = []
-    for m in (4, 8, 16):
+    for m in (1, 2, 4):
         run = bilayer.integrate(initial, params, T, dt=base / m,
                                 snapshot_every=10 ** 9).final
         errs.append(_bilayer_difference_norm(run, finest, 0.0))

@@ -22,9 +22,10 @@ with a four-point Lagrange cubic in t, so it is exact at the nodes and
 does not cap the fourth-order accuracy of the stepper.
 
 The forced system is the column kernel of `stratified` with the
-interpolated forcing as its pressure tendency, stepped by the same RK4
-and time loop, under the same failure policy; only the step limit is
-the transport one (`advective_limit`), since no wave couples the levels.
+interpolated forcing as its pressure tendency, stepped by the same
+integrating-factor RK4 (the diffusion integrated exactly) and time loop,
+under the same failure policy; only the step limit is the transport one
+(`advective_limit`), since no wave couples the levels.
 """
 
 import functools
@@ -37,6 +38,7 @@ from .stratified import (
     StratifiedState,
     StratifiedTrajectory,
     column_record,
+    diffusive_drift,
     march,
     pressure_matrix,
     rk4,
@@ -121,13 +123,15 @@ def build_forcing(trajectory, target_profile):
 # ----------------------------------------------------------------------
 
 def advective_limit(state, profile, kappa, cfl=CFL_DEFAULT):
-    """Stability step for the pressureless transport (no wave coupling)."""
+    """Stability step for the pressureless transport (no wave coupling).
+
+    cfl dx over max|ubar + u| plus the diffusive drift; the diffusion
+    itself is stepped exactly and sets no bound.
+    """
     u_tot = profile.ubar[:, None] + state.u.values
-    speed = max(float(np.max(np.abs(u_tot))), 1e-8)
-    dt = cfl * state.grid.dx / speed
-    if kappa > 0.0:
-        dt = min(dt, cfl * state.grid.dx ** 2 / (2.0 * kappa))
-    return dt
+    speed = (float(np.max(np.abs(u_tot)))
+             + diffusive_drift(state.grid, state.h.values, kappa))
+    return cfl * state.grid.dx / max(speed, 1e-8)
 
 
 @dataclass(eq=False, kw_only=True)
@@ -137,7 +141,7 @@ class RefinedRun(StratifiedTrajectory):
 
 def solve_refined(initial, profile, forcing, kappa, T, dt=None,
                   cfl=CFL_DEFAULT, snapshot_every=1, blowup_factor=1e3):
-    """Integrate the forced system to horizon T with fixed-step RK4.
+    """Integrate the forced system to horizon T with fixed-step IF-RK4.
 
     `forcing` is a ReferenceRun whose horizon must reach T; when dt is
     omitted the step is the smaller of the reference snapshot spacing and

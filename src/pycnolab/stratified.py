@@ -24,20 +24,26 @@ interface-aligned level grid and the level-wise dynamics reproduces the
 bilayer dynamics to rounding.
 
 This module hosts the only dynamics of the package. `column_rhs` is the
-column right-hand side with a pluggable pressure tendency: the
-self-consistent -(1/rho) W d_x h here, at two levels for `bilayer`, or a
-prescribed forcing for `refined`; it makes eight real FFTs per call.
-`rk4` is the one classical RK4 step and `march` the one fixed-step time
-loop, which turns blow-ups and mid-run CFL breaches into flagged,
-truncated trajectories. The CFL estimate takes the gravity-wave speeds
-from the symmetric form a R a, R[i, j] = rho[max(i, j)] and
-a = sqrt(depth w / rho), which is similar to diag(depth) (1/rho) W; the
-profile-only matrices are built once per (immutable) StratifiedProfile.
+column right-hand side less the diffusion kappa d_x^2 h, with a
+pluggable pressure tendency: the self-consistent -(1/rho) W d_x h here,
+at two levels for `bilayer`, or a prescribed forcing for `refined`; it
+makes eight real FFTs per call. `rk4` is the one time step, Lawson's
+integrating-factor RK4: the diffusion, linear and diagonal in Fourier
+space, is integrated exactly by the propagator exp(-kappa xi^2 dt/2)
+(`heat_propagator`, built once per march), so only the waves and the
+advection bound the step. `march` is the one fixed-step time loop,
+which turns blow-ups and mid-run CFL breaches into flagged, truncated
+trajectories. The CFL estimate takes the gravity-wave speeds from the
+symmetric form a R a, R[i, j] = rho[max(i, j)] and
+a = sqrt(depth w / rho), which is similar to diag(depth) (1/rho) W, and
+adds the diffusive drift kappa max|d_x h / (1 + h)| to the advection;
+the profile-only matrices are built once per (immutable)
+StratifiedProfile.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import erf
@@ -200,43 +206,80 @@ def self_pressure(profile):
 
 
 def column_rhs(h, u, t, grid, profile, kappa, pressure):
-    """Stacked time derivatives for raw (n_r, n_x) arrays.
+    """Stacked time derivatives for raw (n_r, n_x) arrays, less diffusion.
 
-    `pressure(dxh, t)` returns the pressure tendency added to du; a cell
-    thickness w_i (1 + h_i) at or below the floor raises BlowUpError.
-    One fused real-FFT pass computes what `grid.derivative` and
-    `grid.dealias` compose to: h and u are transformed once, the
-    dealiased flux derivative and the diffusion are summed in spectral
-    space, and each output is inverted once (eight real transforms).
+    The thickness diffusion kappa d_x^2 h is left out: `rk4` steps it
+    exactly, and `column_derivative` adds it back. `pressure(dxh, t)`
+    returns the pressure tendency added to du; a cell thickness
+    w_i (1 + h_i) at or below the floor raises BlowUpError. One fused
+    real-FFT pass computes what `grid.derivative` and `grid.dealias`
+    compose to: h and u are transformed once, and each output is
+    inverted once (eight real transforms).
     """
     h_tot = 1.0 + h
     check_thickness(profile.levels.w[:, None] * h_tot, t)
     u_tot = profile.ubar[:, None] + u
     rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
     ixi, keep = grid.ixi, grid.dealias_mask
-    h_hat = rfft(h)
-    dxh = irfft(ixi * h_hat, n)
+    dxh = irfft(ixi * rfft(h), n)
     dxu = irfft(ixi * rfft(u), n)
 
-    dh_hat = -(ixi * keep) * rfft(h_tot * u_tot)
+    dh = irfft(-(ixi * keep) * rfft(h_tot * u_tot), n)
     adv = u_tot
     if kappa > 0.0:
-        dh_hat += kappa * (ixi * ixi) * h_hat
         adv = u_tot - kappa * dxh / h_tot
-    dh = irfft(dh_hat, n)
     du = pressure(dxh, t) - irfft(keep * rfft(adv * dxu), n)
     return dh, du
 
 
+def column_derivative(h, u, t, grid, profile, kappa, pressure):
+    """The whole time derivative: column_rhs plus kappa d_x^2 h."""
+    dh, du = column_rhs(h, u, t, grid, profile, kappa, pressure)
+    if kappa > 0.0:
+        dh = dh + kappa * grid.derivative(h, order=2)
+    return dh, du
+
+
+@lru_cache(maxsize=8)
+def heat_propagator(grid, kappa, dt):
+    """Half-step heat propagator E = exp(kappa dt/2 d_x^2) as f, m -> E^m f.
+
+    Exact over the rfft half-spectrum (the multiplier is
+    exp(-kappa xi^2 dt/2), 1 on the mean), and the identity at kappa = 0,
+    where no transform is made. Cached on (grid, kappa, dt), so a march
+    builds it once.
+    """
+    if kappa == 0.0:
+        return lambda f, m=1: f
+    half = np.exp(-0.5 * kappa * dt * grid.ixi.imag ** 2)
+    powers = {1: half, 2: half * half}
+    n = grid.n_x
+    return lambda f, m=1: np.fft.irfft(powers[m] * np.fft.rfft(f), n)
+
+
 def rk4(h, u, t, dt, *column):
-    """One classical RK4 step of column_rhs(h, u, t, *column)."""
+    """One integrating-factor RK4 step of the column (Lawson's IF-RK4).
+
+    `column` = (grid, profile, kappa, pressure) as for column_rhs, whose
+    stages k1..k4 give the u update of classical RK4. The h update
+    carries the exact heat propagator E over each half step:
+
+        h2 = E(h + dt/2 k1),  h3 = E h + dt/2 k2,  h4 = E^2 h + dt E k3,
+        h1 = E^2 h + dt/6 (E^2 k1 + 2 E (k2 + k3) + k4),
+
+    so the diffusion sets no step limit. At kappa = 0, E is the identity
+    and the step is classical RK4, bit for bit.
+    """
+    grid, _, kappa, _ = column
+    E = heat_propagator(grid, kappa, dt)
+    Eh = E(h)
     k1h, k1u = column_rhs(h, u, t, *column)
-    k2h, k2u = column_rhs(h + 0.5 * dt * k1h, u + 0.5 * dt * k1u,
+    k2h, k2u = column_rhs(E(h + 0.5 * dt * k1h), u + 0.5 * dt * k1u,
                           t + 0.5 * dt, *column)
-    k3h, k3u = column_rhs(h + 0.5 * dt * k2h, u + 0.5 * dt * k2u,
+    k3h, k3u = column_rhs(Eh + 0.5 * dt * k2h, u + 0.5 * dt * k2u,
                           t + 0.5 * dt, *column)
-    k4h, k4u = column_rhs(h + dt * k3h, u + dt * k3u, t + dt, *column)
-    h1 = h + (dt / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
+    k4h, k4u = column_rhs(E(Eh + dt * k3h), u + dt * k3u, t + dt, *column)
+    h1 = E(h, 2) + (dt / 6.0) * (E(E(k1h) + 2.0 * k2h + 2.0 * k3h) + k4h)
     u1 = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     if not (np.all(np.isfinite(h1)) and np.all(np.isfinite(u1))):
         raise BlowUpError("non-finite fields after step", t + dt)
@@ -244,15 +287,27 @@ def rk4(h, u, t, dt, *column):
 
 
 def rhs(state, profile, kappa):
-    """Time derivatives (dh, du) as Field2D pairs."""
+    """Time derivatives (dh, du) as Field2D pairs, diffusion included."""
     if state.levels != profile.levels:
         raise ValueError("state and profile live on different level grids")
     if kappa < 0.0:
         raise ValueError(f"kappa must be non-negative, got {kappa}")
-    dh, du = column_rhs(state.h.values, state.u.values, state.t, state.grid,
-                        profile, kappa, self_pressure(profile))
+    dh, du = column_derivative(state.h.values, state.u.values, state.t,
+                               state.grid, profile, kappa,
+                               self_pressure(profile))
     return (Field2D(dh, state.grid, state.levels),
             Field2D(du, state.grid, state.levels))
+
+
+def diffusive_drift(grid, h, kappa):
+    """kappa max|d_x h / (1 + h)|, the largest speed the diffusion adds.
+
+    It is the only kappa term still stepped explicitly: the correction
+    to the advecting velocity in the u equations.
+    """
+    if kappa == 0.0:
+        return 0.0
+    return kappa * float(np.max(np.abs(grid.derivative(h) / (1.0 + h))))
 
 
 def wave_speed_estimate(state, profile):
@@ -276,14 +331,17 @@ def wave_speed_estimate(state, profile):
 
 
 def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
-    dt = cfl * state.grid.dx / wave_speed_estimate(state, profile)
-    if kappa > 0.0:
-        dt = min(dt, cfl * state.grid.dx ** 2 / (2.0 * kappa))
-    return dt
+    """cfl dx over the wave speed estimate plus the diffusive drift.
+
+    The diffusion itself is stepped exactly by `rk4` and sets no bound.
+    """
+    speed = (wave_speed_estimate(state, profile)
+             + diffusive_drift(state.grid, state.h.values, kappa))
+    return cfl * state.grid.dx / speed
 
 
 def step(state, profile, kappa, dt, cfl=CFL_DEFAULT):
-    """One RK4 step of the level-coupled system."""
+    """One IF-RK4 step of the level-coupled system."""
     check_step(dt, cfl_limit(state, profile, kappa, cfl), state.t)
     h, u = rk4(state.h.values, state.u.values, state.t, dt, state.grid,
                profile, kappa, self_pressure(profile))
@@ -388,7 +446,7 @@ def column_record(state, norm):
 
 def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
               snapshot_every=1, blowup_factor=1e3):
-    """Fixed-step RK4 trajectory of the stratified system to time T.
+    """Fixed-step IF-RK4 trajectory of the stratified system to time T.
 
     The step comes from the CFL limit of the initial state unless `dt` is
     given; `march` stores snapshots and diagnostics (per-level masses,

@@ -155,6 +155,12 @@ def two_layer_rhs(fields, rho_ratio, Hbar_s, Hbar_b, Ubar_s, Ubar_b, kappa,
 
     with h_l = Hbar_l + H_l and u_l = Ubar_l + U_l.
     """
+    return _two_layer_terms(fields, rho_ratio, Hbar_s, Hbar_b, Ubar_s,
+                            Ubar_b, kappa, L, with_diffusion=True)
+
+
+def _two_layer_terms(fields, rho_ratio, Hbar_s, Hbar_b, Ubar_s, Ubar_b,
+                     kappa, L, with_diffusion):
     H_s, H_b, U_s, U_b = np.asarray(fields, dtype=float)
     n = H_s.size
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -169,24 +175,49 @@ def two_layer_rhs(fields, rho_ratio, Hbar_s, Hbar_b, Ubar_s, Ubar_b, kappa,
 
     h_s, h_b = Hbar_s + H_s, Hbar_b + H_b
     u_s, u_b = Ubar_s + U_s, Ubar_b + U_b
+    diff = kappa if with_diffusion else 0.0
     return np.array([
-        -dx(dealias(h_s * u_s)) + kappa * dx(H_s, 2),
-        -dx(dealias(h_b * u_b)) + kappa * dx(H_b, 2),
+        -dx(dealias(h_s * u_s)) + diff * dx(H_s, 2),
+        -dx(dealias(h_b * u_b)) + diff * dx(H_b, 2),
         -dealias((u_s - kappa * dx(H_s) / h_s) * dx(U_s)) - dx(H_s) - dx(H_b),
         -dealias((u_b - kappa * dx(H_b) / h_b) * dx(U_b))
         - rho_ratio * dx(H_s) - dx(H_b),
     ])
 
 
-def two_layer_run(fields, dt, n_steps, *constants):
-    """Classical RK4 march of two_layer_rhs(., *constants) for n_steps."""
+def two_layer_run(fields, dt, n_steps, rho_ratio, Hbar_s, Hbar_b, Ubar_s,
+                  Ubar_b, kappa, L):
+    """Integrating-factor RK4 march of the two_layer_rhs system.
+
+    The diffusion kappa d_x^2 H_l is integrated exactly: with N the
+    right-hand side without it and E = exp(-kappa k^2 dt/2) acting on the
+    H rows of each Fourier mode (and 1 on the U rows), Lawson's scheme
+    takes
+
+        y2 = E (y + dt/2 N(y)),  y3 = E y + dt/2 N(y2),
+        y4 = E^2 y + dt E N(y3),
+        y' = E^2 y + dt/6 (E^2 N(y) + 2 E N(y2) + 2 E N(y3) + N(y4)).
+    """
     y = np.array(fields, dtype=float)
+    n = y.shape[1]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n) / L
+    rate = kappa * np.outer([1.0, 1.0, 0.0, 0.0], k * k)
+
+    def E(f, m=1):
+        return np.fft.ifft(np.exp(-0.5 * m * dt * rate)
+                           * np.fft.fft(f, axis=1), axis=1).real
+
+    def N(f):
+        return _two_layer_terms(f, rho_ratio, Hbar_s, Hbar_b, Ubar_s,
+                                Ubar_b, kappa, L, with_diffusion=False)
+
     for _ in range(n_steps):
-        k1 = two_layer_rhs(y, *constants)
-        k2 = two_layer_rhs(y + 0.5 * dt * k1, *constants)
-        k3 = two_layer_rhs(y + 0.5 * dt * k2, *constants)
-        k4 = two_layer_rhs(y + dt * k3, *constants)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = N(y)
+        k2 = N(E(y + 0.5 * dt * k1))
+        k3 = N(E(y) + 0.5 * dt * k2)
+        k4 = N(E(y, 2) + dt * E(k3))
+        y = E(y, 2) + (dt / 6.0) * (E(k1, 2) + 2.0 * E(k2) + 2.0 * E(k3)
+                                    + k4)
     return y
 
 

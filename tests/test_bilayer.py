@@ -233,6 +233,33 @@ class TestIntegrate:
             assert err <= 1e-3 * a, (
                 f"kappa={kappa}: linearized evolution off by {err:.2e}")
 
+    def test_step_past_explicit_diffusion_limit(self):
+        # the diffusion is stepped exactly, so dt may pass the explicit
+        # bound 0.4 dx^2 / (2 kappa) many times over inside the wave limit
+        grid = SpatialGrid(64)
+        a = 1e-6
+        wav = 2
+        T = 0.2
+        dt = 0.02
+        p = params_with(kappa=0.5)
+        init = make_initial(grid, "sine", {"H_s": a, "U_b": 0.5 * a},
+                            wavenumber=wav)
+        assert dt >= 5.0 * 0.4 * grid.dx ** 2 / (2.0 * p.kappa)
+        assert dt <= 0.4 * grid.dx / grid_max_speed(init, p)
+        traj = integrate(init, p, T, dt=dt)
+        assert not traj.blown_up and traj.n_steps == 10
+        w0 = np.array([-1j * a, 0.0, 0.0, -0.5j * a])
+        wT = oracles.linearized_mode_evolution(
+            p.rho_ratio, p.Hbar_s, p.Hbar_b, p.Ubar_s, p.Ubar_b,
+            p.kappa, wav, w0, T)
+        want = np.real(wT[:, None] * np.exp(1j * wav * grid.x)[None, :])
+        err = np.max(np.abs(traj.final.stacked() - want))
+        assert err <= 1e-3 * a, f"linearized evolution off by {err:.2e}"
+        d = traj.diagnostics
+        for key in ("mass_s", "mass_b"):
+            drift = np.max(np.abs(d[key] - d[key][0]))
+            assert drift <= 1e-12, f"{key} drift {drift:.2e}"
+
     def test_conservation_over_run(self):
         grid = SpatialGrid(128)
         init = make_initial(grid, "sine",

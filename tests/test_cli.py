@@ -119,6 +119,21 @@ class TestSweepCommands:
         summary = read_summary(tmp_path / "o", "sweep-kappa")
         assert summary["pass"] is False
 
+    def test_sweep_epsilon_passes_and_reruns_identically(self, tmp_path):
+        # CLI defaults: five 64 x 256 column marches
+        outs = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            code = cli.main(["sweep-epsilon", "--seed", "4",
+                             "--out", str(out)])
+            assert code == cli.PASS
+            outs.append((out / "sweep_epsilon.csv").read_bytes())
+        assert outs[0] == outs[1], "rerun changed the CSV bytes"
+        summary = read_summary(tmp_path / "a", "sweep-epsilon")
+        assert summary["pass"] is True and summary["seed"] == 4
+        assert abs(summary["slope"] - 1.0) <= 0.2
+        assert b"seed=4" in outs[0].splitlines()[-1]
+
     def test_sweep_epsilon_with_plots(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "n_x": 64, "n_r": 24, "T": 0.2,

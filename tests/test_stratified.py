@@ -13,6 +13,7 @@ from pycnolab.stratified import (
     StratifiedProfile,
     StratifiedState,
     cfl_limit,
+    column_rhs,
     embed_bilayer,
     integrate,
     layer_average,
@@ -24,6 +25,8 @@ from pycnolab.stratified import (
     read_profile,
     read_state,
     rhs,
+    rk4,
+    self_pressure,
     smooth_pycnocline,
     step,
     wave_speed_estimate,
@@ -353,6 +356,29 @@ class TestStepIntegrate:
             ratio = coarse / fine
             assert 8.0 <= ratio <= 32.0, (
                 f"dt halving gave ratio {ratio:.1f}, errors {errs}")
+
+    def test_kappa_zero_step_is_classical_rk4(self):
+        # without diffusion the integrating factor is the identity: the
+        # step is the textbook RK4 composition of column_rhs, bit for bit
+        rng = np.random.default_rng(37)
+        levels = LevelGrid.uniform(8)
+        grid = SpatialGrid(32)
+        prof = random_profile(rng, levels, shear=0.2)
+        h = 0.05 * rng.standard_normal((8, 32))
+        u = 0.05 * rng.standard_normal((8, 32))
+        column = (grid, prof, 0.0, self_pressure(prof))
+        t, dt = 0.3, 0.01
+        k1 = column_rhs(h, u, t, *column)
+        k2 = column_rhs(h + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1],
+                        t + 0.5 * dt, *column)
+        k3 = column_rhs(h + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1],
+                        t + 0.5 * dt, *column)
+        k4 = column_rhs(h + dt * k3[0], u + dt * k3[1], t + dt, *column)
+        got = rk4(h, u, t, dt, *column)
+        for i, y in enumerate((h, u)):
+            want = y + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i]
+                                     + k4[i])
+            assert np.array_equal(got[i], want)
 
     def test_norm_ceiling_halts(self):
         _, profile, state = embedded_pair(n_x=32, n_r=12)
