@@ -36,6 +36,7 @@ CSV interfaces.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,9 +70,9 @@ from .stratified import (
 BLOWUP_NORM_INDEX = SobolevIndex(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BilayerParams:
-    """Reference constants and diffusivity for a bilayer run."""
+    """Reference constants and diffusivity for a bilayer run (immutable)."""
     rho_s: float
     rho_b: float
     Hbar_s: float
@@ -97,6 +98,17 @@ class BilayerParams:
     @property
     def rho_ratio(self):
         return self.rho_s / self.rho_b
+
+    @cached_property
+    def column(self):
+        """The two-level column profile: edges (-1, -Hbar_s, 0).
+
+        Built once per params, so every step of a run shares one profile
+        and its step matrices.
+        """
+        return StratifiedProfile(LevelGrid((-1.0, -self.Hbar_s, 0.0)),
+                                 (self.rho_b, self.rho_s),
+                                 (self.Ubar_b, self.Ubar_s))
 
 
 class BilayerState:
@@ -144,18 +156,11 @@ def _totals(stacked, params):
     return hs, hb, us, ub
 
 
-def column_profile(params):
-    """The two-level column of a bilayer run: edges (-1, -Hbar_s, 0)."""
-    return StratifiedProfile(LevelGrid((-1.0, -params.Hbar_s, 0.0)),
-                             (params.rho_b, params.rho_s),
-                             (params.Ubar_b, params.Ubar_s))
-
-
 def _to_column(state, params):
     """Column arrays (h, u), lower level first, and the column_rhs arguments."""
     stacked = state.stacked()
     h = np.array([stacked[1] / params.Hbar_b, stacked[0] / params.Hbar_s])
-    profile = column_profile(params)
+    profile = params.column
     return h, stacked[[3, 2]], (state.grid, profile, params.kappa,
                                 self_pressure(profile))
 

@@ -6,7 +6,10 @@ difference, expected first order in kappa). The epsilon sweep mollifies
 the two-layer density jump over widths epsilon, evolves the continuously
 stratified column from embedded two-layer data, and measures the
 terminal distance to the embedded two-layer run away from the pycnocline
-band, expected first order in the profile distance delta_0.
+band, expected first order in the profile distance delta_0. Each slope
+comes with a 95% interval from the Student-t quantile, computed by
+`t_quantile` from the closed-form t distribution function of integer
+degrees of freedom (no special-function library).
 
 check_all re-runs the cross-module identity suites (classification vs
 direct eigenvalues, symmetrizer certificates, conservation, the
@@ -25,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import bilayer
 from . import refined
@@ -55,8 +57,60 @@ class FitResult:
     n_points: int
 
 
+def _t_central_mass(t, dof):
+    """P(|T| < t) for Student's t with integer dof, in closed form.
+
+    Abramowitz & Stegun 26.7.3-26.7.4 in theta = atan(t / sqrt(dof)):
+    the cosine series sin(theta) sum_k c_k cos^(2k)(theta) for even dof,
+    (2/pi)(theta + sin(theta) sum_k c_k cos^(2k+1)(theta)) for odd dof.
+    """
+    theta = math.atan2(t, math.sqrt(dof))
+    sin, cos2 = math.sin(theta), math.cos(theta) ** 2
+    if dof % 2 == 0:
+        term = total = 1.0
+        for k in range(1, dof // 2):
+            term *= cos2 * (2 * k - 1) / (2 * k)
+            total += term
+        return sin * total
+    total = 0.0
+    if dof > 1:
+        term = total = math.cos(theta)
+        for k in range(2, (dof + 1) // 2):
+            term *= cos2 * (2 * k - 2) / (2 * k - 1)
+            total += term
+    return 2.0 / math.pi * (theta + sin * total)
+
+
+def t_quantile(p, dof):
+    """Quantile of Student's t with integer dof >= 1, for 0.5 < p < 1.
+
+    Bisects the closed-form CDF 1/2 + P(|T| < t)/2 on floats until the
+    bracket holds two adjacent doubles and returns its upper end.
+    """
+    if not 0.5 < p < 1.0 or int(dof) != dof or dof < 1:
+        raise ValueError(f"need 0.5 < p < 1 and an integer dof >= 1, "
+                         f"got p = {p}, dof = {dof}")
+    dof = int(dof)
+    mass = 2.0 * p - 1.0
+    lo, hi = 0.0, 1.0
+    while _t_central_mass(hi, dof) < mass:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if _t_central_mass(mid, dof) < mass:
+            lo = mid
+        else:
+            hi = mid
+
+
 def fit_slope(xs, ys):
-    """Least-squares slope of log y against log x with a 95% interval."""
+    """Least-squares slope of log y against log x with a 95% interval.
+
+    The interval is the Student-t quantile t_quantile(0.975, n - 2)
+    times the slope's standard error.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size != ys.size or xs.size < 4:
@@ -75,7 +129,7 @@ def fit_slope(xs, ys):
     resid = ly - (slope * lx + intercept)
     dof = n - 2
     se = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx) if dof > 0 else 0.0
-    interval = float(stats.t.ppf(0.975, dof)) * se if dof > 0 else 0.0
+    interval = t_quantile(0.975, dof) * se if dof > 0 else 0.0
     return FitResult(slope=slope, intercept=intercept, interval=interval,
                      n_points=n)
 
@@ -367,7 +421,8 @@ def random_state_point(rng, frac):
     sign = 1.0 if rng.uniform() < 0.5 else -1.0
     U_b = U_s + sign * shear * math.sqrt(H_b)
     return StatePoint(rho_s=rho_s, rho_b=rho_b, H_s=H_s, H_b=H_b,
-                      U_s=U_s, U_b=U_b)
+                      U_s=U_s, U_b=U_b,
+                      solved_thresholds=(fr_minus, fr_plus))
 
 
 def _suite_classification(rng, n_points):
@@ -467,7 +522,7 @@ def _suite_embedding():
     # is checked against the closed-form layer gradients first
     H_s, H_b = bistate.H_s.values, bistate.H_b.values
     d = grid.derivative
-    P = stratified.pressure_matrix(bilayer.column_profile(params))
+    P = stratified.pressure_matrix(params.column)
     press = P @ d(np.array([H_b / params.Hbar_b, H_s / params.Hbar_s]))
     closed = np.array([d(params.rho_ratio * H_s + H_b), d(H_s + H_b)])
     gap = float(np.max(np.abs(press - closed)))

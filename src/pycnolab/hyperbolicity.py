@@ -39,24 +39,31 @@ rr^2 (H_s (1-rr) - us^2), rr^2 P(l)) are positive.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 _REAL_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class StatePoint:
-    """One bilayer state: densities, total depths, total velocities."""
+    """One bilayer state: densities, total depths, total velocities.
+
+    Immutable, so its Froude thresholds are solved at most once; a caller
+    that has already solved them for these ratios hands them over as
+    `solved_thresholds`.
+    """
     rho_s: float
     rho_b: float
     H_s: float
     H_b: float
     U_s: float
     U_b: float
+    solved_thresholds: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, solved_thresholds):
         vals = (self.rho_s, self.rho_b, self.H_s, self.H_b, self.U_s, self.U_b)
         if not all(np.isfinite(v) for v in vals):
             raise ValueError("state point has non-finite entries")
@@ -64,6 +71,9 @@ class StatePoint:
             raise ValueError("densities must be positive")
         if self.H_s <= 0.0 or self.H_b <= 0.0:
             raise ValueError(f"depths must be positive, got ({self.H_s}, {self.H_b})")
+        if solved_thresholds is not None:
+            # where cached_property keeps its value
+            self.__dict__["thresholds"] = tuple(solved_thresholds)
 
     @property
     def rho_ratio(self):
@@ -72,6 +82,11 @@ class StatePoint:
     @property
     def shear(self):
         return abs(self.U_b - self.U_s) / np.sqrt(self.H_b)
+
+    @cached_property
+    def thresholds(self):
+        """(Fr_-, Fr_+) at this point's depth and density ratios."""
+        return critical_froude(self.H_s / self.H_b, self.rho_ratio)
 
     def require_stable(self):
         if not self.rho_s < self.rho_b:
@@ -285,10 +300,62 @@ def froude_table(rho_ratio, h_min, h_max, n_nodes=129, tol=1e-10):
     np.interp on this table instead of running a bisection at every grid
     point; the thresholds vary smoothly in the depth ratio so the table
     error is far below diagnostic needs for >= 129 nodes.
+
+    All nodes run `critical_froude`'s scan and bisections in lockstep, as
+    arrays, each bracket stopping where the scalar loop would; every node
+    equals `critical_froude(h, rho_ratio, tol)` bit for bit. A node whose
+    first scan misses the elliptic window goes through `critical_froude`
+    itself (finer scans, or its RuntimeError).
     """
+    rho_ratio = float(rho_ratio)
+    if not 0.0 < rho_ratio < 1.0:
+        raise ValueError(f"rho_ratio must lie in (0, 1), got {rho_ratio}")
     hs = np.geomspace(h_min, h_max, int(n_nodes))
-    pairs = np.array([critical_froude(h, rho_ratio, tol=tol) for h in hs])
-    return hs, pairs[:, 0], pairs[:, 1]
+    if not np.all(hs > 0.0):
+        raise ValueError(f"h_ratio must be positive, got {hs.min()}")
+
+    def disc(c, h):
+        return _disc_of_intercept(c, h, rho_ratio)
+
+    c_hi = 2.0 * (2.0 + np.sqrt(hs))
+    low = disc(c_hi, hs) <= 0.0
+    while low.any():
+        c_hi[low] *= 2.0
+        if c_hi[low].max() > 1e6:
+            raise RuntimeError("no supercritical regime found below c = 1e6")
+        low[low] = disc(c_hi[low], hs[low]) <= 0.0
+
+    # one 256-point scan per node, the rows as np.linspace(0, c_hi, 256)
+    cs = np.linspace(0.0, c_hi, 256, axis=1)
+    neg = disc(cs, hs[:, None]) < 0.0
+    found = neg.any(axis=1)
+    rows = np.nonzero(found)[0]
+    first = np.argmax(neg[rows], axis=1)
+    last = 255 - np.argmax(neg[rows, ::-1], axis=1)
+    # Fr_- brackets first, then Fr_+; `want` is "negative at hi"
+    lo = np.concatenate([np.where(first > 0, cs[rows, first - 1], 0.0),
+                         cs[rows, last]])
+    hi = np.concatenate([cs[rows, first], cs[rows, last + 1]])
+    want = np.repeat([True, False], rows.size)
+    h = np.concatenate([hs[rows], hs[rows]])
+    active = hi - lo > tol
+    for _ in range(200):
+        idx = np.nonzero(active)[0]
+        if not idx.size:
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
+        to_hi = (disc(mid, h[idx]) < 0.0) == want[idx]
+        hi[idx[to_hi]] = mid[to_hi]
+        lo[idx[~to_hi]] = mid[~to_hi]
+        active[idx] = hi[idx] - lo[idx] > tol
+    mids = 0.5 * (lo + hi)
+
+    fr_minus = np.empty(hs.size)
+    fr_plus = np.empty(hs.size)
+    fr_minus[rows], fr_plus[rows] = mids[:rows.size], mids[rows.size:]
+    for i in np.nonzero(~found)[0]:
+        fr_minus[i], fr_plus[i] = critical_froude(hs[i], rho_ratio, tol=tol)
+    return hs, fr_minus, fr_plus
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +377,7 @@ def classify(point):
     tol = _REAL_TOL * scale
     nreal = _real_count(roots, tol)
 
-    fr_minus, fr_plus = critical_froude(point.H_s / point.H_b, point.rho_ratio)
+    fr_minus, fr_plus = point.thresholds
     shear = point.shear
     margin = fr_minus - shear
 
@@ -365,8 +432,7 @@ def in_hyperbolic_set(point, sigma):
         return False
     if point.H_s + point.H_b < sigma:
         return False
-    fr_minus, _ = critical_froude(ratio, rr)
-    return bool(fr_minus - point.shear >= sigma)
+    return bool(point.thresholds[0] - point.shear >= sigma)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ at two levels for `bilayer`, or a prescribed forcing for `refined`; it
 makes eight real FFTs per call. `rk4` is the one time step, Lawson's
 integrating-factor RK4: the diffusion, linear and diagonal in Fourier
 space, is integrated exactly by the propagator exp(-kappa xi^2 dt/2)
-(`heat_propagator`, built once per march), so only the waves and the
+(`heat_propagator`, built per step), so only the waves and the
 advection bound the step. `march` is the one fixed-step time loop,
 which turns blow-ups and mid-run CFL breaches into flagged, truncated
 trajectories. The CFL estimate takes the gravity-wave speeds from the
@@ -43,10 +43,9 @@ StratifiedProfile.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy.special import erf
 
 from .core import (
     CFL_DEFAULT,
@@ -240,14 +239,14 @@ def column_derivative(h, u, t, grid, profile, kappa, pressure):
     return dh, du
 
 
-@lru_cache(maxsize=8)
 def heat_propagator(grid, kappa, dt):
     """Half-step heat propagator E = exp(kappa dt/2 d_x^2) as f, m -> E^m f.
 
     Exact over the rfft half-spectrum (the multiplier is
     exp(-kappa xi^2 dt/2), 1 on the mean), and the identity at kappa = 0,
-    where no transform is made. Cached on (grid, kappa, dt), so a march
-    builds it once.
+    where no transform is made. Building it is one exp over the
+    half-spectrum, so each step builds its own and no cache outlives a
+    run.
     """
     if kappa == 0.0:
         return lambda f, m=1: f
@@ -521,7 +520,7 @@ def _ramp(X, shape):
     if shape == "tanh":
         return 0.5 * (1.0 + np.tanh(X))
     if shape == "erf":
-        return 0.5 * (1.0 + erf(X))
+        return 0.5 * (1.0 + np.vectorize(math.erf, otypes=[float])(X))
     # piecewise-linear: linear on |X| <= 1
     return np.clip(0.5 * (X + 1.0), 0.0, 1.0)
 
@@ -531,7 +530,7 @@ def _ramp_l1_tail(A, shape):
     if shape == "tanh":
         return 0.5 * (math.log(2.0) - math.log1p(math.exp(-2.0 * A)))
     if shape == "erf":
-        return 0.5 * (A * (1.0 - erf(A))
+        return 0.5 * (A * (1.0 - math.erf(A))
                       + (1.0 - math.exp(-A * A)) / math.sqrt(math.pi))
     return 0.25 if A >= 1.0 else 0.5 * A - 0.25 * A * A
 

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from pycnolab.core import Field1D, SpatialGrid
+from pycnolab.stratified import StratifiedProfile
 from pycnolab.bilayer import (
     BilayerParams,
     BilayerState,
@@ -54,6 +55,10 @@ class TestParams:
 
     def test_ratio(self):
         assert params_with(rho_s=0.3).rho_ratio == 0.3
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            PARAMS0.kappa = 0.1
 
 
 class TestRhs:
@@ -210,6 +215,21 @@ class TestIntegrate:
         traj = integrate(BilayerState.zeros(grid), PARAMS0, 0.3)
         assert not traj.blown_up
         assert np.max(np.abs(traj.final.stacked())) == 0.0
+
+    def test_run_builds_one_column(self, monkeypatch):
+        built = []
+        init_profile = StratifiedProfile.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init_profile(self, *args)
+
+        monkeypatch.setattr(StratifiedProfile, "__init__", counted)
+        p = params_with(kappa=0.1)
+        init = make_initial(SpatialGrid(32), "sine", {"H_s": 0.05})
+        traj = integrate(init, p, 1.0)
+        assert traj.n_steps > 5 and not traj.blown_up
+        assert len(built) == 1 and p.column is p.column
 
     def test_linearized_single_mode(self):
         # small data evolves by the matrix exponential of the mode system

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,19 @@ def read_summary(out_dir, experiment):
     name = experiment.replace("-", "_") + "_summary.json"
     with open(out_dir / name, encoding="utf-8") as f:
         return json.load(f)
+
+
+def test_import_leaves_scipy_unloaded():
+    # the runtime is numpy only; scipy serves the tests alone
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, pycnolab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfigHandling:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pycnolab.stratified
-from pycnolab import harness
+from pycnolab import harness, hyperbolicity
 
 
 class TestFitSlope:
@@ -50,6 +50,19 @@ class TestFitSlope:
     def test_equal_abscissae(self):
         with pytest.raises(ValueError):
             harness.fit_slope([2.0] * 4, [1.0, 2.0, 3.0, 4.0])
+
+    def test_t_quantile_matches_scipy(self):
+        # scipy is a test dependency only: an independent route
+        from scipy import stats
+        for dof in range(1, 201):
+            want = float(stats.t.ppf(0.975, dof))
+            got = harness.t_quantile(0.975, dof)
+            assert abs(got - want) <= 1e-13 * want, f"dof {dof}: {got!r}"
+
+    def test_t_quantile_rejects_bad_arguments(self):
+        for p, dof in ((0.5, 3), (1.0, 3), (0.975, 0), (0.975, 2.5)):
+            with pytest.raises(ValueError):
+                harness.t_quantile(p, dof)
 
 
 SMALL_KAPPA_CFG = {
@@ -118,6 +131,34 @@ class TestSweepEpsilon:
         res = harness.sweep_epsilon(cfg)
         assert res.inconclusive
         assert "band" in res.detail
+
+
+class TestStatePoints:
+    def test_thresholds_are_solved_once(self, monkeypatch):
+        calls = []
+        solve = hyperbolicity.critical_froude
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
+        rng = np.random.default_rng(4)
+        for frac in (0.3, 0.7):
+            point = harness.random_state_point(rng, frac)
+            hyperbolicity.classify(point)
+            hyperbolicity.in_hyperbolic_set(point, 0.05)
+            hyperbolicity.symmetrizer(point)
+            assert calls == []
+            # the pair solved to place the shear is handed over as is
+            assert point.thresholds == solve(point.H_s / point.H_b,
+                                             point.rho_ratio)
+
+        fresh = hyperbolicity.StatePoint(0.5, 1.0, 0.8, 1.1, 0.0, 0.1)
+        hyperbolicity.classify(fresh)
+        hyperbolicity.in_hyperbolic_set(fresh, 0.05)
+        hyperbolicity.symmetrizer(fresh)
+        assert len(calls) == 1
 
 
 class TestCheckAll:

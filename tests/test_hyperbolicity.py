@@ -217,8 +217,50 @@ class TestCriticalFroude:
             assert abs(np.interp(h, hs, fm) - exact[0]) <= 1e-4
             assert abs(np.interp(h, hs, fp) - exact[1]) <= 1e-4
 
+    def test_table_nodes_equal_scalar_thresholds(self, monkeypatch):
+        # the lockstep pass reproduces critical_froude node by node
+        tables = {}
+        with monkeypatch.context() as m:
+            m.setattr(hyperbolicity, "critical_froude", None)
+            for rr in (0.05, 0.5, 0.95):
+                tables[rr] = froude_table(rr, 0.01, 100.0, n_nodes=97)
+        for rr, (hs, fm, fp) in tables.items():
+            want = np.array([critical_froude(h, rr) for h in hs])
+            assert np.array_equal(fm, want[:, 0]), f"Fr_- at rr = {rr}"
+            assert np.array_equal(fp, want[:, 1]), f"Fr_+ at rr = {rr}"
+
+    def test_table_falls_back_to_scalar_scan(self, monkeypatch):
+        # at rr = 1e-6 the 256-point scan misses the narrow elliptic
+        # window of most nodes; those go through the scalar refinement
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return critical_froude(*args, **kwargs)
+
+        monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
+        hs, fm, fp = froude_table(1e-6, 1e-4, 1e4, n_nodes=17)
+        assert 0 < len(calls) < hs.size
+        want = np.array([critical_froude(h, 1e-6) for h in hs])
+        assert np.array_equal(fm, want[:, 0])
+        assert np.array_equal(fp, want[:, 1])
+        with pytest.raises(RuntimeError):
+            froude_table(1e-9, 1e-4, 1e4, n_nodes=5)
+
+    def test_table_rejects_bad_ratios(self):
+        with pytest.raises(ValueError):
+            froude_table(1.5, 0.1, 1.0)
+        with pytest.raises(ValueError):
+            froude_table(0.5, -1.0, -0.1)
+
 
 class TestClassify:
+    def test_point_is_immutable(self):
+        p = StatePoint(0.5, 1.0, 1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(AttributeError):
+            p.U_b = 1.0
+        assert p.thresholds == critical_froude(1.0, 0.5)
+
     def test_symmetric_rest_case(self):
         p = StatePoint(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0, 0.0, 0.0)
         rep = classify(p)

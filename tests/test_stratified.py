@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from pycnolab.core import Field2D, LevelGrid, SpatialGrid
-from pycnolab import bilayer
+from pycnolab import bilayer, stratified
 from pycnolab.stratified import (
     PycnoclineSpec,
     StratifiedProfile,
@@ -496,6 +496,17 @@ class TestPycnocline:
                              sheared.Hbar_s, sheared.Hbar_b)
                 assert abs(d_rho - want_rho) <= 1e-12 * max(want_rho, 1.0)
                 assert abs(d_ubar - want_u) <= 1e-12 * max(want_u, 1.0)
+
+    def test_erf_ramp_matches_scipy(self):
+        # the package uses math.erf; scipy is a test-only second route
+        from scipy.special import erf
+        X = np.linspace(-6.0, 6.0, 241)
+        got = stratified._ramp(X, "erf")
+        assert np.max(np.abs(got - 0.5 * (1.0 + erf(X)))) <= 1e-15
+        for A in (1e-3, 0.3, 1.0, 2.5, 8.0, 50.0):
+            want = 0.5 * (A * (1.0 - erf(A))
+                          + (1.0 - np.exp(-A * A)) / np.sqrt(np.pi))
+            assert abs(stratified._ramp_l1_tail(A, "erf") - want) <= 1e-15
 
     def test_distance_matches_quadrature(self):
         levels = LevelGrid.uniform(4096)
