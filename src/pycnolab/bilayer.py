@@ -31,10 +31,11 @@ exact CFL bound dt <= cfl * dx / (lambda_max + kappa max|d_x H_l / h_l|)
 with lambda_max the largest root of the characteristic quartic over the
 grid (the diffusion itself sets no bound), hyperbolicity margins and the
 sigma gate, the total-velocity residual, the symmetrizer energy and the
-CSV interfaces.
+CSV writers.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +43,6 @@ import numpy as np
 
 from .core import (
     CFL_DEFAULT,
-    BlowUpError,  # noqa: F401  (re-exported: bilayer.BlowUpError)
     Field1D,
     LevelGrid,
     SobolevIndex,
@@ -170,25 +170,12 @@ def _from_column(h, u, params):
     return np.array([params.Hbar_s * h[1], params.Hbar_b * h[0], u[1], u[0]])
 
 
-def _rhs(state, params):
+def rhs(state, params):
+    """Time derivatives (dH_s, dH_b, dU_s, dU_b), diffusion included."""
     h, u, column = _to_column(state, params)
     dh, du = column_derivative(h, u, state.t, *column)
     return tuple(Field1D(row, state.grid)
                  for row in _from_column(dh, du, params))
-
-
-def rhs_nondiffusive(state, params):
-    """Plain-system time derivatives; params.kappa must be 0."""
-    if params.kappa != 0.0:
-        raise ValueError("rhs_nondiffusive needs kappa = 0")
-    return _rhs(state, params)
-
-
-def rhs_diffusive(state, params):
-    """Diffusive-system time derivatives; params.kappa must be positive."""
-    if params.kappa <= 0.0:
-        raise ValueError("rhs_diffusive needs kappa > 0")
-    return _rhs(state, params)
 
 
 def total_velocity(state, params):
@@ -308,9 +295,8 @@ class Trajectory(Run):
 
 def combined_norm(state, s=BLOWUP_NORM_INDEX):
     """H^s size of the four deviation fields together."""
-    g = state.grid
-    return float(np.sqrt(sum(
-        g.sobolev_norm_values(row, s) ** 2 for row in state.stacked())))
+    norms = state.grid.sobolev_norms_rows(state.stacked(), s)
+    return float(np.sqrt(np.sum(norms * norms)))
 
 
 def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
@@ -463,7 +449,7 @@ def energy_functional(base, perturbation, params):
 
 
 # ----------------------------------------------------------------------
-# initial data and CSV interfaces
+# initial data and CSV writers
 # ----------------------------------------------------------------------
 
 def make_initial(grid, kind="sine", amplitudes=None, wavenumber=1,
@@ -476,6 +462,9 @@ def make_initial(grid, kind="sine", amplitudes=None, wavenumber=1,
     """
     if amplitudes is None:
         amplitudes = {"H_s": 0.05}
+    if not isinstance(amplitudes, Mapping):
+        raise ValueError(f"amplitudes must map field names to numbers, "
+                         f"got {type(amplitudes).__name__}")
     unknown = set(amplitudes) - set(BilayerState.FIELDS)
     if unknown:
         raise ValueError(f"unknown field names: {sorted(unknown)}")
@@ -496,22 +485,6 @@ def make_initial(grid, kind="sine", amplitudes=None, wavenumber=1,
         raise ValueError(f"unknown initial-data kind {kind!r}")
 
     fields = [Field1D(shape(amplitudes.get(name, 0.0)), grid)
-              for name in BilayerState.FIELDS]
-    return BilayerState(t, *fields)
-
-
-def load_initial_csv(path, grid, t=0.0):
-    """Initial state from CSV columns (x, H_s, H_b, U_s, U_b)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    want = ("x",) + BilayerState.FIELDS
-    if names is None or tuple(names) != want:
-        raise ValueError(f"CSV must have columns {want}, got {names}")
-    x = np.asarray(data["x"], dtype=float)
-    if (x.size != grid.n_x or not np.all(np.isfinite(x))
-            or np.max(np.abs(x - grid.x)) > 1e-9):
-        raise ValueError("CSV x column does not match the grid nodes")
-    fields = [Field1D(np.asarray(data[name], dtype=float), grid)
               for name in BilayerState.FIELDS]
     return BilayerState(t, *fields)
 

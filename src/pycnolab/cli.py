@@ -31,7 +31,7 @@ from . import bilayer
 from . import harness
 from . import refined
 from . import stratified
-from .core import BlowUpError, LevelGrid, SpatialGrid, csv_cell
+from .core import CFL_DEFAULT, BlowUpError, LevelGrid, SpatialGrid, csv_cell
 from .hyperbolicity import StatePoint, atlas, classify, \
     count_line_intersections
 
@@ -223,7 +223,7 @@ def cmd_simulate_bilayer(cfg, art, plots):
                        float(cfg.get("length", 2.0 * np.pi)))
     params = harness.params_from_config(cfg)
     initial = harness.initial_from_config(cfg, grid)
-    cfl = float(cfg.get("cfl", 0.4))
+    cfl = float(cfg.get("cfl", CFL_DEFAULT))
     dt = cfg.get("dt")
     if dt is None:
         # headroom: the limit tightens when the state steepens
@@ -247,35 +247,27 @@ def cmd_simulate_bilayer(cfg, art, plots):
 
 
 def _stratified_setup(cfg):
+    """Params, levels, the sharp two-layer profile and the initial column."""
     grid = SpatialGrid(int(cfg.get("n_x", 256)),
                        float(cfg.get("length", 2.0 * np.pi)))
     params = harness.params_from_config(cfg)
     levels = LevelGrid.with_interface(
         int(cfg.get("n_r", 64)), -params.Hbar_s,
         cluster=float(cfg.get("cluster", 6.0)))
-    bi_initial = harness.initial_from_config(cfg, grid)
-    _, state = stratified.embed_bilayer(bi_initial, params, levels)
-    return grid, params, levels, bi_initial, state
-
-
-def _target_profile(cfg, params, levels):
-    epsilon = cfg.get("epsilon")
-    if epsilon is None:
-        # sharp two-layer column
-        profile, _ = stratified.embed_bilayer(
-            bilayer.make_initial(SpatialGrid(8), kind="zero"), params,
-            levels)
-        return profile, {"rho": 0.0, "ubar": 0.0}
-    spec = stratified.PycnoclineSpec(params, float(epsilon),
-                                     cfg.get("shape", "tanh"))
-    return stratified.smooth_pycnocline(spec, levels)
+    sharp, state = stratified.embed_bilayer(
+        harness.initial_from_config(cfg, grid), params, levels)
+    return params, levels, sharp, state
 
 
 def cmd_simulate_stratified(cfg, art, plots):
-    grid, params, levels, _, state = _stratified_setup(cfg)
-    profile, _ = _target_profile(cfg, params, levels)
+    params, levels, profile, state = _stratified_setup(cfg)
+    epsilon = cfg.get("epsilon")
+    if epsilon is not None:
+        spec = stratified.PycnoclineSpec(params, float(epsilon),
+                                         cfg.get("shape", "tanh"))
+        profile, _ = stratified.smooth_pycnocline(spec, levels)
     kappa = float(cfg.get("kappa", 0.1))
-    cfl = float(cfg.get("cfl", 0.4))
+    cfl = float(cfg.get("cfl", CFL_DEFAULT))
     dt = cfg.get("dt")
     if dt is None:
         dt = 0.9 * stratified.cfl_limit(state, profile, kappa, cfl)
@@ -315,15 +307,13 @@ def cmd_refine(cfg, art, plots):
     # top wavenumber while the closed form stays quiet
     cfg = dict(cfg)
     cfg.setdefault("n_x", 128)
-    grid, params, levels, _, state = _stratified_setup(cfg)
+    params, levels, sharp, state = _stratified_setup(cfg)
     kappa = float(cfg.get("kappa", 0.1))
     T = float(cfg.get("T", 0.3))
     spec = stratified.PycnoclineSpec(params, float(cfg.get("epsilon", 0.02)),
                                      cfg.get("shape", "tanh"))
     target, _ = stratified.smooth_pycnocline(spec, levels)
 
-    sharp, _ = stratified.embed_bilayer(
-        harness.initial_from_config(cfg, grid), params, levels)
     dt = cfg.get("dt")
     if dt is None:
         dt = stratified.cfl_limit(state, sharp, kappa) / 2.0
@@ -359,18 +349,7 @@ def cmd_refine(cfg, art, plots):
 
 
 def _run_sweep(experiment, fn, cfg, art, plots):
-    defaults = {
-        "sweep-kappa": {
-            "kappas": [1e-4, 3.16e-4, 1e-3, 3.16e-3, 1e-2],
-            "T": 0.5, "expected_slope": 1.0, "slope_tolerance": 0.1},
-        "sweep-epsilon": {
-            "epsilons": [8e-4, 2.53e-3, 8e-3, 2.53e-2, 8e-2],
-            "T": 0.5, "kappa": 0.1, "expected_slope": 1.0,
-            "slope_tolerance": 0.2},
-    }[experiment]
-    merged = dict(defaults)
-    merged.update(cfg)
-    result = fn(merged)
+    result = fn(cfg)
     result.meta["seed"] = art.seed
     name = experiment.replace("-", "_")
     art.write(f"{name}.csv", lambda f: harness.write_sweep_csv(result, f),

@@ -127,23 +127,8 @@ class SpatialGrid:
         fhat *= self.dealias_mask
         return np.fft.irfft(fhat, n=self.n_x, axis=-1)
 
-    def sobolev_norm_values(self, values, s):
-        """Discrete H^s norm of a bare 1-D sample array (last axis if 2-D...
-
-        kept strict: `values` must be 1-D here; solvers call the batched
-        helper below when they need per-level norms.
-        """
-        s = SobolevIndex(s)
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size != self.n_x:
-            raise ValueError("expected a 1-D array matching the grid")
-        fhat = np.fft.fft(values)
-        weight = (1.0 + self.xi * self.xi) ** float(s)
-        total = np.sum(weight * np.abs(fhat) ** 2) * self.length / self.n_x ** 2
-        return float(np.sqrt(total))
-
     def sobolev_norms_rows(self, values, s):
-        """H^s norm of every row of a (m, n_x) array at once."""
+        """H^s norm of every row of a (m, n_x) array; 1-D is one row."""
         s = SobolevIndex(s)
         values = np.atleast_2d(np.asarray(values, dtype=float))
         fhat = np.fft.fft(values, axis=-1)
@@ -263,10 +248,6 @@ class Field1D:
     def zeros(cls, grid):
         return cls(np.zeros(grid.n_x), grid)
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(np.asarray(fn(grid.x), dtype=float), grid)
-
     def __repr__(self):
         return f"Field1D(n_x={self.grid.n_x})"
 
@@ -289,32 +270,6 @@ class Field2D:
     def zeros(cls, grid, levels):
         return cls(np.zeros((levels.n_r, grid.n_x)), grid, levels)
 
-    def level(self, i):
-        return Field1D(self.values[i], self.grid)
-
     def __repr__(self):
         return f"Field2D(n_r={self.levels.n_r}, n_x={self.grid.n_x})"
 
-
-def spectral_derivative(f, order=1):
-    """Spectral derivative of a Field1D; exact for resolved trig polynomials."""
-    return Field1D(f.grid.derivative(f.values, order), f.grid)
-
-
-def sobolev_norm(f, s):
-    """Discrete H^s norm of a Field1D (s = 0 is the L^2 quadrature norm)."""
-    return f.grid.sobolev_norm_values(f.values, s)
-
-
-def mixed_norm(g, s, r_mode="sup"):
-    """Mixed-level norm of a Field2D.
-
-    r_mode = "sup" gives max_i ||g(., r_i)||_{H^s}; r_mode = "integral"
-    gives the weight-summed version sum_i w_i ||g(., r_i)||_{H^s}.
-    """
-    norms = g.grid.sobolev_norms_rows(g.values, s)
-    if r_mode == "sup":
-        return float(np.max(norms))
-    if r_mode == "integral":
-        return float(np.sum(g.levels.w * norms))
-    raise ValueError(f"unknown r_mode {r_mode!r}; use 'sup' or 'integral'")

@@ -25,14 +25,14 @@ byte for byte.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bilayer
 from . import refined
 from . import stratified
-from .core import Field2D, LevelGrid, SpatialGrid, csv_cell
+from .core import CFL_DEFAULT, Field2D, LevelGrid, SpatialGrid, csv_cell
 from .hyperbolicity import (
     StatePoint,
     classify,
@@ -43,6 +43,10 @@ from .hyperbolicity import (
 )
 
 SCHEMA_VERSION = 1
+
+# abscissae of the two rate sweeps when the config gives none
+KAPPAS_DEFAULT = (1e-4, 3.16e-4, 1e-3, 3.16e-3, 1e-2)
+EPSILONS_DEFAULT = (8e-4, 2.53e-3, 8e-3, 2.53e-2, 8e-2)
 
 
 # ----------------------------------------------------------------------
@@ -170,11 +174,9 @@ def _fit_headline(abscissa, values, expected, tolerance):
 
 def _bilayer_difference_norm(a, b, s):
     """Combined H^s size of the four field differences between states."""
-    total = 0.0
-    for name in bilayer.BilayerState.FIELDS:
-        diff = getattr(a, name).values - getattr(b, name).values
-        total += a.grid.sobolev_norm_values(diff, s) ** 2
-    return math.sqrt(total)
+    diff = bilayer.BilayerState.from_arrays(a.t, a.grid,
+                                            a.stacked() - b.stacked())
+    return bilayer.combined_norm(diff, s)
 
 
 def params_from_config(cfg):
@@ -205,61 +207,50 @@ def sweep_kappa(config):
     kappa terms.
     """
     cfg = dict(config)
-    kappas = sorted(float(k) for k in cfg.get("kappas", []))
+    kappas = sorted(float(k) for k in cfg.get("kappas", KAPPAS_DEFAULT))
     if not kappas:
         raise ValueError("kappa sweep needs a non-empty kappas list")
     if kappas[0] <= 0.0:
         raise ValueError("kappa sweep values must be positive")
     T = float(cfg.get("T", 0.5))
     s = float(cfg.get("s", 2.0))
-    cfl = float(cfg.get("cfl", 0.4))
+    cfl = float(cfg.get("cfl", CFL_DEFAULT))
+    expected = float(cfg.get("expected_slope", 1.0))
+    tolerance = float(cfg.get("slope_tolerance", 0.1))
     grid = SpatialGrid(int(cfg.get("n_x", 256)),
                        float(cfg.get("length", 2.0 * np.pi)))
     base = params_from_config(cfg)
     initial = initial_from_config(cfg, grid)
 
-    def with_kappa(k):
-        return bilayer.BilayerParams(base.rho_s, base.rho_b, base.Hbar_s,
-                                     base.Hbar_b, base.Ubar_s, base.Ubar_b,
-                                     kappa=k)
-
     # shared step for every member, with headroom for the limit to
     # tighten as the state steepens
-    dt = 0.9 * min(bilayer.cfl_limit(initial, with_kappa(k), cfl)
+    dt = 0.9 * min(bilayer.cfl_limit(initial, replace(base, kappa=k), cfl)
                    for k in [0.0] + kappas)
 
     def run(k):
-        return bilayer.integrate(initial, with_kappa(k), T, dt=dt, cfl=cfl,
-                                 snapshot_every=10 ** 9)
+        return bilayer.integrate(initial, replace(base, kappa=k), T, dt=dt,
+                                 cfl=cfl, snapshot_every=10 ** 9)
+
+    def bail(detail):
+        return SweepResult(
+            experiment="sweep-kappa", abscissa=np.array(kappas), series={},
+            headline="difference", fit=None, expected_slope=expected,
+            slope_tolerance=tolerance, passed=False, inconclusive=True,
+            detail=detail, meta={"dt": dt, "T": T})
 
     plain = run(0.0)
     if plain.blown_up:
-        return SweepResult(
-            experiment="sweep-kappa", abscissa=np.array(kappas),
-            series={}, headline="difference", fit=None,
-            expected_slope=float(cfg.get("expected_slope", 1.0)),
-            slope_tolerance=float(cfg.get("slope_tolerance", 0.1)),
-            passed=False, inconclusive=True,
-            detail="kappa = 0 run blew up", meta={"dt": dt, "T": T})
+        return bail("kappa = 0 run blew up")
 
     runs = [run(k) for k in kappas]
 
     diffs = []
     for k, traj in zip(kappas, runs):
         if traj.blown_up:
-            return SweepResult(
-                experiment="sweep-kappa", abscissa=np.array(kappas),
-                series={}, headline="difference", fit=None,
-                expected_slope=float(cfg.get("expected_slope", 1.0)),
-                slope_tolerance=float(cfg.get("slope_tolerance", 0.1)),
-                passed=False, inconclusive=True,
-                detail=f"run at kappa = {k:g} blew up",
-                meta={"dt": dt, "T": T})
+            return bail(f"run at kappa = {k:g} blew up")
         diffs.append(_bilayer_difference_norm(traj.final, plain.final, s))
     diffs = np.array(diffs)
 
-    expected = float(cfg.get("expected_slope", 1.0))
-    tolerance = float(cfg.get("slope_tolerance", 0.1))
     if np.all(diffs == 0.0):
         return SweepResult(
             experiment="sweep-kappa", abscissa=np.array(kappas),
@@ -311,12 +302,12 @@ def sweep_epsilon(config):
     the closed-form profile distance delta_0.
     """
     cfg = dict(config)
-    epsilons = sorted(float(e) for e in cfg.get("epsilons", []))
+    epsilons = sorted(float(e) for e in cfg.get("epsilons", EPSILONS_DEFAULT))
     if not epsilons:
         raise ValueError("epsilon sweep needs a non-empty epsilons list")
     T = float(cfg.get("T", 0.5))
     s = float(cfg.get("s", 2.0))
-    cfl = float(cfg.get("cfl", 0.4))
+    cfl = float(cfg.get("cfl", CFL_DEFAULT))
     kappa = float(cfg.get("kappa", 0.1))
     shape = cfg.get("shape", "tanh")
     band_factor = float(cfg.get("band_factor", 3.0))
@@ -326,10 +317,7 @@ def sweep_epsilon(config):
     levels = LevelGrid.with_interface(int(cfg.get("n_r", 64)),
                                       -params.Hbar_s,
                                       cluster=float(cfg.get("cluster", 6.0)))
-    bi_params = bilayer.BilayerParams(params.rho_s, params.rho_b,
-                                      params.Hbar_s, params.Hbar_b,
-                                      params.Ubar_s, params.Ubar_b,
-                                      kappa=kappa)
+    bi_params = replace(params, kappa=kappa)
     bi_initial = initial_from_config(cfg, grid)
     _, strat_initial = stratified.embed_bilayer(bi_initial, params, levels)
 
@@ -530,7 +518,7 @@ def _suite_embedding():
         return False, (f"two-level pressure differs from the layer "
                        f"gradients by {gap:.3e}")
     profile, state = stratified.embed_bilayer(bistate, params, levels)
-    dH_s, dH_b, dU_s, dU_b = bilayer.rhs_diffusive(bistate, params)
+    dH_s, dH_b, dU_s, dU_b = bilayer.rhs(bistate, params)
     dh, du = stratified.rhs(state, profile, params.kappa)
     want_h = _embedded_rows(levels, params.Hbar_s,
                             dH_s.values / params.Hbar_s,

@@ -568,7 +568,7 @@ def smooth_pycnocline(spec, levels):
 
 
 # ----------------------------------------------------------------------
-# CSV interfaces
+# CSV writers
 # ----------------------------------------------------------------------
 
 def write_profile(profile, f):
@@ -578,19 +578,6 @@ def write_profile(profile, f):
                 f"{csv_cell(profile.ubar[i])}\n")
 
 
-def read_profile(path, levels):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names != ("r", "rho", "ubar"):
-        raise ValueError(f"profile CSV needs columns (r, rho, ubar), "
-                         f"got {data.dtype.names}")
-    r = np.atleast_1d(np.asarray(data["r"], dtype=float))
-    if (r.size != levels.n_r or not np.all(np.isfinite(r))
-            or np.max(np.abs(r - levels.r)) > 1e-9):
-        raise ValueError("profile CSV levels do not match the level grid")
-    return StratifiedProfile(levels, np.atleast_1d(data["rho"]),
-                             np.atleast_1d(data["ubar"]))
-
-
 def write_state(state, f):
     f.write("x,r,h,u\n")
     for i, r in enumerate(state.levels.r):
@@ -598,24 +585,3 @@ def write_state(state, f):
         for j, x in enumerate(state.grid.x):
             f.write(f"{csv_cell(x)},{rc},{csv_cell(state.h.values[i, j])},"
                     f"{csv_cell(state.u.values[i, j])}\n")
-
-
-def read_state(path, grid, levels, t=0.0):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names != ("x", "r", "h", "u"):
-        raise ValueError(f"state CSV needs columns (x, r, h, u), "
-                         f"got {data.dtype.names}")
-    n = levels.n_r * grid.n_x
-    if data["x"].size != n:
-        raise ValueError(f"state CSV has {data['x'].size} rows, expected {n}")
-    shape = (levels.n_r, grid.n_x)
-    x = np.asarray(data["x"], dtype=float).reshape(shape)
-    r = np.asarray(data["r"], dtype=float).reshape(shape)
-    if (not np.all(np.isfinite(x)) or not np.all(np.isfinite(r))
-            or np.max(np.abs(x - grid.x[None, :])) > 1e-9
-            or np.max(np.abs(r - levels.r[:, None])) > 1e-9):
-        raise ValueError("state CSV coordinates do not match the grids")
-    return StratifiedState.from_arrays(
-        t, grid, levels,
-        np.asarray(data["h"], dtype=float).reshape(shape),
-        np.asarray(data["u"], dtype=float).reshape(shape))

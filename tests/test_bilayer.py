@@ -6,23 +6,20 @@ import numpy as np
 import pytest
 
 import oracles
-from pycnolab.core import Field1D, SpatialGrid
+from pycnolab.core import BlowUpError, Field1D, SpatialGrid
 from pycnolab.stratified import StratifiedProfile
 from pycnolab.bilayer import (
     BilayerParams,
     BilayerState,
-    BlowUpError,
     bd_residual,
     cfl_limit,
     combined_norm,
     energy_functional,
     grid_max_speed,
     integrate,
-    load_initial_csv,
     make_initial,
     pointwise_margin,
-    rhs_diffusive,
-    rhs_nondiffusive,
+    rhs,
     step,
     total_velocity,
     write_diagnostics,
@@ -65,7 +62,7 @@ class TestRhs:
     def test_rest_state_is_equilibrium(self):
         grid = SpatialGrid(64)
         state = BilayerState.zeros(grid)
-        for out in rhs_nondiffusive(state, PARAMS0):
+        for out in rhs(state, PARAMS0):
             assert np.max(np.abs(out.values)) == 0.0
 
     def test_single_mode_pressure_response(self):
@@ -74,7 +71,7 @@ class TestRhs:
         grid = SpatialGrid(128)
         a = 0.01
         state = make_initial(grid, "sine", {"H_s": a}, wavenumber=1)
-        dHs, dHb, dUs, dUb = rhs_nondiffusive(state, PARAMS0)
+        dHs, dHb, dUs, dUb = rhs(state, PARAMS0)
         cos = np.cos(grid.x)
         assert np.max(np.abs(dHs.values)) <= 1e-13
         assert np.max(np.abs(dHb.values)) <= 1e-13
@@ -88,8 +85,8 @@ class TestRhs:
         kappa = 0.2
         state = make_initial(grid, "sine", {"H_s": a}, wavenumber=k)
         p = params_with(kappa=kappa)
-        dHs_d, _, dUs_d, dUb_d = rhs_diffusive(state, p)
-        dHs_0, _, dUs_0, dUb_0 = rhs_nondiffusive(state, PARAMS0)
+        dHs_d, _, dUs_d, dUb_d = rhs(state, p)
+        dHs_0, _, dUs_0, dUb_0 = rhs(state, PARAMS0)
         added = dHs_d.values - dHs_0.values
         want = -kappa * k * k * state.H_s.values
         assert np.max(np.abs(added - want)) <= 1e-12, (
@@ -109,19 +106,11 @@ class TestRhs:
                                for i, c in enumerate(coef))
         state = BilayerState(0.0, *(Field1D(fields[n], grid)
                                     for n in BilayerState.FIELDS))
-        base = np.array([f.values for f in rhs_nondiffusive(state, PARAMS0)])
+        base = np.array([f.values for f in rhs(state, PARAMS0)])
         kappa = 1e-6
         near = np.array([f.values for f in
-                         rhs_diffusive(state, params_with(kappa=kappa))])
+                         rhs(state, params_with(kappa=kappa))])
         assert np.max(np.abs(near - base)) <= kappa * 10.0
-
-    def test_wrong_kappa_routing(self):
-        grid = SpatialGrid(32)
-        state = BilayerState.zeros(grid)
-        with pytest.raises(ValueError):
-            rhs_nondiffusive(state, params_with(kappa=0.1))
-        with pytest.raises(ValueError):
-            rhs_diffusive(state, PARAMS0)
 
     def test_depth_floor_aborts(self):
         grid = SpatialGrid(32)
@@ -129,7 +118,7 @@ class TestRhs:
         z = Field1D.zeros(grid)
         state = BilayerState(0.0, hollow, z, z, z)
         with pytest.raises(BlowUpError):
-            rhs_nondiffusive(state, PARAMS0)
+            rhs(state, PARAMS0)
 
     def test_total_velocity_formula(self):
         grid = SpatialGrid(128)
@@ -524,32 +513,21 @@ class TestInitialData:
         with pytest.raises(ValueError):
             make_initial(grid, "sawtooth")
 
-    def test_csv_roundtrip(self, tmp_path):
+    def test_csv_roundtrip(self):
+        # the snapshot writer's cells parse back to the exact field values
         grid = SpatialGrid(32)
         state = make_initial(grid, "gaussian", {"H_s": 0.05, "U_s": -0.02})
-        path = tmp_path / "init.csv"
-        with open(path, "w") as f:
-            f.write("x,H_s,H_b,U_s,U_b\n")
-            for j in range(grid.n_x):
-                row = [grid.x[j], state.H_s.values[j], state.H_b.values[j],
-                       state.U_s.values[j], state.U_b.values[j]]
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
-        loaded = load_initial_csv(path, grid)
-        for name in BilayerState.FIELDS:
-            assert np.array_equal(getattr(loaded, name).values,
-                                  getattr(state, name).values)
-
-    def test_csv_grid_mismatch(self, tmp_path):
-        grid = SpatialGrid(32)
-        other = SpatialGrid(32, length=5.0)
-        state = make_initial(other, "sine", {"H_s": 0.05})
-        path = tmp_path / "init.csv"
-        with open(path, "w") as f:
-            f.write("x,H_s,H_b,U_s,U_b\n")
-            for j in range(other.n_x):
-                f.write(f"{float(other.x[j])!r},0.0,0.0,0.0,0.0\n")
-        with pytest.raises(ValueError):
-            load_initial_csv(path, grid)
+        traj = integrate(state, PARAMS0, 0.05, snapshot_every=2)
+        buf = io.StringIO()
+        write_snapshots(traj, buf)
+        buf.seek(0)
+        data = np.genfromtxt(buf, delimiter=",", names=True)
+        rows = data.reshape(len(traj.states), grid.n_x)
+        for st, got in zip(traj.states, rows):
+            assert np.all(got["t"] == st.t)
+            assert np.array_equal(got["x"], grid.x)
+            for name in BilayerState.FIELDS:
+                assert np.array_equal(got[name], getattr(st, name).values)
 
 
 class TestWriters:

@@ -40,6 +40,18 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_readme_library_block_runs():
+    # the package's top level exports exactly what this block imports
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("## Library in one minute", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, str(readme), "exec"), scope)
+    assert not scope["run_2l"].blown_up
+    assert not scope["run_nl"].blown_up
+
+
 class TestConfigHandling:
     def test_wrong_schema_version(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"schema": 99})
@@ -104,6 +116,14 @@ class TestConfigHandling:
         code = cli.main(["simulate-bilayer", "--config", cfg,
                          "--out", str(tmp_path / "o")])
         assert code == cli.CONFIG_ERROR
+
+    def test_amplitudes_must_be_a_mapping(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json",
+                           {"initial": {"amplitudes": ["H_s"]}})
+        for command in ("simulate-bilayer", "sweep-kappa", "sweep-epsilon"):
+            code = cli.main([command, "--config", cfg,
+                             "--out", str(tmp_path / "o")])
+            assert code == cli.CONFIG_ERROR, command
 
 
 class TestSweepCommands:

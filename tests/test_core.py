@@ -9,12 +9,15 @@ from pycnolab.core import (
     LevelGrid,
     SobolevIndex,
     SpatialGrid,
-    mixed_norm,
-    sobolev_norm,
-    spectral_derivative,
 )
 
 from oracles import dft_sobolev_norm
+
+
+def sobolev_norm(g, values, s):
+    """H^s norm of one sample row through the batched production path."""
+    (norm,) = g.sobolev_norms_rows(values, s)
+    return norm
 
 
 class TestSpatialGrid:
@@ -84,22 +87,19 @@ class TestFields:
 class TestSpectralDerivative:
     def test_constant_derivative_is_zero(self):
         g = SpatialGrid(32)
-        f = Field1D(np.ones(32), g)
-        assert np.max(np.abs(spectral_derivative(f).values)) < 1e-14
+        assert np.max(np.abs(g.derivative(np.ones(32)))) < 1e-14
 
     def test_sine_first_derivative(self):
         g = SpatialGrid(64, length=3.0)
         k = 2.0 * np.pi / 3.0
-        f = Field1D.from_function(g, lambda x: np.sin(k * x))
         expected = k * np.cos(k * g.x)
-        err = np.max(np.abs(spectral_derivative(f).values - expected))
+        err = np.max(np.abs(g.derivative(np.sin(k * g.x)) - expected))
         assert err < 1e-12, f"first derivative off by {err}"
 
     def test_sine_second_derivative(self):
         g = SpatialGrid(64)
-        f = Field1D.from_function(g, np.sin)
         expected = -np.sin(g.x)
-        err = np.max(np.abs(spectral_derivative(f, order=2).values - expected))
+        err = np.max(np.abs(g.derivative(np.sin(g.x), order=2) - expected))
         assert err < 1e-12, f"second derivative off by {err}"
 
     def test_second_equals_first_twice(self):
@@ -111,9 +111,9 @@ class TestSpectralDerivative:
             amp = rng.normal() + 1j * rng.normal()
             modes[k] = amp
             modes[-k] = np.conj(amp)
-        f = Field1D(np.fft.ifft(modes).real, g)
-        once_twice = spectral_derivative(spectral_derivative(f)).values
-        direct = spectral_derivative(f, order=2).values
+        f = np.fft.ifft(modes).real
+        once_twice = g.derivative(g.derivative(f))
+        direct = g.derivative(f, order=2)
         scale = np.max(np.abs(direct)) + 1e-30
         assert np.max(np.abs(once_twice - direct)) / scale < 1e-12
 
@@ -122,73 +122,79 @@ class TestSpectralDerivative:
         g = SpatialGrid(32)
         a = rng.normal(size=32)
         b = rng.normal(size=32)
-        fa = spectral_derivative(Field1D(a, g)).values
-        fb = spectral_derivative(Field1D(b, g)).values
-        fab = spectral_derivative(Field1D(2.0 * a - 3.0 * b, g)).values
+        fa = g.derivative(a)
+        fb = g.derivative(b)
+        fab = g.derivative(2.0 * a - 3.0 * b)
         assert np.allclose(fab, 2.0 * fa - 3.0 * fb, atol=1e-12)
 
 
 class TestSobolevNorm:
     def test_zero_field(self):
         g = SpatialGrid(16)
-        assert sobolev_norm(Field1D.zeros(g), 2.0) == 0.0
+        assert sobolev_norm(g, np.zeros(16), 2.0) == 0.0
 
     def test_sine_l2_value(self):
         g = SpatialGrid(64)
-        f = Field1D.from_function(g, np.sin)
-        assert abs(sobolev_norm(f, 0.0) - np.sqrt(np.pi)) < 1e-13
+        assert abs(sobolev_norm(g, np.sin(g.x), 0.0) - np.sqrt(np.pi)) < 1e-13
 
     def test_sine_h1_value(self):
         g = SpatialGrid(64)
-        f = Field1D.from_function(g, np.sin)
-        assert abs(sobolev_norm(f, 1.0) - np.sqrt(2.0 * np.pi)) < 1e-13
+        assert (abs(sobolev_norm(g, np.sin(g.x), 1.0) - np.sqrt(2.0 * np.pi))
+                < 1e-13)
 
     def test_matches_slow_dft(self):
         rng = np.random.default_rng(7)
         g = SpatialGrid(48, length=5.0)
-        vals = rng.normal(size=48)
+        rows = rng.normal(size=(3, 48))
         for s in (0.0, 0.5, 1.0, 2.0):
-            mine = sobolev_norm(Field1D(vals, g), s)
-            ref = dft_sobolev_norm(vals, 5.0, s)
-            assert abs(mine - ref) < 1e-10 * (1.0 + ref), f"s={s}: {mine} vs {ref}"
+            mine = g.sobolev_norms_rows(rows, s)
+            for vals, got in zip(rows, mine):
+                ref = dft_sobolev_norm(vals, 5.0, s)
+                assert abs(got - ref) < 1e-10 * (1.0 + ref), (
+                    f"s={s}: {got} vs {ref}")
+                # a row's norm does not depend on the batch it comes in
+                assert got == sobolev_norm(g, vals, s)
 
     def test_parseval_at_s0(self):
         rng = np.random.default_rng(19)
         g = SpatialGrid(32, length=2.0)
         vals = rng.normal(size=32)
         quad = np.sqrt(np.sum(vals ** 2) * g.dx)
-        assert abs(sobolev_norm(Field1D(vals, g), 0.0) - quad) < 1e-12 * quad
+        assert abs(sobolev_norm(g, vals, 0.0) - quad) < 1e-12 * quad
 
     def test_monotone_in_s(self):
         rng = np.random.default_rng(23)
         g = SpatialGrid(32)
-        f = Field1D(rng.normal(size=32), g)
-        norms = [sobolev_norm(f, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)]
+        vals = rng.normal(size=32)
+        norms = [sobolev_norm(g, vals, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)]
         assert all(a <= b + 1e-14 for a, b in zip(norms, norms[1:]))
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             SobolevIndex(-0.5)
+        with pytest.raises(ValueError):
+            SpatialGrid(16).sobolev_norms_rows(np.zeros(16), -0.5)
 
 
 class TestMixedNorm:
+    """Per-level norms and the sup/integral reductions the solvers take."""
+
     def test_zero(self):
         g = SpatialGrid(16)
         lg = LevelGrid.uniform(5)
         z = Field2D.zeros(g, lg)
-        assert mixed_norm(z, 1.0, "sup") == 0.0
-        assert mixed_norm(z, 1.0, "integral") == 0.0
+        assert np.array_equal(g.sobolev_norms_rows(z.values, 1.0), np.zeros(5))
 
     def test_per_level_constants(self):
         g = SpatialGrid(16, length=2.0)
         lg = LevelGrid.uniform(4)
         c = np.array([1.0, -2.0, 3.0, 0.5])
         vals = np.repeat(c[:, None], 16, axis=1)
-        field = Field2D(vals, g, lg)
-        sup = mixed_norm(field, 0.0, "sup")
-        integral = mixed_norm(field, 0.0, "integral")
+        norms = g.sobolev_norms_rows(Field2D(vals, g, lg).values, 0.0)
         root_l = np.sqrt(2.0)
-        assert abs(sup - 3.0 * root_l) < 1e-13
+        assert np.max(np.abs(norms - np.abs(c) * root_l)) < 1e-13
+        assert abs(np.max(norms) - 3.0 * root_l) < 1e-13
+        integral = np.sum(lg.w * norms)
         assert abs(integral - np.sum(lg.w * np.abs(c)) * root_l) < 1e-13
 
     def test_r_independent_field_agrees(self):
@@ -196,20 +202,15 @@ class TestMixedNorm:
         g = SpatialGrid(32)
         lg = LevelGrid.uniform(7)
         row = rng.normal(size=32)
-        field = Field2D(np.tile(row, (7, 1)), g, lg)
-        sup = mixed_norm(field, 1.0, "sup")
-        integral = mixed_norm(field, 1.0, "integral")
+        norms = g.sobolev_norms_rows(np.tile(row, (7, 1)), 1.0)
+        sup = np.max(norms)
+        integral = np.sum(lg.w * norms)
         assert abs(sup - integral) < 1e-12 * sup
+        assert abs(sup - sobolev_norm(g, row, 1.0)) < 1e-12 * sup
 
     def test_integral_below_sup(self):
         rng = np.random.default_rng(31)
         g = SpatialGrid(32)
         lg = LevelGrid.uniform(6)
-        field = Field2D(rng.normal(size=(6, 32)), g, lg)
-        assert mixed_norm(field, 0.5, "integral") <= mixed_norm(field, 0.5, "sup") + 1e-14
-
-    def test_unknown_mode_rejected(self):
-        g = SpatialGrid(16)
-        lg = LevelGrid.uniform(3)
-        with pytest.raises(ValueError):
-            mixed_norm(Field2D.zeros(g, lg), 0.0, "mean")
+        norms = g.sobolev_norms_rows(rng.normal(size=(6, 32)), 0.5)
+        assert np.sum(lg.w * norms) <= np.max(norms) + 1e-14
