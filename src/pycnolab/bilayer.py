@@ -46,7 +46,6 @@ from .core import (
     Field1D,
     LevelGrid,
     SobolevIndex,
-    check_step,
     check_thickness,
     csv_cell,
 )
@@ -58,6 +57,7 @@ from .hyperbolicity import (
     symmetrizer_fields,
 )
 from .stratified import (
+    ColumnWork,
     Run,
     StratifiedProfile,
     column_derivative,
@@ -195,26 +195,32 @@ def grid_max_speed(state, params):
     return max_characteristic_speed(params.rho_ratio, hs, hb, us, ub)
 
 
-def cfl_limit(state, params, cfl=CFL_DEFAULT):
+def cfl_limit(state, params, cfl=CFL_DEFAULT, drift=None):
     """Largest admissible dt at this state.
 
     cfl dx over the largest characteristic speed plus the diffusive
     drift kappa max|d_x H_l / h_l|; the diffusion itself is stepped
-    exactly and sets no bound.
+    exactly and sets no bound. `drift`, when given, is that drift
+    already taken (`step` passes the one `rk4` takes from its first
+    stage).
     """
-    # d_x H_l / h_l = d_x h / (1 + h) with h = H_l / Hbar_l
-    h = np.array([state.H_b.values / params.Hbar_b,
-                  state.H_s.values / params.Hbar_s])
-    speed = (grid_max_speed(state, params)
-             + diffusive_drift(state.grid, h, params.kappa))
+    if drift is None:
+        # d_x H_l / h_l = d_x h / (1 + h) with h = H_l / Hbar_l
+        h = np.array([state.H_b.values / params.Hbar_b,
+                      state.H_s.values / params.Hbar_s])
+        drift = diffusive_drift(state.grid, h, params.kappa)
+    speed = grid_max_speed(state, params) + drift
     return cfl * state.grid.dx / speed
 
 
-def step(state, params, dt, cfl=CFL_DEFAULT):
-    """One IF-RK4 step of the two-level column; dt must meet the CFL limit."""
-    check_step(dt, cfl_limit(state, params, cfl), state.t)
+def step(state, params, dt, cfl=CFL_DEFAULT, work=None):
+    """One IF-RK4 step of the two-level column; dt must meet the CFL limit.
+
+    `work` is the run's two-level ColumnWork.
+    """
     h, u, column = _to_column(state, params)
-    h, u = rk4(h, u, state.t, dt, *column)
+    h, u = rk4(h, u, state.t, dt, *column, work=work,
+               limit=lambda drift: cfl_limit(state, params, cfl, drift))
     return BilayerState.from_arrays(state.t + dt, state.grid,
                                     _from_column(h, u, params))
 
@@ -330,8 +336,9 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
 
     if dt is None:
         dt = cfl_limit(initial, params, cfl)
-    run = march(initial, lambda st, dt: step(st, params, dt, cfl), T, dt,
-                combined_norm, record, snapshot_every, blowup_factor)
+    work = ColumnWork(initial.grid, 2)
+    run = march(initial, lambda st, dt: step(st, params, dt, cfl, work), T,
+                dt, combined_norm, record, snapshot_every, blowup_factor)
     if sigma is not None:
         low = run["diagnostics"]["margin"] < 0.5 * sigma
         if low.any():

@@ -198,7 +198,10 @@ def cmd_classify(cfg, art, plots):
                 rho_s=row["rho_s"], rho_b=row["rho_b"], H_s=row["H_s"],
                 H_b=row["H_b"], U_s=row["U_s"], U_b=row["U_b"]))
     else:
-        for _ in range(int(cfg.get("samples", 200))):
+        samples = int(cfg.get("samples", 200))
+        if samples < 1:
+            raise ConfigError(f"samples must be >= 1, got {samples}")
+        for _ in range(samples):
             points.append(harness.random_state_point(rng, rng.uniform(0.0, 2.4)))
 
     def table_csv(f):

@@ -621,6 +621,8 @@ def check_all(config=None):
     seed = int(cfg.get("seed", 0))
     kappa = float(cfg.get("kappa", 0.1))
     n_points = int(cfg.get("n_points", 1000))
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     rng = np.random.default_rng(seed)
 
     suites = []

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CFL_DEFAULT, check_step, csv_cell
+from .core import CFL_DEFAULT, csv_cell
 from .stratified import (
+    ColumnWork,
     StratifiedState,
     StratifiedTrajectory,
     column_record,
@@ -122,15 +123,18 @@ def build_forcing(trajectory, target_profile):
 # the forced system
 # ----------------------------------------------------------------------
 
-def advective_limit(state, profile, kappa, cfl=CFL_DEFAULT):
+def advective_limit(state, profile, kappa, cfl=CFL_DEFAULT, drift=None):
     """Stability step for the pressureless transport (no wave coupling).
 
     cfl dx over max|ubar + u| plus the diffusive drift; the diffusion
-    itself is stepped exactly and sets no bound.
+    itself is stepped exactly and sets no bound. `drift`, when given, is
+    that drift already taken (each step passes the one `rk4` takes from
+    its first stage).
     """
+    if drift is None:
+        drift = diffusive_drift(state.grid, state.h.values, kappa)
     u_tot = profile.ubar[:, None] + state.u.values
-    speed = (float(np.max(np.abs(u_tot)))
-             + diffusive_drift(state.grid, state.h.values, kappa))
+    speed = float(np.max(np.abs(u_tot))) + drift
     return cfl * state.grid.dx / max(speed, 1e-8)
 
 
@@ -162,11 +166,14 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
     # RK4 stages 2 and 3, and the end of one step and the start of the
     # next, query the same time
     at = functools.lru_cache(maxsize=1)(forcing.forcing)
+    column = (initial.grid, profile, kappa, lambda dxh, t, out: at(t))
+    work = ColumnWork(initial.grid, initial.levels.n_r)
 
     def advance(state, dt):
-        check_step(dt, advective_limit(state, profile, kappa, cfl), state.t)
-        h, u = rk4(state.h.values, state.u.values, state.t, dt, state.grid,
-                   profile, kappa, lambda dxh, t: at(t))
+        h, u = rk4(state.h.values, state.u.values, state.t, dt, *column,
+                   work=work,
+                   limit=lambda drift: advective_limit(state, profile, kappa,
+                                                       cfl, drift))
         return StratifiedState.from_arrays(state.t + dt, state.grid,
                                            state.levels, h, u)
 

@@ -29,16 +29,19 @@ pluggable pressure tendency: the self-consistent -(1/rho) W d_x h here,
 at two levels for `bilayer`, or a prescribed forcing for `refined`; it
 makes eight real FFTs per call. `rk4` is the one time step, Lawson's
 integrating-factor RK4: the diffusion, linear and diagonal in Fourier
-space, is integrated exactly by the propagator exp(-kappa xi^2 dt/2)
-(`heat_propagator`, built per step), so only the waves and the
-advection bound the step. `march` is the one fixed-step time loop,
-which turns blow-ups and mid-run CFL breaches into flagged, truncated
-trajectories. The CFL estimate takes the gravity-wave speeds from the
-symmetric form a R a, R[i, j] = rho[max(i, j)] and
-a = sqrt(depth w / rho), which is similar to diag(depth) (1/rho) W, and
-adds the diffusive drift kappa max|d_x h / (1 + h)| to the advection;
-the profile-only matrices are built once per (immutable)
-StratifiedProfile.
+space, is integrated exactly by the propagator exp(-kappa xi^2 dt/2),
+so only the waves and the advection bound the step. Each run builds one
+`ColumnWork`, and every stage, product and transform of its steps is
+written into those buffers. One rfft of h feeds E h, E^2 h and stage
+k1, whose d_x h also gives the step limit's diffusive drift, so a
+kappa > 0 step makes 42 real transforms and a kappa = 0 step 32.
+`march` is the one fixed-step time loop, which turns blow-ups and
+mid-run CFL breaches into flagged, truncated trajectories. The CFL
+estimate takes the gravity-wave speeds from the symmetric form a R a,
+R[i, j] = rho[max(i, j)] and a = sqrt(depth w / rho), which is similar
+to diag(depth) (1/rho) W, and adds the diffusive drift
+kappa max|d_x h / (1 + h)| to the advection; the profile-only matrices
+are built once per (immutable) StratifiedProfile.
 """
 
 import math
@@ -199,35 +202,99 @@ def montgomery_lipschitz_check(profile1, profile2, h):
 # ----------------------------------------------------------------------
 
 def self_pressure(profile):
-    """Pressure tendency -(1/rho) W d_x h of the self-consistent column."""
+    """Pressure tendency -(1/rho) W d_x h of the self-consistent column.
+
+    Written into `out`, the storage `column_rhs` offers for it.
+    """
     P = pressure_matrix(profile)
-    return lambda dxh, t: -(P @ dxh)
+    return lambda dxh, t, out: np.negative(np.matmul(P, dxh, out=out),
+                                           out=out)
+
+
+class ColumnWork:
+    """Scratch arrays of one march, reused by every `rk4` step.
+
+    Eleven real (n_r, n_x) arrays (the kernel's totals and derivatives,
+    the stage inputs, the stage derivatives, the running sums
+    k1 + 2 k2 + 2 k3 and E h) and two complex (n_r, n_x//2 + 1)
+    half-spectra. Every transform and ufunc of a step writes into them
+    through `out=`, in the operation order of the plain formulas, so the
+    bits are those of the allocating code and a step allocates only the
+    two arrays it returns. Build one per run; never share one between
+    runs that may interleave.
+    """
+
+    def __init__(self, grid, n_r):
+        real, half = (n_r, grid.n_x), (n_r, grid.n_x // 2 + 1)
+        self.grid = grid
+        (self.h_tot, self.u_tot, self.dxh, self.dxu, self.h_in, self.u_in,
+         self.kh, self.ku, self.sum_h, self.sum_u, self.Eh) = (
+            np.empty(real) for _ in range(11))
+        self.h_hat = np.empty(half, dtype=complex)
+        self.hat = np.empty(half, dtype=complex)
+        self.flux_factor = -(grid.ixi * grid.dealias_mask)
+
+    def derive(self, h):
+        """rfft(h) into h_hat and d_x h into dxh.
+
+        In `rk4`'s first stage these two transforms also feed the step
+        limit's diffusive drift, E h and E^2 h.
+        """
+        np.fft.rfft(h, out=self.h_hat)
+        np.fft.irfft(np.multiply(self.grid.ixi, self.h_hat, out=self.hat),
+                     self.grid.n_x, out=self.dxh)
+
+    def drift(self, h, kappa):
+        """kappa max|d_x h / (1 + h)| from the d_x h in dxh."""
+        if kappa == 0.0:
+            return 0.0
+        ratio = np.divide(self.dxh, np.add(1.0, h, out=self.h_tot),
+                          out=self.dxu)
+        return kappa * float(np.max(np.abs(ratio, out=ratio)))
 
 
 def column_rhs(h, u, t, grid, profile, kappa, pressure):
     """Stacked time derivatives for raw (n_r, n_x) arrays, less diffusion.
 
     The thickness diffusion kappa d_x^2 h is left out: `rk4` steps it
-    exactly, and `column_derivative` adds it back. `pressure(dxh, t)`
-    returns the pressure tendency added to du; a cell thickness
+    exactly, and `column_derivative` adds it back. `pressure(dxh, t, buf)`
+    returns the pressure tendency added to du, using the (n_r, n_x)
+    array `buf` as storage if it needs any; a cell thickness
     w_i (1 + h_i) at or below the floor raises BlowUpError. One fused
     real-FFT pass computes what `grid.derivative` and `grid.dealias`
     compose to: h and u are transformed once, and each output is
-    inverted once (eight real transforms).
+    inverted once (eight real transforms). This call works in a
+    throwaway ColumnWork and returns fresh arrays; `rk4` runs the same
+    kernel in its run's workspace.
     """
-    h_tot = 1.0 + h
-    check_thickness(profile.levels.w[:, None] * h_tot, t)
-    u_tot = profile.ubar[:, None] + u
-    rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
-    ixi, keep = grid.ixi, grid.dealias_mask
-    dxh = irfft(ixi * rfft(h), n)
-    dxu = irfft(ixi * rfft(u), n)
+    w = ColumnWork(grid, h.shape[0])
+    w.derive(h)
+    return _column_rhs_into(w, h, u, t, (grid, profile, kappa, pressure),
+                            np.empty_like(h), np.empty_like(u))
 
-    dh = irfft(-(ixi * keep) * rfft(h_tot * u_tot), n)
+
+def _column_rhs_into(w, h, u, t, column, dh, du):
+    """column_rhs written into (dh, du), with `w.derive(h)` already run."""
+    grid, profile, kappa, pressure = column
+    rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
+    h_tot, u_tot, dxh, dxu, hat = w.h_tot, w.u_tot, w.dxh, w.dxu, w.hat
+    np.add(1.0, h, out=h_tot)
+    check_thickness(np.multiply(profile.levels.w[:, None], h_tot, out=dh), t)
+    np.add(profile.ubar[:, None], u, out=u_tot)
+    irfft(np.multiply(grid.ixi, rfft(u, out=hat), out=hat), n, out=dxu)
+
+    flux = np.multiply(h_tot, u_tot, out=dh)
+    irfft(np.multiply(w.flux_factor, rfft(flux, out=hat), out=hat), n,
+          out=dh)
     adv = u_tot
     if kappa > 0.0:
-        adv = u_tot - kappa * dxh / h_tot
-    du = pressure(dxh, t) - irfft(keep * rfft(adv * dxu), n)
+        # u_tot - kappa dxh / h_tot, with du as scratch
+        np.divide(np.multiply(kappa, dxh, out=du), h_tot, out=du)
+        adv = np.subtract(u_tot, du, out=u_tot)
+    prod = np.multiply(adv, dxu, out=dxu)
+    irfft(np.multiply(grid.dealias_mask, rfft(prod, out=hat), out=hat), n,
+          out=dxu)
+    np.subtract(pressure(dxh, t, du), dxu, out=du)
     return dh, du
 
 
@@ -239,47 +306,78 @@ def column_derivative(h, u, t, grid, profile, kappa, pressure):
     return dh, du
 
 
-def heat_propagator(grid, kappa, dt):
-    """Half-step heat propagator E = exp(kappa dt/2 d_x^2) as f, m -> E^m f.
-
-    Exact over the rfft half-spectrum (the multiplier is
-    exp(-kappa xi^2 dt/2), 1 on the mean), and the identity at kappa = 0,
-    where no transform is made. Building it is one exp over the
-    half-spectrum, so each step builds its own and no cache outlives a
-    run.
-    """
-    if kappa == 0.0:
-        return lambda f, m=1: f
-    half = np.exp(-0.5 * kappa * dt * grid.ixi.imag ** 2)
-    powers = {1: half, 2: half * half}
-    n = grid.n_x
-    return lambda f, m=1: np.fft.irfft(powers[m] * np.fft.rfft(f), n)
-
-
-def rk4(h, u, t, dt, *column):
+def rk4(h, u, t, dt, *column, work=None, limit=None):
     """One integrating-factor RK4 step of the column (Lawson's IF-RK4).
 
     `column` = (grid, profile, kappa, pressure) as for column_rhs, whose
     stages k1..k4 give the u update of classical RK4. The h update
-    carries the exact heat propagator E over each half step:
+    carries the exact heat propagator E = exp(kappa dt/2 d_x^2), the
+    multiplier exp(-kappa xi^2 dt/2) over the rfft half-spectrum, over
+    each half step:
 
         h2 = E(h + dt/2 k1),  h3 = E h + dt/2 k2,  h4 = E^2 h + dt E k3,
         h1 = E^2 h + dt/6 (E^2 k1 + 2 E (k2 + k3) + k4),
 
     so the diffusion sets no step limit. At kappa = 0, E is the identity
-    and the step is classical RK4, bit for bit.
+    and the step is classical RK4, bit for bit. One rfft of h feeds
+    E h, E^2 h and k1. `limit(drift)`, if given, maps the diffusive
+    drift of h (taken from k1's d_x h) to the stability limit that dt
+    must meet; it is checked before any stage is evaluated. `work` is
+    the run's ColumnWork (a throwaway one when omitted); the two returned
+    arrays are fresh. A kappa > 0 step makes 42 real transforms, a
+    kappa = 0 step 32.
     """
     grid, _, kappa, _ = column
-    E = heat_propagator(grid, kappa, dt)
-    Eh = E(h)
-    k1h, k1u = column_rhs(h, u, t, *column)
-    k2h, k2u = column_rhs(E(h + 0.5 * dt * k1h), u + 0.5 * dt * k1u,
-                          t + 0.5 * dt, *column)
-    k3h, k3u = column_rhs(Eh + 0.5 * dt * k2h, u + 0.5 * dt * k2u,
-                          t + 0.5 * dt, *column)
-    k4h, k4u = column_rhs(E(Eh + dt * k3h), u + dt * k3u, t + dt, *column)
-    h1 = E(h, 2) + (dt / 6.0) * (E(E(k1h) + 2.0 * k2h + 2.0 * k3h) + k4h)
-    u1 = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    w = ColumnWork(grid, h.shape[0]) if work is None else work
+    rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
+    w.derive(h)
+    if limit is not None:
+        check_step(dt, limit(w.drift(h, kappa)), t)
+    h1 = np.empty_like(h)
+    if kappa > 0.0:
+        half = np.exp(-0.5 * kappa * dt * grid.ixi.imag ** 2)
+
+        def E(f):
+            """f <- E f in place."""
+            irfft(np.multiply(half, rfft(f, out=w.hat), out=w.hat), n, out=f)
+            return f
+
+        Eh = irfft(np.multiply(half, w.h_hat, out=w.hat), n, out=w.Eh)
+        E2h = irfft(np.multiply(half * half, w.h_hat, out=w.hat), n, out=h1)
+    else:
+        def E(f):
+            return f
+
+        Eh = E2h = h
+    hs, us, kh, ku, sh, su = w.h_in, w.u_in, w.kh, w.ku, w.sum_h, w.sum_u
+
+    def stage(ts):
+        """k of the stage input (hs, us) into (kh, ku)."""
+        w.derive(hs)
+        _column_rhs_into(w, hs, us, ts, column, kh, ku)
+
+    def add_2k():
+        """The running sums gain 2 k (k is doubled in place)."""
+        np.add(sh, np.multiply(2.0, kh, out=kh), out=sh)
+        np.add(su, np.multiply(2.0, ku, out=ku), out=su)
+
+    # k1 goes straight into the running sums, which then hold E k1 for h
+    _column_rhs_into(w, h, u, t, column, sh, su)
+    E(np.add(h, np.multiply(0.5 * dt, sh, out=hs), out=hs))
+    np.add(u, np.multiply(0.5 * dt, su, out=us), out=us)
+    E(sh)
+    stage(t + 0.5 * dt)
+    np.add(Eh, np.multiply(0.5 * dt, kh, out=hs), out=hs)
+    np.add(u, np.multiply(0.5 * dt, ku, out=us), out=us)
+    add_2k()
+    stage(t + 0.5 * dt)
+    E(np.add(Eh, np.multiply(dt, kh, out=hs), out=hs))
+    np.add(u, np.multiply(dt, ku, out=us), out=us)
+    add_2k()
+    stage(t + dt)
+    np.add(E(sh), kh, out=sh)
+    np.add(E2h, np.multiply(dt / 6.0, sh, out=sh), out=h1)
+    u1 = np.add(u, np.multiply(dt / 6.0, np.add(su, ku, out=su), out=su))
     if not (np.all(np.isfinite(h1)) and np.all(np.isfinite(u1))):
         raise BlowUpError("non-finite fields after step", t + dt)
     return h1, u1
@@ -302,11 +400,15 @@ def diffusive_drift(grid, h, kappa):
     """kappa max|d_x h / (1 + h)|, the largest speed the diffusion adds.
 
     It is the only kappa term still stepped explicitly: the correction
-    to the advecting velocity in the u equations.
+    to the advecting velocity in the u equations. `rk4` takes it from
+    the d_x h of its first stage; this call transforms h in a throwaway
+    ColumnWork.
     """
     if kappa == 0.0:
         return 0.0
-    return kappa * float(np.max(np.abs(grid.derivative(h) / (1.0 + h))))
+    w = ColumnWork(grid, h.shape[0])
+    w.derive(h)
+    return w.drift(h, kappa)
 
 
 def wave_speed_estimate(state, profile):
@@ -329,21 +431,28 @@ def wave_speed_estimate(state, profile):
     return float(np.max(np.abs(u_tot))) + math.sqrt(c2)
 
 
-def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
+def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT, drift=None):
     """cfl dx over the wave speed estimate plus the diffusive drift.
 
     The diffusion itself is stepped exactly by `rk4` and sets no bound.
+    `drift`, when given, is the diffusive drift already taken (`step`
+    passes the one `rk4` takes from its first stage).
     """
-    speed = (wave_speed_estimate(state, profile)
-             + diffusive_drift(state.grid, state.h.values, kappa))
+    if drift is None:
+        drift = diffusive_drift(state.grid, state.h.values, kappa)
+    speed = wave_speed_estimate(state, profile) + drift
     return cfl * state.grid.dx / speed
 
 
-def step(state, profile, kappa, dt, cfl=CFL_DEFAULT):
-    """One IF-RK4 step of the level-coupled system."""
-    check_step(dt, cfl_limit(state, profile, kappa, cfl), state.t)
+def step(state, profile, kappa, dt, cfl=CFL_DEFAULT, work=None):
+    """One IF-RK4 step of the level-coupled system.
+
+    dt must meet `cfl_limit` of the state; `work` is the run's ColumnWork.
+    """
     h, u = rk4(state.h.values, state.u.values, state.t, dt, state.grid,
-               profile, kappa, self_pressure(profile))
+               profile, kappa, self_pressure(profile), work=work,
+               limit=lambda drift: cfl_limit(state, profile, kappa, cfl,
+                                             drift))
     return StratifiedState.from_arrays(state.t + dt, state.grid, state.levels,
                                        h, u)
 
@@ -386,12 +495,14 @@ def march(initial, advance, T, dt, norm, record, snapshot_every=1,
     tightened below dt (StepLimitError after the first step: a
     "cfl-breach"), or a snapshot norm above blowup_factor times the
     initial one ends the run with the trajectory truncated and flagged.
-    A dt beyond the limit of the initial state stays a ValueError.
-    Returns the keyword fields of `Run`.
+    A dt beyond the limit of the initial state stays a ValueError, and so
+    does a `snapshot_every` below 1. Returns the keyword fields of `Run`.
     """
     T = float(T)
     if T <= 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
+    if snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
     n_steps = max(1, math.ceil(T / float(dt) - 1e-12))
     dt = T / n_steps
 
@@ -454,7 +565,9 @@ def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
     """
     if dt is None:
         dt = cfl_limit(initial, profile, kappa, cfl)
-    run = march(initial, lambda st, dt: step(st, profile, kappa, dt, cfl),
+    work = ColumnWork(initial.grid, initial.levels.n_r)
+    run = march(initial,
+                lambda st, dt: step(st, profile, kappa, dt, cfl, work),
                 T, dt, state_norm, column_record, snapshot_every,
                 blowup_factor)
     return StratifiedTrajectory(profile=profile, kappa=kappa, **run)

@@ -222,6 +222,64 @@ def two_layer_run(fields, dt, n_steps, rho_ratio, Hbar_s, Hbar_b, Ubar_s,
 
 
 # ----------------------------------------------------------------------
+# the column step with every intermediate allocated
+# ----------------------------------------------------------------------
+# The one exception to the rule above: these two routines are the plain
+# allocating form of the package's column kernel and IF-RK4 step, kept
+# operation for operation so the in-place production step can be checked
+# against them bit for bit. They take only data from the package (the
+# rfft multipliers of the grid and the pressure matrix (1/rho) W).
+
+def allocating_column_rhs(h, u, grid, profile, P, kappa):
+    """Column tendencies less diffusion, -(P d_x h) as the pressure."""
+    rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
+    ixi, keep = grid.ixi, grid.dealias_mask
+    h_tot = 1.0 + h
+    u_tot = profile.ubar[:, None] + u
+    dxh = irfft(ixi * rfft(h), n)
+    dxu = irfft(ixi * rfft(u), n)
+    dh = irfft(-(ixi * keep) * rfft(h_tot * u_tot), n)
+    adv = u_tot
+    if kappa > 0.0:
+        adv = u_tot - kappa * dxh / h_tot
+    du = -(P @ dxh) - irfft(keep * rfft(adv * dxu), n)
+    return dh, du
+
+
+def allocating_if_rk4(h, u, dt, grid, profile, P, kappa):
+    """Lawson's IF-RK4 column step, each stage and E application fresh.
+
+    E = exp(-kappa xi^2 dt/2) over the rfft half-spectrum acts on h:
+
+        h2 = E(h + dt/2 k1),  h3 = E h + dt/2 k2,  h4 = E(E h + dt k3),
+        h1 = E^2 h + dt/6 (E(E k1 + 2 k2 + 2 k3) + k4);
+
+    u takes the classical RK4 stages.
+    """
+    if kappa == 0.0:
+        def E(f, m=1):
+            return f
+    else:
+        half = np.exp(-0.5 * kappa * dt * grid.ixi.imag ** 2)
+        powers = {1: half, 2: half * half}
+
+        def E(f, m=1):
+            return np.fft.irfft(powers[m] * np.fft.rfft(f), grid.n_x)
+
+    def N(h, u):
+        return allocating_column_rhs(h, u, grid, profile, P, kappa)
+
+    Eh = E(h)
+    k1h, k1u = N(h, u)
+    k2h, k2u = N(E(h + 0.5 * dt * k1h), u + 0.5 * dt * k1u)
+    k3h, k3u = N(Eh + 0.5 * dt * k2h, u + 0.5 * dt * k2u)
+    k4h, k4u = N(E(Eh + dt * k3h), u + dt * k3u)
+    h1 = E(h, 2) + (dt / 6.0) * (E(E(k1h) + 2.0 * k2h + 2.0 * k3h) + k4h)
+    u1 = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    return h1, u1
+
+
+# ----------------------------------------------------------------------
 # slow transforms and norms
 # ----------------------------------------------------------------------
 

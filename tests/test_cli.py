@@ -117,6 +117,26 @@ class TestConfigHandling:
                          "--out", str(tmp_path / "o")])
         assert code == cli.CONFIG_ERROR
 
+    @pytest.mark.parametrize("command, value", [
+        ("simulate-bilayer", 0), ("simulate-stratified", -2)])
+    def test_snapshot_every_must_be_positive(self, tmp_path, command, value):
+        cfg = write_config(tmp_path, "c.json", {
+            "snapshot_every": value, "n_x": 32, "T": 0.05})
+        code = cli.main([command, "--config", cfg,
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.CONFIG_ERROR
+
+    @pytest.mark.parametrize("command, payload", [
+        ("check-all", {"n_points": -1}), ("check-all", {"n_points": 0}),
+        ("classify", {"samples": -3})])
+    def test_sample_counts_must_be_positive(self, tmp_path, command,
+                                            payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert not out.exists() or not any(out.iterdir())
+
     def test_amplitudes_must_be_a_mapping(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {"initial": {"amplitudes": ["H_s"]}})

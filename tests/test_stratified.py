@@ -376,6 +376,77 @@ class TestStepIntegrate:
                                      + k4[i])
             assert np.array_equal(got[i], want)
 
+    def test_steps_match_allocating_reference(self):
+        # consecutive kappa > 0 steps through one workspace equal the
+        # allocating IF-RK4 formula bit for bit, on a column and on the
+        # two-level column; each step returns fresh arrays, so a result
+        # kept from step n is left alone by step n + 1
+        rng = np.random.default_rng(43)
+        grid = SpatialGrid(32)
+        two_level = bilayer.BilayerParams(0.5, 1.0, 0.4, 0.6, Ubar_s=0.1,
+                                          Ubar_b=-0.1).column
+        kappa, dt = 0.1, 0.01
+        for prof in (random_profile(rng, LevelGrid.uniform(8), shear=0.2),
+                     two_level):
+            n_r = prof.levels.n_r
+            column = (grid, prof, kappa, self_pressure(prof))
+            work = stratified.ColumnWork(grid, n_r)
+            h = 0.05 * rng.standard_normal((n_r, 32))
+            u = 0.05 * rng.standard_normal((n_r, 32))
+            want = (h, u)
+            kept = []
+            for i in range(4):
+                h, u = rk4(h, u, 0.3 + i * dt, dt, *column, work=work)
+                want = oracles.allocating_if_rk4(
+                    *want, dt, grid, prof, pressure_matrix(prof), kappa)
+                assert np.array_equal(h, want[0])
+                assert np.array_equal(u, want[1])
+                kept.append((h, u, want))
+            for h, u, want in kept:
+                assert np.array_equal(h, want[0])
+                assert np.array_equal(u, want[1])
+
+    def test_step_transform_counts(self, monkeypatch):
+        # one rfft of h feeds E h, E^2 h, k1 and the step limit's drift:
+        # 4 x 8 kernel transforms plus 10 for the propagator at kappa > 0
+        _, profile, state = embedded_pair(n_x=32, n_r=12)
+        calls = []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        for kappa, want in ((0.05, 42), (0.0, 32)):
+            dt = cfl_limit(state, profile, kappa)
+            calls.clear()
+            step(state, profile, kappa, dt)
+            assert len(calls) == want, kappa
+
+    def test_step_checks_the_cfl_limit(self, monkeypatch):
+        # step takes the drift from its first stage; the limit it checks
+        # is still cfl_limit's to the bit, from which the sweeps take dt
+        _, profile, state = embedded_pair(n_x=32, n_r=12)
+        bistate = bilayer.make_initial(
+            SpatialGrid(32), amplitudes={"H_s": 0.05, "U_b": 0.02})
+        params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
+                                       kappa=0.05)
+        seen = []
+
+        def spy(dt, limit, t):
+            seen.append(limit)
+
+        monkeypatch.setattr(stratified, "check_step", spy)
+        for kappa in (0.05, 0.0):
+            seen.clear()
+            step(state, profile, kappa, 1e-3, cfl=0.3)
+            assert seen == [cfl_limit(state, profile, kappa, 0.3)]
+        seen.clear()
+        bilayer.step(bistate, params, 1e-3, cfl=0.3)
+        assert seen == [bilayer.cfl_limit(bistate, params, 0.3)]
+
     def test_norm_ceiling_halts(self):
         _, profile, state = embedded_pair(n_x=32, n_r=12)
         traj = integrate(state, profile, 0.0, T=0.5, blowup_factor=0.9,
