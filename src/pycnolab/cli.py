@@ -32,6 +32,7 @@ from . import harness
 from . import refined
 from . import stratified
 from .core import CFL_DEFAULT, BlowUpError, LevelGrid, SpatialGrid, csv_cell
+from .harness import ConfigError, config_count
 from .hyperbolicity import StatePoint, atlas, classify, \
     count_line_intersections
 
@@ -39,10 +40,6 @@ PASS = 0
 FAIL = 1
 CONFIG_ERROR = 2
 INCONCLUSIVE = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 _PARAMS = {"params." + k for k in
@@ -151,7 +148,9 @@ def cmd_atlas(cfg, art, plots):
     h_ratio = float(cfg.get("h_ratio", 0.5))
     rho_ratios = [float(r) for r in cfg.get("rho_ratios", [0.1, 0.5, 0.9])]
     intercepts = [float(c) for c in cfg.get("intercepts", [0.5, 1.5, 2.5])]
-    n_samples = int(cfg.get("n_samples", 2001))
+    n_samples = config_count(cfg, "n_samples", 2001)
+    if n_samples < 3:
+        raise ConfigError(f"n_samples must be >= 3, got {n_samples}")
 
     rows = []
     all_match = True
@@ -197,8 +196,10 @@ def cmd_classify(cfg, art, plots):
             points.append(StatePoint(
                 rho_s=row["rho_s"], rho_b=row["rho_b"], H_s=row["H_s"],
                 H_b=row["H_b"], U_s=row["U_s"], U_b=row["U_b"]))
+        if not points:
+            raise ConfigError("points must list at least one state point")
     else:
-        samples = int(cfg.get("samples", 200))
+        samples = config_count(cfg, "samples", 200)
         if samples < 1:
             raise ConfigError(f"samples must be >= 1, got {samples}")
         for _ in range(samples):
@@ -222,7 +223,7 @@ def cmd_classify(cfg, art, plots):
 
 
 def cmd_simulate_bilayer(cfg, art, plots):
-    grid = SpatialGrid(int(cfg.get("n_x", 256)),
+    grid = SpatialGrid(config_count(cfg, "n_x", 256),
                        float(cfg.get("length", 2.0 * np.pi)))
     params = harness.params_from_config(cfg)
     initial = harness.initial_from_config(cfg, grid)
@@ -233,7 +234,7 @@ def cmd_simulate_bilayer(cfg, art, plots):
         dt = 0.9 * bilayer.cfl_limit(initial, params, cfl)
     traj = bilayer.integrate(
         initial, params, float(cfg.get("T", 1.0)), dt=dt, cfl=cfl,
-        snapshot_every=int(cfg.get("snapshot_every", 8)),
+        snapshot_every=config_count(cfg, "snapshot_every", 8),
         sigma=cfg.get("sigma"))
     art.write("snapshots.csv", lambda f: bilayer.write_snapshots(traj, f))
     art.write("diagnostics.csv", lambda f: bilayer.write_diagnostics(traj, f))
@@ -251,11 +252,11 @@ def cmd_simulate_bilayer(cfg, art, plots):
 
 def _stratified_setup(cfg):
     """Params, levels, the sharp two-layer profile and the initial column."""
-    grid = SpatialGrid(int(cfg.get("n_x", 256)),
+    grid = SpatialGrid(config_count(cfg, "n_x", 256),
                        float(cfg.get("length", 2.0 * np.pi)))
     params = harness.params_from_config(cfg)
     levels = LevelGrid.with_interface(
-        int(cfg.get("n_r", 64)), -params.Hbar_s,
+        config_count(cfg, "n_r", 64), -params.Hbar_s,
         cluster=float(cfg.get("cluster", 6.0)))
     sharp, state = stratified.embed_bilayer(
         harness.initial_from_config(cfg, grid), params, levels)
@@ -276,7 +277,7 @@ def cmd_simulate_stratified(cfg, art, plots):
         dt = 0.9 * stratified.cfl_limit(state, profile, kappa, cfl)
     traj = stratified.integrate(
         state, profile, kappa, float(cfg.get("T", 1.0)), dt=dt, cfl=cfl,
-        snapshot_every=int(cfg.get("snapshot_every", 8)))
+        snapshot_every=config_count(cfg, "snapshot_every", 8))
     art.write("profile.csv",
               lambda f: stratified.write_profile(profile, f))
     art.write("state_final.csv",

@@ -25,6 +25,7 @@ byte for byte.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -179,6 +180,18 @@ def _bilayer_difference_norm(a, b, s):
     return bilayer.combined_norm(diff, s)
 
 
+class ConfigError(ValueError):
+    """An invalid experiment configuration."""
+
+
+def config_count(cfg, key, default):
+    """cfg[key], or `default`, as an int; 2.7 or "3" is a ConfigError."""
+    value = cfg.get(key, default)
+    if not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def params_from_config(cfg):
     """Two-layer constants of a config; a top-level kappa wins over params."""
     p = cfg.get("params", {})
@@ -217,7 +230,7 @@ def sweep_kappa(config):
     cfl = float(cfg.get("cfl", CFL_DEFAULT))
     expected = float(cfg.get("expected_slope", 1.0))
     tolerance = float(cfg.get("slope_tolerance", 0.1))
-    grid = SpatialGrid(int(cfg.get("n_x", 256)),
+    grid = SpatialGrid(config_count(cfg, "n_x", 256),
                        float(cfg.get("length", 2.0 * np.pi)))
     base = params_from_config(cfg)
     initial = initial_from_config(cfg, grid)
@@ -311,10 +324,10 @@ def sweep_epsilon(config):
     kappa = float(cfg.get("kappa", 0.1))
     shape = cfg.get("shape", "tanh")
     band_factor = float(cfg.get("band_factor", 3.0))
-    grid = SpatialGrid(int(cfg.get("n_x", 256)),
+    grid = SpatialGrid(config_count(cfg, "n_x", 256),
                        float(cfg.get("length", 2.0 * np.pi)))
     params = params_from_config(cfg)
-    levels = LevelGrid.with_interface(int(cfg.get("n_r", 64)),
+    levels = LevelGrid.with_interface(config_count(cfg, "n_r", 64),
                                       -params.Hbar_s,
                                       cluster=float(cfg.get("cluster", 6.0)))
     bi_params = replace(params, kappa=kappa)
@@ -620,7 +633,7 @@ def check_all(config=None):
     cfg = dict(config or {})
     seed = int(cfg.get("seed", 0))
     kappa = float(cfg.get("kappa", 0.1))
-    n_points = int(cfg.get("n_points", 1000))
+    n_points = config_count(cfg, "n_points", 1000)
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     rng = np.random.default_rng(seed)

@@ -32,9 +32,9 @@ integrating-factor RK4: the diffusion, linear and diagonal in Fourier
 space, is integrated exactly by the propagator exp(-kappa xi^2 dt/2),
 so only the waves and the advection bound the step. Each run builds one
 `ColumnWork`, and every stage, product and transform of its steps is
-written into those buffers. One rfft of h feeds E h, E^2 h and stage
-k1, whose d_x h also gives the step limit's diffusive drift, so a
-kappa > 0 step makes 42 real transforms and a kappa = 0 step 32.
+written into those buffers. At kappa > 0 the h side of the step stays
+in rfft half-spectra, where E is a plain multiply, so a step makes 29
+real transforms; a kappa = 0 step, classical RK4 on physical fields, 32.
 `march` is the one fixed-step time loop, which turns blow-ups and
 mid-run CFL breaches into flagged, truncated trajectories. The CFL
 estimate takes the gravity-wave speeds from the symmetric form a R a,
@@ -214,31 +214,30 @@ def self_pressure(profile):
 class ColumnWork:
     """Scratch arrays of one march, reused by every `rk4` step.
 
-    Eleven real (n_r, n_x) arrays (the kernel's totals and derivatives,
-    the stage inputs, the stage derivatives, the running sums
-    k1 + 2 k2 + 2 k3 and E h) and two complex (n_r, n_x//2 + 1)
-    half-spectra. Every transform and ufunc of a step writes into them
-    through `out=`, in the operation order of the plain formulas, so the
-    bits are those of the allocating code and a step allocates only the
-    two arrays it returns. Build one per run; never share one between
-    runs that may interleave.
+    Eight real (n_r, n_x) arrays (the kernel's totals and derivatives,
+    the physical stage inputs, u's stage derivative and running sum
+    k1 + 2 k2 + 2 k3) and four complex (n_r, n_x//2 + 1) half-spectra
+    (rfft(h), the kernel's scratch, and h's stage derivative and running
+    sum, which hold real fields in the same storage at kappa = 0). Every
+    transform and ufunc of a step writes into them through `out=`, so a
+    step allocates only the two arrays it returns. Build one per run;
+    never share one between runs that may interleave.
     """
 
     def __init__(self, grid, n_r):
         real, half = (n_r, grid.n_x), (n_r, grid.n_x // 2 + 1)
         self.grid = grid
         (self.h_tot, self.u_tot, self.dxh, self.dxu, self.h_in, self.u_in,
-         self.kh, self.ku, self.sum_h, self.sum_u, self.Eh) = (
-            np.empty(real) for _ in range(11))
-        self.h_hat = np.empty(half, dtype=complex)
-        self.hat = np.empty(half, dtype=complex)
+         self.ku, self.sum_u) = (np.empty(real) for _ in range(8))
+        self.h_hat, self.hat, self.kh, self.sum_h = (
+            np.empty(half, dtype=complex) for _ in range(4))
         self.flux_factor = -(grid.ixi * grid.dealias_mask)
 
     def derive(self, h):
         """rfft(h) into h_hat and d_x h into dxh.
 
         In `rk4`'s first stage these two transforms also feed the step
-        limit's diffusive drift, E h and E^2 h.
+        limit's diffusive drift and, at kappa > 0, the spectral h side.
         """
         np.fft.rfft(h, out=self.h_hat)
         np.fft.irfft(np.multiply(self.grid.ixi, self.h_hat, out=self.hat),
@@ -269,23 +268,23 @@ def column_rhs(h, u, t, grid, profile, kappa, pressure):
     """
     w = ColumnWork(grid, h.shape[0])
     w.derive(h)
-    return _column_rhs_into(w, h, u, t, (grid, profile, kappa, pressure),
-                            np.empty_like(h), np.empty_like(u))
+    dh_hat, du = _column_rhs_into(w, h, u, t, (grid, profile, kappa, pressure),
+                                  w.h_hat, np.empty_like(u))
+    return np.fft.irfft(dh_hat, grid.n_x), du
 
 
-def _column_rhs_into(w, h, u, t, column, dh, du):
-    """column_rhs written into (dh, du), with `w.derive(h)` already run."""
+def _column_rhs_into(w, h, u, t, column, dh_hat, du):
+    """column_rhs into (dh_hat, du), dh as its spectrum; d_x h in w.dxh."""
     grid, profile, kappa, pressure = column
     rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
     h_tot, u_tot, dxh, dxu, hat = w.h_tot, w.u_tot, w.dxh, w.dxu, w.hat
     np.add(1.0, h, out=h_tot)
-    check_thickness(np.multiply(profile.levels.w[:, None], h_tot, out=dh), t)
+    check_thickness(np.multiply(profile.levels.w[:, None], h_tot, out=du), t)
     np.add(profile.ubar[:, None], u, out=u_tot)
     irfft(np.multiply(grid.ixi, rfft(u, out=hat), out=hat), n, out=dxu)
 
-    flux = np.multiply(h_tot, u_tot, out=dh)
-    irfft(np.multiply(w.flux_factor, rfft(flux, out=hat), out=hat), n,
-          out=dh)
+    flux = np.multiply(h_tot, u_tot, out=du)
+    np.multiply(w.flux_factor, rfft(flux, out=dh_hat), out=dh_hat)
     adv = u_tot
     if kappa > 0.0:
         # u_tot - kappa dxh / h_tot, with du as scratch
@@ -295,7 +294,7 @@ def _column_rhs_into(w, h, u, t, column, dh, du):
     irfft(np.multiply(grid.dealias_mask, rfft(prod, out=hat), out=hat), n,
           out=dxu)
     np.subtract(pressure(dxh, t, du), dxu, out=du)
-    return dh, du
+    return dh_hat, du
 
 
 def column_derivative(h, u, t, grid, profile, kappa, pressure):
@@ -313,70 +312,85 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
     stages k1..k4 give the u update of classical RK4. The h update
     carries the exact heat propagator E = exp(kappa dt/2 d_x^2), the
     multiplier exp(-kappa xi^2 dt/2) over the rfft half-spectrum, over
-    each half step:
+    each half step. At kappa > 0 the h side stays in half-spectra, with
+    y = E rfft(h) and K the spectra of the stage derivatives:
 
-        h2 = E(h + dt/2 k1),  h3 = E h + dt/2 k2,  h4 = E^2 h + dt E k3,
-        h1 = E^2 h + dt/6 (E^2 k1 + 2 E (k2 + k3) + k4),
+        y2 = y + dt/2 E K1,  y3 = y + dt/2 K2,  y4 = E(y + dt K3),
+        rfft(h1) = E y + dt/6 (E(E K1 + 2 K2 + 2 K3) + K4),
 
-    so the diffusion sets no step limit. At kappa = 0, E is the identity
-    and the step is classical RK4, bit for bit. One rfft of h feeds
-    E h, E^2 h and k1. `limit(drift)`, if given, maps the diffusive
-    drift of h (taken from k1's d_x h) to the stability limit that dt
-    must meet; it is checked before any stage is evaluated. `work` is
-    the run's ColumnWork (a throwaway one when omitted); the two returned
-    arrays are fresh. A kappa > 0 step makes 42 real transforms, a
-    kappa = 0 step 32.
+    so E is a plain multiply and the diffusion sets no step limit; the
+    kernel hands back dh's spectrum, a stage input costs two irffts (h
+    and d_x h) and h1 one. At kappa = 0, E is the identity, the stage
+    inputs are physical and the step is classical RK4, bit for bit.
+    `limit(drift)`, if given, maps the diffusive drift of h (taken from
+    k1's d_x h) to the stability limit that dt must meet; it is checked
+    before any stage is evaluated. `work` is the run's ColumnWork (a
+    throwaway one when omitted); the two returned arrays are fresh. A
+    kappa > 0 step makes 29 real transforms, a kappa = 0 step 32.
     """
     grid, _, kappa, _ = column
     w = ColumnWork(grid, h.shape[0]) if work is None else work
-    rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
+    irfft, n = np.fft.irfft, grid.n_x
     w.derive(h)
     if limit is not None:
         check_step(dt, limit(w.drift(h, kappa)), t)
-    h1 = np.empty_like(h)
+    us, ku, su = w.u_in, w.ku, w.sum_u
     if kappa > 0.0:
         half = np.exp(-0.5 * kappa * dt * grid.ixi.imag ** 2)
+        y, hs, kh, sh = w.h_hat, w.hat, w.kh, w.sum_h
+
+        def load(f):
+            """h_in and dxh from the half-spectrum f, used up."""
+            irfft(f, n, out=w.h_in)
+            irfft(np.multiply(grid.ixi, f, out=f), n, out=w.dxh)
 
         def E(f):
             """f <- E f in place."""
-            irfft(np.multiply(half, rfft(f, out=w.hat), out=w.hat), n, out=f)
-            return f
+            return np.multiply(half, f, out=f)
 
-        Eh = irfft(np.multiply(half, w.h_hat, out=w.hat), n, out=w.Eh)
-        E2h = irfft(np.multiply(half * half, w.h_hat, out=w.hat), n, out=h1)
+        def N(hp, up, ts, dh, du):
+            """k of (hp, up) into (dh, du), dh as its half-spectrum."""
+            _column_rhs_into(w, hp, up, ts, column, dh, du)
     else:
+        # the h side stays physical, in the storage of the two spectra
+        y, hs, load = h, w.h_in, w.derive
+        kh, sh = (f.view(float)[:, :n] for f in (w.kh, w.sum_h))
+
         def E(f):
             return f
 
-        Eh = E2h = h
-    hs, us, kh, ku, sh, su = w.h_in, w.u_in, w.kh, w.ku, w.sum_h, w.sum_u
+        def N(hp, up, ts, dh, du):
+            irfft(_column_rhs_into(w, hp, up, ts, column, w.h_hat, du)[0], n,
+                  out=dh)
 
     def stage(ts):
         """k of the stage input (hs, us) into (kh, ku)."""
-        w.derive(hs)
-        _column_rhs_into(w, hs, us, ts, column, kh, ku)
+        load(hs)
+        N(w.h_in, us, ts, kh, ku)
 
     def add_2k():
         """The running sums gain 2 k (k is doubled in place)."""
         np.add(sh, np.multiply(2.0, kh, out=kh), out=sh)
         np.add(su, np.multiply(2.0, ku, out=ku), out=su)
 
-    # k1 goes straight into the running sums, which then hold E k1 for h
-    _column_rhs_into(w, h, u, t, column, sh, su)
-    E(np.add(h, np.multiply(0.5 * dt, sh, out=hs), out=hs))
-    np.add(u, np.multiply(0.5 * dt, su, out=us), out=us)
+    # k1 goes straight into the running sums; then y = E h and sh = E k1
+    N(h, u, t, sh, su)
+    E(y)
     E(sh)
+    np.add(y, np.multiply(0.5 * dt, sh, out=hs), out=hs)
+    np.add(u, np.multiply(0.5 * dt, su, out=us), out=us)
     stage(t + 0.5 * dt)
-    np.add(Eh, np.multiply(0.5 * dt, kh, out=hs), out=hs)
+    np.add(y, np.multiply(0.5 * dt, kh, out=hs), out=hs)
     np.add(u, np.multiply(0.5 * dt, ku, out=us), out=us)
     add_2k()
     stage(t + 0.5 * dt)
-    E(np.add(Eh, np.multiply(dt, kh, out=hs), out=hs))
+    E(np.add(y, np.multiply(dt, kh, out=hs), out=hs))
     np.add(u, np.multiply(dt, ku, out=us), out=us)
     add_2k()
     stage(t + dt)
     np.add(E(sh), kh, out=sh)
-    np.add(E2h, np.multiply(dt / 6.0, sh, out=sh), out=h1)
+    np.add(E(y), np.multiply(dt / 6.0, sh, out=sh), out=sh)
+    h1 = irfft(sh, n) if kappa > 0.0 else sh.copy()
     u1 = np.add(u, np.multiply(dt / 6.0, np.add(su, ku, out=su), out=su))
     if not (np.all(np.isfinite(h1)) and np.all(np.isfinite(u1))):
         raise BlowUpError("non-finite fields after step", t + dt)

@@ -224,26 +224,36 @@ def two_layer_run(fields, dt, n_steps, rho_ratio, Hbar_s, Hbar_b, Ubar_s,
 # ----------------------------------------------------------------------
 # the column step with every intermediate allocated
 # ----------------------------------------------------------------------
-# The one exception to the rule above: these two routines are the plain
+# The one exception to the rule above: these routines are the plain
 # allocating form of the package's column kernel and IF-RK4 step, kept
 # operation for operation so the in-place production step can be checked
 # against them bit for bit. They take only data from the package (the
 # rfft multipliers of the grid and the pressure matrix (1/rho) W).
 
-def allocating_column_rhs(h, u, grid, profile, P, kappa):
-    """Column tendencies less diffusion, -(P d_x h) as the pressure."""
+def allocating_column_spectra(h_hat, h, u, grid, profile, P, kappa):
+    """dh's rfft half-spectrum and du for h given with its spectrum h_hat.
+
+    Column tendencies less diffusion, -(P d_x h) as the pressure.
+    """
     rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
     ixi, keep = grid.ixi, grid.dealias_mask
     h_tot = 1.0 + h
     u_tot = profile.ubar[:, None] + u
-    dxh = irfft(ixi * rfft(h), n)
+    dxh = irfft(ixi * h_hat, n)
     dxu = irfft(ixi * rfft(u), n)
-    dh = irfft(-(ixi * keep) * rfft(h_tot * u_tot), n)
+    dh_hat = -(ixi * keep) * rfft(h_tot * u_tot)
     adv = u_tot
     if kappa > 0.0:
         adv = u_tot - kappa * dxh / h_tot
     du = -(P @ dxh) - irfft(keep * rfft(adv * dxu), n)
-    return dh, du
+    return dh_hat, du
+
+
+def allocating_column_rhs(h, u, grid, profile, P, kappa):
+    """Column tendencies less diffusion, -(P d_x h) as the pressure."""
+    dh_hat, du = allocating_column_spectra(np.fft.rfft(h), h, u, grid,
+                                           profile, P, kappa)
+    return np.fft.irfft(dh_hat, grid.n_x), du
 
 
 def allocating_if_rk4(h, u, dt, grid, profile, P, kappa):
@@ -277,6 +287,37 @@ def allocating_if_rk4(h, u, dt, grid, profile, P, kappa):
     h1 = E(h, 2) + (dt / 6.0) * (E(E(k1h) + 2.0 * k2h + 2.0 * k3h) + k4h)
     u1 = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     return h1, u1
+
+
+def allocating_spectral_if_rk4(h, u, dt, grid, profile, P, kappa):
+    """The same IF-RK4 step (kappa > 0) with h carried as rfft spectra.
+
+    With y = E rfft(h) and K the dh spectra of the stages, each stage
+    input h_s taken as irfft(y_s) and its d_x h from y_s directly:
+
+        y2 = y + dt/2 E K1,  y3 = y + dt/2 K2,  y4 = E(y + dt K3),
+        h1 = irfft(E y + dt/6 (E(E K1 + 2 K2 + 2 K3) + K4));
+
+    u takes the classical RK4 stages.
+    """
+    half = np.exp(-0.5 * kappa * dt * grid.ixi.imag ** 2)
+
+    def N(y_s, u_s):
+        return allocating_column_spectra(y_s, np.fft.irfft(y_s, grid.n_x),
+                                         u_s, grid, profile, P, kappa)
+
+    h_hat = np.fft.rfft(h)
+    k1h, k1u = allocating_column_spectra(h_hat, h, u, grid, profile, P,
+                                         kappa)
+    y = half * h_hat
+    Ek1h = half * k1h
+    k2h, k2u = N(y + 0.5 * dt * Ek1h, u + 0.5 * dt * k1u)
+    k3h, k3u = N(y + 0.5 * dt * k2h, u + 0.5 * dt * k2u)
+    k4h, k4u = N(half * (y + dt * k3h), u + dt * k3u)
+    h1_hat = half * y + (dt / 6.0) * (half * (Ek1h + 2.0 * k2h + 2.0 * k3h)
+                                      + k4h)
+    u1 = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    return np.fft.irfft(h1_hat, grid.n_x), u1
 
 
 # ----------------------------------------------------------------------

@@ -128,12 +128,31 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command, payload", [
         ("check-all", {"n_points": -1}), ("check-all", {"n_points": 0}),
-        ("classify", {"samples": -3})])
+        ("classify", {"samples": -3}), ("classify", {"points": []})])
     def test_sample_counts_must_be_positive(self, tmp_path, command,
                                             payload):
         cfg = write_config(tmp_path, "c.json", payload)
         out = tmp_path / "o"
         code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, payload", [
+        ("simulate-bilayer", {"snapshot_every": 2.7, "n_x": 32, "T": 0.05}),
+        ("classify", {"samples": 0.5})])
+    def test_counts_must_be_whole_numbers(self, tmp_path, command, payload):
+        # a fractional count is rejected, not truncated to a run
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    def test_atlas_needs_three_samples(self, tmp_path, n_samples):
+        cfg = write_config(tmp_path, "c.json", {"n_samples": n_samples})
+        out = tmp_path / "o"
+        code = cli.main(["atlas", "--config", cfg, "--out", str(out)])
         assert code == cli.CONFIG_ERROR
         assert not out.exists() or not any(out.iterdir())
 

@@ -73,6 +73,16 @@ SMALL_KAPPA_CFG = {
 }
 
 
+def test_config_count_reads_whole_numbers_only():
+    cfg = {"a": 7, "b": 2.0, "c": 2.7, "d": "3", "e": None}
+    assert harness.config_count(cfg, "a", 1) == 7
+    assert harness.config_count(cfg, "b", 1) == 2
+    assert harness.config_count(cfg, "missing", 5) == 5
+    for key in "cde":
+        with pytest.raises(harness.ConfigError):
+            harness.config_count(cfg, key, 1)
+
+
 class TestSweepKappa:
     def test_first_order_in_kappa(self):
         res = harness.sweep_kappa(SMALL_KAPPA_CFG)

@@ -377,38 +377,62 @@ class TestStepIntegrate:
             assert np.array_equal(got[i], want)
 
     def test_steps_match_allocating_reference(self):
-        # consecutive kappa > 0 steps through one workspace equal the
-        # allocating IF-RK4 formula bit for bit, on a column and on the
-        # two-level column; each step returns fresh arrays, so a result
-        # kept from step n is left alone by step n + 1
+        # consecutive steps through one workspace equal the allocating
+        # formula bit for bit (the spectral IF-RK4 at kappa > 0, the
+        # physical one, i.e. classical RK4, at kappa = 0), on a column and
+        # on the two-level column; each step returns fresh arrays, so a
+        # result kept from step n is left alone by step n + 1
         rng = np.random.default_rng(43)
         grid = SpatialGrid(32)
         two_level = bilayer.BilayerParams(0.5, 1.0, 0.4, 0.6, Ubar_s=0.1,
                                           Ubar_b=-0.1).column
-        kappa, dt = 0.1, 0.01
-        for prof in (random_profile(rng, LevelGrid.uniform(8), shear=0.2),
-                     two_level):
-            n_r = prof.levels.n_r
-            column = (grid, prof, kappa, self_pressure(prof))
-            work = stratified.ColumnWork(grid, n_r)
-            h = 0.05 * rng.standard_normal((n_r, 32))
-            u = 0.05 * rng.standard_normal((n_r, 32))
-            want = (h, u)
-            kept = []
-            for i in range(4):
-                h, u = rk4(h, u, 0.3 + i * dt, dt, *column, work=work)
-                want = oracles.allocating_if_rk4(
-                    *want, dt, grid, prof, pressure_matrix(prof), kappa)
-                assert np.array_equal(h, want[0])
-                assert np.array_equal(u, want[1])
-                kept.append((h, u, want))
-            for h, u, want in kept:
-                assert np.array_equal(h, want[0])
-                assert np.array_equal(u, want[1])
+        dt = 0.01
+        for kappa, reference in ((0.1, oracles.allocating_spectral_if_rk4),
+                                 (0.0, oracles.allocating_if_rk4)):
+            for prof in (random_profile(rng, LevelGrid.uniform(8), shear=0.2),
+                         two_level):
+                n_r = prof.levels.n_r
+                column = (grid, prof, kappa, self_pressure(prof))
+                work = stratified.ColumnWork(grid, n_r)
+                h = 0.05 * rng.standard_normal((n_r, 32))
+                u = 0.05 * rng.standard_normal((n_r, 32))
+                want = (h, u)
+                kept = []
+                for i in range(4):
+                    h, u = rk4(h, u, 0.3 + i * dt, dt, *column, work=work)
+                    want = reference(
+                        *want, dt, grid, prof, pressure_matrix(prof), kappa)
+                    assert np.array_equal(h, want[0])
+                    assert np.array_equal(u, want[1])
+                    kept.append((h, u, want))
+                for h, u, want in kept:
+                    assert np.array_equal(h, want[0])
+                    assert np.array_equal(u, want[1])
+
+    def test_spectral_steps_track_physical_reference(self):
+        # the spectral h side only reorders rounding: 20 kappa > 0 steps
+        # of a 64 x 256 pycnocline column stay within 1e-13 (relative) of
+        # the physical-space allocating IF-RK4 march
+        levels = interface_levels(64)
+        grid = SpatialGrid(256)
+        prof, _ = smooth_pycnocline(PycnoclineSpec(PARAMS, 0.05), levels)
+        _, start = embed_bilayer(bilayer.make_initial(grid), PARAMS, levels)
+        kappa = 0.1
+        dt = cfl_limit(start, prof, kappa)
+        column = (grid, prof, kappa, self_pressure(prof))
+        work = stratified.ColumnWork(grid, levels.n_r)
+        got = want = (start.h.values, start.u.values)
+        for i in range(20):
+            got = rk4(*got, i * dt, dt, *column, work=work)
+            want = oracles.allocating_if_rk4(
+                *want, dt, grid, prof, pressure_matrix(prof), kappa)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     def test_step_transform_counts(self, monkeypatch):
-        # one rfft of h feeds E h, E^2 h, k1 and the step limit's drift:
-        # 4 x 8 kernel transforms plus 10 for the propagator at kappa > 0
+        # one rfft of h feeds k1, the step limit's drift and the spectral
+        # h side; at kappa > 0 the kernel keeps dh's spectrum, a stage
+        # input costs two irffts and h1 one: 2 + 5 + 3 x 7 + 1
         _, profile, state = embedded_pair(n_x=32, n_r=12)
         calls = []
         for name in ("rfft", "irfft"):
@@ -419,7 +443,7 @@ class TestStepIntegrate:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        for kappa, want in ((0.05, 42), (0.0, 32)):
+        for kappa, want in ((0.05, 29), (0.0, 32)):
             dt = cfl_limit(state, profile, kappa)
             calls.clear()
             step(state, profile, kappa, dt)
