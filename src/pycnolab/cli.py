@@ -33,7 +33,7 @@ from . import refined
 from . import stratified
 from .core import CFL_DEFAULT, BlowUpError, LevelGrid, SpatialGrid, csv_cell
 from .harness import ConfigError, config_count
-from .hyperbolicity import StatePoint, atlas, classify, \
+from .hyperbolicity import StatePoint, atlas, classify_many, \
     count_line_intersections
 
 PASS = 0
@@ -168,11 +168,11 @@ def cmd_atlas(cfg, art, plots):
             art.write(f"atlas_rr{rr:g}.svg", harness.svg_polylines(
                 [(n, ps, pb) for n, ps, pb in curves.branches + curves.lines],
                 f"slowness curves, rho ratio {rr:g}"), comment=False)
-        for c in intercepts:
+        reports = classify_many([
+            StatePoint(rho_s=rr, rho_b=1.0, H_s=h_ratio, H_b=1.0, U_s=0.0,
+                       U_b=c) for c in intercepts])
+        for c, report in zip(intercepts, reports):
             crossings = count_line_intersections(curves, c)
-            point = StatePoint(rho_s=rr, rho_b=1.0, H_s=h_ratio, H_b=1.0,
-                               U_s=0.0, U_b=c)
-            report = classify(point)
             match = crossings == report.real_count
             all_match = all_match and match
             rows.append((rr, c, crossings, report.real_count, match))
@@ -189,7 +189,6 @@ def cmd_atlas(cfg, art, plots):
 
 
 def cmd_classify(cfg, art, plots):
-    rng = np.random.default_rng(art.seed)
     points = []
     if "points" in cfg:
         for row in cfg["points"]:
@@ -202,14 +201,14 @@ def cmd_classify(cfg, art, plots):
         samples = config_count(cfg, "samples", 200)
         if samples < 1:
             raise ConfigError(f"samples must be >= 1, got {samples}")
-        for _ in range(samples):
-            points.append(harness.random_state_point(rng, rng.uniform(0.0, 2.4)))
+        points = harness.random_state_points(
+            np.random.default_rng(art.seed), samples, 2.4)
+    reports = classify_many(points)
 
     def table_csv(f):
         f.write("rho_s,rho_b,H_s,H_b,U_s,U_b,regime,real_count,"
                 "fr_minus,fr_plus,margin,degenerate\n")
-        for p in points:
-            rep = classify(p)
+        for p, rep in zip(points, reports):
             cells = [csv_cell(v) for v in
                      (p.rho_s, p.rho_b, p.H_s, p.H_b, p.U_s, p.U_b)]
             cells += [rep.regime, str(rep.real_count), csv_cell(rep.fr_minus),
@@ -446,7 +445,7 @@ def main(argv=None):
         cfg = _load_config(args.config, args.command)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = config_count(cfg, "seed", 0) if args.seed is None else args.seed
         art = Artifacts(args.out, seed)
         return COMMANDS[args.command](cfg, art, args.plots)
     except BlowUpError as err:

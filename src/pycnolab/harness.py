@@ -36,8 +36,8 @@ from . import stratified
 from .core import CFL_DEFAULT, Field2D, LevelGrid, SpatialGrid, csv_cell
 from .hyperbolicity import (
     StatePoint,
-    classify,
-    critical_froude,
+    classify_many,
+    critical_froude_pairs,
     in_hyperbolic_set,
     state_matrix,
     symmetrizer,
@@ -407,56 +407,74 @@ def sweep_epsilon(config):
 # invariant suites
 # ----------------------------------------------------------------------
 
-def random_state_point(rng, frac):
-    """Random state with shear placed at frac times the lower threshold."""
-    rho_b = rng.uniform(0.5, 2.0)
-    rho_s = rho_b * rng.uniform(0.05, 0.95)
-    H_s = rng.uniform(0.1, 2.0)
-    H_b = rng.uniform(0.1, 2.0)
-    U_s = rng.uniform(-1.0, 1.0)
-    fr_minus, fr_plus = critical_froude(H_s / H_b, rho_s / rho_b)
-    if frac <= 1.0:
-        shear = frac * fr_minus
-    else:
-        shear = fr_minus + (frac - 1.0) * (fr_plus - fr_minus)
-    sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    U_b = U_s + sign * shear * math.sqrt(H_b)
-    return StatePoint(rho_s=rho_s, rho_b=rho_b, H_s=H_s, H_b=H_b,
-                      U_s=U_s, U_b=U_b,
-                      solved_thresholds=(fr_minus, fr_plus))
+# the suites draw, solve and check their random state points this many at a
+# time, which bounds the lockstep threshold arrays
+_BLOCK = 64
+
+
+def random_state_points(rng, n, frac_high):
+    """n random states, each with its shear at a fraction of the thresholds.
+
+    The fraction frac ~ U(0, frac_high) places the shear at frac Fr_- when
+    frac <= 1, else at Fr_- + (frac - 1)(Fr_+ - Fr_-). One (n, 7) uniform
+    draw takes each point's seven numbers in the order a point-by-point
+    loop of scalar draws would, so the points and the generator's next
+    draw are the same as there. The thresholds are solved `_BLOCK` rows
+    at a time and handed to each point.
+    """
+    # shear fraction, rho_b, rho_s/rho_b, H_s, H_b, U_s, the shear's sign
+    frac, rho_b, ratio, H_s, H_b, U_s, flip = rng.uniform(
+        (0.0, 0.5, 0.05, 0.1, 0.1, -1.0, 0.0),
+        (frac_high, 2.0, 0.95, 2.0, 2.0, 1.0, 1.0), size=(n, 7)).T
+    rho_s = rho_b * ratio
+    h, rr = H_s / H_b, rho_s / rho_b
+    fr_minus, fr_plus = np.empty((2, n))
+    for i in range(0, n, _BLOCK):
+        fr_minus[i:i + _BLOCK], fr_plus[i:i + _BLOCK] = critical_froude_pairs(
+            h[i:i + _BLOCK], rr[i:i + _BLOCK])
+    shear = np.where(frac <= 1.0, frac * fr_minus,
+                     fr_minus + (frac - 1.0) * (fr_plus - fr_minus))
+    sign = np.where(flip < 0.5, 1.0, -1.0)
+    U_b = U_s + sign * shear * np.sqrt(H_b)
+    rows = np.stack([rho_s, rho_b, H_s, H_b, U_s, U_b, fr_minus, fr_plus],
+                    axis=1).tolist()
+    return [StatePoint(*row[:6], solved_thresholds=row[6:]) for row in rows]
 
 
 def _suite_classification(rng, n_points):
     checked = 0
-    for _ in range(n_points):
-        frac = rng.uniform(0.0, 2.4)
-        point = random_state_point(rng, frac)
-        report = classify(point)
-        if report.degenerate:
-            continue
-        eigs = np.linalg.eigvals(state_matrix(point))
-        scale = 1.0 + float(np.max(np.abs(eigs)))
-        direct = int(np.sum(np.abs(eigs.imag) <= 1e-9 * scale))
-        if direct != report.real_count:
-            return False, (
-                f"root-count mismatch at {point}: classifier "
-                f"{report.real_count}, direct eigenvalues {direct}")
-        checked += 1
+    for start in range(0, n_points, _BLOCK):
+        points = random_state_points(rng, min(_BLOCK, n_points - start), 2.4)
+        pairs = [(p, r) for p, r in zip(points, classify_many(points))
+                 if not r.degenerate]
+        eigs = np.linalg.eigvals(np.reshape(
+            [state_matrix(p) for p, _ in pairs], (-1, 4, 4)))
+        scale = 1.0 + np.max(np.abs(eigs), axis=1)
+        direct = np.sum(np.abs(eigs.imag) <= 1e-9 * scale[:, None], axis=1)
+        for (point, report), n_direct in zip(pairs, direct.tolist()):
+            if n_direct != report.real_count:
+                return False, (
+                    f"root-count mismatch at {point}: classifier "
+                    f"{report.real_count}, direct eigenvalues {n_direct}")
+        checked += len(pairs)
     return True, f"{checked} non-degenerate points agree with eigenvalues"
 
 
 def _suite_symmetrizer(rng, n_points):
     done = 0
     while done < n_points:
-        point = random_state_point(rng, rng.uniform(0.0, 0.8))
-        if not in_hyperbolic_set(point, 0.1):
-            continue
-        cert = symmetrizer(point)
-        eigs = np.linalg.eigvalsh(cert.S)
-        if not (cert.certified and np.all(cert.minors > 0.0)
-                and np.all(eigs > 0.0) and cert.asymmetry <= 1e-12):
-            return False, f"certification failed at {point}"
-        done += 1
+        # never more points than remain: a point-by-point loop would stop
+        # drawing there, and the Lipschitz suite reads the generator next
+        points = [p for p in random_state_points(
+            rng, min(_BLOCK, n_points - done), 0.8)
+            if in_hyperbolic_set(p, 0.1)]
+        for point, report in zip(points, classify_many(points)):
+            cert = symmetrizer(point, report)
+            eigs = np.linalg.eigvalsh(cert.S)
+            if not (cert.certified and np.all(cert.minors > 0.0)
+                    and np.all(eigs > 0.0) and cert.asymmetry <= 1e-12):
+                return False, f"certification failed at {point}"
+            done += 1
     return True, f"{done} points certified by minors and eigenvalues"
 
 
@@ -631,7 +649,7 @@ def _suite_richardson():
 def check_all(config=None):
     """Run every cross-module invariant suite and report pass/fail rows."""
     cfg = dict(config or {})
-    seed = int(cfg.get("seed", 0))
+    seed = config_count(cfg, "seed", 0)
     kappa = float(cfg.get("kappa", 0.1))
     n_points = config_count(cfg, "n_points", 1000)
     if n_points < 1:

@@ -167,6 +167,29 @@ def quartic_discriminant(c3, c2, c1, c0):
             - 4.0 * b2 * b * d2 * d - 4.0 * b2 * c2 * c * e + b2 * c2 * d2)
 
 
+def _companion_roots(c3, c2, c1, c0, polish):
+    """Companion-matrix eigenvalues of stacked monic quartics, (..., 4).
+
+    With `polish`, one Newton step moves each root against its own
+    quartic, Horner's rule evaluated as np.polyval evaluates it.
+    """
+    c3, c2, c1, c0 = np.broadcast_arrays(*map(np.asarray, (c3, c2, c1, c0)))
+    comp = np.zeros(c3.shape + (4, 4))
+    comp[..., 0, :] = -np.stack([c3, c2, c1, c0], axis=-1)
+    comp[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = np.linalg.eigvals(comp)
+    if polish:
+        val = np.zeros_like(roots)
+        for a in (1.0, c3, c2, c1, c0):
+            val = val * roots + np.asarray(a)[..., None]
+        der = np.zeros_like(roots)
+        for a in (4.0, 3.0 * c3, 2.0 * c2, c1):
+            der = der * roots + np.asarray(a)[..., None]
+        ok = np.abs(der) > 1e-30
+        roots = np.where(ok, roots - val / np.where(ok, der, 1.0), roots)
+    return roots
+
+
 def quartic_roots(coefficients, polish=True):
     """Roots of a monic quartic via companion-matrix eigenvalues.
 
@@ -175,47 +198,18 @@ def quartic_roots(coefficients, polish=True):
     digits.
     """
     _, b, c, d, e = (float(v) for v in coefficients)
-    comp = np.array([
-        [-b, -c, -d, -e],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ])
-    roots = np.linalg.eigvals(comp)
-    if polish:
-        p = np.array([1.0, b, c, d, e])
-        dp = np.array([4.0, 3.0 * b, 2.0 * c, d])
-        val = np.polyval(p, roots)
-        der = np.polyval(dp, roots)
-        ok = np.abs(der) > 1e-30
-        roots = np.where(ok, roots - val / np.where(ok, der, 1.0), roots)
-    return roots
+    return _companion_roots(b, c, d, e, polish)
 
 
 def quartic_roots_batch(c3, c2, c1, c0):
     """Eigenvalue roots for stacked quartics; returns (..., 4) complex."""
-    c3, c2, c1, c0 = np.broadcast_arrays(
-        *map(np.asarray, (c3, c2, c1, c0)))
-    shape = c3.shape
-    comp = np.zeros(shape + (4, 4))
-    comp[..., 0, 0] = -c3
-    comp[..., 0, 1] = -c2
-    comp[..., 0, 2] = -c1
-    comp[..., 0, 3] = -c0
-    comp[..., 1, 0] = 1.0
-    comp[..., 2, 1] = 1.0
-    comp[..., 3, 2] = 1.0
-    return np.linalg.eigvals(comp)
+    return _companion_roots(c3, c2, c1, c0, polish=False)
 
 
 def max_characteristic_speed(rho_ratio, H_s, H_b, U_s, U_b):
     """max |root| over broadcast state arrays; used for CFL bounds."""
     roots = quartic_roots_batch(*coefficient_arrays(rho_ratio, H_s, H_b, U_s, U_b))
     return float(np.max(np.abs(roots)))
-
-
-def _real_count(roots, tol):
-    return int(np.sum(np.abs(roots.imag) <= tol))
 
 
 # ----------------------------------------------------------------------
@@ -293,41 +287,36 @@ def critical_froude(h_ratio, rho_ratio, tol=1e-10, scan_points=256):
     return fr_minus, fr_plus
 
 
-def froude_table(rho_ratio, h_min, h_max, n_nodes=129, tol=1e-10):
-    """Sampled Fr_-(h) and Fr_+(h) over [h_min, h_max] for interpolation.
+def critical_froude_pairs(h_ratios, rho_ratios, tol=1e-10):
+    """`critical_froude` for many (h_ratio, rho_ratio) rows at once.
 
-    Solvers evaluating hyperbolicity margins along a trajectory use
-    np.interp on this table instead of running a bisection at every grid
-    point; the thresholds vary smoothly in the depth ratio so the table
-    error is far below diagnostic needs for >= 129 nodes.
-
-    All nodes run `critical_froude`'s scan and bisections in lockstep, as
-    arrays, each bracket stopping where the scalar loop would; every node
-    equals `critical_froude(h, rho_ratio, tol)` bit for bit. A node whose
-    first scan misses the elliptic window goes through `critical_froude`
-    itself (finer scans, or its RuntimeError).
+    Returns (fr_minus, fr_plus) arrays. All rows run `critical_froude`'s
+    scan and bisections in lockstep, as arrays, each row with its own
+    density ratio and each bracket stopping where the scalar loop would;
+    every row equals `critical_froude(h, rr, tol)` bit for bit. A row
+    whose first scan misses the elliptic window goes through
+    `critical_froude` itself (finer scans, or its RuntimeError).
     """
-    rho_ratio = float(rho_ratio)
-    if not 0.0 < rho_ratio < 1.0:
-        raise ValueError(f"rho_ratio must lie in (0, 1), got {rho_ratio}")
-    hs = np.geomspace(h_min, h_max, int(n_nodes))
+    hs, rrs = np.broadcast_arrays(np.asarray(h_ratios, dtype=float),
+                                  np.asarray(rho_ratios, dtype=float))
+    hs, rrs = hs.ravel(), rrs.ravel()
     if not np.all(hs > 0.0):
         raise ValueError(f"h_ratio must be positive, got {hs.min()}")
-
-    def disc(c, h):
-        return _disc_of_intercept(c, h, rho_ratio)
+    ok = (rrs > 0.0) & (rrs < 1.0)
+    if not ok.all():
+        raise ValueError(f"rho_ratio must lie in (0, 1), got {rrs[~ok][0]}")
 
     c_hi = 2.0 * (2.0 + np.sqrt(hs))
-    low = disc(c_hi, hs) <= 0.0
+    low = _disc_of_intercept(c_hi, hs, rrs) <= 0.0
     while low.any():
         c_hi[low] *= 2.0
         if c_hi[low].max() > 1e6:
             raise RuntimeError("no supercritical regime found below c = 1e6")
-        low[low] = disc(c_hi[low], hs[low]) <= 0.0
+        low[low] = _disc_of_intercept(c_hi[low], hs[low], rrs[low]) <= 0.0
 
-    # one 256-point scan per node, the rows as np.linspace(0, c_hi, 256)
+    # one 256-point scan per row, the rows as np.linspace(0, c_hi, 256)
     cs = np.linspace(0.0, c_hi, 256, axis=1)
-    neg = disc(cs, hs[:, None]) < 0.0
+    neg = _disc_of_intercept(cs, hs[:, None], rrs[:, None]) < 0.0
     found = neg.any(axis=1)
     rows = np.nonzero(found)[0]
     first = np.argmax(neg[rows], axis=1)
@@ -338,13 +327,14 @@ def froude_table(rho_ratio, h_min, h_max, n_nodes=129, tol=1e-10):
     hi = np.concatenate([cs[rows, first], cs[rows, last + 1]])
     want = np.repeat([True, False], rows.size)
     h = np.concatenate([hs[rows], hs[rows]])
+    rr = np.concatenate([rrs[rows], rrs[rows]])
     active = hi - lo > tol
     for _ in range(200):
         idx = np.nonzero(active)[0]
         if not idx.size:
             break
         mid = 0.5 * (lo[idx] + hi[idx])
-        to_hi = (disc(mid, h[idx]) < 0.0) == want[idx]
+        to_hi = (_disc_of_intercept(mid, h[idx], rr[idx]) < 0.0) == want[idx]
         hi[idx[to_hi]] = mid[to_hi]
         lo[idx[~to_hi]] = mid[~to_hi]
         active[idx] = hi[idx] - lo[idx] > tol
@@ -354,64 +344,93 @@ def froude_table(rho_ratio, h_min, h_max, n_nodes=129, tol=1e-10):
     fr_plus = np.empty(hs.size)
     fr_minus[rows], fr_plus[rows] = mids[:rows.size], mids[rows.size:]
     for i in np.nonzero(~found)[0]:
-        fr_minus[i], fr_plus[i] = critical_froude(hs[i], rho_ratio, tol=tol)
-    return hs, fr_minus, fr_plus
+        fr_minus[i], fr_plus[i] = critical_froude(hs[i], rrs[i], tol=tol)
+    return fr_minus, fr_plus
+
+
+def froude_table(rho_ratio, h_min, h_max, n_nodes=129, tol=1e-10):
+    """Sampled Fr_-(h) and Fr_+(h) over [h_min, h_max] for interpolation.
+
+    Solvers evaluating hyperbolicity margins along a trajectory use
+    np.interp on this table instead of running a bisection at every grid
+    point; the thresholds vary smoothly in the depth ratio so the table
+    error is far below diagnostic needs for >= 129 nodes. The nodes are
+    geometrically spaced and solved by one `critical_froude_pairs` call,
+    so each equals `critical_froude(h, rho_ratio, tol)` bit for bit.
+    """
+    hs = np.geomspace(h_min, h_max, int(n_nodes))
+    return (hs,) + critical_froude_pairs(hs, rho_ratio, tol=tol)
 
 
 # ----------------------------------------------------------------------
 # classification
 # ----------------------------------------------------------------------
 
-def classify(point):
-    """Regime report at a state point.
+# the six root pairs (i < j) whose separation flags near-collisions
+_ROOT_PAIRS = np.triu_indices(4, k=1)
 
-    Requires stable stratification. The real-root count uses the
-    scale-aware tolerance 1e-9*(1 + max|root|); points whose shear sits
-    within that tolerance of a threshold, or whose roots nearly collide,
-    are flagged degenerate rather than trusted.
+
+def classify_many(points):
+    """Regime reports for a sequence of state points, one per point.
+
+    Requires stable stratification. The quartic coefficients of all
+    points come from one `coefficient_arrays` call and their roots from
+    one batched companion eigenvalue solve and Newton polish. The
+    real-root count uses the scale-aware tolerance 1e-9*(1 + max|root|);
+    points whose shear sits within that tolerance of a threshold, or
+    whose roots nearly collide, are flagged degenerate rather than
+    trusted.
     """
-    point.require_stable()
-    coeffs = characteristic_polynomial(point)
-    roots = quartic_roots(coeffs)
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    tol = _REAL_TOL * scale
-    nreal = _real_count(roots, tol)
+    for point in points:
+        point.require_stable()
+    coeffs = np.stack([np.ones(len(points)), *coefficient_arrays(*(
+        np.array([getattr(p, name) for p in points], dtype=float)
+        for name in ("rho_ratio", "H_s", "H_b", "U_s", "U_b")))], axis=1)
+    roots = _companion_roots(*coeffs[:, 1:].T, polish=True)
+    tols = _REAL_TOL * (1.0 + np.max(np.abs(roots), axis=1))
+    nreals = np.sum(np.abs(roots.imag) <= tols[:, None], axis=1)
+    seps = np.abs(roots[:, _ROOT_PAIRS[0]] - roots[:, _ROOT_PAIRS[1]])
+    collided = np.min(seps, axis=1) <= 10.0 * tols
 
-    fr_minus, fr_plus = point.thresholds
-    shear = point.shear
-    margin = fr_minus - shear
-
-    degenerate = (min(abs(shear - fr_minus), abs(shear - fr_plus))
-                  <= _REAL_TOL * (1.0 + shear))
-    # near-collision of roots also deserves the flag
-    seps = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(4, k=1)]
-    if float(np.min(seps)) <= 10.0 * tol:
-        degenerate = True
-
-    if nreal >= 4:
-        regime = "Hyperbolic" if shear < fr_plus else "FastHyperbolic"
-        if not (shear <= fr_minus or shear >= fr_plus):
-            # root count and threshold test disagree: only possible in the
-            # tolerance band around a tangency
-            degenerate = True
-            regime = "Hyperbolic" if margin >= 0.0 else "FastHyperbolic"
-    elif nreal == 2:
-        regime = "Elliptic"
-    else:
-        # odd counts arise when a conjugate pair sits exactly on the
-        # tolerance edge; classify by the threshold test instead
-        degenerate = True
-        if margin >= 0.0:
-            regime = "Hyperbolic"
-        elif shear >= fr_plus:
-            regime = "FastHyperbolic"
-        else:
+    reports = []
+    for point, coeff, root, nreal, tol, degenerate in zip(
+            points, coeffs, roots, nreals.tolist(), tols.tolist(),
+            collided.tolist()):
+        fr_minus, fr_plus = point.thresholds
+        shear = point.shear
+        margin = fr_minus - shear
+        degenerate = degenerate or (min(abs(shear - fr_minus),
+                                        abs(shear - fr_plus))
+                                    <= _REAL_TOL * (1.0 + shear))
+        if nreal >= 4:
+            regime = "Hyperbolic" if shear < fr_plus else "FastHyperbolic"
+            if not (shear <= fr_minus or shear >= fr_plus):
+                # root count and threshold test disagree: only possible in
+                # the tolerance band around a tangency
+                degenerate = True
+                regime = "Hyperbolic" if margin >= 0.0 else "FastHyperbolic"
+        elif nreal == 2:
             regime = "Elliptic"
+        else:
+            # odd counts arise when a conjugate pair sits exactly on the
+            # tolerance edge; classify by the threshold test instead
+            degenerate = True
+            if margin >= 0.0:
+                regime = "Hyperbolic"
+            elif shear >= fr_plus:
+                regime = "FastHyperbolic"
+            else:
+                regime = "Elliptic"
+        reports.append(HyperbolicityReport(
+            coefficients=coeff, roots=root, real_count=nreal, regime=regime,
+            fr_minus=fr_minus, fr_plus=fr_plus, shear=shear, margin=margin,
+            degenerate=degenerate, tolerance=tol))
+    return reports
 
-    return HyperbolicityReport(
-        coefficients=coeffs, roots=roots, real_count=nreal, regime=regime,
-        fr_minus=fr_minus, fr_plus=fr_plus, shear=shear, margin=margin,
-        degenerate=degenerate, tolerance=tol)
+
+def classify(point):
+    """Regime report at one state point: `classify_many([point])[0]`."""
+    return classify_many([point])[0]
 
 
 def in_hyperbolic_set(point, sigma):

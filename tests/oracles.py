@@ -70,6 +70,29 @@ def ferrari_roots(b, c, d, e):
     return np.array([y + shift for y in ys])
 
 
+def companion_roots(coefficients, polish=True):
+    """Roots of one monic quartic [1, b, c, d, e], one matrix at a time.
+
+    Eigenvalues of the hand-built 4x4 companion matrix; with `polish`,
+    one Newton step whose polynomial and derivative values come from
+    np.polyval.
+    """
+    _, b, c, d, e = (float(v) for v in coefficients)
+    comp = np.array([
+        [-b, -c, -d, -e],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ])
+    roots = np.linalg.eigvals(comp)
+    if not polish:
+        return roots
+    val = np.polyval([1.0, b, c, d, e], roots)
+    der = np.polyval([4.0, 3.0 * b, 2.0 * c, d], roots)
+    ok = np.abs(der) > 1e-30
+    return np.where(ok, roots - val / np.where(ok, der, 1.0), roots)
+
+
 # ----------------------------------------------------------------------
 # bilayer characteristic matrix, assembled entry by entry
 # ----------------------------------------------------------------------

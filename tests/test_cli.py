@@ -139,7 +139,9 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command, payload", [
         ("simulate-bilayer", {"snapshot_every": 2.7, "n_x": 32, "T": 0.05}),
-        ("classify", {"samples": 0.5})])
+        ("classify", {"samples": 0.5}),
+        ("classify", {"seed": 2.7, "samples": 3}),
+        ("check-all", {"seed": 2.7, "n_points": 3})])
     def test_counts_must_be_whole_numbers(self, tmp_path, command, payload):
         # a fractional count is rejected, not truncated to a run
         cfg = write_config(tmp_path, "c.json", payload)

@@ -1,6 +1,7 @@
 """Tests for the sweep/fit/suite orchestration layer."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -143,7 +144,71 @@ class TestSweepEpsilon:
         assert "band" in res.detail
 
 
+def scalar_state_point(rng, frac_high):
+    """One random state the point-by-point way: seven scalar draws."""
+    frac = rng.uniform(0.0, frac_high)
+    rho_b = rng.uniform(0.5, 2.0)
+    rho_s = rho_b * rng.uniform(0.05, 0.95)
+    H_s = rng.uniform(0.1, 2.0)
+    H_b = rng.uniform(0.1, 2.0)
+    U_s = rng.uniform(-1.0, 1.0)
+    fr_minus, fr_plus = hyperbolicity.critical_froude(H_s / H_b,
+                                                      rho_s / rho_b)
+    if frac <= 1.0:
+        shear = frac * fr_minus
+    else:
+        shear = fr_minus + (frac - 1.0) * (fr_plus - fr_minus)
+    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+    U_b = U_s + sign * shear * math.sqrt(H_b)
+    return hyperbolicity.StatePoint(rho_s, rho_b, H_s, H_b, U_s, U_b,
+                                    solved_thresholds=(fr_minus, fr_plus))
+
+
 class TestStatePoints:
+    def test_block_draw_matches_scalar_draws(self):
+        for n, frac_high in ((1, 0.8), (70, 2.4), (130, 2.4)):
+            rng = np.random.default_rng(8)
+            ref = np.random.default_rng(8)
+            points = harness.random_state_points(rng, n, frac_high)
+            assert len(points) == n
+            for i, point in enumerate(points):
+                want = scalar_state_point(ref, frac_high)
+                # repr also pins plain floats, as failure messages print them
+                assert repr(point) == repr(want), f"point {i} of {n}"
+                assert point.thresholds == want.thresholds, i
+            assert rng.uniform() == ref.uniform(), "generator left elsewhere"
+
+    def test_symmetrizer_suite_stops_drawing_where_scalar_loop_does(self):
+        # the Lipschitz suite reads the same generator next
+        for n in (3, 70):
+            rng = np.random.default_rng(9)
+            ok, detail = harness._suite_symmetrizer(rng, n)
+            assert ok and detail.startswith(f"{n} points certified"), detail
+            ref = np.random.default_rng(9)
+            done = 0
+            while done < n:
+                point = scalar_state_point(ref, 0.8)
+                done += hyperbolicity.in_hyperbolic_set(point, 0.1)
+            assert rng.uniform() == ref.uniform(), f"n_points = {n}"
+
+    def test_classification_suite_names_first_mismatch(self, monkeypatch):
+        def miscounted(points):
+            reports = hyperbolicity.classify_many(points)
+            for report in reports:
+                report.real_count = 3
+            return reports
+
+        monkeypatch.setattr(harness, "classify_many", miscounted)
+        ok, detail = harness._suite_classification(
+            np.random.default_rng(2), 10)
+        ref = np.random.default_rng(2)
+        point = scalar_state_point(ref, 2.4)
+        while hyperbolicity.classify(point).degenerate:
+            point = scalar_state_point(ref, 2.4)
+        assert not ok
+        assert detail.startswith(f"root-count mismatch at {point}: "
+                                 f"classifier 3, direct eigenvalues ")
+
     def test_thresholds_are_solved_once(self, monkeypatch):
         calls = []
         solve = hyperbolicity.critical_froude
@@ -154,8 +219,7 @@ class TestStatePoints:
 
         monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
         rng = np.random.default_rng(4)
-        for frac in (0.3, 0.7):
-            point = harness.random_state_point(rng, frac)
+        for point in harness.random_state_points(rng, 2, 0.8):
             hyperbolicity.classify(point)
             hyperbolicity.in_hyperbolic_set(point, 0.05)
             hyperbolicity.symmetrizer(point)
@@ -188,6 +252,11 @@ class TestCheckAll:
         by_name = {row["name"]: row for row in report["suites"]}
         assert by_name["bd-residual"]["status"] == "skip"
         assert report["passed"]
+
+    def test_fractional_seed_is_rejected(self):
+        # a seed of 2.7 is a config error, not a run stamped seed=2
+        with pytest.raises(harness.ConfigError):
+            harness.check_all({"seed": 2.7, "n_points": 3})
 
     def test_corrupted_pressure_fails_embedding_suite(self, monkeypatch):
         orig = pycnolab.stratified.pressure_matrix

@@ -11,9 +11,11 @@ from pycnolab.hyperbolicity import (
     atlas,
     characteristic_polynomial,
     classify,
+    classify_many,
     coefficient_arrays,
     count_line_intersections,
     critical_froude,
+    critical_froude_pairs,
     froude_table,
     in_hyperbolic_set,
     leading_minors,
@@ -102,19 +104,28 @@ class TestCharacteristicPolynomial:
         assert checked >= 50, f"only {checked} generic quartics sampled"
 
     def test_batch_roots_agree_with_scalar(self):
+        # the batched solves equal a companion eigenvalue solve and a
+        # np.polyval Newton step taken one point at a time, bit for bit;
+        # the block mixes points with four real roots (handed back by
+        # np.linalg.eigvals as reals) and points with a complex pair
         rng = np.random.default_rng(15)
-        pts = [random_state(rng) for _ in range(12)]
-        c3, c2, c1, c0 = coefficient_arrays(
-            np.array([p.rho_ratio for p in pts]),
-            np.array([p.H_s for p in pts]),
-            np.array([p.H_b for p in pts]),
-            np.array([p.U_s for p in pts]),
-            np.array([p.U_b for p in pts]))
-        batch = quartic_roots_batch(c3, c2, c1, c0)
-        for i, p in enumerate(pts):
-            one = quartic_roots(characteristic_polynomial(p), polish=False)
-            assert np.allclose(np.sort_complex(batch[i]), np.sort_complex(one),
-                               atol=1e-10), f"batch roots differ at point {i}"
+        pts = [random_state(rng) for _ in range(40)]
+        batch = quartic_roots_batch(*coefficient_arrays(*(
+            np.array([getattr(p, name) for p in pts])
+            for name in ("rho_ratio", "H_s", "H_b", "U_s", "U_b"))))
+        reports = classify_many(pts)
+        kinds = set()
+        for i, (p, rep) in enumerate(zip(pts, reports)):
+            coeffs = characteristic_polynomial(p)
+            want = oracles.companion_roots(coeffs)
+            assert np.array_equal(rep.coefficients, coeffs), i
+            assert np.array_equal(rep.roots, want), f"polished roots at {i}"
+            assert np.array_equal(quartic_roots(coeffs), want), i
+            assert np.array_equal(
+                batch[i], oracles.companion_roots(coeffs, polish=False)), i
+            kinds.add(np.iscomplexobj(want))
+        assert kinds == {False, True}
+        assert classify_many([]) == []
 
     def test_max_speed_bounds_roots(self):
         rng = np.random.default_rng(16)
@@ -246,6 +257,32 @@ class TestCriticalFroude:
         assert np.array_equal(fp, want[:, 1])
         with pytest.raises(RuntimeError):
             froude_table(1e-9, 1e-4, 1e4, n_nodes=5)
+
+    def test_pairs_equal_scalar_thresholds(self, monkeypatch):
+        # every row keeps its own density ratio; at rr = 1e-6 the first
+        # scan misses the elliptic window and the row takes the scalar
+        # refinement
+        rng = np.random.default_rng(32)
+        hs = rng.uniform(0.05, 20.0, 48)
+        rrs = rng.uniform(0.02, 0.98, 48)
+        rrs[::8] = 1e-6
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return critical_froude(*args, **kwargs)
+
+        monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
+        fm, fp = critical_froude_pairs(hs, rrs)
+        assert calls and {rr for _, rr in calls} == {1e-6}
+        for i, (h, rr) in enumerate(zip(hs, rrs)):
+            assert (fm[i], fp[i]) == critical_froude(h, rr), f"row {i}"
+
+    def test_pairs_reject_bad_ratios(self):
+        with pytest.raises(ValueError):
+            critical_froude_pairs([1.0, -1.0], 0.5)
+        with pytest.raises(ValueError):
+            critical_froude_pairs(1.0, [0.5, 1.5])
 
     def test_table_rejects_bad_ratios(self):
         with pytest.raises(ValueError):
