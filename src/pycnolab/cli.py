@@ -34,7 +34,7 @@ from . import stratified
 from .core import CFL_DEFAULT, BlowUpError, LevelGrid, SpatialGrid, csv_cell
 from .harness import ConfigError, config_count
 from .hyperbolicity import StatePoint, atlas, classify_many, \
-    count_line_intersections
+    count_line_intersections, critical_froude_pairs
 
 PASS = 0
 FAIL = 1
@@ -168,9 +168,13 @@ def cmd_atlas(cfg, art, plots):
             art.write(f"atlas_rr{rr:g}.svg", harness.svg_polylines(
                 [(n, ps, pb) for n, ps, pb in curves.branches + curves.lines],
                 f"slowness curves, rho ratio {rr:g}"), comment=False)
+        # the intercepts share one (h_ratio, rr) pair: solve it once
+        thresholds = [float(fr[0]) for fr in
+                      critical_froude_pairs(h_ratio, rr)]
         reports = classify_many([
             StatePoint(rho_s=rr, rho_b=1.0, H_s=h_ratio, H_b=1.0, U_s=0.0,
-                       U_b=c) for c in intercepts])
+                       U_b=c, solved_thresholds=thresholds)
+            for c in intercepts])
         for c, report in zip(intercepts, reports):
             crossings = count_line_intersections(curves, c)
             match = crossings == report.real_count

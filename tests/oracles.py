@@ -395,6 +395,32 @@ def dense_wave_speed_squared(rho, weights, depth):
     return float(np.max(np.abs(np.linalg.eigvals(K))))
 
 
+def montgomery_lipschitz_ratio(rho1, rho2, weights, h):
+    """One (rho1, rho2, h) triple's Montgomery Lipschitz ratio, alone.
+
+    The kernels (1/rho) W are built entry by entry; the gap goes through
+    one matmul; M takes Python floats, and M^3 is a Python float power.
+    The batched check must equal this bit for bit, row by row.
+    """
+    n = len(rho1)
+
+    def kernel(rho):
+        return np.array([[weights[j] * rho[max(i, j)] / rho[i]
+                          for j in range(n)] for i in range(n)])
+
+    left = np.abs((kernel(rho1) - kernel(rho2)) @ h)
+    M = max(float(np.sum(weights * rho1)), float(np.max(1.0 / rho1)),
+            float(np.sum(weights * rho2)), float(np.max(1.0 / rho2)))
+    drho = np.abs(rho1 - rho2)
+    l1 = float(np.sum(weights * drho))
+    hsup = np.max(np.abs(h), axis=0)
+    right = (M ** 3 * drho[:, None] + M * l1) * hsup[None, :]
+    ratio = np.where(right > 0.0, left / np.where(right > 0.0, right, 1.0), 0.0)
+    if np.any((right == 0.0) & (left > 0.0)):
+        return float("inf")
+    return float(np.max(ratio)) if ratio.size else 0.0
+
+
 # ----------------------------------------------------------------------
 # closed-form pycnocline distances (exact integrals over (-1, 0))
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pycnolab import bilayer, cli, stratified
+from pycnolab import bilayer, cli, hyperbolicity, stratified
 from pycnolab.core import LevelGrid, SpatialGrid
 
 
@@ -259,6 +259,28 @@ class TestRunCommands:
         rows = (out / "atlas_counts.csv").read_text().splitlines()[1:-1]
         assert len(rows) == 9
         assert all(row.endswith(",true") for row in rows)
+
+    def test_atlas_solves_each_density_ratio_once(self, tmp_path,
+                                                  monkeypatch):
+        solve, solve_pairs = (hyperbolicity.critical_froude,
+                              cli.critical_froude_pairs)
+        calls, pairs = [], []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        def counted_pairs(*args, **kwargs):
+            pairs.append(args)
+            return solve_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
+        monkeypatch.setattr(cli, "critical_froude_pairs", counted_pairs)
+        code = cli.main(["atlas", "--out", str(tmp_path / "o")])
+        assert code == cli.PASS
+        # three density ratios, three intercepts each: three solves
+        assert calls == []
+        assert pairs == [(0.5, 0.1), (0.5, 0.5), (0.5, 0.9)]
 
     def test_classify_with_explicit_points(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"points": [

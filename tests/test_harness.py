@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import pycnolab.stratified
 from pycnolab import harness, hyperbolicity
+from pycnolab.core import LevelGrid
 
 
 class TestFitSlope:
@@ -233,6 +235,50 @@ class TestStatePoints:
         hyperbolicity.in_hyperbolic_set(fresh, 0.05)
         hyperbolicity.symmetrizer(fresh)
         assert len(calls) == 1
+
+
+def lipschitz_triples(rng, n):
+    """The Lipschitz suite's draws, one (rho1, rho2, h) triple at a time."""
+    for _ in range(n):
+        n_r = int(rng.integers(4, 48))
+        rho1 = rng.uniform(0.2, 4.0, n_r)
+        rho2 = np.abs(rho1 + rng.uniform(-0.5, 0.5, n_r)) + 0.05
+        yield rho1, rho2, rng.standard_normal((n_r, 16))
+
+
+class TestLipschitzSuite:
+    def test_blocks_match_triple_loop(self, monkeypatch):
+        batched = pycnolab.stratified.montgomery_lipschitz_ratios
+        rows = []
+
+        def recorded(levels, rho1, rho2, h):
+            assert levels == LevelGrid.uniform(rho1.shape[1])
+            ratios = batched(levels, rho1, rho2, h)
+            rows.extend(zip(rho1, rho2, h, ratios.tolist()))
+            return ratios
+
+        monkeypatch.setattr(pycnolab.stratified,
+                            "montgomery_lipschitz_ratios", recorded)
+        for seed in (0, 1, 7):
+            rows.clear()
+            rng = np.random.default_rng(seed)
+            ok, detail = harness._suite_lipschitz(rng, 60)
+            ref = np.random.default_rng(seed)
+            want = [(rho1, rho2, h, oracles.montgomery_lipschitz_ratio(
+                rho1, rho2, LevelGrid.uniform(rho1.size).w, h))
+                for rho1, rho2, h in lipschitz_triples(ref, 60)]
+            # each block holds one level count's triples in draw order
+            sizes = [w[0].size for w in want]
+            assert min(sizes.count(n) for n in sizes) == 1
+            got = sorted(rows, key=lambda row: row[0].size)
+            assert len(got) == len(want)
+            for g, w in zip(got, sorted(want, key=lambda row: row[0].size)):
+                for a, b in zip(g[:3], w[:3]):
+                    assert np.array_equal(a, b)
+                assert g[3] == w[3], f"seed {seed}: {g[3]!r} != {w[3]!r}"
+            worst = max(w[3] for w in want)
+            assert ok and detail == f"worst ratio {worst:.12f} over 60 triples"
+            assert rng.uniform() == ref.uniform(), f"seed {seed}"
 
 
 class TestCheckAll:

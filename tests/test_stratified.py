@@ -20,6 +20,7 @@ from pycnolab.stratified import (
     montgomery,
     montgomery_kernel,
     montgomery_lipschitz_check,
+    montgomery_lipschitz_ratios,
     pressure_matrix,
     profile_l1_distance,
     rhs,
@@ -83,11 +84,23 @@ class TestProfile:
             StratifiedProfile(levels, bad, np.zeros(8))
 
     def test_lipschitz_bound_constant(self):
+        # M = max(L1 of each density, sup of each 1/density): at scale 1
+        # the sup of 1/rho1 = 4 wins, at scale 8 the L1 of rho2
         levels = LevelGrid.uniform(4)
-        rho = np.array([2.0, 1.0, 0.5, 0.25])
-        prof = StratifiedProfile(levels, rho, np.zeros(4))
-        want = max(float(np.sum(levels.w * rho)), 4.0)
-        assert prof.M_bound == want
+        for scale in (1.0, 8.0):
+            rho1 = scale * np.array([2.0, 1.0, 0.5, 0.25])
+            rho2 = rho1.copy()
+            rho2[0] += 0.5
+            want = max(float(np.sum(levels.w * rho1)), 4.0 / scale,
+                       float(np.sum(levels.w * rho2)))
+            # only the bottom row of (1/rho) W moves, by w (rho1[1] +
+            # rho1[2] + rho1[3]) (1/rho1[0] - 1/rho2[0]); with h = 1 the
+            # bottom level carries the worst ratio
+            gap = 0.25 * np.sum(rho1[1:]) * (1.0 / rho1[0] - 1.0 / rho2[0])
+            bound = want ** 3 * 0.5 + want * 0.25 * 0.5
+            ratio = montgomery_lipschitz_ratios(levels, [rho1], [rho2],
+                                                np.ones((1, 4, 3)))
+            assert ratio[0] == pytest.approx(gap / bound, rel=1e-12), scale
 
 
 class TestMontgomery:
@@ -409,6 +422,20 @@ class TestStepIntegrate:
                     assert np.array_equal(h, want[0])
                     assert np.array_equal(u, want[1])
 
+    def test_work_buffers_start_on_64_byte_boundaries(self):
+        grid = SpatialGrid(32)
+        for n_r in (2, 7):
+            work = stratified.ColumnWork(grid, n_r)
+            buffers = [v for v in vars(work).values()
+                       if isinstance(v, np.ndarray) and v.ndim == 2]
+            assert len(buffers) == 12
+            for buf in buffers:
+                assert buf.ctypes.data % 64 == 0
+                assert buf.flags.c_contiguous and buf.flags.writeable
+                want = ((n_r, 32), float) if buf.dtype == float else (
+                    (n_r, 17), complex)
+                assert (buf.shape, buf.dtype) == want
+
     def test_spectral_steps_track_physical_reference(self):
         # the spectral h side only reorders rounding: 20 kappa > 0 steps
         # of a 64 x 256 pycnocline column stay within 1e-13 (relative) of
@@ -666,6 +693,49 @@ class TestLipschitz:
         with pytest.raises(ValueError):
             montgomery_lipschitz_check(p1, p2,
                                        random_field(rng, grid, p1.levels))
+        # same n_r, other level grid: rejected as `montgomery` rejects it
+        p3 = random_profile(rng, LevelGrid.uniform(8))
+        other = LevelGrid.with_interface(8, -0.3, cluster=2.0)
+        with pytest.raises(ValueError):
+            montgomery_lipschitz_check(p1, p3, random_field(rng, grid, other))
+
+    def test_block_rows_equal_single_calls(self):
+        rng = np.random.default_rng(44)
+        levels = LevelGrid.uniform(12)
+        grid = SpatialGrid(16)
+        profs = [random_profile(rng, levels) for _ in range(4)]
+        triples = [(profs[0], profs[1], random_field(rng, grid, levels)),
+                   (profs[2], profs[2], random_field(rng, grid, levels)),
+                   (profs[3], profs[0], Field2D.zeros(grid, levels)),
+                   (profs[1], profs[3], random_field(rng, grid, levels))]
+        ratios = montgomery_lipschitz_ratios(
+            levels, [p.rho for p, _, _ in triples],
+            [p.rho for _, p, _ in triples], [h.values for _, _, h in triples])
+        assert ratios.shape == (4,)
+        assert ratios[1] == 0.0 and ratios[2] == 0.0
+        assert 0.0 < min(ratios[0], ratios[3]) and max(ratios) <= 1.0
+        for ratio, (p1, p2, h) in zip(ratios.tolist(), triples):
+            assert ratio == montgomery_lipschitz_check(p1, p2, h)
+            assert ratio == oracles.montgomery_lipschitz_ratio(
+                p1.rho, p2.rho, levels.w, h.values)
+
+    def test_batched_check_rejects_bad_input(self):
+        levels = LevelGrid.uniform(6)
+        rho = np.ones((2, 6))
+        h = np.zeros((2, 6, 16))
+        for args in ((rho[:, :5], rho[:, :5], h[:, :5]), (rho, rho[:1], h),
+                     (rho, rho, h[:1]), (rho, rho, h[:, :, 0]),
+                     (rho[0], rho[0], h[0])):
+            with pytest.raises(ValueError, match="need"):
+                montgomery_lipschitz_ratios(levels, *args)
+        # the messages of the StratifiedProfile constructor
+        for value, message in ((0.0, "positive"), (-1.0, "positive"),
+                               (np.nan, "non-finite"), (np.inf, "non-finite")):
+            bad = rho.copy()
+            bad[1, 3] = value
+            for args in ((bad, rho, h), (rho, bad, h)):
+                with pytest.raises(ValueError, match=message):
+                    montgomery_lipschitz_ratios(levels, *args)
 
 
 class TestCsvIO:
