@@ -29,9 +29,9 @@ integrating-factor RK4 and time loop, which integrates the diffusion
 kappa d_x^2 H_l exactly. What stays here is specific to two layers: the
 exact CFL bound dt <= cfl * dx / (lambda_max + kappa max|d_x H_l / h_l|)
 with lambda_max the largest root of the characteristic quartic over the
-grid (the diffusion itself sets no bound), hyperbolicity margins and the
-sigma gate, the total-velocity residual, the symmetrizer energy and the
-CSV writers.
+grid (the diffusion sets no bound; a closed-form bound on lambda_max
+certifies most steps), hyperbolicity margins and the sigma gate, the
+total-velocity residual, the symmetrizer energy and the CSV writers.
 """
 
 import math
@@ -50,6 +50,7 @@ from .core import (
     csv_cell,
 )
 from .hyperbolicity import (
+    characteristic_speed_bound,
     coefficient_arrays,
     froude_table,
     max_characteristic_speed,
@@ -196,13 +197,13 @@ def grid_max_speed(state, params):
 
 
 def cfl_limit(state, params, cfl=CFL_DEFAULT, drift=None):
-    """Largest admissible dt at this state.
+    """Largest admissible dt at this state, by the exact route.
 
-    cfl dx over the largest characteristic speed plus the diffusive
-    drift kappa max|d_x H_l / h_l|; the diffusion itself is stepped
-    exactly and sets no bound. `drift`, when given, is that drift
-    already taken (`step` passes the one `rk4` takes from its first
-    stage).
+    cfl dx over the largest characteristic speed, solved at every grid
+    point, plus the diffusive drift kappa max|d_x H_l / h_l| (the
+    diffusion sets no bound). Initial dts come from here, and so does
+    every `step` check the speed bound cannot certify. `drift`, when
+    given, is that drift already taken (by `rk4`'s first stage).
     """
     if drift is None:
         # d_x H_l / h_l = d_x h / (1 + h) with h = H_l / Hbar_l
@@ -216,11 +217,23 @@ def cfl_limit(state, params, cfl=CFL_DEFAULT, drift=None):
 def step(state, params, dt, cfl=CFL_DEFAULT, work=None):
     """One IF-RK4 step of the two-level column; dt must meet the CFL limit.
 
+    A dt within cfl dx / (bound + drift), with the closed-form
+    `characteristic_speed_bound` for the quartic's roots, is certified
+    without solving the quartic; any other dt (a depth <= 0 included) is
+    checked against the exact `cfl_limit`, which also words a breach.
     `work` is the run's two-level ColumnWork.
     """
     h, u, column = _to_column(state, params)
-    h, u = rk4(h, u, state.t, dt, *column, work=work,
-               limit=lambda drift: cfl_limit(state, params, cfl, drift))
+
+    def limit(drift):
+        bound = characteristic_speed_bound(
+            params.rho_ratio, *_totals(state.stacked(), params))
+        certified = cfl * state.grid.dx / (bound * (1.0 + 1e-12) + drift)
+        if dt <= certified:
+            return certified
+        return cfl_limit(state, params, cfl, drift)
+
+    h, u = rk4(h, u, state.t, dt, *column, work=work, limit=limit)
     return BilayerState.from_arrays(state.t + dt, state.grid,
                                     _from_column(h, u, params))
 

@@ -32,7 +32,7 @@ from . import harness
 from . import refined
 from . import stratified
 from .core import CFL_DEFAULT, BlowUpError, LevelGrid, SpatialGrid, csv_cell
-from .harness import ConfigError, config_count
+from .harness import ConfigError, config_count, config_positive
 from .hyperbolicity import StatePoint, atlas, classify_many, \
     count_line_intersections, critical_froude_pairs
 
@@ -230,8 +230,8 @@ def cmd_simulate_bilayer(cfg, art, plots):
                        float(cfg.get("length", 2.0 * np.pi)))
     params = harness.params_from_config(cfg)
     initial = harness.initial_from_config(cfg, grid)
-    cfl = float(cfg.get("cfl", CFL_DEFAULT))
-    dt = cfg.get("dt")
+    cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
+    dt = config_positive(cfg, "dt", None)
     if dt is None:
         # headroom: the limit tightens when the state steepens
         dt = 0.9 * bilayer.cfl_limit(initial, params, cfl)
@@ -274,8 +274,8 @@ def cmd_simulate_stratified(cfg, art, plots):
                                          cfg.get("shape", "tanh"))
         profile, _ = stratified.smooth_pycnocline(spec, levels)
     kappa = float(cfg.get("kappa", 0.1))
-    cfl = float(cfg.get("cfl", CFL_DEFAULT))
-    dt = cfg.get("dt")
+    cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
+    dt = config_positive(cfg, "dt", None)
     if dt is None:
         dt = 0.9 * stratified.cfl_limit(state, profile, kappa, cfl)
     traj = stratified.integrate(
@@ -321,7 +321,7 @@ def cmd_refine(cfg, art, plots):
                                      cfg.get("shape", "tanh"))
     target, _ = stratified.smooth_pycnocline(spec, levels)
 
-    dt = cfg.get("dt")
+    dt = config_positive(cfg, "dt", None)
     if dt is None:
         dt = stratified.cfl_limit(state, sharp, kappa) / 2.0
     reference = stratified.integrate(state, sharp, kappa, T, dt=dt,

@@ -192,6 +192,15 @@ def config_count(cfg, key, default):
     return int(value)
 
 
+def config_positive(cfg, key, default):
+    """cfg[key], or `default`, as a finite float > 0; None stays None."""
+    value = cfg.get(key, default)
+    if value is not None and (not isinstance(value, numbers.Real)
+                              or not 0.0 < value < math.inf):
+        raise ConfigError(f"{key} must be finite and positive, got {value!r}")
+    return None if value is None else float(value)
+
+
 def params_from_config(cfg):
     """Two-layer constants of a config; a top-level kappa wins over params."""
     p = cfg.get("params", {})
@@ -227,7 +236,7 @@ def sweep_kappa(config):
         raise ValueError("kappa sweep values must be positive")
     T = float(cfg.get("T", 0.5))
     s = float(cfg.get("s", 2.0))
-    cfl = float(cfg.get("cfl", CFL_DEFAULT))
+    cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
     expected = float(cfg.get("expected_slope", 1.0))
     tolerance = float(cfg.get("slope_tolerance", 0.1))
     grid = SpatialGrid(config_count(cfg, "n_x", 256),
@@ -320,7 +329,7 @@ def sweep_epsilon(config):
         raise ValueError("epsilon sweep needs a non-empty epsilons list")
     T = float(cfg.get("T", 0.5))
     s = float(cfg.get("s", 2.0))
-    cfl = float(cfg.get("cfl", CFL_DEFAULT))
+    cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
     kappa = float(cfg.get("kappa", 0.1))
     shape = cfg.get("shape", "tanh")
     band_factor = float(cfg.get("band_factor", 3.0))

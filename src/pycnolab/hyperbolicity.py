@@ -190,17 +190,6 @@ def _companion_roots(c3, c2, c1, c0, polish):
     return roots
 
 
-def quartic_roots(coefficients, polish=True):
-    """Roots of a monic quartic via companion-matrix eigenvalues.
-
-    One Newton step polishes each eigenvalue against the polynomial; the
-    companion route is robust near double roots where closed forms lose
-    digits.
-    """
-    _, b, c, d, e = (float(v) for v in coefficients)
-    return _companion_roots(b, c, d, e, polish)
-
-
 def quartic_roots_batch(c3, c2, c1, c0):
     """Eigenvalue roots for stacked quartics; returns (..., 4) complex."""
     return _companion_roots(c3, c2, c1, c0, polish=False)
@@ -210,6 +199,24 @@ def max_characteristic_speed(rho_ratio, H_s, H_b, U_s, U_b):
     """max |root| over broadcast state arrays; used for CFL bounds."""
     roots = quartic_roots_batch(*coefficient_arrays(rho_ratio, H_s, H_b, U_s, U_b))
     return float(np.max(np.abs(roots)))
+
+
+def characteristic_speed_bound(rho_ratio, H_s, H_b, U_s, U_b):
+    """Closed-form upper bound on max |root| over broadcast state arrays.
+
+    With K = rr H_s H_b, a root l has A B = K for A = (U_b - l)^2 - H_b
+    and B = (U_s - l)^2 - H_s. If |l - U_b|^2 > H_b + sqrt(K) and
+    |l - U_s|^2 > H_s + sqrt(K), then |A| >= |l - U_b|^2 - H_b > sqrt(K)
+    and |B| > sqrt(K), so |A B| > K: no root, real or complex, lies
+    there. Hence |l| <= max(|U_b| + sqrt(H_b + sqrt(K)),
+    |U_s| + sqrt(H_s + sqrt(K))). The argument needs positive depths;
+    at a depth <= 0 the bound is inf, and NaN fields give NaN.
+    """
+    if min(np.min(H_s), np.min(H_b)) <= 0.0:
+        return math.inf
+    root_k = np.sqrt(rho_ratio * H_s * H_b)
+    return float(np.max(np.maximum(np.abs(U_b) + np.sqrt(H_b + root_k),
+                                   np.abs(U_s) + np.sqrt(H_s + root_k))))
 
 
 # ----------------------------------------------------------------------

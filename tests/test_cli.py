@@ -150,6 +150,24 @@ class TestConfigHandling:
         assert code == cli.CONFIG_ERROR
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, key", [
+        ("simulate-bilayer", "cfl"), ("simulate-bilayer", "dt"),
+        ("simulate-stratified", "cfl"), ("simulate-stratified", "dt"),
+        ("refine", "dt"), ("sweep-kappa", "cfl"), ("sweep-epsilon", "cfl")])
+    @pytest.mark.parametrize("value", [0, -1.0, float("inf"), float("nan"),
+                                       "0.1"])
+    def test_step_sizes_must_be_finite_and_positive(
+            self, tmp_path, capsys, command, key, value):
+        # a zero once died dividing by it, and an infinite or negative
+        # value ran one step of length T
+        cfg = write_config(tmp_path, "c.json", {
+            key: value, "n_x": 32, "T": 0.05})
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert f"{key} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("n_samples", [1, 2])
     def test_atlas_needs_three_samples(self, tmp_path, n_samples):
         cfg = write_config(tmp_path, "c.json", {"n_samples": n_samples})

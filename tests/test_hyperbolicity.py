@@ -10,6 +10,7 @@ from pycnolab.hyperbolicity import (
     StatePoint,
     atlas,
     characteristic_polynomial,
+    characteristic_speed_bound,
     classify,
     classify_many,
     coefficient_arrays,
@@ -21,7 +22,6 @@ from pycnolab.hyperbolicity import (
     leading_minors,
     max_characteristic_speed,
     quartic_discriminant,
-    quartic_roots,
     quartic_roots_batch,
     state_matrix,
     symmetrizer,
@@ -79,7 +79,7 @@ class TestCharacteristicPolynomial:
         for _ in range(40):
             p = random_state(rng)
             coeffs = characteristic_polynomial(p)
-            roots = quartic_roots(coeffs)
+            roots = oracles.companion_roots(coeffs)
             res = np.abs(np.polyval(coeffs, roots))
             scale = (1.0 + np.abs(roots)) ** 4
             assert np.max(res / scale) <= 1e-11, f"root residual {np.max(res)}"
@@ -94,7 +94,7 @@ class TestCharacteristicPolynomial:
             scale = np.max(np.abs(coeffs)) + 1.0
             if abs(disc) < 1e-6 * scale ** 6:
                 continue  # closed form loses accuracy near double roots
-            mine = quartic_roots(coeffs)
+            mine = oracles.companion_roots(coeffs)
             ref = oracles.ferrari_roots(*coeffs[1:])
             for r in ref:
                 d = np.min(np.abs(mine - r))
@@ -120,7 +120,6 @@ class TestCharacteristicPolynomial:
             want = oracles.companion_roots(coeffs)
             assert np.array_equal(rep.coefficients, coeffs), i
             assert np.array_equal(rep.roots, want), f"polished roots at {i}"
-            assert np.array_equal(quartic_roots(coeffs), want), i
             assert np.array_equal(
                 batch[i], oracles.companion_roots(coeffs, polish=False)), i
             kinds.add(np.iscomplexobj(want))
@@ -131,9 +130,54 @@ class TestCharacteristicPolynomial:
         rng = np.random.default_rng(16)
         p = random_state(rng)
         coeffs = characteristic_polynomial(p)
-        roots = quartic_roots(coeffs)
+        roots = oracles.companion_roots(coeffs)
         speed = max_characteristic_speed(p.rho_ratio, p.H_s, p.H_b, p.U_s, p.U_b)
         assert abs(speed - np.max(np.abs(roots))) <= 1e-9
+
+    @pytest.mark.parametrize("min_log_depth, reach, about_mean", [
+        (-6.0, 2.0, False), (-2.0, 50.0, False), (-9.0, 50.0, True)])
+    def test_speed_bound_dominates_companion_roots(self, min_log_depth, reach,
+                                                   about_mean):
+        # state by state, the closed-form bound against the largest
+        # companion-root magnitude on 12,000 states: density ratios on
+        # both sides of 1, depths down to 10**min_log_depth, mean
+        # velocities up to +-reach and shears up to 3 sqrt(H_b), so all
+        # three regimes occur. The bound's slack shrinks with
+        # sqrt(depth)/|velocity|; where a tiny depth meets a large
+        # velocity the companion solve about 0 errs by more than that
+        # slack (up to 1.7e-4 relative above the bound, where 50-digit
+        # roots stay below it), so that case solves the quartic about the
+        # mean velocity c instead
+        rng = np.random.default_rng(17)
+        n = 12_000
+        rr = np.where(rng.uniform(size=n) < 0.3, rng.uniform(1.0, 8.0, n),
+                      rng.uniform(0.01, 1.0, n))
+        H_s, H_b = 10.0 ** rng.uniform(min_log_depth, 1.0, (2, n))
+        mean = rng.uniform(-reach, reach, n)
+        half_shear = rng.uniform(-1.5, 1.5, n) * np.sqrt(H_b)
+        U_s, U_b = mean - half_shear, mean + half_shear
+        c = mean if about_mean else np.zeros(n)
+        roots = c[:, None] + quartic_roots_batch(
+            *coefficient_arrays(rr, H_s, H_b, U_s - c, U_b - c))
+        speeds = np.max(np.abs(roots), axis=-1)
+        bounds = np.array([characteristic_speed_bound(*v) for v in
+                           zip(rr, H_s, H_b, U_s, U_b)])
+        assert np.all(bounds >= speeds), np.max(speeds / bounds)
+        assert np.sum(np.abs(roots.imag).max(axis=-1) > 0.0) > 2000
+        assert np.sum(rr >= 1.0) > 3000
+        assert np.sum(np.minimum(H_s, H_b) < 10.0 ** (min_log_depth + 2)) > 2000
+        assert np.sum(mean < -0.8 * reach) > 1000
+        assert np.sum(mean > 0.8 * reach) > 1000
+        # over a grid the bound is the largest pointwise one
+        assert characteristic_speed_bound(rr, H_s, H_b, U_s, U_b) == \
+            bounds.max()
+
+    def test_speed_bound_needs_positive_depths(self):
+        H = np.array([0.5, 0.0, 0.3])
+        assert characteristic_speed_bound(0.5, H, 1.0, 0.0, 0.0) == np.inf
+        assert characteristic_speed_bound(0.5, 1.0, -H, 0.0, 0.0) == np.inf
+        U = np.array([0.0, np.nan, 0.0])
+        assert np.isnan(characteristic_speed_bound(0.5, 1.0, 1.0, 0.0, U))
 
 
 class TestDiscriminant:
@@ -491,5 +535,6 @@ class TestAtlas:
         p = random_state(rng)
         A = state_matrix(p)
         eig = np.sort_complex(np.linalg.eigvals(A))
-        mine = np.sort_complex(quartic_roots(characteristic_polynomial(p)))
+        mine = np.sort_complex(
+            oracles.companion_roots(characteristic_polynomial(p)))
         assert np.allclose(eig, mine, atol=1e-9)

@@ -480,10 +480,6 @@ class TestStepIntegrate:
         # step takes the drift from its first stage; the limit it checks
         # is still cfl_limit's to the bit, from which the sweeps take dt
         _, profile, state = embedded_pair(n_x=32, n_r=12)
-        bistate = bilayer.make_initial(
-            SpatialGrid(32), amplitudes={"H_s": 0.05, "U_b": 0.02})
-        params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
-                                       kappa=0.05)
         seen = []
 
         def spy(dt, limit, t):
@@ -494,9 +490,61 @@ class TestStepIntegrate:
             seen.clear()
             step(state, profile, kappa, 1e-3, cfl=0.3)
             assert seen == [cfl_limit(state, profile, kappa, 0.3)]
-        seen.clear()
+
+    @staticmethod
+    def spy_bilayer_step(monkeypatch):
+        """Record the limits check_step sees and the exact root solves."""
+        seen, solves = [], []
+        exact = bilayer.max_characteristic_speed
+
+        def solve(*args):
+            solves.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(stratified, "check_step",
+                            lambda dt, limit, t: seen.append(limit))
+        monkeypatch.setattr(bilayer, "max_characteristic_speed", solve)
+        return seen, solves
+
+    def test_two_layer_step_certifies_a_dt_with_margin(self, monkeypatch):
+        # the closed-form speed bound certifies the step: no quartic is
+        # solved and the limit checked lies between dt and cfl_limit
+        bistate = bilayer.make_initial(
+            SpatialGrid(32), amplitudes={"H_s": 0.05, "U_b": 0.02})
+        params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
+                                       kappa=0.05)
+        exact = bilayer.cfl_limit(bistate, params, 0.3)
+        seen, solves = self.spy_bilayer_step(monkeypatch)
         bilayer.step(bistate, params, 1e-3, cfl=0.3)
-        assert seen == [bilayer.cfl_limit(bistate, params, 0.3)]
+        assert solves == []
+        assert len(seen) == 1 and 1e-3 <= seen[0] <= exact
+
+    def test_two_layer_step_at_the_limit_checks_it_exactly(self, monkeypatch):
+        bistate = bilayer.make_initial(
+            SpatialGrid(32), amplitudes={"H_s": 0.05, "U_b": 0.02})
+        params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
+                                       kappa=0.05)
+        exact = bilayer.cfl_limit(bistate, params, 0.3)
+        seen, solves = self.spy_bilayer_step(monkeypatch)
+        bilayer.step(bistate, params, exact, cfl=0.3)
+        assert len(solves) == 1
+        assert seen == [exact]
+
+    def test_two_layer_step_at_nonpositive_depth_takes_exact_route(
+            self, monkeypatch):
+        # the bound is inf at a depth <= 0, so even dt = limit/4 is checked
+        # against cfl_limit; the kernel's thickness floor then ends the step
+        bistate = bilayer.make_initial(
+            SpatialGrid(32), amplitudes={"H_b": -0.7, "U_s": 0.1})
+        params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
+                                       kappa=0.05)
+        exact = bilayer.cfl_limit(bistate, params, 0.3)
+        seen, solves = self.spy_bilayer_step(monkeypatch)
+        with pytest.raises(BlowUpError, match=r"cell thickness fell to "
+                           r"-3\.333e-02 \(floor 1e-06\) at t = 0"):
+            bilayer.step(bistate, params, exact / 4.0, cfl=0.3)
+        assert len(solves) == 1
+        assert seen == [exact]
 
     def test_norm_ceiling_halts(self):
         _, profile, state = embedded_pair(n_x=32, n_r=12)
