@@ -69,6 +69,7 @@ from .stratified import (
 )
 
 BLOWUP_NORM_INDEX = SobolevIndex(2.0)
+MARGIN_NODES_PER_DECADE = 192
 
 
 @dataclass(frozen=True)
@@ -150,19 +151,15 @@ class EnergySample:
 
 
 def _totals(stacked, params):
-    hs = params.Hbar_s + stacked[0]
-    hb = params.Hbar_b + stacked[1]
-    us = params.Ubar_s + stacked[2]
-    ub = params.Ubar_b + stacked[3]
-    return hs, hb, us, ub
+    return (params.Hbar_s + stacked[0], params.Hbar_b + stacked[1],
+            params.Ubar_s + stacked[2], params.Ubar_b + stacked[3])
 
 
-def _to_column(state, params):
+def _to_column(stacked, grid, params):
     """Column arrays (h, u), lower level first, and the column_rhs arguments."""
-    stacked = state.stacked()
     h = np.array([stacked[1] / params.Hbar_b, stacked[0] / params.Hbar_s])
     profile = params.column
-    return h, stacked[[3, 2]], (state.grid, profile, params.kappa,
+    return h, stacked[[3, 2]], (grid, profile, params.kappa,
                                 self_pressure(profile))
 
 
@@ -173,7 +170,7 @@ def _from_column(h, u, params):
 
 def rhs(state, params):
     """Time derivatives (dH_s, dH_b, dU_s, dU_b), diffusion included."""
-    h, u, column = _to_column(state, params)
+    h, u, column = _to_column(state.stacked(), state.grid, params)
     dh, du = column_derivative(h, u, state.t, *column)
     return tuple(Field1D(row, state.grid)
                  for row in _from_column(dh, du, params))
@@ -192,50 +189,49 @@ def total_velocity(state, params):
 
 def grid_max_speed(state, params):
     """Largest characteristic root magnitude over the grid."""
-    hs, hb, us, ub = _totals(state.stacked(), params)
-    return max_characteristic_speed(params.rho_ratio, hs, hb, us, ub)
+    return max_characteristic_speed(params.rho_ratio,
+                                    *_totals(state.stacked(), params))
 
 
-def cfl_limit(state, params, cfl=CFL_DEFAULT, drift=None):
+def cfl_limit(state, params, cfl=CFL_DEFAULT):
     """Largest admissible dt at this state, by the exact route.
 
     cfl dx over the largest characteristic speed, solved at every grid
     point, plus the diffusive drift kappa max|d_x H_l / h_l| (the
-    diffusion sets no bound). Initial dts come from here, and so does
-    every `step` check the speed bound cannot certify. `drift`, when
-    given, is that drift already taken (by `rk4`'s first stage).
+    diffusion sets no bound). Initial dts come from here; `step` checks
+    the same limit, with the drift of rk4's first stage, whenever the
+    speed bound cannot certify its dt.
     """
-    if drift is None:
-        # d_x H_l / h_l = d_x h / (1 + h) with h = H_l / Hbar_l
-        h = np.array([state.H_b.values / params.Hbar_b,
-                      state.H_s.values / params.Hbar_s])
-        drift = diffusive_drift(state.grid, h, params.kappa)
-    speed = grid_max_speed(state, params) + drift
+    # d_x H_l / h_l = d_x h / (1 + h) with h = H_l / Hbar_l
+    h = _to_column(state.stacked(), state.grid, params)[0]
+    speed = (grid_max_speed(state, params)
+             + diffusive_drift(state.grid, h, params.kappa))
     return cfl * state.grid.dx / speed
 
 
-def step(state, params, dt, cfl=CFL_DEFAULT, work=None):
-    """One IF-RK4 step of the two-level column; dt must meet the CFL limit.
+def step(t, y, dt, grid, params, cfl=CFL_DEFAULT, work=None):
+    """One IF-RK4 step of the two-level column from y at time t.
 
-    A dt within cfl dx / (bound + drift), with the closed-form
+    y stacks the rows (H_s, H_b, U_s, U_b); fresh ones at t + dt come
+    back. A dt within cfl dx / (bound + drift), with the closed-form
     `characteristic_speed_bound` for the quartic's roots, is certified
     without solving the quartic; any other dt (a depth <= 0 included) is
-    checked against the exact `cfl_limit`, which also words a breach.
+    checked against `cfl_limit`'s exact limit, which also words a breach.
     `work` is the run's two-level ColumnWork.
     """
-    h, u, column = _to_column(state, params)
+    totals = _totals(y, params)
 
     def limit(drift):
-        bound = characteristic_speed_bound(
-            params.rho_ratio, *_totals(state.stacked(), params))
-        certified = cfl * state.grid.dx / (bound * (1.0 + 1e-12) + drift)
+        bound = characteristic_speed_bound(params.rho_ratio, *totals)
+        certified = cfl * grid.dx / (bound * (1.0 + 1e-12) + drift)
         if dt <= certified:
             return certified
-        return cfl_limit(state, params, cfl, drift)
+        speed = max_characteristic_speed(params.rho_ratio, *totals) + drift
+        return cfl * grid.dx / speed
 
-    h, u = rk4(h, u, state.t, dt, *column, work=work, limit=limit)
-    return BilayerState.from_arrays(state.t + dt, state.grid,
-                                    _from_column(h, u, params))
+    h, u, column = _to_column(y, grid, params)
+    h, u = rk4(h, u, t, dt, *column, work=work, limit=limit)
+    return _from_column(h, u, params)
 
 
 # ----------------------------------------------------------------------
@@ -250,16 +246,15 @@ class MarginTable:
     geometric table instead and extend it on demand.
     """
 
-    def __init__(self, rho_ratio, lo, hi, per_decade=192):
+    def __init__(self, rho_ratio, lo, hi):
         self.rho_ratio = rho_ratio
         self.lo = lo
         self.hi = hi
-        self.per_decade = per_decade
         self._build()
 
     def _build(self):
         decades = math.log10(self.hi / self.lo)
-        n = max(17, int(decades * self.per_decade) + 1)
+        n = max(17, int(decades * MARGIN_NODES_PER_DECADE) + 1)
         self.nodes, self.fr_minus, _ = froude_table(
             self.rho_ratio, self.lo, self.hi, n_nodes=n)
 
@@ -307,10 +302,6 @@ def in_margin_set(state, params, sigma, table=None):
 class Trajectory(Run):
     params: BilayerParams
 
-    @property
-    def times(self):
-        return np.array([s.t for s in self.states])
-
 
 def combined_norm(state, s=BLOWUP_NORM_INDEX):
     """H^s size of the four deviation fields together."""
@@ -319,7 +310,7 @@ def combined_norm(state, s=BLOWUP_NORM_INDEX):
 
 
 def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
-              sigma=None, blowup_factor=1e3):
+              sigma=None):
     """March the state to time T with a fixed step.
 
     The step is chosen once from the CFL limit of the initial state (or
@@ -329,7 +320,7 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
     `snapshot_every` steps. If `sigma` is given the initial state must
     lie in the sigma-margin set; dropping below sigma/2 along the run is
     recorded as a warning, not an error. The run halts with a blow-up
-    flag when the H^2 norm passes blowup_factor times its initial value,
+    flag when the H^2 norm passes BLOWUP_FACTOR times its initial value,
     depths hit the positivity floor or the CFL limit tightens below the
     step (see `stratified.march`).
     """
@@ -349,9 +340,12 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
 
     if dt is None:
         dt = cfl_limit(initial, params, cfl)
-    work = ColumnWork(initial.grid, 2)
-    run = march(initial, lambda st, dt: step(st, params, dt, cfl, work), T,
-                dt, combined_norm, record, snapshot_every, blowup_factor)
+    grid = initial.grid
+    work = ColumnWork(grid, 2)
+    run = march(initial, initial.stacked(),
+                lambda t, y, dt: step(t, y, dt, grid, params, cfl, work),
+                lambda t, y: BilayerState.from_arrays(t, grid, y),
+                T, dt, combined_norm, record, snapshot_every)
     if sigma is not None:
         low = run["diagnostics"]["margin"] < 0.5 * sigma
         if low.any():

@@ -18,14 +18,15 @@ exactly on an edge, which the embedding identities need.
 All fields are immutable once constructed; operations return new arrays.
 
 The failure policy shared by every solver also lives here: one positivity
-floor on cell thickness, one default CFL number, one blow-up exception
-and one step-limit exception.
+floor on cell thickness, one blow-up growth factor, one default CFL
+number, one blow-up exception and one step-limit exception.
 """
 
 import numpy as np
 
 DEFAULT_LENGTH = 2.0 * np.pi
 DEPTH_FLOOR = 1e-6
+BLOWUP_FACTOR = 1e3
 CFL_DEFAULT = 0.4
 
 
@@ -59,6 +60,12 @@ def check_step(dt, limit, t):
         raise StepLimitError(
             f"dt = {dt:.3e} exceeds the stability limit {limit:.3e} "
             f"at t = {t:.6g}")
+
+
+def check_kappa(kappa):
+    """Raise ValueError unless the diffusivity is finite and >= 0."""
+    if not 0.0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be finite and non-negative, got {kappa}")
 
 
 def csv_cell(value):

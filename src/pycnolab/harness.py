@@ -729,15 +729,17 @@ def write_summary(summary, f):
     f.write("\n")
 
 
-def svg_polylines(named_xy, title):
-    """Linear-axes polyline plot; named_xy is a list of (name, xs, ys)."""
-    width, height, pad = 480, 360, 48
-    xs_all = np.concatenate([np.asarray(x, dtype=float)
-                             for _, x, _ in named_xy])
-    ys_all = np.concatenate([np.asarray(y, dtype=float)
-                             for _, _, y in named_xy])
-    x0, x1 = float(xs_all.min()), float(xs_all.max())
-    y0, y1 = float(ys_all.min()), float(ys_all.max())
+SVG_FRAME = (480, 360, 48)    # width, height and padding in pixels
+SVG_PALETTE = ("#1f3d7a", "#a03c3c", "#3c7a46", "#7a5e3c", "#5e3c7a",
+               "#3c6e7a")
+
+
+def _svg_frame(xs, ys, title):
+    """Header lines, (px, py) maps and x range of a plot of xs and ys;
+    a range of one value is widened to one unit."""
+    width, height, pad = SVG_FRAME
+    x0, x1 = float(np.min(xs)), float(np.max(xs))
+    y0, y1 = float(np.min(ys)), float(np.max(ys))
     x1 = x1 if x1 > x0 else x0 + 1.0
     y1 = y1 if y1 > y0 else y0 + 1.0
 
@@ -747,14 +749,21 @@ def svg_polylines(named_xy, title):
     def py(y):
         return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
 
-    colors = ("#1f3d7a", "#a03c3c", "#3c7a46", "#7a5e3c", "#5e3c7a",
-              "#3c6e7a")
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>',
              f'<text x="{pad}" y="24" font-size="14">{title}</text>']
+    return parts, px, py, (x0, x1)
+
+
+def svg_polylines(named_xy, title):
+    """Linear-axes polyline plot; named_xy is a list of (name, xs, ys)."""
+    parts, px, py, _ = _svg_frame(
+        np.concatenate([np.asarray(x, dtype=float) for _, x, _ in named_xy]),
+        np.concatenate([np.asarray(y, dtype=float) for _, _, y in named_xy]),
+        title)
     for ci, (name, xs, ys) in enumerate(named_xy):
-        color = colors[ci % len(colors)]
+        color = SVG_PALETTE[ci % len(SVG_PALETTE)]
         pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}"
                        for x, y in zip(np.asarray(xs, dtype=float),
                                        np.asarray(ys, dtype=float)))
@@ -766,36 +775,22 @@ def svg_polylines(named_xy, title):
 
 def svg_loglog(result, title):
     """Small hand-rolled log-log scatter of the sweep plus its fit line."""
-    width, height, pad = 480, 360, 48
+    width, height, pad = SVG_FRAME
+
+    def note(text):
+        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                f'height="{height}"><text x="20" y="40">{title}: {text}'
+                f'</text></svg>\n')
+
     xs = np.log10(result.abscissa)
     names = sorted(result.series)
     if not names:
-        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-                f'height="{height}"><text x="20" y="40">{title}: no '
-                f'data</text></svg>\n')
+        return note("no data")
     all_vals = np.concatenate([result.series[n] for n in names])
     positive = all_vals[all_vals > 0.0]
     if positive.size == 0:
-        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-                f'height="{height}"><text x="20" y="40">{title}: all '
-                f'values zero</text></svg>\n')
-    ys = np.log10(positive)
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    x1 = x1 if x1 > x0 else x0 + 1.0
-    y1 = y1 if y1 > y0 else y0 + 1.0
-
-    def px(x):
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
-
-    def py(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
-
-    colors = ("#1f3d7a", "#a03c3c", "#3c7a46", "#7a5e3c")
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{pad}" y="24" font-size="14">{title}</text>']
+        return note("all values zero")
+    parts, px, py, (x0, x1) = _svg_frame(xs, np.log10(positive), title)
     parts.append(
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
         f'y2="{height - pad}" stroke="black"/>')
@@ -804,7 +799,7 @@ def svg_loglog(result, title):
         f'stroke="black"/>')
     for ci, name in enumerate(names):
         vals = result.series[name]
-        color = colors[ci % len(colors)]
+        color = SVG_PALETTE[ci % len(SVG_PALETTE)]
         pts = []
         for x, v in zip(xs, vals):
             if v > 0.0:

@@ -33,17 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CFL_DEFAULT, csv_cell
+from .core import CFL_DEFAULT, check_kappa, csv_cell
 from .stratified import (
     ColumnWork,
-    StratifiedState,
     StratifiedTrajectory,
-    column_record,
     diffusive_drift,
-    march,
+    march_column,
     pressure_matrix,
     rk4,
-    state_norm,
 )
 
 
@@ -123,19 +120,15 @@ def build_forcing(trajectory, target_profile):
 # the forced system
 # ----------------------------------------------------------------------
 
-def advective_limit(state, profile, kappa, cfl=CFL_DEFAULT, drift=None):
+def advective_limit(u, drift, grid, profile, cfl=CFL_DEFAULT):
     """Stability step for the pressureless transport (no wave coupling).
 
-    cfl dx over max|ubar + u| plus the diffusive drift; the diffusion
-    itself is stepped exactly and sets no bound. `drift`, when given, is
-    that drift already taken (each step passes the one `rk4` takes from
-    its first stage).
+    cfl dx over max|ubar + u| plus the diffusive drift of h (each step
+    passes the one `rk4` takes from its first stage); the diffusion
+    itself is stepped exactly and sets no bound.
     """
-    if drift is None:
-        drift = diffusive_drift(state.grid, state.h.values, kappa)
-    u_tot = profile.ubar[:, None] + state.u.values
-    speed = float(np.max(np.abs(u_tot))) + drift
-    return cfl * state.grid.dx / max(speed, 1e-8)
+    speed = float(np.max(np.abs(profile.ubar[:, None] + u))) + drift
+    return cfl * grid.dx / max(speed, 1e-8)
 
 
 @dataclass(eq=False, kw_only=True)
@@ -144,7 +137,7 @@ class RefinedRun(StratifiedTrajectory):
 
 
 def solve_refined(initial, profile, forcing, kappa, T, dt=None,
-                  cfl=CFL_DEFAULT, snapshot_every=1, blowup_factor=1e3):
+                  cfl=CFL_DEFAULT, snapshot_every=1):
     """Integrate the forced system to horizon T with fixed-step IF-RK4.
 
     `forcing` is a ReferenceRun whose horizon must reach T; when dt is
@@ -152,9 +145,11 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
     the transport stability limit, which every step re-checks.
     """
     T = float(T)
-    if initial.levels != forcing.levels or initial.grid != forcing.grid:
+    check_kappa(kappa)
+    grid, levels = initial.grid, initial.levels
+    if levels != forcing.levels or grid != forcing.grid:
         raise ValueError("initial data and forcing live on different grids")
-    if profile.levels != initial.levels:
+    if profile.levels != levels:
         raise ValueError("profile and initial data level grids differ")
     if T > forcing.horizon + 1e-9 * max(1.0, T):
         raise ValueError(
@@ -162,23 +157,22 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
             f"{forcing.horizon:.6g}")
     if dt is None:
         spacing = float(np.min(np.diff(forcing.times)))
-        dt = min(spacing, advective_limit(initial, profile, kappa, cfl))
+        drift = diffusive_drift(grid, initial.h.values, kappa)
+        dt = min(spacing, advective_limit(initial.u.values, drift, grid,
+                                          profile, cfl))
     # RK4 stages 2 and 3, and the end of one step and the start of the
     # next, query the same time
     at = functools.lru_cache(maxsize=1)(forcing.forcing)
-    column = (initial.grid, profile, kappa, lambda dxh, t, out: at(t))
-    work = ColumnWork(initial.grid, initial.levels.n_r)
+    column = (grid, profile, kappa, lambda dxh, t, out: at(t))
+    work = ColumnWork(grid, levels.n_r)
 
-    def advance(state, dt):
-        h, u = rk4(state.h.values, state.u.values, state.t, dt, *column,
-                   work=work,
-                   limit=lambda drift: advective_limit(state, profile, kappa,
-                                                       cfl, drift))
-        return StratifiedState.from_arrays(state.t + dt, state.grid,
-                                           state.levels, h, u)
+    def advance(t, y, dt):
+        h, u = y
+        return rk4(h, u, t, dt, *column, work=work,
+                   limit=lambda drift: advective_limit(u, drift, grid,
+                                                       profile, cfl))
 
-    run = march(initial, advance, T, dt, state_norm, column_record,
-                snapshot_every, blowup_factor)
+    run = march_column(initial, advance, T, dt, snapshot_every)
     return RefinedRun(profile=profile, kappa=kappa, reference=forcing, **run)
 
 

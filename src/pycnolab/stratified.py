@@ -36,7 +36,8 @@ written into those buffers. At kappa > 0 the h side of the step stays
 in rfft half-spectra, where E is a plain multiply, so a step makes 29
 real transforms; a kappa = 0 step, classical RK4 on physical fields, 32.
 `march` is the one fixed-step time loop, which turns blow-ups and
-mid-run CFL breaches into flagged, truncated trajectories. The CFL
+mid-run CFL breaches into flagged, truncated trajectories; it carries
+each run's arrays and builds state objects only at snapshots. The CFL
 estimate takes the gravity-wave speeds from the symmetric form a R a,
 R[i, j] = rho[max(i, j)] and a = sqrt(depth w / rho), which is similar
 to diag(depth) (1/rho) W, and adds the diffusive drift
@@ -51,10 +52,12 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    BLOWUP_FACTOR,
     CFL_DEFAULT,
     BlowUpError,
     Field2D,
     StepLimitError,
+    check_kappa,
     check_step,
     check_thickness,
     csv_cell,
@@ -454,8 +457,7 @@ def rhs(state, profile, kappa):
     """Time derivatives (dh, du) as Field2D pairs, diffusion included."""
     if state.levels != profile.levels:
         raise ValueError("state and profile live on different level grids")
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be non-negative, got {kappa}")
+    check_kappa(kappa)
     dh, du = column_derivative(state.h.values, state.u.values, state.t,
                                state.grid, profile, kappa,
                                self_pressure(profile))
@@ -478,7 +480,7 @@ def diffusive_drift(grid, h, kappa):
     return w.drift(h, kappa)
 
 
-def wave_speed_estimate(state, profile):
+def wave_speed_estimate(h, u, profile):
     """Upper estimate of the fastest characteristic speed.
 
     Advection bound max|ubar + u| plus the fastest internal gravity wave
@@ -490,38 +492,34 @@ def wave_speed_estimate(state, profile):
     largest magnitude. A level with no positive depth left counts as
     depth 0; the thickness floor rejects such a state on its first step.
     """
-    u_tot = profile.ubar[:, None] + state.u.values
-    q = np.sqrt(np.maximum(np.max(1.0 + state.h.values, axis=1), 0.0))
+    q = np.sqrt(np.maximum(np.max(1.0 + h, axis=1), 0.0))
     bRb = profile._step_matrices[1]
     lam = np.linalg.eigvalsh(q[:, None] * bRb * q[None, :])
     c2 = float(np.max(np.abs(lam)))
-    return float(np.max(np.abs(u_tot))) + math.sqrt(c2)
+    return float(np.max(np.abs(profile.ubar[:, None] + u))) + math.sqrt(c2)
 
 
-def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT, drift=None):
+def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
     """cfl dx over the wave speed estimate plus the diffusive drift.
 
     The diffusion itself is stepped exactly by `rk4` and sets no bound.
-    `drift`, when given, is the diffusive drift already taken (`step`
-    passes the one `rk4` takes from its first stage).
+    `step` checks the same limit with the drift of rk4's first stage.
     """
-    if drift is None:
-        drift = diffusive_drift(state.grid, state.h.values, kappa)
-    speed = wave_speed_estimate(state, profile) + drift
+    h, u = state.h.values, state.u.values
+    speed = (wave_speed_estimate(h, u, profile)
+             + diffusive_drift(state.grid, h, kappa))
     return cfl * state.grid.dx / speed
 
 
-def step(state, profile, kappa, dt, cfl=CFL_DEFAULT, work=None):
-    """One IF-RK4 step of the level-coupled system.
+def step(t, y, dt, grid, profile, kappa, cfl=CFL_DEFAULT, work=None):
+    """One IF-RK4 step of the level-coupled system from y = (h, u) at t.
 
-    dt must meet `cfl_limit` of the state; `work` is the run's ColumnWork.
+    Returns fresh (h, u) at t + dt. dt must meet the `cfl_limit` of y;
+    `work` is the run's ColumnWork.
     """
-    h, u = rk4(state.h.values, state.u.values, state.t, dt, state.grid,
-               profile, kappa, self_pressure(profile), work=work,
-               limit=lambda drift: cfl_limit(state, profile, kappa, cfl,
-                                             drift))
-    return StratifiedState.from_arrays(state.t + dt, state.grid, state.levels,
-                                       h, u)
+    return rk4(*y, t, dt, grid, profile, kappa, self_pressure(profile),
+               work=work, limit=lambda drift: cfl * grid.dx / (
+                   wave_speed_estimate(*y, profile) + drift))
 
 
 # ----------------------------------------------------------------------
@@ -550,53 +548,56 @@ class StratifiedTrajectory(Run):
     kappa: float
 
 
-def march(initial, advance, T, dt, norm, record, snapshot_every=1,
-          blowup_factor=1e3):
+def march(initial, y, advance, to_state, T, dt, norm, record,
+          snapshot_every=1):
     """Fixed-step trajectory to time T under one failure policy.
 
-    The step is the largest one not above `dt` that divides T evenly;
-    `advance(state, dt)` takes one step. Snapshots are stored every
-    `snapshot_every` steps and at the end, each with the diagnostics row
-    `record(state, norm(state))`. A step that raises BlowUpError (depth
-    floor, non-finite fields), a state whose stability limit has
-    tightened below dt (StepLimitError after the first step: a
-    "cfl-breach"), or a snapshot norm above blowup_factor times the
-    initial one ends the run with the trajectory truncated and flagged.
-    A dt beyond the limit of the initial state stays a ValueError, and so
-    does a `snapshot_every` below 1. Returns the keyword fields of `Run`.
+    The loop carries arrays: `y` holds the `initial` state's, the step
+    `advance(t, y, dt)` returns fresh ones, and only snapshots, stored
+    every `snapshot_every` steps and at the end, become state objects
+    `to_state(t, y)`, each with the diagnostics row `record(state,
+    norm(state))`. The step is the largest one not above `dt` that
+    divides T evenly. A BlowUpError (depth floor, non-finite fields), a
+    StepLimitError after the first step (a "cfl-breach") or a snapshot
+    norm above BLOWUP_FACTOR times the initial one ends the run with the
+    trajectory truncated and flagged. A T that is not finite and
+    positive, a dt beyond the initial limit and a `snapshot_every` below
+    1 are ValueErrors. Returns the keyword fields of `Run`.
     """
     T = float(T)
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon T must be finite and positive, got {T}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
     n_steps = max(1, math.ceil(T / float(dt) - 1e-12))
     dt = T / n_steps
 
     size = norm(initial)
-    ceiling = blowup_factor * max(size, 1e-8)
+    ceiling = BLOWUP_FACTOR * max(size, 1e-8)
     rows = [record(initial, size)]
     states = [initial]
-    state = initial
+    t = initial.t
     failure = None
     for i in range(1, n_steps + 1):
         try:
-            state = advance(state, dt)
+            y = advance(t, y, dt)
         except StepLimitError as err:
             if i == 1:
                 raise
-            failure = (f"cfl-breach: {err}", state.t)
+            failure = (f"cfl-breach: {err}", t)
             break
         except BlowUpError as err:
             failure = (str(err), err.t)
             break
+        t += dt
         if i % snapshot_every == 0 or i == n_steps:
+            state = to_state(t, y)
             states.append(state)
             size = norm(state)
             rows.append(record(state, size))
             if size > ceiling:
                 failure = (f"H^2 norm {size:.3e} passed the ceiling "
-                           f"{ceiling:.3e} at t = {state.t:.6g}", state.t)
+                           f"{ceiling:.3e} at t = {t:.6g}", t)
                 break
 
     return dict(
@@ -622,7 +623,7 @@ def column_record(state, norm):
 
 
 def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
-              snapshot_every=1, blowup_factor=1e3):
+              snapshot_every=1):
     """Fixed-step IF-RK4 trajectory of the stratified system to time T.
 
     The step comes from the CFL limit of the initial state unless `dt` is
@@ -630,14 +631,22 @@ def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
     worst-level H^2 norm, min depth) every `snapshot_every` steps and
     flags the run when it blows up.
     """
+    check_kappa(kappa)
     if dt is None:
         dt = cfl_limit(initial, profile, kappa, cfl)
-    work = ColumnWork(initial.grid, initial.levels.n_r)
-    run = march(initial,
-                lambda st, dt: step(st, profile, kappa, dt, cfl, work),
-                T, dt, state_norm, column_record, snapshot_every,
-                blowup_factor)
+    grid = initial.grid
+    work = ColumnWork(grid, initial.levels.n_r)
+    run = march_column(initial, lambda t, y, dt: step(
+        t, y, dt, grid, profile, kappa, cfl, work), T, dt, snapshot_every)
     return StratifiedTrajectory(profile=profile, kappa=kappa, **run)
+
+
+def march_column(initial, advance, T, dt, snapshot_every):
+    """`march` over a column's arrays y = (h, u), with column snapshots."""
+    grid, levels = initial.grid, initial.levels
+    return march(initial, (initial.h.values, initial.u.values), advance,
+                 lambda t, y: StratifiedState.from_arrays(t, grid, levels, *y),
+                 T, dt, state_norm, column_record, snapshot_every)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from pycnolab import stratified
 from pycnolab.core import BlowUpError, Field1D, SpatialGrid
 from pycnolab.stratified import StratifiedProfile
 from pycnolab.bilayer import (
@@ -146,25 +147,28 @@ class TestStep:
     def test_rest_state_fixed(self):
         grid = SpatialGrid(64)
         state = BilayerState.zeros(grid)
-        out = step(state, PARAMS0, 0.005)
-        assert np.max(np.abs(out.stacked())) == 0.0
-        assert out.t == 0.005
+        out = step(0.0, state.stacked(), 0.005, grid, PARAMS0)
+        assert out.shape == (4, 64)
+        assert np.max(np.abs(out)) == 0.0
+        traj = integrate(state, PARAMS0, 0.005, dt=0.005)
+        assert traj.n_steps == 1 and traj.final.t == 0.005
+        assert np.max(np.abs(traj.final.stacked())) == 0.0
 
     def test_cfl_rejection(self):
         grid = SpatialGrid(64)
         state = make_initial(grid, "sine", {"H_s": 0.05})
         limit = cfl_limit(state, PARAMS0)
         with pytest.raises(ValueError):
-            step(state, PARAMS0, 2.0 * limit)
+            step(0.0, state.stacked(), 2.0 * limit, grid, PARAMS0)
 
     def test_mass_mean_per_step(self):
         grid = SpatialGrid(128)
         state = make_initial(grid, "gaussian",
                              {"H_s": 0.05, "U_b": -0.02}, width=0.7)
         p = params_with(kappa=0.05)
-        out = step(state, p, 0.5 * cfl_limit(state, p))
-        for before, after in ((state.H_s, out.H_s), (state.H_b, out.H_b)):
-            drift = abs(after.values.mean() - before.values.mean())
+        out = step(0.0, state.stacked(), 0.5 * cfl_limit(state, p), grid, p)
+        for before, after in ((state.H_s, out[0]), (state.H_b, out[1])):
+            drift = abs(after.mean() - before.values.mean())
             assert drift <= 1e-13, f"mass mean drifted by {drift:.2e}"
 
     def test_richardson_fourth_order(self):
@@ -195,7 +199,8 @@ class TestStep:
         z = Field1D.zeros(grid)
         state = BilayerState(0.0, Hs, Hb, Us, z)
         with pytest.raises(BlowUpError):
-            step(state, PARAMS0, cfl_limit(state, PARAMS0))
+            step(0.0, state.stacked(), cfl_limit(state, PARAMS0), grid,
+                 PARAMS0)
 
 
 class TestIntegrate:
@@ -286,10 +291,12 @@ class TestIntegrate:
                     drift = abs(UT.values.mean() - U0.values.mean())
                     assert drift <= 1e-12, f"velocity mean drift {drift:.2e}"
 
-    def test_blowup_ceiling_halts(self):
+    def test_blowup_ceiling_halts(self, monkeypatch):
+        # march reads the core constant through its own module's binding
+        monkeypatch.setattr(stratified, "BLOWUP_FACTOR", 0.9)
         grid = SpatialGrid(64)
         init = make_initial(grid, "sine", {"H_s": 0.05})
-        traj = integrate(init, PARAMS0, 1.0, blowup_factor=0.9)
+        traj = integrate(init, PARAMS0, 1.0)
         assert traj.blown_up
         assert traj.blowup_time is not None
         assert traj.final.t < 1.0

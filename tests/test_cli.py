@@ -168,6 +168,22 @@ class TestConfigHandling:
         assert f"{key} must be finite and positive" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", [
+        "simulate-bilayer", "simulate-stratified", "refine", "sweep-kappa",
+        "sweep-epsilon"])
+    @pytest.mark.parametrize("T", [float("inf"), float("nan")])
+    def test_horizon_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                 command, T):
+        # Infinity once overflowed computing the step count (exit 1) and
+        # NaN failed converting it to an integer
+        cfg = write_config(tmp_path, "c.json", {"T": T, "n_x": 32})
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert "horizon T must be finite and positive" in \
+            capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("n_samples", [1, 2])
     def test_atlas_needs_three_samples(self, tmp_path, n_samples):
         cfg = write_config(tmp_path, "c.json", {"n_samples": n_samples})

@@ -188,6 +188,14 @@ class TestSolveRefined:
         with pytest.raises(ValueError):
             solve_refined(other, profile, ref, 0.1, 0.2)
 
+    @pytest.mark.parametrize("kappa", [-0.1, float("nan"), float("inf")])
+    def test_bad_kappa_rejected(self, kappa):
+        grid, levels, profile, state, traj = reference_setup(T=0.2)
+        ref = build_forcing(traj, profile)
+        with pytest.raises(ValueError, match="kappa must be finite and "
+                           "non-negative"):
+            solve_refined(state, profile, ref, kappa, 0.2)
+
     def test_depth_collapse_flags_run(self):
         grid = SpatialGrid(16)
         levels = LevelGrid.uniform(4)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from pycnolab.core import BlowUpError, Field2D, LevelGrid, SpatialGrid
-from pycnolab import bilayer, stratified
+from pycnolab.core import BlowUpError, Field1D, Field2D, LevelGrid, SpatialGrid
+from pycnolab import bilayer, refined, stratified
 from pycnolab.stratified import (
     PycnoclineSpec,
     StratifiedProfile,
@@ -34,6 +34,11 @@ from pycnolab.stratified import (
 )
 
 PARAMS = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0)
+
+
+def arrays(state):
+    """The (h, u) arrays a column step takes."""
+    return state.h.values, state.u.values
 
 
 def interface_levels(n_r=24):
@@ -278,6 +283,21 @@ class TestDynamics:
         with pytest.raises(ValueError):
             rhs(StratifiedState.zeros(grid, levels), prof, -0.1)
 
+    @pytest.mark.parametrize("kappa", [-0.1, float("nan"), float("inf")])
+    def test_bad_kappa_rejected_by_rhs_and_integrate(self, kappa):
+        # integrate once ran a negative kappa unflagged, NaN slipped past
+        # rhs's sign check and inf died dividing by zero
+        grid = SpatialGrid(16)
+        levels = LevelGrid.uniform(4)
+        prof = StratifiedProfile(levels, np.ones(4), np.zeros(4))
+        state = StratifiedState.zeros(grid, levels)
+        with pytest.raises(ValueError, match="kappa must be finite and "
+                           "non-negative"):
+            rhs(state, prof, kappa)
+        with pytest.raises(ValueError, match="kappa must be finite and "
+                           "non-negative"):
+            integrate(state, prof, kappa, T=0.1)
+
 
 class TestStepIntegrate:
 
@@ -296,7 +316,7 @@ class TestStepIntegrate:
         _, profile, state = embedded_pair()
         limit = cfl_limit(state, profile, 0.0)
         with pytest.raises(ValueError):
-            step(state, profile, 0.0, 2.0 * limit)
+            step(0.0, arrays(state), 2.0 * limit, state.grid, profile, 0.0)
 
     def test_embedded_trajectory_matches_two_layer(self):
         kappa = 0.1
@@ -473,7 +493,7 @@ class TestStepIntegrate:
         for kappa, want in ((0.05, 29), (0.0, 32)):
             dt = cfl_limit(state, profile, kappa)
             calls.clear()
-            step(state, profile, kappa, dt)
+            step(0.0, arrays(state), dt, state.grid, profile, kappa)
             assert len(calls) == want, kappa
 
     def test_step_checks_the_cfl_limit(self, monkeypatch):
@@ -488,7 +508,8 @@ class TestStepIntegrate:
         monkeypatch.setattr(stratified, "check_step", spy)
         for kappa in (0.05, 0.0):
             seen.clear()
-            step(state, profile, kappa, 1e-3, cfl=0.3)
+            step(0.0, arrays(state), 1e-3, state.grid, profile, kappa,
+                 cfl=0.3)
             assert seen == [cfl_limit(state, profile, kappa, 0.3)]
 
     @staticmethod
@@ -515,7 +536,8 @@ class TestStepIntegrate:
                                        kappa=0.05)
         exact = bilayer.cfl_limit(bistate, params, 0.3)
         seen, solves = self.spy_bilayer_step(monkeypatch)
-        bilayer.step(bistate, params, 1e-3, cfl=0.3)
+        bilayer.step(0.0, bistate.stacked(), 1e-3, bistate.grid, params,
+                     cfl=0.3)
         assert solves == []
         assert len(seen) == 1 and 1e-3 <= seen[0] <= exact
 
@@ -526,7 +548,8 @@ class TestStepIntegrate:
                                        kappa=0.05)
         exact = bilayer.cfl_limit(bistate, params, 0.3)
         seen, solves = self.spy_bilayer_step(monkeypatch)
-        bilayer.step(bistate, params, exact, cfl=0.3)
+        bilayer.step(0.0, bistate.stacked(), exact, bistate.grid, params,
+                     cfl=0.3)
         assert len(solves) == 1
         assert seen == [exact]
 
@@ -542,14 +565,65 @@ class TestStepIntegrate:
         seen, solves = self.spy_bilayer_step(monkeypatch)
         with pytest.raises(BlowUpError, match=r"cell thickness fell to "
                            r"-3\.333e-02 \(floor 1e-06\) at t = 0"):
-            bilayer.step(bistate, params, exact / 4.0, cfl=0.3)
+            bilayer.step(0.0, bistate.stacked(), exact / 4.0, bistate.grid,
+                         params, cfl=0.3)
         assert len(solves) == 1
         assert seen == [exact]
 
-    def test_norm_ceiling_halts(self):
+    @pytest.mark.parametrize("T", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_horizon_must_be_finite_and_positive(self, T):
         _, profile, state = embedded_pair(n_x=32, n_r=12)
-        traj = integrate(state, profile, 0.0, T=0.5, blowup_factor=0.9,
-                         snapshot_every=1)
+        with pytest.raises(ValueError, match="horizon T must be finite and "
+                           "positive"):
+            integrate(state, profile, 0.0, T)
+
+    def test_only_snapshots_build_states(self, monkeypatch):
+        # a 40-step run that stores no snapshot between its ends builds
+        # one state object, the final one, in each of the three loops;
+        # the two-layer run steps within 3% of its exact limit, past what
+        # the speed bound certifies, so every step takes the exact route
+        bistate, profile, state = embedded_pair(n_x=32, n_r=12)
+        params = bilayer.BilayerParams(PARAMS.rho_s, PARAMS.rho_b,
+                                       PARAMS.Hbar_s, PARAMS.Hbar_b,
+                                       kappa=0.05)
+        dt = 0.5 * cfl_limit(state, profile, 0.05)
+        dt_b = 0.97 * bilayer.cfl_limit(bistate, params)
+        reference = refined.build_forcing(
+            integrate(state, profile, 0.05, 40 * dt, dt=dt), profile)
+        built, solves = {}, []
+        for cls in (StratifiedState, bilayer.BilayerState, Field1D, Field2D):
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kw):
+                built[_cls.__name__] = built.get(_cls.__name__, 0) + 1
+                _init(self, *args, **kw)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        exact = bilayer.max_characteristic_speed
+        monkeypatch.setattr(bilayer, "max_characteristic_speed",
+                            lambda *a: solves.append(1) or exact(*a))
+        runs = (
+            (lambda: integrate(state, profile, 0.05, 40 * dt, dt=dt,
+                               snapshot_every=10 ** 9),
+             {"StratifiedState": 1, "Field2D": 2}),
+            (lambda: bilayer.integrate(bistate, params, 40 * dt_b, dt=dt_b,
+                                       snapshot_every=10 ** 9),
+             {"BilayerState": 1, "Field1D": 4}),
+            (lambda: refined.solve_refined(state, profile, reference, 0.05,
+                                           40 * dt, dt=dt,
+                                           snapshot_every=10 ** 9),
+             {"StratifiedState": 1, "Field2D": 2}))
+        for run, want in runs:
+            built.clear()
+            traj = run()
+            assert traj.n_steps == 40 and not traj.blown_up
+            assert len(traj.states) == 2
+            assert built == want
+        assert len(solves) == 40
+
+    def test_norm_ceiling_halts(self, monkeypatch):
+        # march reads the core constant through this module's binding
+        monkeypatch.setattr(stratified, "BLOWUP_FACTOR", 0.9)
+        _, profile, state = embedded_pair(n_x=32, n_r=12)
+        traj = integrate(state, profile, 0.0, T=0.5, snapshot_every=1)
         assert traj.blown_up
         assert any("ceiling" in w for w in traj.warnings)
         assert traj.blowup_time is not None
@@ -557,7 +631,7 @@ class TestStepIntegrate:
     def test_speed_estimate_dominates_two_layer(self):
         bistate, profile, state = embedded_pair()
         fast = bilayer.grid_max_speed(bistate, PARAMS)
-        est = wave_speed_estimate(state, profile)
+        est = wave_speed_estimate(*arrays(state), profile)
         assert est >= 0.99 * fast, (
             f"estimate {est:.4f} fell below the two-layer speed {fast:.4f}")
 
@@ -582,7 +656,7 @@ class TestStepIntegrate:
             c2 = oracles.dense_wave_speed_squared(rho, levels.w, depth)
             want = (np.max(np.abs(prof.ubar[:, None] + state.u.values))
                     + np.sqrt(c2))
-            got = wave_speed_estimate(state, prof)
+            got = wave_speed_estimate(*arrays(state), prof)
             assert abs(got - want) <= 1e-12 * want, (
                 f"trial {trial}: {got!r} against {want!r}")
             K = depth[:, None] * pressure_matrix(prof)
@@ -600,7 +674,7 @@ class TestStepIntegrate:
         h[1] = -1.5
         state = StratifiedState.from_arrays(0.0, grid, levels, h,
                                             np.zeros((4, 16)))
-        assert np.isfinite(wave_speed_estimate(state, prof))
+        assert np.isfinite(wave_speed_estimate(*arrays(state), prof))
         traj = integrate(state, prof, 0.0, T=0.1)
         assert traj.blown_up
         assert "cell thickness" in traj.warnings[0]
