@@ -175,9 +175,7 @@ def _fit_headline(abscissa, values, expected, tolerance):
 
 def _bilayer_difference_norm(a, b, s):
     """Combined H^s size of the four field differences between states."""
-    diff = bilayer.BilayerState.from_arrays(a.t, a.grid,
-                                            a.stacked() - b.stacked())
-    return bilayer.combined_norm(diff, s)
+    return bilayer.stacked_norm(a.grid, a.stacked() - b.stacked(), s)
 
 
 class ConfigError(ValueError):

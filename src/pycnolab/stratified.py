@@ -27,15 +27,16 @@ This module hosts the only dynamics of the package. `column_rhs` is the
 column right-hand side less the diffusion kappa d_x^2 h, with a
 pluggable pressure tendency: the self-consistent -(1/rho) W d_x h here,
 at two levels for `bilayer`, or a prescribed forcing for `refined`; it
-makes eight real FFTs per call. `rk4` is the one time step, Lawson's
-integrating-factor RK4: the diffusion, linear and diagonal in Fourier
-space, is integrated exactly by the propagator exp(-kappa xi^2 dt/2),
-so only the waves and the advection bound the step. Each run builds one
-`ColumnWork`, and every stage, product and transform of its steps is
-written into those buffers. At kappa > 0 the h side of the step stays
-in rfft half-spectra, where E is a plain multiply, so a step makes 29
-real transforms; a kappa = 0 step, classical RK4 on physical fields, 32.
-`march` is the one fixed-step time loop, which turns blow-ups and
+transforms eight (n_r, n_x) blocks in five calls. `rk4` is the one time
+step, Lawson's integrating-factor RK4: the diffusion, linear and
+diagonal in Fourier space, is integrated exactly by the propagator
+exp(-kappa xi^2 dt/2), so only the waves and the advection bound the
+step. Each run builds one `ColumnWork`, and every stage, product and
+transform of its steps is written into those buffers, laid out so that
+fields transformed at the same point share one call. At kappa > 0 the
+h side of the step stays in rfft half-spectra, where E is a plain
+multiply, so a step transforms 29 blocks in 18 calls; a kappa = 0 step,
+classical RK4 on physical fields, 32 blocks in 17 calls. `march` is the one fixed-step time loop, which turns blow-ups and
 mid-run CFL breaches into flagged, truncated trajectories; it carries
 each run's arrays and builds state objects only at snapshots. The CFL
 estimate takes the gravity-wave speeds from the symmetric form a R a,
@@ -253,59 +254,73 @@ def self_pressure(profile):
                                            out=out)
 
 
-def _aligned_empty(shape, dtype):
-    """np.empty(shape, dtype) starting on a 64-byte boundary.
+def _aligned_blocks(k, shape, dtype):
+    """k blocks of np.empty(shape, dtype), as one (k, *shape) array.
 
-    malloc gives 16-byte alignment only; where a buffer starts mod 64
-    then follows whatever the process allocated before, and a step's
-    ufuncs ran up to 4% slower at some offsets than at others.
+    Each block starts on a 64-byte boundary, block sizes padded up to a
+    multiple of 64 bytes: malloc gives 16-byte alignment only; where a
+    buffer starts mod 64 then follows whatever the process allocated
+    before, and a step's ufuncs ran up to 4% slower at some offsets than
+    at others.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize
-    raw = np.empty(size + 64, dtype=np.uint8)
+    stride = -(-size // 64) * 64
+    raw = np.empty(k * stride + 64, dtype=np.uint8)
     start = -raw.ctypes.data % 64
-    return raw[start:start + size].view(dtype).reshape(shape)
+    rows = raw[start:start + k * stride].reshape(k, stride)[:, :size]
+    return rows.view(dtype).reshape((k, *shape))
 
 
 class ColumnWork:
     """Scratch arrays of one march, reused by every `rk4` step.
 
-    Eight real (n_r, n_x) arrays (the kernel's totals and derivatives,
-    the physical stage inputs, u's stage derivative and running sum
-    k1 + 2 k2 + 2 k3) and four complex (n_r, n_x//2 + 1) half-spectra
-    (rfft(h), the kernel's scratch, and h's stage derivative and running
-    sum, which hold real fields in the same storage at kappa = 0). Every
-    transform and ufunc of a step writes into them through `out=`, so a
-    step allocates only the two arrays it returns. Build one per run;
-    never share one between runs that may interleave.
+    A stack `real` of six (n_r, n_x) blocks (d_x h, d_x u, the stage
+    inputs h and u, u's stage derivative and running sum) and a stack
+    `spectra` of five half-spectra (three stage spectra, y = E rfft(h)
+    and h's running sum; at kappa = 0 real views of the last three hold
+    the physical h side). Fields transformed at the same point sit side
+    by side, so one rfft or irfft call takes them all; pocketfft
+    transforms rows independently, so the bits are those of separate
+    calls. The kernel reuses the stage-input blocks for 1 + h, the flux,
+    ubar + u and the advecting velocity. Every transform and ufunc of a
+    step writes into them through `out=`, so a step allocates only the
+    two arrays it returns. Build one per run; never share one between
+    runs that may interleave.
     """
 
     def __init__(self, grid, n_r):
-        real, half = (n_r, grid.n_x), (n_r, grid.n_x // 2 + 1)
         self.grid = grid
-        (self.h_tot, self.u_tot, self.dxh, self.dxu, self.h_in, self.u_in,
-         self.ku, self.sum_u) = (_aligned_empty(real, float)
-                                 for _ in range(8))
-        self.h_hat, self.hat, self.kh, self.sum_h = (
-            _aligned_empty(half, complex) for _ in range(4))
+        self.real = _aligned_blocks(6, (n_r, grid.n_x), float)
+        self.spectra = _aligned_blocks(5, (n_r, grid.n_x // 2 + 1), complex)
+        (self.dxh, self.dxu, self.h_in, self.u_in, self.ku,
+         self.sum_u) = self.real
+        self.h_hat, self.sum_h = self.spectra[3:]
+        # the stacks' slices that one transform reads or writes
+        self.derivs, self.loaded, self.products, self.inputs = (
+            self.real[:2], self.real[:3], self.real[1:3], self.real[2:4])
+        self.pair, self.triple = self.spectra[:2], self.spectra[:3]
+        self.physical = self.spectra.view(float)[..., :grid.n_x]
         self.flux_factor = -(grid.ixi * grid.dealias_mask)
 
-    def derive(self, h):
-        """rfft(h) into h_hat and d_x h into dxh.
+    def derive(self, h, u):
+        """rfft(h) into h_hat; d_x h and d_x u into dxh and dxu.
 
-        In `rk4`'s first stage these two transforms also feed the step
-        limit's diffusive drift and, at kappa > 0, the spectral h side.
+        In `rk4`'s first stage the derivatives also feed the step limit's
+        diffusive drift and rfft(h), at kappa > 0, the spectral h side.
+        h and u come from the caller, so they take two rffts.
         """
-        np.fft.rfft(h, out=self.h_hat)
-        np.fft.irfft(np.multiply(self.grid.ixi, self.h_hat, out=self.hat),
-                     self.grid.n_x, out=self.dxh)
+        ixi, (h_x, u_x) = self.grid.ixi, self.pair
+        np.multiply(ixi, np.fft.rfft(h, out=self.h_hat), out=h_x)
+        np.multiply(ixi, np.fft.rfft(u, out=u_x), out=u_x)
+        np.fft.irfft(self.pair, self.grid.n_x, out=self.derivs)
 
-    def drift(self, h, kappa):
-        """kappa max|d_x h / (1 + h)| from the d_x h in dxh."""
-        if kappa == 0.0:
-            return 0.0
-        ratio = np.divide(self.dxh, np.add(1.0, h, out=self.h_tot),
-                          out=self.dxu)
-        return kappa * float(np.max(np.abs(ratio, out=ratio)))
+
+def _drift(kappa, dxh, h, out):
+    """kappa max|d_x h / (1 + h)|, with `out` as scratch."""
+    if kappa == 0.0:
+        return 0.0
+    ratio = np.divide(dxh, np.add(1.0, h, out=out), out=out)
+    return kappa * float(np.max(np.abs(ratio, out=ratio)))
 
 
 def column_rhs(h, u, t, grid, profile, kappa, pressure):
@@ -318,39 +333,45 @@ def column_rhs(h, u, t, grid, profile, kappa, pressure):
     w_i (1 + h_i) at or below the floor raises BlowUpError. One fused
     real-FFT pass computes what `grid.derivative` and `grid.dealias`
     compose to: h and u are transformed once, and each output is
-    inverted once (eight real transforms). This call works in a
+    inverted once (eight blocks in five calls). This call works in a
     throwaway ColumnWork and returns fresh arrays; `rk4` runs the same
     kernel in its run's workspace.
     """
     w = ColumnWork(grid, h.shape[0])
-    w.derive(h)
-    dh_hat, du = _column_rhs_into(w, h, u, t, (grid, profile, kappa, pressure),
-                                  w.h_hat, np.empty_like(u))
-    return np.fft.irfft(dh_hat, grid.n_x), du
+    w.derive(h, u)
+    pair, du = np.empty((2, *h.shape)), np.empty_like(u)
+    _column_rhs_into(w, h, u, t, (grid, profile, kappa, pressure), pair, du)
+    return pair[1], du
 
 
-def _column_rhs_into(w, h, u, t, column, dh_hat, du):
-    """column_rhs into (dh_hat, du), dh as its spectrum; d_x h in w.dxh."""
+def _column_rhs_into(w, h, u, t, column, dh, du):
+    """column_rhs of (h, u) into (dh, du), d_x h and d_x u read from w.
+
+    `dh` is either a half-spectrum, which receives dh's, or a real
+    (2, n_r, n_x) pair, which receives the dealiased advection and dh
+    from one irfft. The flux and adv d_x u go through one rfft.
+    """
     grid, profile, kappa, pressure = column
-    rfft, irfft, n = np.fft.rfft, np.fft.irfft, grid.n_x
-    h_tot, u_tot, dxh, dxu, hat = w.h_tot, w.u_tot, w.dxh, w.dxu, w.hat
+    dxh, dxu, h_tot, u_tot = w.dxh, w.dxu, w.h_in, w.u_in
     np.add(1.0, h, out=h_tot)
     check_thickness(np.multiply(profile.levels.w[:, None], h_tot, out=du), t)
     np.add(profile.ubar[:, None], u, out=u_tot)
-    irfft(np.multiply(grid.ixi, rfft(u, out=hat), out=hat), n, out=dxu)
-
-    flux = np.multiply(h_tot, u_tot, out=du)
-    np.multiply(w.flux_factor, rfft(flux, out=dh_hat), out=dh_hat)
-    adv = u_tot
     if kappa > 0.0:
-        # u_tot - kappa dxh / h_tot, with du as scratch
+        # kappa dxh / h_tot, with du as scratch
         np.divide(np.multiply(kappa, dxh, out=du), h_tot, out=du)
-        adv = np.subtract(u_tot, du, out=u_tot)
-    prod = np.multiply(adv, dxu, out=dxu)
-    irfft(np.multiply(grid.dealias_mask, rfft(prod, out=hat), out=hat), n,
-          out=dxu)
-    np.subtract(pressure(dxh, t, du), dxu, out=du)
-    return dh_hat, du
+    np.multiply(h_tot, u_tot, out=h_tot)
+    if kappa > 0.0:
+        np.subtract(u_tot, du, out=u_tot)
+    np.multiply(u_tot, dxu, out=dxu)
+    prod_hat, flux_hat = np.fft.rfft(w.products, out=w.pair)
+    np.multiply(grid.dealias_mask, prod_hat, out=prod_hat)
+    if dh.ndim == 2:
+        np.multiply(w.flux_factor, flux_hat, out=dh)
+        adv = np.fft.irfft(prod_hat, grid.n_x, out=dxu)
+    else:
+        np.multiply(w.flux_factor, flux_hat, out=flux_hat)
+        adv = np.fft.irfft(w.pair, grid.n_x, out=dh)[0]
+    np.subtract(pressure(dxh, t, du), adv, out=du)
 
 
 def column_derivative(h, u, t, grid, profile, kappa, pressure):
@@ -375,54 +396,60 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
         rfft(h1) = E y + dt/6 (E(E K1 + 2 K2 + 2 K3) + K4),
 
     so E is a plain multiply and the diffusion sets no step limit; the
-    kernel hands back dh's spectrum, a stage input costs two irffts (h
-    and d_x h) and h1 one. At kappa = 0, E is the identity, the stage
-    inputs are physical and the step is classical RK4, bit for bit.
-    `limit(drift)`, if given, maps the diffusive drift of h (taken from
-    k1's d_x h) to the stability limit that dt must meet; it is checked
-    before any stage is evaluated. `work` is the run's ColumnWork (a
-    throwaway one when omitted); the two returned arrays are fresh. A
-    kappa > 0 step makes 29 real transforms, a kappa = 0 step 32.
+    kernel hands back dh's spectrum, and a stage input's h, d_x h and
+    d_x u come from one irfft. At kappa = 0, E is the identity, the
+    stage inputs are physical and the step is classical RK4, bit for
+    bit; a stage input's h and u then go through one rfft, and dh comes
+    back with the dealiased advection. `limit(drift)`, if given, maps the
+    diffusive drift of h (taken from k1's d_x h) to the stability limit
+    that dt must meet; it is checked before any stage is evaluated.
+    `work` is the run's ColumnWork (a throwaway one when omitted); the
+    two returned arrays are fresh. Stacked fields count as one call: a
+    kappa > 0 step transforms 29 (n_r, n_x) blocks in 18 calls
+    (k1 2 + 1 + 1 + 1, each later stage 1 + 1 + 1 + 1, h1 1), a
+    kappa = 0 step 32 blocks in 17 calls.
     """
     grid, _, kappa, _ = column
     w = ColumnWork(grid, h.shape[0]) if work is None else work
-    irfft, n = np.fft.irfft, grid.n_x
-    w.derive(h)
+    rfft, irfft, n, ixi = np.fft.rfft, np.fft.irfft, grid.n_x, grid.ixi
+    w.derive(h, u)
     if limit is not None:
-        check_step(dt, limit(w.drift(h, kappa)), t)
+        check_step(dt, limit(_drift(kappa, w.dxh, h, w.h_in)), t)
     us, ku, su = w.u_in, w.ku, w.sum_u
     if kappa > 0.0:
         half = np.exp(-0.5 * kappa * dt * grid.ixi.imag ** 2)
-        y, hs, kh, sh = w.h_hat, w.hat, w.kh, w.sum_h
+        h_x, kh, hs = w.triple
+        y, sh = w.h_hat, w.sum_h
+        k1_dh, stage_dh = sh, kh
 
-        def load(f):
-            """h_in and dxh from the half-spectrum f, used up."""
-            irfft(f, n, out=w.h_in)
-            irfft(np.multiply(grid.ixi, f, out=f), n, out=w.dxh)
+        def load():
+            """d_x h, d_x u and h of the stage input (hs, us); d_x u's
+            spectrum passes through kh's block, refilled by the kernel."""
+            np.multiply(ixi, hs, out=h_x)
+            np.multiply(ixi, rfft(us, out=kh), out=kh)
+            irfft(w.triple, n, out=w.loaded)
 
         def E(f):
             """f <- E f in place."""
             return np.multiply(half, f, out=f)
-
-        def N(hp, up, ts, dh, du):
-            """k of (hp, up) into (dh, du), dh as its half-spectrum."""
-            _column_rhs_into(w, hp, up, ts, column, dh, du)
     else:
-        # the h side stays physical, in the storage of the two spectra
-        y, hs, load = h, w.h_in, w.derive
-        kh, sh = (f.view(float)[:, :n] for f in (w.kh, w.sum_h))
+        # the h side stays physical, in real views of the spectra; each
+        # kernel call's dh lands beside a free block for the advection
+        y, hs, kh, sh = h, w.h_in, w.physical[3], w.physical[4]
+        k1_dh, stage_dh = w.physical[3:], w.physical[2:4]
+
+        def load():
+            """d_x h and d_x u of the stage input (hs, us)."""
+            np.multiply(ixi, rfft(w.inputs, out=w.pair), out=w.pair)
+            irfft(w.pair, n, out=w.derivs)
 
         def E(f):
             return f
 
-        def N(hp, up, ts, dh, du):
-            irfft(_column_rhs_into(w, hp, up, ts, column, w.h_hat, du)[0], n,
-                  out=dh)
-
     def stage(ts):
         """k of the stage input (hs, us) into (kh, ku)."""
-        load(hs)
-        N(w.h_in, us, ts, kh, ku)
+        load()
+        _column_rhs_into(w, w.h_in, us, ts, column, stage_dh, ku)
 
     def add_2k():
         """The running sums gain 2 k (k is doubled in place)."""
@@ -430,7 +457,7 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
         np.add(su, np.multiply(2.0, ku, out=ku), out=su)
 
     # k1 goes straight into the running sums; then y = E h and sh = E k1
-    N(h, u, t, sh, su)
+    _column_rhs_into(w, h, u, t, column, k1_dh, su)
     E(y)
     E(sh)
     np.add(y, np.multiply(0.5 * dt, sh, out=hs), out=hs)
@@ -470,14 +497,13 @@ def diffusive_drift(grid, h, kappa):
 
     It is the only kappa term still stepped explicitly: the correction
     to the advecting velocity in the u equations. `rk4` takes it from
-    the d_x h of its first stage; this call transforms h in a throwaway
-    ColumnWork.
+    the d_x h of its first stage; this call transforms h on its own, to
+    the same bits.
     """
     if kappa == 0.0:
         return 0.0
-    w = ColumnWork(grid, h.shape[0])
-    w.derive(h)
-    return w.drift(h, kappa)
+    dxh = np.fft.irfft(grid.ixi * np.fft.rfft(h), grid.n_x)
+    return _drift(kappa, dxh, h, np.empty_like(h))
 
 
 def wave_speed_estimate(h, u, profile):

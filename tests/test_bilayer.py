@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
-from pycnolab import stratified
+from pycnolab import bilayer, harness, stratified
 from pycnolab.core import BlowUpError, Field1D, SpatialGrid
 from pycnolab.stratified import StratifiedProfile
 from pycnolab.bilayer import (
     BilayerParams,
     BilayerState,
+    MarginTable,
     bd_residual,
     cfl_limit,
     combined_norm,
@@ -34,6 +35,15 @@ def params_with(**kw):
     base = dict(rho_s=0.5, rho_b=1.0, Hbar_s=1.0 / 3.0, Hbar_b=2.0 / 3.0)
     base.update(kw)
     return BilayerParams(**base)
+
+
+@pytest.fixture
+def fresh_margin_memo():
+    """Margin-table nodes solved by earlier tests are forgotten, so a
+    test that counts threshold solves sees the same count in any order."""
+    bilayer._margin_nodes.cache_clear()
+    yield
+    bilayer._margin_nodes.cache_clear()
 
 
 class TestParams:
@@ -329,6 +339,43 @@ class TestIntegrate:
             fm, _ = critical_froude(hs[j] / hb[j], PARAMS0.rho_ratio)
             assert abs(margin[j] - (fm - shear[j])) <= 5e-6, (
                 f"table margin off at node {j}")
+
+    def test_check_all_solves_one_margin_table(self, fresh_margin_memo,
+                                               monkeypatch):
+        # its nine two-layer runs start from one state, so their tables
+        # share one (density ratio, range, node count)
+        calls = []
+        solve = bilayer.froude_table
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bilayer, "froude_table", counted)
+        assert harness.check_all()["passed"]
+        assert len(calls) == 1
+        harness.check_all()
+        assert len(calls) == 1
+
+    def test_margin_memo_is_read_only(self, fresh_margin_memo):
+        table = MarginTable(0.5, 0.2, 1.2)
+        again = MarginTable(0.5, 0.2, 1.2)
+        assert again.nodes is table.nodes
+        for values in (table.nodes, table.fr_minus):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+    def test_extended_table_matches_fresh_one(self, fresh_margin_memo):
+        table = MarginTable(0.5, 0.4, 0.6)
+        ratios = np.geomspace(0.1, 3.0, 50)
+        got = table(ratios)
+        assert (table.lo, table.hi) == (0.05, 6.0)
+        bilayer._margin_nodes.cache_clear()
+        fresh = MarginTable(0.5, 0.05, 6.0)
+        assert fresh.nodes is not table.nodes
+        assert np.array_equal(fresh.nodes, table.nodes)
+        assert np.array_equal(fresh.fr_minus, table.fr_minus)
+        assert np.array_equal(fresh(ratios), got)
 
     def test_galilean_covariance(self):
         grid = SpatialGrid(64)

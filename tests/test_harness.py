@@ -8,8 +8,8 @@ import pytest
 
 import oracles
 import pycnolab.stratified
-from pycnolab import harness, hyperbolicity
-from pycnolab.core import LevelGrid
+from pycnolab import bilayer, harness, hyperbolicity
+from pycnolab.core import LevelGrid, SpatialGrid
 
 
 class TestFitSlope:
@@ -114,6 +114,19 @@ class TestSweepKappa:
         cfg["kappas"] = [0.0, 1e-3, 1e-2, 1e-1]
         with pytest.raises(ValueError):
             harness.sweep_kappa(cfg)
+
+    def test_difference_norm_is_the_combined_norm(self, monkeypatch):
+        # the norm of the stacked difference, bit for bit, with no state
+        # built for it
+        grid = SpatialGrid(64)
+        a = bilayer.make_initial(grid, "sine", {"H_s": 0.05, "U_b": 0.02})
+        b = bilayer.make_initial(grid, "gaussian", {"H_b": 0.03})
+        diff = bilayer.BilayerState.from_arrays(0.0, grid,
+                                                a.stacked() - b.stacked())
+        want = [bilayer.combined_norm(diff, s) for s in (0.0, 2.0)]
+        monkeypatch.setattr(bilayer.BilayerState, "__init__", None)
+        got = [harness._bilayer_difference_norm(a, b, s) for s in (0.0, 2.0)]
+        assert got == want
 
 
 SMALL_EPS_CFG = {

@@ -443,18 +443,25 @@ class TestStepIntegrate:
                     assert np.array_equal(u, want[1])
 
     def test_work_buffers_start_on_64_byte_boundaries(self):
+        # a step transforms stacked blocks of two arrays; every block
+        # starts on a 64-byte boundary, also where a block is not a
+        # multiple of 64 bytes long (a complex (2, 17) block is 544 B)
         grid = SpatialGrid(32)
         for n_r in (2, 7):
             work = stratified.ColumnWork(grid, n_r)
-            buffers = [v for v in vars(work).values()
-                       if isinstance(v, np.ndarray) and v.ndim == 2]
-            assert len(buffers) == 12
-            for buf in buffers:
-                assert buf.ctypes.data % 64 == 0
-                assert buf.flags.c_contiguous and buf.flags.writeable
-                want = ((n_r, 32), float) if buf.dtype == float else (
-                    (n_r, 17), complex)
-                assert (buf.shape, buf.dtype) == want
+            stacks = ((work.real, 6, (n_r, 32), float),
+                      (work.spectra, 5, (n_r, 17), complex))
+            for stack, k, shape, dtype in stacks:
+                assert stack.shape == (k, *shape) and stack.dtype == dtype
+                assert stack.flags.writeable
+                for block in stack:
+                    assert block.ctypes.data % 64 == 0
+                    assert block.flags.c_contiguous
+            named = [v for v in vars(work).values()
+                     if isinstance(v, np.ndarray) and v.ndim == 2]
+            assert len(named) == 8
+            assert all(np.shares_memory(v, work.real)
+                       or np.shares_memory(v, work.spectra) for v in named)
 
     def test_spectral_steps_track_physical_reference(self):
         # the spectral h side only reorders rounding: 20 kappa > 0 steps
@@ -477,24 +484,31 @@ class TestStepIntegrate:
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     def test_step_transform_counts(self, monkeypatch):
-        # one rfft of h feeds k1, the step limit's drift and the spectral
-        # h side; at kappa > 0 the kernel keeps dh's spectrum, a stage
-        # input costs two irffts and h1 one: 2 + 5 + 3 x 7 + 1
+        # fields transformed at the same point share one call. At
+        # kappa > 0: k1 takes h and u in two rffts (the rfft of h also
+        # feeds the step limit's drift and the spectral h side), one
+        # irfft for (d_x h, d_x u), one rfft for (flux, adv d_x u) and
+        # one irfft for the advection; a later stage's h, d_x h and d_x u
+        # come from one irfft after the rfft of u; h1 takes one irfft:
+        # 29 blocks (2 + 5 + 3 x 7 + 1) in 5 + 3 x 4 + 1 = 18 calls. At
+        # kappa = 0 a stage input's (h, u) share one rfft and (dh, the
+        # advection) one irfft: 32 blocks in 5 + 3 x 4 = 17 calls
         _, profile, state = embedded_pair(n_x=32, n_r=12)
         calls = []
         for name in ("rfft", "irfft"):
             real = getattr(np.fft, name)
 
-            def counted(*args, _real=real, **kwargs):
-                calls.append(1)
-                return _real(*args, **kwargs)
+            def counted(a, *args, _real=real, **kwargs):
+                calls.append(a.shape[0] if a.ndim == 3 else 1)
+                return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        for kappa, want in ((0.05, 29), (0.0, 32)):
+        for kappa, blocks, most_calls in ((0.05, 29, 18), (0.0, 32, 17)):
             dt = cfl_limit(state, profile, kappa)
             calls.clear()
             step(0.0, arrays(state), dt, state.grid, profile, kappa)
-            assert len(calls) == want, kappa
+            assert sum(calls) == blocks, kappa
+            assert len(calls) <= most_calls, kappa
 
     def test_step_checks_the_cfl_limit(self, monkeypatch):
         # step takes the drift from its first stage; the limit it checks
