@@ -21,6 +21,7 @@ step mid-run) or the sweep was inconclusive.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from . import bilayer
 from . import harness
 from . import refined
 from . import stratified
-from .core import CFL_DEFAULT, BlowUpError, LevelGrid, SpatialGrid, csv_cell
+from .core import CFL_DEFAULT, BlowUpError, csv_cell
 from .harness import ConfigError, config_count, config_positive
 from .hyperbolicity import StatePoint, atlas, classify_many, \
     count_line_intersections, critical_froude_pairs
@@ -225,9 +226,16 @@ def cmd_classify(cfg, art, plots):
     return PASS
 
 
+def _run_outcome(experiment, traj, art):
+    """Warnings to stderr, the summary, and the exit code of one run."""
+    for w in traj.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    art.summary(experiment, not traj.blown_up)
+    return INCONCLUSIVE if traj.blown_up else PASS
+
+
 def cmd_simulate_bilayer(cfg, art, plots):
-    grid = SpatialGrid(config_count(cfg, "n_x", 256),
-                       float(cfg.get("length", 2.0 * np.pi)))
+    grid = harness.grid_from_config(cfg)
     params = harness.params_from_config(cfg)
     initial = harness.initial_from_config(cfg, grid)
     cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
@@ -247,27 +255,11 @@ def cmd_simulate_bilayer(cfg, art, plots):
             [("hs_norm", d["t"], d["hs_norm"]),
              ("margin", d["t"], d["margin"])],
             "two-layer run diagnostics"), comment=False)
-    for w in traj.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    art.summary("simulate-bilayer", not traj.blown_up)
-    return INCONCLUSIVE if traj.blown_up else PASS
-
-
-def _stratified_setup(cfg):
-    """Params, levels, the sharp two-layer profile and the initial column."""
-    grid = SpatialGrid(config_count(cfg, "n_x", 256),
-                       float(cfg.get("length", 2.0 * np.pi)))
-    params = harness.params_from_config(cfg)
-    levels = LevelGrid.with_interface(
-        config_count(cfg, "n_r", 64), -params.Hbar_s,
-        cluster=float(cfg.get("cluster", 6.0)))
-    sharp, state = stratified.embed_bilayer(
-        harness.initial_from_config(cfg, grid), params, levels)
-    return params, levels, sharp, state
+    return _run_outcome("simulate-bilayer", traj, art)
 
 
 def cmd_simulate_stratified(cfg, art, plots):
-    params, levels, profile, state = _stratified_setup(cfg)
+    params, levels, _, profile, state = harness.column_setup(cfg)
     epsilon = cfg.get("epsilon")
     if epsilon is not None:
         spec = stratified.PycnoclineSpec(params, float(epsilon),
@@ -302,10 +294,7 @@ def cmd_simulate_stratified(cfg, art, plots):
             [("norm", d["t"], d["norm"]),
              ("min_depth", d["t"], d["min_depth"])],
             "stratified run diagnostics"), comment=False)
-    for w in traj.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    art.summary("simulate-stratified", not traj.blown_up)
-    return INCONCLUSIVE if traj.blown_up else PASS
+    return _run_outcome("simulate-stratified", traj, art)
 
 
 def cmd_refine(cfg, art, plots):
@@ -314,7 +303,7 @@ def cmd_refine(cfg, art, plots):
     # top wavenumber while the closed form stays quiet
     cfg = dict(cfg)
     cfg.setdefault("n_x", 128)
-    params, levels, sharp, state = _stratified_setup(cfg)
+    params, levels, _, sharp, state = harness.column_setup(cfg)
     kappa = float(cfg.get("kappa", 0.1))
     T = float(cfg.get("T", 0.3))
     spec = stratified.PycnoclineSpec(params, float(cfg.get("epsilon", 0.02)),
@@ -355,9 +344,10 @@ def cmd_refine(cfg, art, plots):
     return PASS if passed else FAIL
 
 
-def _run_sweep(experiment, fn, cfg, art, plots):
+def _run_sweep(fn, cfg, art, plots):
     result = fn(cfg)
     result.meta["seed"] = art.seed
+    experiment = result.experiment
     name = experiment.replace("-", "_")
     art.write(f"{name}.csv", lambda f: harness.write_sweep_csv(result, f),
               comment=False)
@@ -378,15 +368,6 @@ def _run_sweep(experiment, fn, cfg, art, plots):
           f"-> {'pass' if result.passed else 'fail'}")
     art.summary(experiment, result.passed, result.fit)
     return PASS if result.passed else FAIL
-
-
-def cmd_sweep_kappa(cfg, art, plots):
-    return _run_sweep("sweep-kappa", harness.sweep_kappa, cfg, art, plots)
-
-
-def cmd_sweep_epsilon(cfg, art, plots):
-    return _run_sweep("sweep-epsilon", harness.sweep_epsilon, cfg, art,
-                      plots)
 
 
 def cmd_check_all(cfg, art, plots):
@@ -416,8 +397,8 @@ COMMANDS = {
     "simulate-bilayer": cmd_simulate_bilayer,
     "simulate-stratified": cmd_simulate_stratified,
     "refine": cmd_refine,
-    "sweep-kappa": cmd_sweep_kappa,
-    "sweep-epsilon": cmd_sweep_epsilon,
+    "sweep-kappa": functools.partial(_run_sweep, harness.sweep_kappa),
+    "sweep-epsilon": functools.partial(_run_sweep, harness.sweep_epsilon),
     "check-all": cmd_check_all,
 }
 

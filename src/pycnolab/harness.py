@@ -9,7 +9,11 @@ terminal distance to the embedded two-layer run away from the pycnocline
 band, expected first order in the profile distance delta_0. Each slope
 comes with a 95% interval from the Student-t quantile, computed by
 `t_quantile` from the closed-form t distribution function of integer
-degrees of freedom (no special-function library).
+degrees of freedom (no special-function library). Both sweeps, and every
+column experiment, take their grid, constants, levels and embedded
+initial column from one config reader (`grid_from_config`,
+`column_setup`), and one judge turns each sweep's measured series into
+its result: inconclusive, all zero, or fitted, with one metadata set.
 
 check_all re-runs the cross-module identity suites (classification vs
 direct eigenvalues, symmetrizer certificates, conservation, the
@@ -157,7 +161,6 @@ class SweepResult:
 
 def _fit_headline(abscissa, values, expected, tolerance):
     """Fit the headline series and judge it, enforcing the span rule."""
-    abscissa = np.asarray(abscissa, dtype=float)
     if abscissa.size < 4:
         raise ValueError("sweeps need at least 4 points for a slope")
     span = float(abscissa.max() / abscissa.min())
@@ -169,14 +172,49 @@ def _fit_headline(abscissa, values, expected, tolerance):
     return fit, passed
 
 
-# ----------------------------------------------------------------------
-# kappa sweep
-# ----------------------------------------------------------------------
+class _Inconclusive(Exception):
+    """A sweep member that cannot be measured; the message says why."""
 
-def _bilayer_difference_norm(a, b, s):
-    """Combined H^s size of the four field differences between states."""
-    return bilayer.stacked_norm(a.grid, a.stacked() - b.stacked(), s)
 
+def _final(run, name):
+    """The state a run reached at T; a blown-up run ends the sweep."""
+    if run.blown_up:
+        raise _Inconclusive(f"{name} blew up")
+    return run.final
+
+
+def _judge(experiment, abscissa, headline, tolerance, cfg, meta, measure):
+    """The one verdict of a sweep on the series `measure()` returns.
+
+    `measure` maps series names to values over `abscissa`, or raises
+    `_Inconclusive`. The headline series is fitted against the config's
+    expected_slope (default 1) +- slope_tolerance (default `tolerance`);
+    a headline that vanishes everywhere passes without a fit. Every
+    outcome carries the same `meta`, so every CSV footer has one key set.
+    """
+    abscissa = np.asarray(abscissa, dtype=float)
+    expected = float(cfg.get("expected_slope", 1.0))
+    tolerance = float(cfg.get("slope_tolerance", tolerance))
+    result = SweepResult(experiment, abscissa, {}, headline, None, expected,
+                         tolerance, passed=False, meta=meta)
+    try:
+        result.series = measure()
+    except _Inconclusive as err:
+        result.inconclusive, result.detail = True, str(err)
+        return result
+    values = result.series[headline]
+    if np.all(values == 0.0):
+        result.passed = True
+        result.detail = "all distances vanish; runs are identical"
+    else:
+        result.fit, result.passed = _fit_headline(abscissa, values, expected,
+                                                  tolerance)
+    return result
+
+
+# ----------------------------------------------------------------------
+# configs
+# ----------------------------------------------------------------------
 
 class ConfigError(ValueError):
     """An invalid experiment configuration."""
@@ -209,6 +247,12 @@ def params_from_config(cfg):
         kappa=float(cfg.get("kappa", p.get("kappa", 0.0))))
 
 
+def grid_from_config(cfg):
+    """The periodic grid of a config: n_x points (256) over `length` (2 pi)."""
+    return SpatialGrid(config_count(cfg, "n_x", 256),
+                       float(cfg.get("length", 2.0 * np.pi)))
+
+
 def initial_from_config(cfg, grid):
     """Two-layer initial deviations of a config's "initial" section."""
     init = cfg.get("initial", {})
@@ -217,6 +261,30 @@ def initial_from_config(cfg, grid):
         amplitudes=init.get("amplitudes", {"H_s": 0.05, "U_s": 0.02}),
         wavenumber=init.get("wavenumber", 1),
         center=init.get("center"), width=init.get("width"))
+
+
+def column_setup(cfg):
+    """(params, levels, two-layer initial state, sharp profile, column).
+
+    The levels are n_r (64) cells with an edge at the interface, clustered
+    by `cluster` (6); the column is the two-layer state embedded on them.
+    """
+    params = params_from_config(cfg)
+    levels = LevelGrid.with_interface(config_count(cfg, "n_r", 64),
+                                      -params.Hbar_s,
+                                      cluster=float(cfg.get("cluster", 6.0)))
+    initial = initial_from_config(cfg, grid_from_config(cfg))
+    sharp, column = stratified.embed_bilayer(initial, params, levels)
+    return params, levels, initial, sharp, column
+
+
+# ----------------------------------------------------------------------
+# kappa sweep
+# ----------------------------------------------------------------------
+
+def _bilayer_difference_norm(a, b, s):
+    """Combined H^s size of the four field differences between states."""
+    return bilayer.stacked_norm(a.grid, a.stacked() - b.stacked(), s)
 
 
 def sweep_kappa(config):
@@ -235,10 +303,7 @@ def sweep_kappa(config):
     T = float(cfg.get("T", 0.5))
     s = float(cfg.get("s", 2.0))
     cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
-    expected = float(cfg.get("expected_slope", 1.0))
-    tolerance = float(cfg.get("slope_tolerance", 0.1))
-    grid = SpatialGrid(config_count(cfg, "n_x", 256),
-                       float(cfg.get("length", 2.0 * np.pi)))
+    grid = grid_from_config(cfg)
     base = params_from_config(cfg)
     initial = initial_from_config(cfg, grid)
 
@@ -247,43 +312,18 @@ def sweep_kappa(config):
     dt = 0.9 * min(bilayer.cfl_limit(initial, replace(base, kappa=k), cfl)
                    for k in [0.0] + kappas)
 
-    def run(k):
-        return bilayer.integrate(initial, replace(base, kappa=k), T, dt=dt,
-                                 cfl=cfl, snapshot_every=10 ** 9)
+    def final(k, name):
+        return _final(bilayer.integrate(
+            initial, replace(base, kappa=k), T, dt=dt, cfl=cfl,
+            snapshot_every=10 ** 9), name)
 
-    def bail(detail):
-        return SweepResult(
-            experiment="sweep-kappa", abscissa=np.array(kappas), series={},
-            headline="difference", fit=None, expected_slope=expected,
-            slope_tolerance=tolerance, passed=False, inconclusive=True,
-            detail=detail, meta={"dt": dt, "T": T})
+    def measure():
+        plain = final(0.0, "kappa = 0 run")
+        return {"difference": np.array([_bilayer_difference_norm(
+            final(k, f"run at kappa = {k:g}"), plain, s) for k in kappas])}
 
-    plain = run(0.0)
-    if plain.blown_up:
-        return bail("kappa = 0 run blew up")
-
-    runs = [run(k) for k in kappas]
-
-    diffs = []
-    for k, traj in zip(kappas, runs):
-        if traj.blown_up:
-            return bail(f"run at kappa = {k:g} blew up")
-        diffs.append(_bilayer_difference_norm(traj.final, plain.final, s))
-    diffs = np.array(diffs)
-
-    if np.all(diffs == 0.0):
-        return SweepResult(
-            experiment="sweep-kappa", abscissa=np.array(kappas),
-            series={"difference": diffs}, headline="difference", fit=None,
-            expected_slope=expected, slope_tolerance=tolerance, passed=True,
-            detail="all differences vanish; runs are identical",
-            meta={"dt": dt, "T": T, "s": s})
-    fit, passed = _fit_headline(kappas, diffs, expected, tolerance)
-    return SweepResult(
-        experiment="sweep-kappa", abscissa=np.array(kappas),
-        series={"difference": diffs}, headline="difference", fit=fit,
-        expected_slope=expected, slope_tolerance=tolerance, passed=passed,
-        meta={"dt": dt, "T": T, "s": s, "n_x": grid.n_x})
+    return _judge("sweep-kappa", kappas, "difference", 0.1, cfg,
+                  {"dt": dt, "T": T, "s": s, "n_x": grid.n_x}, measure)
 
 
 # ----------------------------------------------------------------------
@@ -298,18 +338,11 @@ def _embedded_rows(levels, Hbar_s, upper, lower):
     return out
 
 
-def _terminal_level_distances(strat_final, bi_final, params, s):
-    """Per-level H^s distance between a stratified state and an embedding."""
-    levels = strat_final.levels
-    grid = strat_final.grid
-    want_h = _embedded_rows(levels, params.Hbar_s,
-                            bi_final.H_s.values / params.Hbar_s,
-                            bi_final.H_b.values / params.Hbar_b)
-    want_u = _embedded_rows(levels, params.Hbar_s, bi_final.U_s.values,
-                            bi_final.U_b.values)
-    hn = grid.sobolev_norms_rows(strat_final.h.values - want_h, s)
-    un = grid.sobolev_norms_rows(strat_final.u.values - want_u, s)
-    return np.sqrt(hn * hn + un * un)
+def _embedded_column(levels, params, H_s, H_b, U_s, U_b):
+    """The column (h, u) rows of two-layer fields embedded on `levels`."""
+    return (_embedded_rows(levels, params.Hbar_s, H_s / params.Hbar_s,
+                           H_b / params.Hbar_b),
+            _embedded_rows(levels, params.Hbar_s, U_s, U_b))
 
 
 def sweep_epsilon(config):
@@ -331,15 +364,9 @@ def sweep_epsilon(config):
     kappa = float(cfg.get("kappa", 0.1))
     shape = cfg.get("shape", "tanh")
     band_factor = float(cfg.get("band_factor", 3.0))
-    grid = SpatialGrid(config_count(cfg, "n_x", 256),
-                       float(cfg.get("length", 2.0 * np.pi)))
-    params = params_from_config(cfg)
-    levels = LevelGrid.with_interface(config_count(cfg, "n_r", 64),
-                                      -params.Hbar_s,
-                                      cluster=float(cfg.get("cluster", 6.0)))
+    params, levels, bi_initial, _, strat_initial = column_setup(cfg)
     bi_params = replace(params, kappa=kappa)
-    bi_initial = initial_from_config(cfg, grid)
-    _, strat_initial = stratified.embed_bilayer(bi_initial, params, levels)
+    grid = bi_initial.grid
 
     targets = []
     deltas = []
@@ -348,66 +375,40 @@ def sweep_epsilon(config):
         profile, dist = stratified.smooth_pycnocline(spec, levels)
         targets.append(profile)
         deltas.append(dist["rho"] + dist["ubar"])
-    deltas = np.array(deltas)
 
     dt = bilayer.cfl_limit(bi_initial, bi_params, cfl)
     for profile in targets:
         dt = min(dt, stratified.cfl_limit(strat_initial, profile, kappa, cfl))
     dt *= 0.9
 
-    bi_run = bilayer.integrate(bi_initial, bi_params, T, dt=dt, cfl=cfl,
-                               snapshot_every=10 ** 9)
-    expected = float(cfg.get("expected_slope", 1.0))
-    tolerance = float(cfg.get("slope_tolerance", 0.2))
+    def measure():
+        bi_final = _final(bilayer.integrate(
+            bi_initial, bi_params, T, dt=dt, cfl=cfl, snapshot_every=10 ** 9),
+            "two-layer run")
+        want_h, want_u = _embedded_column(levels, params, *bi_final.stacked())
+        exterior, exterior_sup, everywhere = [], [], []
+        for eps, profile in zip(epsilons, targets):
+            final = _final(stratified.integrate(
+                strat_initial, profile, kappa, T, dt=dt, cfl=cfl,
+                snapshot_every=10 ** 9), f"stratified run at eps = {eps:g}")
+            hn = grid.sobolev_norms_rows(final.h.values - want_h, s)
+            un = grid.sobolev_norms_rows(final.u.values - want_u, s)
+            per_level = np.sqrt(hn * hn + un * un)
+            mask = np.abs(levels.r + params.Hbar_s) > band_factor * eps
+            if not np.any(mask):
+                raise _Inconclusive(
+                    f"eps = {eps:g} leaves no levels outside the band")
+            exterior.append(float(np.sum(levels.w[mask] * per_level[mask])))
+            exterior_sup.append(float(np.max(per_level[mask])))
+            everywhere.append(float(np.sum(levels.w * per_level)))
+        return {"exterior": np.array(exterior),
+                "exterior_sup": np.array(exterior_sup),
+                "all_levels": np.array(everywhere)}
 
-    def bail(detail):
-        return SweepResult(
-            experiment="sweep-epsilon", abscissa=deltas, series={},
-            headline="exterior", fit=None, expected_slope=expected,
-            slope_tolerance=tolerance, passed=False, inconclusive=True,
-            detail=detail, meta={"dt": dt, "T": T, "kappa": kappa})
-
-    if bi_run.blown_up:
-        return bail("two-layer run blew up")
-
-    runs = [stratified.integrate(strat_initial, profile, kappa, T, dt=dt,
-                                 cfl=cfl, snapshot_every=10 ** 9)
-            for profile in targets]
-
-    exterior = []
-    exterior_sup = []
-    everywhere = []
-    for eps, traj in zip(epsilons, runs):
-        if traj.blown_up:
-            return bail(f"stratified run at eps = {eps:g} blew up")
-        per_level = _terminal_level_distances(traj.final, bi_run.final,
-                                              params, s)
-        mask = np.abs(levels.r + params.Hbar_s) > band_factor * eps
-        if not np.any(mask):
-            return bail(f"eps = {eps:g} leaves no levels outside the band")
-        exterior.append(float(np.sum(levels.w[mask] * per_level[mask])))
-        exterior_sup.append(float(np.max(per_level[mask])))
-        everywhere.append(float(np.sum(levels.w * per_level)))
-
-    series = {"exterior": np.array(exterior),
-              "exterior_sup": np.array(exterior_sup),
-              "all_levels": np.array(everywhere)}
-    if np.all(series["exterior"] == 0.0):
-        return SweepResult(
-            experiment="sweep-epsilon", abscissa=deltas, series=series,
-            headline="exterior", fit=None, expected_slope=expected,
-            slope_tolerance=tolerance, passed=True,
-            detail="all distances vanish; runs are identical",
-            meta={"dt": dt, "T": T, "kappa": kappa})
-    fit, passed = _fit_headline(deltas, series["exterior"], expected,
-                                tolerance)
-    return SweepResult(
-        experiment="sweep-epsilon", abscissa=deltas, series=series,
-        headline="exterior", fit=fit, expected_slope=expected,
-        slope_tolerance=tolerance, passed=passed,
-        meta={"dt": dt, "T": T, "kappa": kappa, "shape": shape,
-              "epsilons": epsilons, "band_factor": band_factor,
-              "n_x": grid.n_x, "n_r": levels.n_r})
+    return _judge("sweep-epsilon", deltas, "exterior", 0.2, cfg,
+                  {"dt": dt, "T": T, "kappa": kappa, "shape": shape,
+                   "epsilons": epsilons, "band_factor": band_factor,
+                   "n_x": grid.n_x, "n_r": levels.n_r}, measure)
 
 
 # ----------------------------------------------------------------------
@@ -538,16 +539,13 @@ def _suite_bd_residual(kappa):
 
 
 def _suite_embedding():
-    grid = SpatialGrid(64)
-    params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
-                                   kappa=0.1)
-    levels = LevelGrid.with_interface(24, -params.Hbar_s)
-    bistate = bilayer.make_initial(grid, amplitudes={"H_s": 0.05,
-                                                     "U_b": 0.02})
+    params, levels, bistate, profile, state = column_setup({
+        "n_x": 64, "n_r": 24, "cluster": 0.0, "kappa": 0.1,
+        "initial": {"amplitudes": {"H_s": 0.05, "U_b": 0.02}}})
     # the two-layer system runs as the two-level column, so its pressure
     # is checked against the closed-form layer gradients first
     H_s, H_b = bistate.H_s.values, bistate.H_b.values
-    d = grid.derivative
+    d = bistate.grid.derivative
     P = stratified.pressure_matrix(params.column)
     press = P @ d(np.array([H_b / params.Hbar_b, H_s / params.Hbar_s]))
     closed = np.array([d(params.rho_ratio * H_s + H_b), d(H_s + H_b)])
@@ -555,13 +553,9 @@ def _suite_embedding():
     if gap > 1e-12:
         return False, (f"two-level pressure differs from the layer "
                        f"gradients by {gap:.3e}")
-    profile, state = stratified.embed_bilayer(bistate, params, levels)
-    dH_s, dH_b, dU_s, dU_b = bilayer.rhs(bistate, params)
     dh, du = stratified.rhs(state, profile, params.kappa)
-    want_h = _embedded_rows(levels, params.Hbar_s,
-                            dH_s.values / params.Hbar_s,
-                            dH_b.values / params.Hbar_b)
-    want_u = _embedded_rows(levels, params.Hbar_s, dU_s.values, dU_b.values)
+    want_h, want_u = _embedded_column(
+        levels, params, *(f.values for f in bilayer.rhs(bistate, params)))
     err = max(float(np.max(np.abs(dh.values - want_h))),
               float(np.max(np.abs(du.values - want_u))))
     if err > 1e-12:
@@ -572,11 +566,7 @@ def _suite_embedding():
     bi = bilayer.integrate(bistate, params, T, dt=dt, snapshot_every=10 ** 9)
     strat = stratified.integrate(state, profile, params.kappa, T, dt=dt,
                                  snapshot_every=10 ** 9)
-    want_h = _embedded_rows(levels, params.Hbar_s,
-                            bi.final.H_s.values / params.Hbar_s,
-                            bi.final.H_b.values / params.Hbar_b)
-    want_u = _embedded_rows(levels, params.Hbar_s, bi.final.U_s.values,
-                            bi.final.U_b.values)
+    want_h, want_u = _embedded_column(levels, params, *bi.final.stacked())
     drift = max(float(np.max(np.abs(strat.final.h.values - want_h))),
                 float(np.max(np.abs(strat.final.u.values - want_u))))
     if drift > 1e-10:
@@ -613,12 +603,8 @@ def _suite_lipschitz(rng, n_triples):
 
 def _suite_refined(kappa):
     k = kappa if kappa > 0.0 else 0.1
-    grid = SpatialGrid(64)
-    params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0)
-    levels = LevelGrid.with_interface(32, -params.Hbar_s, cluster=4.0)
-    bistate = bilayer.make_initial(grid, amplitudes={"H_s": 0.05,
-                                                     "U_s": 0.02})
-    profile, state = stratified.embed_bilayer(bistate, params, levels)
+    params, levels, _, profile, state = column_setup(
+        {"n_x": 64, "n_r": 32, "cluster": 4.0})
     dt = stratified.cfl_limit(state, profile, k) / 2.0
     ref_traj = stratified.integrate(state, profile, k, 0.3, dt=dt,
                                     snapshot_every=1)

@@ -162,24 +162,12 @@ def _pressure_kernel(w, rho):
     return P
 
 
-def montgomery_kernel(profile):
-    """The (n_r, n_r) matrix W with Psi = W @ h columns."""
-    return profile.levels.w * _density_matrix(profile.rho)
-
-
 def pressure_matrix(profile):
     """(1/rho) W: rows give the pressure-gradient coupling per level.
 
     Built once per profile and read-only.
     """
     return profile._step_matrices[0]
-
-
-def montgomery(profile, h):
-    """Apply M[rho] to a Field2D, returning Psi as a Field2D."""
-    if h.levels != profile.levels:
-        raise ValueError("field and profile live on different level grids")
-    return Field2D(montgomery_kernel(profile) @ h.values, h.grid, h.levels)
 
 
 def montgomery_lipschitz_ratios(levels, rho1, rho2, h):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pycnolab import bilayer, cli, hyperbolicity, stratified
+from pycnolab import bilayer, cli, harness, hyperbolicity, stratified
 from pycnolab.core import LevelGrid, SpatialGrid
 
 
@@ -269,6 +269,69 @@ class TestSweepCommands:
         code = cli.main(["sweep-epsilon", "--config", cfg,
                          "--out", str(tmp_path / "o")])
         assert code == cli.PASS
+
+
+# each sweep at a small scale on its three paths: a fitted slope, values
+# that all vanish (no initial deviation), and an inconclusive member (a
+# run that hits the depth floor; a band that swallows every level)
+SWEEP_PATHS = {
+    "sweep-kappa": ({"n_x": 64, "T": 0.05}, {
+        "fitted": {},
+        "vanishing": {"initial": {"amplitudes": {}}},
+        "inconclusive": {"params": {"Hbar_s": 0.5, "Hbar_b": 0.5},
+                         "initial": {"amplitudes": {"H_s": 0.49}},
+                         "T": 2.0}}),
+    "sweep-epsilon": ({"n_x": 64, "n_r": 16, "T": 0.05}, {
+        "fitted": {},
+        "vanishing": {"initial": {"amplitudes": {}}},
+        "inconclusive": {"band_factor": 1000}}),
+}
+
+
+def run_sweep_path(tmp_path, command, path):
+    base, paths = SWEEP_PATHS[command]
+    cfg = write_config(tmp_path, f"{path}.json", {**base, **paths[path]})
+    out = tmp_path / path
+    code = cli.main([command, "--config", cfg, "--out", str(out)])
+    name = command.replace("-", "_")
+    footer = (out / f"{name}.csv").read_text().splitlines()[-1]
+    return code, read_summary(out, command), footer
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_PATHS))
+def test_sweep_footer_keys_match_on_every_path(tmp_path, command):
+    # the all-zero and inconclusive footers once dropped keys the fitted
+    # footer writes
+    keys = {}
+    for path, want in (("fitted", cli.PASS), ("vanishing", cli.PASS),
+                       ("inconclusive", cli.INCONCLUSIVE)):
+        code, _, footer = run_sweep_path(tmp_path, command, path)
+        assert code == want, path
+        prefix = f"# {command} "
+        assert footer.startswith(prefix)
+        # the epsilons list holds commas too: keep only key=value cells
+        keys[path] = {cell.split("=", 1)[0] for cell in
+                      footer[len(prefix):].split(",") if "=" in cell}
+    assert keys["vanishing"] == keys["fitted"]
+    assert keys["inconclusive"] == keys["fitted"]
+    assert {"T", "dt", "n_x", "seed"} <= keys["fitted"]
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_PATHS))
+def test_vanishing_sweep_passes_without_a_fit(tmp_path, capsys, command):
+    code, summary, _ = run_sweep_path(tmp_path, command, "vanishing")
+    assert code == cli.PASS
+    assert summary["pass"] is True
+    assert summary["slope"] is None and summary["interval"] is None
+    assert capsys.readouterr().out == (
+        f"{command}: all distances vanish; runs are identical\n")
+    fn = {"sweep-kappa": harness.sweep_kappa,
+          "sweep-epsilon": harness.sweep_epsilon}[command]
+    base, paths = SWEEP_PATHS[command]
+    result = fn({**base, **paths["vanishing"]})
+    assert result.passed and not result.inconclusive
+    assert result.fit is None
+    assert all(np.all(v == 0.0) for v in result.series.values())
 
 
 class TestRunCommands:

@@ -17,8 +17,6 @@ from pycnolab.stratified import (
     embed_bilayer,
     integrate,
     layer_average,
-    montgomery,
-    montgomery_kernel,
     montgomery_lipschitz_check,
     montgomery_lipschitz_ratios,
     pressure_matrix,
@@ -108,48 +106,57 @@ class TestProfile:
             assert ratio[0] == pytest.approx(gap / bound, rel=1e-12), scale
 
 
+def loop_pressure(profile, h):
+    """(1/rho) Psi of each column of h, from the loop reference."""
+    return np.array([oracles.montgomery_by_loops(
+        profile.rho, profile.levels.w, column) / profile.rho
+        for column in h.T]).T
+
+
 class TestMontgomery:
+    """The production pressure (1/rho) W against the loop reference."""
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(11)
         levels = interface_levels(17)
         grid = SpatialGrid(16)
         prof = random_profile(rng, levels)
-        h = random_field(rng, grid, levels)
-        psi = montgomery(prof, h)
-        for j in range(grid.n_x):
-            want = oracles.montgomery_by_loops(prof.rho, levels.w,
-                                               h.values[:, j])
-            err = np.max(np.abs(psi.values[:, j] - want))
-            assert err <= 1e-13, f"column {j}: montgomery off by {err:.3e}"
+        h = random_field(rng, grid, levels).values
+        err = np.max(np.abs(pressure_matrix(prof) @ h
+                            - loop_pressure(prof, h)))
+        assert err <= 1e-13, f"pressure off by {err:.3e}"
 
     def test_zero_and_uniform_column(self):
         levels = LevelGrid.uniform(12)
         grid = SpatialGrid(16)
         prof = StratifiedProfile(levels, np.full(12, 1.3), np.zeros(12))
-        zero = montgomery(prof, Field2D.zeros(grid, levels))
-        assert np.all(zero.values == 0.0)
-        # constant density, r-independent h: Psi = rho * h at every level
+        P = pressure_matrix(prof)
+        zero = np.zeros((12, grid.n_x))
+        assert np.all(P @ zero == 0.0)
+        assert np.all(loop_pressure(prof, zero) == 0.0)
+        # constant density, r-independent h: Psi = rho * h at every level,
+        # so the pressure is h itself
         h_x = np.cos(grid.x)
-        h = Field2D(np.tile(h_x, (12, 1)), grid, levels)
-        psi = montgomery(prof, h)
-        assert np.max(np.abs(psi.values - 1.3 * h_x[None, :])) <= 1e-14
+        h = np.tile(h_x, (12, 1))
+        assert np.max(np.abs(P @ h - h_x[None, :])) <= 1e-14
+        assert np.max(np.abs(P @ h - loop_pressure(prof, h))) <= 1e-14
 
     def test_linear_and_commutes_with_x_derivative(self):
         rng = np.random.default_rng(12)
         levels = LevelGrid.uniform(10)
         grid = SpatialGrid(32)
         prof = random_profile(rng, levels)
-        f = random_field(rng, grid, levels)
-        g = random_field(rng, grid, levels)
-        combo = Field2D(2.0 * f.values - 0.5 * g.values, grid, levels)
-        lhs = montgomery(prof, combo).values
-        rhs_ = 2.0 * montgomery(prof, f).values - 0.5 * montgomery(prof, g).values
-        assert np.max(np.abs(lhs - rhs_)) <= 1e-12
-        d_psi = grid.derivative(montgomery(prof, f).values)
-        psi_d = montgomery(prof, Field2D(grid.derivative(f.values),
-                                         grid, levels)).values
-        assert np.max(np.abs(d_psi - psi_d)) <= 1e-12
+        P = pressure_matrix(prof)
+        f = random_field(rng, grid, levels).values
+        g = random_field(rng, grid, levels).values
+        combo = 2.0 * f - 0.5 * g
+        assert np.max(np.abs(P @ combo - (2.0 * P @ f - 0.5 * P @ g))) <= 1e-12
+        assert np.max(np.abs(P @ combo - loop_pressure(prof, combo))) <= 1e-12
+        d_press = grid.derivative(P @ f)
+        press_d = P @ grid.derivative(f)
+        assert np.max(np.abs(d_press - press_d)) <= 1e-12
+        assert np.max(np.abs(
+            press_d - loop_pressure(prof, grid.derivative(f)))) <= 1e-12
 
     def test_two_layer_pressure_closed_form(self):
         bistate, profile, state = embedded_pair()
@@ -164,18 +171,11 @@ class TestMontgomery:
         rng = np.random.default_rng(13)
         levels = LevelGrid.uniform(6)
         prof = random_profile(rng, levels)
-        W = montgomery_kernel(prof)
+        P = pressure_matrix(prof)
+        w, rho = levels.w, prof.rho
         for i in range(6):
             for j in range(6):
-                assert W[i, j] == levels.w[j] * prof.rho[max(i, j)]
-
-    def test_level_mismatch_rejected(self):
-        rng = np.random.default_rng(14)
-        grid = SpatialGrid(16)
-        prof = random_profile(rng, LevelGrid.uniform(8))
-        h = random_field(rng, grid, LevelGrid.uniform(9))
-        with pytest.raises(ValueError):
-            montgomery(prof, h)
+                assert P[i, j] == w[j] * rho[max(i, j)] / rho[i]
 
 
 class TestDynamics:
@@ -829,7 +829,7 @@ class TestLipschitz:
         with pytest.raises(ValueError):
             montgomery_lipschitz_check(p1, p2,
                                        random_field(rng, grid, p1.levels))
-        # same n_r, other level grid: rejected as `montgomery` rejects it
+        # same n_r, other level grid: rejected too
         p3 = random_profile(rng, LevelGrid.uniform(8))
         other = LevelGrid.with_interface(8, -0.3, cluster=2.0)
         with pytest.raises(ValueError):
