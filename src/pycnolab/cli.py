@@ -316,13 +316,11 @@ def cmd_refine(cfg, art, plots):
     reference = stratified.integrate(state, sharp, kappa, T, dt=dt,
                                      snapshot_every=1)
     if reference.blown_up:
-        art.summary("refine", False)
-        return INCONCLUSIVE
-    forcing = refined.build_forcing(reference, target)
+        return _run_outcome("refine", reference, art)
+    forcing = refined.ReferenceRun(reference, target)
     run = refined.solve_refined(state, target, forcing, kappa, T, dt=dt)
     if run.blown_up:
-        art.summary("refine", False)
-        return INCONCLUSIVE
+        return _run_outcome("refine", run, art)
 
     series = refined.consistency_residual(run, s=float(cfg.get("s", 2.0)))
     agreement = float(np.max(series.agreement))

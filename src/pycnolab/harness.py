@@ -159,19 +159,6 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
 
-def _fit_headline(abscissa, values, expected, tolerance):
-    """Fit the headline series and judge it, enforcing the span rule."""
-    if abscissa.size < 4:
-        raise ValueError("sweeps need at least 4 points for a slope")
-    span = float(abscissa.max() / abscissa.min())
-    if span < 99.0:
-        raise ValueError(
-            f"sweep abscissa spans a factor {span:.3g}; need two decades")
-    fit = fit_slope(abscissa, values)
-    passed = abs(fit.slope - expected) <= tolerance
-    return fit, passed
-
-
 class _Inconclusive(Exception):
     """A sweep member that cannot be measured; the message says why."""
 
@@ -186,13 +173,21 @@ def _final(run, name):
 def _judge(experiment, abscissa, headline, tolerance, cfg, meta, measure):
     """The one verdict of a sweep on the series `measure()` returns.
 
-    `measure` maps series names to values over `abscissa`, or raises
-    `_Inconclusive`. The headline series is fitted against the config's
-    expected_slope (default 1) +- slope_tolerance (default `tolerance`);
-    a headline that vanishes everywhere passes without a fit. Every
-    outcome carries the same `meta`, so every CSV footer has one key set.
+    The abscissa needs at least 4 points spanning two decades; that is
+    checked before `measure` runs anything. `measure` maps series names
+    to values over `abscissa`, or raises `_Inconclusive`. The headline
+    series is fitted against the config's expected_slope (default 1) +-
+    slope_tolerance (default `tolerance`); a headline that vanishes
+    everywhere passes without a fit. Every outcome carries the same
+    `meta`, so every CSV footer has one key set.
     """
     abscissa = np.asarray(abscissa, dtype=float)
+    if abscissa.size < 4:
+        raise ValueError("sweeps need at least 4 points for a slope")
+    span = float(abscissa.max() / abscissa.min())
+    if span < 99.0:
+        raise ValueError(
+            f"sweep abscissa spans a factor {span:.3g}; need two decades")
     expected = float(cfg.get("expected_slope", 1.0))
     tolerance = float(cfg.get("slope_tolerance", tolerance))
     result = SweepResult(experiment, abscissa, {}, headline, None, expected,
@@ -207,8 +202,8 @@ def _judge(experiment, abscissa, headline, tolerance, cfg, meta, measure):
         result.passed = True
         result.detail = "all distances vanish; runs are identical"
     else:
-        result.fit, result.passed = _fit_headline(abscissa, values, expected,
-                                                  tolerance)
+        result.fit = fit_slope(abscissa, values)
+        result.passed = abs(result.fit.slope - expected) <= tolerance
     return result
 
 
@@ -330,21 +325,6 @@ def sweep_kappa(config):
 # epsilon sweep
 # ----------------------------------------------------------------------
 
-def _embedded_rows(levels, Hbar_s, upper, lower):
-    edge = levels.interface_edge_index(-Hbar_s)
-    out = np.empty((levels.n_r, upper.size))
-    out[:edge] = lower
-    out[edge:] = upper
-    return out
-
-
-def _embedded_column(levels, params, H_s, H_b, U_s, U_b):
-    """The column (h, u) rows of two-layer fields embedded on `levels`."""
-    return (_embedded_rows(levels, params.Hbar_s, H_s / params.Hbar_s,
-                           H_b / params.Hbar_b),
-            _embedded_rows(levels, params.Hbar_s, U_s, U_b))
-
-
 def sweep_epsilon(config):
     """Distance of smoothed-pycnocline runs to the sharp two-layer run.
 
@@ -385,14 +365,14 @@ def sweep_epsilon(config):
         bi_final = _final(bilayer.integrate(
             bi_initial, bi_params, T, dt=dt, cfl=cfl, snapshot_every=10 ** 9),
             "two-layer run")
-        want_h, want_u = _embedded_column(levels, params, *bi_final.stacked())
+        want = stratified.embed_bilayer(bi_final, params, levels)[1]
         exterior, exterior_sup, everywhere = [], [], []
         for eps, profile in zip(epsilons, targets):
             final = _final(stratified.integrate(
                 strat_initial, profile, kappa, T, dt=dt, cfl=cfl,
                 snapshot_every=10 ** 9), f"stratified run at eps = {eps:g}")
-            hn = grid.sobolev_norms_rows(final.h.values - want_h, s)
-            un = grid.sobolev_norms_rows(final.u.values - want_u, s)
+            hn = grid.sobolev_norms_rows(final.h.values - want.h.values, s)
+            un = grid.sobolev_norms_rows(final.u.values - want.u.values, s)
             per_level = np.sqrt(hn * hn + un * un)
             mask = np.abs(levels.r + params.Hbar_s) > band_factor * eps
             if not np.any(mask):
@@ -554,10 +534,10 @@ def _suite_embedding():
         return False, (f"two-level pressure differs from the layer "
                        f"gradients by {gap:.3e}")
     dh, du = stratified.rhs(state, profile, params.kappa)
-    want_h, want_u = _embedded_column(
-        levels, params, *(f.values for f in bilayer.rhs(bistate, params)))
-    err = max(float(np.max(np.abs(dh.values - want_h))),
-              float(np.max(np.abs(du.values - want_u))))
+    want = stratified.embed_bilayer(bilayer.BilayerState(
+        bistate.t, *bilayer.rhs(bistate, params)), params, levels)[1]
+    err = max(float(np.max(np.abs(dh.values - want.h.values))),
+              float(np.max(np.abs(du.values - want.u.values))))
     if err > 1e-12:
         return False, f"embedded time derivatives differ by {err:.3e}"
     dt = min(bilayer.cfl_limit(bistate, params),
@@ -566,9 +546,9 @@ def _suite_embedding():
     bi = bilayer.integrate(bistate, params, T, dt=dt, snapshot_every=10 ** 9)
     strat = stratified.integrate(state, profile, params.kappa, T, dt=dt,
                                  snapshot_every=10 ** 9)
-    want_h, want_u = _embedded_column(levels, params, *bi.final.stacked())
-    drift = max(float(np.max(np.abs(strat.final.h.values - want_h))),
-                float(np.max(np.abs(strat.final.u.values - want_u))))
+    want = stratified.embed_bilayer(bi.final, params, levels)[1]
+    drift = max(float(np.max(np.abs(strat.final.h.values - want.h.values))),
+                float(np.max(np.abs(strat.final.u.values - want.u.values))))
     if drift > 1e-10:
         return False, f"embedded trajectory drifted by {drift:.3e}"
     return True, (f"pressure matches to {gap:.1e}, derivatives to "
@@ -610,7 +590,7 @@ def _suite_refined(kappa):
                                     snapshot_every=1)
     target, _ = stratified.smooth_pycnocline(
         stratified.PycnoclineSpec(params, 0.02, "tanh"), levels)
-    forcing = refined.build_forcing(ref_traj, target)
+    forcing = refined.ReferenceRun(ref_traj, target)
     run = refined.solve_refined(state, target, forcing, k, 0.3, dt=dt)
     if run.blown_up:
         return False, "refined run blew up"

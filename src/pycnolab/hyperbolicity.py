@@ -106,7 +106,6 @@ class HyperbolicityReport:
     shear: float
     margin: float
     degenerate: bool
-    tolerance: float
 
 
 @dataclass(eq=False)
@@ -118,8 +117,6 @@ class Symmetrizer:
     minors: np.ndarray
     min_eigenvalue: float
     asymmetry: float
-    clipped: bool = False
-    searched: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -141,13 +138,6 @@ def coefficient_arrays(rho_ratio, H_s, H_b, U_s, U_b):
     c1 = ab * cs + as_ * cb
     c0 = cb * cs - rho_ratio * H_s * H_b
     return c3, c2, c1, c0
-
-
-def characteristic_polynomial(point):
-    """Coefficients [1, c3, c2, c1, c0] of P at a StatePoint."""
-    c3, c2, c1, c0 = coefficient_arrays(
-        point.rho_ratio, point.H_s, point.H_b, point.U_s, point.U_b)
-    return np.array([1.0, float(c3), float(c2), float(c1), float(c0)])
 
 
 def quartic_discriminant(c3, c2, c1, c0):
@@ -302,7 +292,10 @@ def critical_froude_pairs(h_ratios, rho_ratios, tol=1e-10):
     density ratio and each bracket stopping where the scalar loop would;
     every row equals `critical_froude(h, rr, tol)` bit for bit. A row
     whose first scan misses the elliptic window goes through
-    `critical_froude` itself (finer scans, or its RuntimeError).
+    `critical_froude` itself (finer scans, or its RuntimeError). The
+    scalar solver stays beside this one because each is the cheaper on
+    its own input size: a one-row call here costs ten to twenty scalar
+    calls.
     """
     hs, rrs = np.broadcast_arrays(np.asarray(h_ratios, dtype=float),
                                   np.asarray(rho_ratios, dtype=float))
@@ -400,9 +393,8 @@ def classify_many(points):
     collided = np.min(seps, axis=1) <= 10.0 * tols
 
     reports = []
-    for point, coeff, root, nreal, tol, degenerate in zip(
-            points, coeffs, roots, nreals.tolist(), tols.tolist(),
-            collided.tolist()):
+    for point, coeff, root, nreal, degenerate in zip(
+            points, coeffs, roots, nreals.tolist(), collided.tolist()):
         fr_minus, fr_plus = point.thresholds
         shear = point.shear
         margin = fr_minus - shear
@@ -431,7 +423,7 @@ def classify_many(points):
         reports.append(HyperbolicityReport(
             coefficients=coeff, roots=root, real_count=nreal, regime=regime,
             fr_minus=fr_minus, fr_plus=fr_plus, shear=shear, margin=margin,
-            degenerate=degenerate, tolerance=tol))
+            degenerate=degenerate))
     return reports
 
 
@@ -529,14 +521,8 @@ def symmetrizer(point, report=None):
     lo, hi = lams[1], lams[2]
     u_lo, u_hi = min(point.U_s, point.U_b), max(point.U_s, point.U_b)
 
-    lam = 0.5 * (lo + hi)
-    clipped = False
-    searched = False
-    if lam < u_lo or lam > u_hi:
-        lam = min(max(lam, u_lo), u_hi)
-        clipped = True
+    lam = min(max(0.5 * (lo + hi), u_lo), u_hi)
     if not lo < lam < hi:
-        searched = True
         gap = hi - lo
 
         def min_eig(l):
@@ -553,8 +539,7 @@ def symmetrizer(point, report=None):
     return Symmetrizer(
         lam=float(lam), S=S, SA=SA, certified=certified, minors=minors,
         min_eigenvalue=float(eigs[0]),
-        asymmetry=float(np.max(np.abs(SA - SA.T))),
-        clipped=clipped, searched=searched)
+        asymmetry=float(np.max(np.abs(SA - SA.T))))
 
 
 def symmetrizer_fields(rho_ratio, H_s, H_b, U_s, U_b, lam):

@@ -111,11 +111,6 @@ class ReferenceRun:
         return np.einsum("a,aix->ix", w, self.h_snapshots[k:k + 4])
 
 
-def build_forcing(trajectory, target_profile):
-    """Package a reference trajectory as forcing for a target profile."""
-    return ReferenceRun(trajectory, target_profile)
-
-
 # ----------------------------------------------------------------------
 # the forced system
 # ----------------------------------------------------------------------

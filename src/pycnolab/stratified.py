@@ -36,7 +36,9 @@ transform of its steps is written into those buffers, laid out so that
 fields transformed at the same point share one call. At kappa > 0 the
 h side of the step stays in rfft half-spectra, where E is a plain
 multiply, so a step transforms 29 blocks in 18 calls; a kappa = 0 step,
-classical RK4 on physical fields, 32 blocks in 17 calls. `march` is the one fixed-step time loop, which turns blow-ups and
+classical RK4 on physical fields, 32 blocks in 17 calls.
+
+`march` is the one fixed-step time loop, which turns blow-ups and
 mid-run CFL breaches into flagged, truncated trajectories; it carries
 each run's arrays and builds state objects only at snapshots. The CFL
 estimate takes the gravity-wave speeds from the symmetric form a R a,
@@ -216,16 +218,6 @@ def montgomery_lipschitz_ratios(levels, rho1, rho2, h):
     worst = np.max(ratio, axis=(1, 2), initial=0.0)
     worst[np.any(~bounded & (left > 0.0), axis=(1, 2))] = np.inf
     return worst
-
-
-def montgomery_lipschitz_check(profile1, profile2, h):
-    """`montgomery_lipschitz_ratios` for one triple of two profiles and a
-    Field2D, all on one level grid."""
-    if profile1.levels != profile2.levels or h.levels != profile1.levels:
-        raise ValueError("profiles and field live on different level grids")
-    return float(montgomery_lipschitz_ratios(
-        profile1.levels, profile1.rho[None], profile2.rho[None],
-        h.values[None])[0])
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,15 @@ Everything in this file is deliberately naive: closed-form root formulas,
 O(n^2) transforms, double loops over level indices. These routines were
 written and frozen before the package code and share none of its code
 paths, so agreement between the two is meaningful. Do not "optimize" them
-into calls back into pycnolab.
+into calls back into pycnolab. The one exception, `characteristic_polynomial`
+at the end, is no reference: it only lays the package's quartic
+coefficients out in np.polyval order.
 """
 
 import numpy as np
 import scipy.linalg
+
+from pycnolab.hyperbolicity import coefficient_arrays
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +210,15 @@ def _two_layer_terms(fields, rho_ratio, Hbar_s, Hbar_b, Ubar_s, Ubar_b,
         -dealias((u_b - kappa * dx(H_b) / h_b) * dx(U_b))
         - rho_ratio * dx(H_s) - dx(H_b),
     ])
+
+
+def embedded_rows(r, interface, upper, lower):
+    """Two-layer rows on levels with midpoints r: `upper` above the interface.
+
+    Each level picks its row by which side of the interface its midpoint
+    lies, not by the index of the interface edge.
+    """
+    return np.array([upper if level > interface else lower for level in r])
 
 
 def two_layer_run(fields, dt, n_steps, rho_ratio, Hbar_s, Hbar_b, Ubar_s,
@@ -475,3 +488,14 @@ def oval_diagonal_coordinate(rho_ratio):
 def heat_mode_decay(amplitude, kappa, wavenumber, t):
     """Amplitude of a single diffusing Fourier mode at time t."""
     return amplitude * np.exp(-kappa * wavenumber ** 2 * t)
+
+
+# ----------------------------------------------------------------------
+# the package's quartic, laid out for numpy
+# ----------------------------------------------------------------------
+
+def characteristic_polynomial(point):
+    """Coefficients [1, c3, c2, c1, c0] of P at a StatePoint."""
+    c3, c2, c1, c0 = coefficient_arrays(
+        point.rho_ratio, point.H_s, point.H_b, point.U_s, point.U_b)
+    return np.array([1.0, float(c3), float(c2), float(c1), float(c0)])

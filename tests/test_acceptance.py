@@ -12,11 +12,10 @@ import numpy as np
 
 import oracles
 from pycnolab import bilayer, harness, refined, stratified
-from pycnolab.core import Field2D, LevelGrid, SpatialGrid
+from pycnolab.core import LevelGrid, SpatialGrid
 from pycnolab.hyperbolicity import (
     StatePoint,
     atlas,
-    characteristic_polynomial,
     classify,
     count_line_intersections,
     critical_froude,
@@ -125,7 +124,7 @@ class TestAcceptance:
                 failures += 1
             worst_asym = max(worst_asym, sym.asymmetry)
             rr = p.rho_ratio
-            want = rr ** 2 * np.polyval(characteristic_polynomial(p),
+            want = rr ** 2 * np.polyval(oracles.characteristic_polynomial(p),
                                         sym.lam)
             rel = abs(sym.minors[3] - want) / (abs(want) + 1e-30)
             worst_minor_rel = max(worst_minor_rel, rel)
@@ -219,11 +218,11 @@ class TestAcceptance:
                 params.Hbar_b, params.Ubar_s, params.Ubar_b, kappa,
                 grid.length)
             dh, du = stratified.rhs(state, profile, kappa)
-            want_h = harness._embedded_rows(levels, params.Hbar_s,
-                                            dH_s / params.Hbar_s,
-                                            dH_b / params.Hbar_b)
-            want_u = harness._embedded_rows(levels, params.Hbar_s,
-                                            dU_s, dU_b)
+            want_h = oracles.embedded_rows(levels.r, -params.Hbar_s,
+                                           dH_s / params.Hbar_s,
+                                           dH_b / params.Hbar_b)
+            want_u = oracles.embedded_rows(levels.r, -params.Hbar_s,
+                                           dU_s, dU_b)
             worst_rhs = max(worst_rhs,
                             float(np.max(np.abs(dh.values - want_h))),
                             float(np.max(np.abs(du.values - want_u))))
@@ -241,10 +240,10 @@ class TestAcceptance:
             bistate.stacked(), strat.dt, strat.n_steps, params.rho_ratio,
             params.Hbar_s, params.Hbar_b, params.Ubar_s, params.Ubar_b,
             params.kappa, grid.length)
-        want_h = harness._embedded_rows(levels, params.Hbar_s,
-                                        H_s / params.Hbar_s,
-                                        H_b / params.Hbar_b)
-        want_u = harness._embedded_rows(levels, params.Hbar_s, U_s, U_b)
+        want_h = oracles.embedded_rows(levels.r, -params.Hbar_s,
+                                       H_s / params.Hbar_s,
+                                       H_b / params.Hbar_b)
+        want_u = oracles.embedded_rows(levels.r, -params.Hbar_s, U_s, U_b)
         drift = max(float(np.max(np.abs(strat.final.h.values - want_h))),
                     float(np.max(np.abs(strat.final.u.values - want_u))))
         elapsed = time.monotonic() - t0
@@ -262,14 +261,9 @@ class TestAcceptance:
             levels = LevelGrid.uniform(int(rng.integers(4, 48)))
             rho1 = rng.uniform(0.2, 4.0, levels.n_r)
             rho2 = np.abs(rho1 + rng.uniform(-0.5, 0.5, levels.n_r)) + 0.05
-            p1 = stratified.StratifiedProfile(levels, rho1,
-                                              np.zeros(levels.n_r))
-            p2 = stratified.StratifiedProfile(levels, rho2,
-                                              np.zeros(levels.n_r))
-            h = Field2D(rng.standard_normal((levels.n_r, grid.n_x)), grid,
-                        levels)
-            worst = max(worst,
-                        stratified.montgomery_lipschitz_check(p1, p2, h))
+            h = rng.standard_normal((levels.n_r, grid.n_x))
+            worst = max(worst, float(stratified.montgomery_lipschitz_ratios(
+                levels, rho1[None], rho2[None], h[None])[0]))
         elapsed = time.monotonic() - t0
         ok = worst <= 1.0 + 1e-9 and elapsed < 10.0
         report(8, "pressure-gradient Lipschitz bound", ok,
@@ -289,7 +283,7 @@ class TestAcceptance:
         assert not reference.blown_up
         target, _ = stratified.smooth_pycnocline(
             stratified.PycnoclineSpec(PARAMS, 0.02, "tanh"), levels)
-        forcing = refined.build_forcing(reference, target)
+        forcing = refined.ReferenceRun(reference, target)
         run = refined.solve_refined(state, target, forcing, kappa, 0.3,
                                     dt=dt)
         assert not run.blown_up

@@ -452,6 +452,17 @@ class TestRunCommands:
                          "--out", str(tmp_path / "p")])
         assert code == cli.CONFIG_ERROR
 
+    def test_refine_blowup_warns_and_exits_inconclusive(self, tmp_path,
+                                                        capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "n_x": 64, "n_r": 16, "T": 3.0,
+            "initial": {"amplitudes": {"H_s": -0.32, "U_s": 1.5}}})
+        out = tmp_path / "o"
+        code = cli.main(["refine", "--config", cfg, "--out", str(out)])
+        assert code == cli.INCONCLUSIVE
+        assert "warning: " in capsys.readouterr().err
+        assert read_summary(out, "refine")["pass"] is False
+
     def test_refine_consistency(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "n_x": 64, "n_r": 24, "T": 0.2, "epsilon": 0.03})

@@ -109,6 +109,22 @@ class TestSweepKappa:
         with pytest.raises(ValueError, match="decades"):
             harness.sweep_kappa(cfg)
 
+    @pytest.mark.parametrize("sweep, key", [
+        (harness.sweep_kappa, "kappas"), (harness.sweep_epsilon, "epsilons")])
+    def test_narrow_span_rejected_before_any_run(self, monkeypatch, sweep,
+                                                 key):
+        # zero amplitudes would make every distance vanish and pass without
+        # a fit: the abscissa alone decides, before any member runs
+        def run(*args, **kwargs):
+            raise AssertionError("a sweep member ran")
+
+        monkeypatch.setattr(bilayer, "integrate", run)
+        monkeypatch.setattr(pycnolab.stratified, "integrate", run)
+        cfg = {key: [1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2],
+               "initial": {"amplitudes": {}}}
+        with pytest.raises(ValueError, match="decades"):
+            sweep(cfg)
+
     def test_nonpositive_kappa_rejected(self):
         cfg = dict(SMALL_KAPPA_CFG)
         cfg["kappas"] = [0.0, 1e-3, 1e-2, 1e-1]

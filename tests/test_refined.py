@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
-from pycnolab.core import Field2D, LevelGrid, SpatialGrid
+from pycnolab.core import LevelGrid, SpatialGrid
 from pycnolab import bilayer
 from pycnolab import stratified
 from pycnolab.refined import (
     ReferenceRun,
-    build_forcing,
     consistency_residual,
     solve_refined,
     write_residuals,
@@ -53,7 +52,7 @@ class TestForcing:
         prof = stratified.StratifiedProfile(levels, np.ones(4), np.zeros(4))
         traj = fabricated_trajectory(grid, levels, (1.0,), (0.0, 0.1, 0.2))
         with pytest.raises(ValueError):
-            build_forcing(traj, prof)
+            ReferenceRun(traj, prof)
 
     def test_level_grid_mismatch(self):
         grid = SpatialGrid(16)
@@ -63,11 +62,11 @@ class TestForcing:
         traj = fabricated_trajectory(grid, levels, (1.0,),
                                      (0.0, 0.1, 0.2, 0.3))
         with pytest.raises(ValueError):
-            build_forcing(traj, prof)
+            ReferenceRun(traj, prof)
 
     def test_node_exact(self):
         grid, levels, profile, _, traj = reference_setup(T=0.2)
-        ref = build_forcing(traj, profile)
+        ref = ReferenceRun(traj, profile)
         P = stratified.pressure_matrix(profile)
         for i in (0, len(traj.states) // 2, len(traj.states) - 1):
             t = traj.states[i].t
@@ -85,7 +84,7 @@ class TestForcing:
         coeffs = (1.0, 2.0, -1.0, 0.5)
         times = np.linspace(0.0, 1.0, 6)
         traj = fabricated_trajectory(grid, levels, coeffs, times)
-        ref = build_forcing(traj, prof)
+        ref = ReferenceRun(traj, prof)
         P = stratified.pressure_matrix(prof)
         for t in (0.13, 0.37, 0.52, 0.81, 0.97):
             amp = sum(c * t ** k for k, c in enumerate(coeffs))
@@ -100,7 +99,7 @@ class TestForcing:
         prof = stratified.StratifiedProfile(levels, np.ones(4), np.zeros(4))
         traj = fabricated_trajectory(grid, levels, (0.0,),
                                      (0.0, 0.1, 0.2, 0.3))
-        ref = build_forcing(traj, prof)
+        ref = ReferenceRun(traj, prof)
         assert np.all(ref.forcing_snapshots == 0.0)
         assert np.all(ref.forcing(0.15) == 0.0)
 
@@ -110,14 +109,14 @@ class TestForcing:
             stratified.PycnoclineSpec(PARAMS, 0.03, "tanh"), levels)
         worst = 0.0
         for state in traj.states[:: max(1, len(traj.states) // 5)]:
-            dxh = Field2D(grid.derivative(state.h.values), grid, levels)
-            worst = max(worst, stratified.montgomery_lipschitz_check(
-                profile, target, dxh))
+            dxh = grid.derivative(state.h.values)
+            worst = max(worst, float(stratified.montgomery_lipschitz_ratios(
+                levels, profile.rho[None], target.rho[None], dxh[None])[0]))
         assert worst <= 1.0 + 1e-9, f"crossed forcing ratio {worst}"
 
     def test_extrapolation_rejected(self):
         grid, levels, profile, _, traj = reference_setup(T=0.2)
-        ref = build_forcing(traj, profile)
+        ref = ReferenceRun(traj, profile)
         with pytest.raises(ValueError):
             ref.forcing(ref.horizon * 1.5)
         with pytest.raises(ValueError):
@@ -130,7 +129,7 @@ class TestSolveRefined:
         # feeding a run its own pressure back reproduces it to stepper error
         grid, levels, profile, state, traj = reference_setup()
         kappa, T, dt = 0.1, 0.3, traj.dt
-        ref = build_forcing(traj, profile)
+        ref = ReferenceRun(traj, profile)
         run = solve_refined(state, profile, ref, kappa, T, dt=dt)
         half = stratified.integrate(state, profile, kappa, T, dt=dt / 2.0,
                                     snapshot_every=10 ** 9)
@@ -149,7 +148,7 @@ class TestSolveRefined:
         rest = stratified.integrate(
             stratified.StratifiedState.zeros(grid, levels), prof, 0.0,
             T=0.3, snapshot_every=1)
-        ref = build_forcing(rest, prof)
+        ref = ReferenceRun(rest, prof)
         amp, wavenumber, kappa = 0.01, 3, 0.1
         h0 = np.tile(amp * np.sin(wavenumber * grid.x), (6, 1))
         init = stratified.StratifiedState.from_arrays(
@@ -163,8 +162,8 @@ class TestSolveRefined:
 
     def test_levels_decouple_bitwise(self):
         grid, levels, profile, state, traj = reference_setup(n_r=12)
-        ref_a = build_forcing(traj, profile)
-        ref_b = build_forcing(traj, profile)
+        ref_a = ReferenceRun(traj, profile)
+        ref_b = ReferenceRun(traj, profile)
         ref_b.forcing_snapshots = ref_b.forcing_snapshots.copy()
         ref_b.forcing_snapshots[:, 5, :] = 0.0
         run_a = solve_refined(state, profile, ref_a, 0.1, 0.3, dt=traj.dt)
@@ -181,7 +180,7 @@ class TestSolveRefined:
 
     def test_horizon_and_grid_guards(self):
         grid, levels, profile, state, traj = reference_setup(T=0.2)
-        ref = build_forcing(traj, profile)
+        ref = ReferenceRun(traj, profile)
         with pytest.raises(ValueError):
             solve_refined(state, profile, ref, 0.1, 0.5)
         other = stratified.StratifiedState.zeros(SpatialGrid(32), levels)
@@ -191,7 +190,7 @@ class TestSolveRefined:
     @pytest.mark.parametrize("kappa", [-0.1, float("nan"), float("inf")])
     def test_bad_kappa_rejected(self, kappa):
         grid, levels, profile, state, traj = reference_setup(T=0.2)
-        ref = build_forcing(traj, profile)
+        ref = ReferenceRun(traj, profile)
         with pytest.raises(ValueError, match="kappa must be finite and "
                            "non-negative"):
             solve_refined(state, profile, ref, kappa, 0.2)
@@ -203,7 +202,7 @@ class TestSolveRefined:
         rest = stratified.integrate(
             stratified.StratifiedState.zeros(grid, levels), prof, 0.0,
             T=0.2, dt=0.02, snapshot_every=1)
-        ref = build_forcing(rest, prof)
+        ref = ReferenceRun(rest, prof)
         h0 = np.zeros((4, 16))
         h0[1, 3] = -1.0 + 5e-7
         init = stratified.StratifiedState.from_arrays(0.0, grid, levels, h0,
@@ -221,13 +220,13 @@ class TestConsistencyResidual:
             n_x=n_x, n_r=32, cluster=4.0)
         target, _ = stratified.smooth_pycnocline(
             stratified.PycnoclineSpec(PARAMS, eps, "tanh"), levels)
-        ref = build_forcing(traj, target)
+        ref = ReferenceRun(traj, target)
         run = solve_refined(state, target, ref, 0.1, 0.3, dt=traj.dt)
         return run
 
     def test_identity_crossing_leaves_no_residual(self):
         grid, levels, profile, state, traj = reference_setup()
-        ref = build_forcing(traj, profile)
+        ref = ReferenceRun(traj, profile)
         run = solve_refined(state, profile, ref, 0.1, 0.3, dt=traj.dt)
         series = consistency_residual(run)
         peak = float(np.max(series.residual_hs))

@@ -17,7 +17,6 @@ from pycnolab.stratified import (
     embed_bilayer,
     integrate,
     layer_average,
-    montgomery_lipschitz_check,
     montgomery_lipschitz_ratios,
     pressure_matrix,
     profile_l1_distance,
@@ -63,12 +62,16 @@ def embedded_pair(n_x=64, n_r=24, amplitudes=None):
 
 
 def embed_rows(levels, upper_values, lower_values):
-    """Stack per-layer rows the way embed_bilayer lays them out."""
-    edge = levels.interface_edge_index(-PARAMS.Hbar_s)
-    out = np.empty((levels.n_r, upper_values.size))
-    out[:edge] = lower_values
-    out[edge:] = upper_values
-    return out
+    """Per-layer rows on levels with their interface at r = -Hbar_s."""
+    return oracles.embedded_rows(levels.r, -PARAMS.Hbar_s, upper_values,
+                                 lower_values)
+
+
+def lipschitz_ratio(profile1, profile2, h):
+    """`montgomery_lipschitz_ratios` of one triple, as a one-row stack."""
+    return float(montgomery_lipschitz_ratios(
+        profile1.levels, profile1.rho[None], profile2.rho[None],
+        h.values[None])[0])
 
 
 class TestProfile:
@@ -602,7 +605,7 @@ class TestStepIntegrate:
                                        kappa=0.05)
         dt = 0.5 * cfl_limit(state, profile, 0.05)
         dt_b = 0.97 * bilayer.cfl_limit(bistate, params)
-        reference = refined.build_forcing(
+        reference = refined.ReferenceRun(
             integrate(state, profile, 0.05, 40 * dt, dt=dt), profile)
         built, solves = {}, []
         for cls in (StratifiedState, bilayer.BilayerState, Field1D, Field2D):
@@ -709,6 +712,24 @@ class TestEmbedding:
         assert np.all(state.h.values[:edge] == 0.0)
         assert np.all(state.u.values == 0.0)
 
+    @pytest.mark.parametrize("levels", [
+        LevelGrid.uniform(24), LevelGrid.with_interface(32, -1.0 / 3.0, 6.0)])
+    def test_rows_match_the_oracle_embedding(self, levels):
+        # embed_bilayer finds the interface by its edge index; the oracle
+        # places each level by its midpoint; the two agree bit for bit
+        grid = SpatialGrid(32)
+        bistate = bilayer.make_initial(grid, amplitudes={
+            "H_s": 0.05, "H_b": -0.02, "U_s": 0.03, "U_b": 0.01})
+        profile, state = embed_bilayer(bistate, PARAMS, levels)
+        H_s, H_b, U_s, U_b = bistate.stacked()
+        r, interface = levels.r, -PARAMS.Hbar_s
+        assert np.array_equal(state.h.values, oracles.embedded_rows(
+            r, interface, H_s / PARAMS.Hbar_s, H_b / PARAMS.Hbar_b))
+        assert np.array_equal(state.u.values,
+                              oracles.embedded_rows(r, interface, U_s, U_b))
+        assert np.array_equal(profile.rho, oracles.embedded_rows(
+            r, interface, PARAMS.rho_s, PARAMS.rho_b))
+
     def test_requires_interface_edge(self):
         grid = SpatialGrid(16)
         bistate = bilayer.make_initial(grid)
@@ -801,10 +822,10 @@ class TestLipschitz:
         grid = SpatialGrid(16)
         prof = random_profile(rng, levels)
         h = random_field(rng, grid, levels)
-        assert montgomery_lipschitz_check(prof, prof, h) == 0.0
+        assert lipschitz_ratio(prof, prof, h) == 0.0
         other = random_profile(rng, levels)
         zero = Field2D.zeros(grid, levels)
-        assert montgomery_lipschitz_check(prof, other, zero) == 0.0
+        assert lipschitz_ratio(prof, other, zero) == 0.0
 
     def test_randomized_bound(self):
         rng = np.random.default_rng(42)
@@ -817,23 +838,9 @@ class TestLipschitz:
             p1 = StratifiedProfile(levels, rho1, np.zeros(levels.n_r))
             p2 = StratifiedProfile(levels, rho2, np.zeros(levels.n_r))
             h = random_field(rng, grid, levels)
-            ratio = montgomery_lipschitz_check(p1, p2, h)
+            ratio = lipschitz_ratio(p1, p2, h)
             worst = max(worst, ratio)
         assert worst <= 1.0 + 1e-9, f"bound violated: worst ratio {worst}"
-
-    def test_mismatched_levels_rejected(self):
-        rng = np.random.default_rng(43)
-        grid = SpatialGrid(16)
-        p1 = random_profile(rng, LevelGrid.uniform(8))
-        p2 = random_profile(rng, LevelGrid.uniform(10))
-        with pytest.raises(ValueError):
-            montgomery_lipschitz_check(p1, p2,
-                                       random_field(rng, grid, p1.levels))
-        # same n_r, other level grid: rejected too
-        p3 = random_profile(rng, LevelGrid.uniform(8))
-        other = LevelGrid.with_interface(8, -0.3, cluster=2.0)
-        with pytest.raises(ValueError):
-            montgomery_lipschitz_check(p1, p3, random_field(rng, grid, other))
 
     def test_block_rows_equal_single_calls(self):
         rng = np.random.default_rng(44)
@@ -851,7 +858,7 @@ class TestLipschitz:
         assert ratios[1] == 0.0 and ratios[2] == 0.0
         assert 0.0 < min(ratios[0], ratios[3]) and max(ratios) <= 1.0
         for ratio, (p1, p2, h) in zip(ratios.tolist(), triples):
-            assert ratio == montgomery_lipschitz_check(p1, p2, h)
+            assert ratio == lipschitz_ratio(p1, p2, h)
             assert ratio == oracles.montgomery_lipschitz_ratio(
                 p1.rho, p2.rho, levels.w, h.values)
 
