@@ -45,7 +45,8 @@ estimate takes the gravity-wave speeds from the symmetric form a R a,
 R[i, j] = rho[max(i, j)] and a = sqrt(depth w / rho), which is similar
 to diag(depth) (1/rho) W, and adds the diffusive drift
 kappa max|d_x h / (1 + h)| to the advection; the profile-only matrices
-are built once per (immutable) StratifiedProfile.
+are built once per (immutable) StratifiedProfile; `step` tries a
+closed-form bound on the estimate before it solves the eigenproblem.
 """
 
 import math
@@ -101,6 +102,11 @@ class StratifiedProfile:
         for m in out:
             m.flags.writeable = False
         return out
+
+    @cached_property
+    def _wave_norm(self):
+        """||b R b||_2, its largest eigenvalue magnitude: `step`'s bound."""
+        return float(np.abs(np.linalg.eigvalsh(self._step_matrices[1])).max())
 
 
 class StratifiedState:
@@ -264,8 +270,8 @@ class ColumnWork:
     calls. The kernel reuses the stage-input blocks for 1 + h, the flux,
     ubar + u and the advecting velocity. Every transform and ufunc of a
     step writes into them through `out=`, so a step allocates only the
-    two arrays it returns. Build one per run; never share one between
-    runs that may interleave.
+    two arrays it returns; `heat` caches the heat propagator. Build one
+    per run; never share one between runs that may interleave.
     """
 
     def __init__(self, grid, n_r):
@@ -281,6 +287,7 @@ class ColumnWork:
         self.pair, self.triple = self.spectra[:2], self.spectra[:3]
         self.physical = self.spectra.view(float)[..., :grid.n_x]
         self.flux_factor = -(grid.ixi * grid.dealias_mask)
+        self.heat = (None, None)
 
     def derive(self, h, u):
         """rfft(h) into h_hat; d_x h and d_x u into dxh and dxu.
@@ -397,7 +404,9 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
         check_step(dt, limit(_drift(kappa, w.dxh, h, w.h_in)), t)
     us, ku, su = w.u_in, w.ku, w.sum_u
     if kappa > 0.0:
-        half = np.exp(-0.5 * kappa * dt * grid.ixi.imag ** 2)
+        if w.heat[0] != (kappa, dt):
+            w.heat = ((kappa, dt), np.exp(-0.5 * kappa * dt * ixi.imag ** 2))
+        half = w.heat[1]
         h_x, kh, hs = w.triple
         y, sh = w.h_hat, w.sum_h
         k1_dh, stage_dh = sh, kh
@@ -497,6 +506,8 @@ def wave_speed_estimate(h, u, profile):
     spectrum; a non-monotone rho makes some of it negative, hence the
     largest magnitude. A level with no positive depth left counts as
     depth 0; the thickness floor rejects such a state on its first step.
+    `cfl_limit` solves it; `step` only where its closed-form bound, which
+    dominates it, cannot certify dt.
     """
     q = np.sqrt(np.maximum(np.max(1.0 + h, axis=1), 0.0))
     bRb = profile._step_matrices[1]
@@ -509,7 +520,8 @@ def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
     """cfl dx over the wave speed estimate plus the diffusive drift.
 
     The diffusion itself is stepped exactly by `rk4` and sets no bound.
-    `step` checks the same limit with the drift of rk4's first stage.
+    Initial dts come from here; `step` checks this limit, with rk4's
+    first-stage drift, only where its closed-form bound falls short.
     """
     h, u = state.h.values, state.u.values
     speed = (wave_speed_estimate(h, u, profile)
@@ -520,12 +532,24 @@ def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
 def step(t, y, dt, grid, profile, kappa, cfl=CFL_DEFAULT, work=None):
     """One IF-RK4 step of the level-coupled system from y = (h, u) at t.
 
-    Returns fresh (h, u) at t + dt. dt must meet the `cfl_limit` of y;
-    `work` is the run's ColumnWork.
+    Returns fresh (h, u) at t + dt. A dt within cfl dx / (bound + drift)
+    is certified without an eigensolve: ||q A q||_2 <= max q^2 ||A||_2
+    puts the wave term under sqrt(max(max(1 + h), 0) ||b R b||_2) for
+    any rho. Any other dt is checked against `cfl_limit`'s exact limit,
+    which also words a breach. `work` is the run's ColumnWork.
     """
-    return rk4(*y, t, dt, grid, profile, kappa, self_pressure(profile),
-               work=work, limit=lambda drift: cfl * grid.dx / (
-                   wave_speed_estimate(*y, profile) + drift))
+    h, u = y
+
+    def limit(drift):
+        wave = math.sqrt(max(float(h.max()) + 1.0, 0.0) * profile._wave_norm)
+        bound = float(np.max(np.abs(profile.ubar[:, None] + u))) + wave
+        certified = cfl * grid.dx / (bound * (1.0 + 1e-12) + drift)
+        if dt <= certified:
+            return certified
+        return cfl * grid.dx / (wave_speed_estimate(h, u, profile) + drift)
+
+    return rk4(h, u, t, dt, grid, profile, kappa, self_pressure(profile),
+               work=work, limit=limit)
 
 
 # ----------------------------------------------------------------------

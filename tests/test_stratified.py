@@ -513,36 +513,111 @@ class TestStepIntegrate:
             assert sum(calls) == blocks, kappa
             assert len(calls) <= most_calls, kappa
 
-    def test_step_checks_the_cfl_limit(self, monkeypatch):
-        # step takes the drift from its first stage; the limit it checks
-        # is still cfl_limit's to the bit, from which the sweeps take dt
-        _, profile, state = embedded_pair(n_x=32, n_r=12)
-        seen = []
-
-        def spy(dt, limit, t):
-            seen.append(limit)
-
-        monkeypatch.setattr(stratified, "check_step", spy)
-        for kappa in (0.05, 0.0):
-            seen.clear()
-            step(0.0, arrays(state), 1e-3, state.grid, profile, kappa,
-                 cfl=0.3)
-            assert seen == [cfl_limit(state, profile, kappa, 0.3)]
-
     @staticmethod
-    def spy_bilayer_step(monkeypatch):
-        """Record the limits check_step sees and the exact root solves."""
+    def spy_step(monkeypatch, module, exact_route):
+        """Record the limits check_step sees (and still checks) and the
+        calls to a step's exact speed route, `module.exact_route`."""
         seen, solves = [], []
-        exact = bilayer.max_characteristic_speed
+        exact, check = getattr(module, exact_route), stratified.check_step
 
         def solve(*args):
             solves.append(args)
             return exact(*args)
 
-        monkeypatch.setattr(stratified, "check_step",
-                            lambda dt, limit, t: seen.append(limit))
-        monkeypatch.setattr(bilayer, "max_characteristic_speed", solve)
+        monkeypatch.setattr(stratified, "check_step", lambda dt, limit, t: (
+            seen.append(limit), check(dt, limit, t)))
+        monkeypatch.setattr(module, exact_route, solve)
         return seen, solves
+
+    def test_step_certifies_a_dt_with_margin(self, monkeypatch):
+        # the closed-form wave-speed bound certifies the step: no
+        # eigenproblem is solved and the limit checked lies between dt and
+        # cfl_limit
+        _, profile, state = embedded_pair(n_x=32, n_r=12)
+        exact = {kappa: cfl_limit(state, profile, kappa, 0.3)
+                 for kappa in (0.05, 0.0)}
+        seen, solves = self.spy_step(monkeypatch, stratified,
+                                     "wave_speed_estimate")
+        for kappa in (0.05, 0.0):
+            seen.clear()
+            step(0.0, arrays(state), 1e-3, state.grid, profile, kappa,
+                 cfl=0.3)
+            assert solves == []
+            assert len(seen) == 1 and 1e-3 <= seen[0] <= exact[kappa]
+
+    def test_step_at_the_limit_checks_it_exactly(self, monkeypatch):
+        # step takes the drift from its first stage; past the bound the
+        # limit it checks is cfl_limit's to the bit, from which the sweeps
+        # take dt, and a step at that limit runs
+        _, profile, state = embedded_pair(n_x=32, n_r=12)
+        exact = {kappa: cfl_limit(state, profile, kappa, 0.3)
+                 for kappa in (0.05, 0.0)}
+        seen, solves = self.spy_step(monkeypatch, stratified,
+                                     "wave_speed_estimate")
+        for kappa in (0.05, 0.0):
+            seen.clear()
+            solves.clear()
+            step(0.0, arrays(state), exact[kappa], state.grid, profile,
+                 kappa, cfl=0.3)
+            assert len(solves) == 1
+            assert seen == [exact[kappa]]
+
+    def test_step_bound_dominates_the_speed_estimate(self, monkeypatch):
+        # the limit a step certifies never exceeds cfl_limit's: on random
+        # fields over monotone and non-monotone profiles, at depths near
+        # the floor, at h = 0, at uniform depths (where rounding alone
+        # would put the bound under the eigensolve's estimate) and with
+        # levels, or the whole column, at non-positive depth
+        rng = np.random.default_rng(53)
+        grid = SpatialGrid(16)
+        cases = []
+        for trial in range(16):
+            n_r = int(rng.integers(2, 40))
+            levels = LevelGrid.with_interface(
+                n_r, -rng.uniform(0.2, 0.8), cluster=rng.uniform(0.0, 6.0))
+            rho = rng.uniform(0.5, 2.0, n_r)
+            if trial % 2 == 0:
+                rho = np.sort(rho)[::-1]
+            prof = StratifiedProfile(levels, rho,
+                                     0.3 * rng.standard_normal(n_r))
+            u = 0.2 * rng.standard_normal((n_r, 16))
+            near_floor = 1e-3 * rng.uniform(1.0, 2.0, (n_r, 16)) - 1.0
+            below = 0.2 * rng.standard_normal((n_r, 16))
+            below[int(rng.integers(n_r))] = -1.5
+            fields = [0.2 * rng.standard_normal((n_r, 16)), near_floor,
+                      np.zeros((n_r, 16)), below, np.full((n_r, 16), -1.5)]
+            fields += [np.full((n_r, 16), c)
+                       for c in rng.uniform(-0.9, 2.0, 4)]
+            kappa = 0.05 * (trial % 3)
+            cases += [(prof, h, u, kappa) for h in fields]
+        exact = [cfl_limit(StratifiedState.from_arrays(0.0, grid, p.levels,
+                                                       h, u), p, kappa, 0.3)
+                 for p, h, u, kappa in cases]
+        seen, _ = self.spy_step(monkeypatch, stratified, "wave_speed_estimate")
+        for (prof, h, u, kappa), want in zip(cases, exact):
+            seen.clear()
+            try:
+                step(0.0, (h, u), 1e-9, grid, prof, kappa, cfl=0.3)
+            except BlowUpError:
+                pass
+            assert len(seen) == 1 and seen[0] <= want, (
+                f"certified {seen[0]!r} past the exact limit {want!r}")
+
+    def test_heat_propagator_follows_kappa_and_dt(self):
+        # one workspace through steps of changing (kappa, dt) gives the
+        # bits of a fresh workspace per step
+        rng = np.random.default_rng(59)
+        grid = SpatialGrid(32)
+        prof = random_profile(rng, LevelGrid.uniform(6), shear=0.2)
+        h = 0.05 * rng.standard_normal((6, 32))
+        u = 0.05 * rng.standard_normal((6, 32))
+        work = stratified.ColumnWork(grid, 6)
+        for kappa, dt in ((0.1, 0.01), (0.1, 0.01), (0.1, 0.005),
+                          (0.0, 0.005), (0.2, 0.005), (0.1, 0.01)):
+            column = (grid, prof, kappa, self_pressure(prof))
+            got = rk4(h, u, 0.0, dt, *column, work=work)
+            want = rk4(h, u, 0.0, dt, *column)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_two_layer_step_certifies_a_dt_with_margin(self, monkeypatch):
         # the closed-form speed bound certifies the step: no quartic is
@@ -552,7 +627,8 @@ class TestStepIntegrate:
         params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
                                        kappa=0.05)
         exact = bilayer.cfl_limit(bistate, params, 0.3)
-        seen, solves = self.spy_bilayer_step(monkeypatch)
+        seen, solves = self.spy_step(monkeypatch, bilayer,
+                                     "max_characteristic_speed")
         bilayer.step(0.0, bistate.stacked(), 1e-3, bistate.grid, params,
                      cfl=0.3)
         assert solves == []
@@ -564,7 +640,8 @@ class TestStepIntegrate:
         params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
                                        kappa=0.05)
         exact = bilayer.cfl_limit(bistate, params, 0.3)
-        seen, solves = self.spy_bilayer_step(monkeypatch)
+        seen, solves = self.spy_step(monkeypatch, bilayer,
+                                     "max_characteristic_speed")
         bilayer.step(0.0, bistate.stacked(), exact, bistate.grid, params,
                      cfl=0.3)
         assert len(solves) == 1
@@ -579,7 +656,8 @@ class TestStepIntegrate:
         params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
                                        kappa=0.05)
         exact = bilayer.cfl_limit(bistate, params, 0.3)
-        seen, solves = self.spy_bilayer_step(monkeypatch)
+        seen, solves = self.spy_step(monkeypatch, bilayer,
+                                     "max_characteristic_speed")
         with pytest.raises(BlowUpError, match=r"cell thickness fell to "
                            r"-3\.333e-02 \(floor 1e-06\) at t = 0"):
             bilayer.step(0.0, bistate.stacked(), exact / 4.0, bistate.grid,
@@ -665,7 +743,8 @@ class TestStepIntegrate:
             rho = rng.uniform(0.5, 2.0, n_r)
             if trial % 2 == 0:
                 rho = np.sort(rho)[::-1]
-            prof = StratifiedProfile(levels, rho, 0.3 * rng.standard_normal(n_r))
+            prof = StratifiedProfile(levels, rho,
+                                     0.3 * rng.standard_normal(n_r))
             state = StratifiedState.from_arrays(
                 0.0, grid, levels, 0.2 * rng.standard_normal((n_r, 32)),
                 0.2 * rng.standard_normal((n_r, 32)))
