@@ -196,10 +196,13 @@ def cmd_atlas(cfg, art, plots):
 def cmd_classify(cfg, art, plots):
     points = []
     if "points" in cfg:
-        for row in cfg["points"]:
-            points.append(StatePoint(
-                rho_s=row["rho_s"], rho_b=row["rho_b"], H_s=row["H_s"],
-                H_b=row["H_b"], U_s=row["U_s"], U_b=row["U_b"]))
+        for i, row in enumerate(cfg["points"]):
+            try:
+                points.append(StatePoint(
+                    rho_s=row["rho_s"], rho_b=row["rho_b"], H_s=row["H_s"],
+                    H_b=row["H_b"], U_s=row["U_s"], U_b=row["U_b"]))
+            except ValueError as err:
+                raise ConfigError(f"points[{i}]: {err}") from None
         if not points:
             raise ConfigError("points must list at least one state point")
     else:

@@ -44,7 +44,7 @@ from .hyperbolicity import (
     critical_froude_pairs,
     in_hyperbolic_set,
     state_matrix,
-    symmetrizer,
+    symmetrizers,
 )
 
 SCHEMA_VERSION = 1
@@ -215,10 +215,15 @@ class ConfigError(ValueError):
     """An invalid experiment configuration."""
 
 
+def _is_number(value):
+    """A real number that is not a bool: JSON's true must not read as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def config_count(cfg, key, default):
-    """cfg[key], or `default`, as an int; 2.7 or "3" is a ConfigError."""
+    """cfg[key], or `default`, as an int; 2.7, "3" or true is a ConfigError."""
     value = cfg.get(key, default)
-    if not isinstance(value, numbers.Real) or value % 1 != 0:
+    if not _is_number(value) or value % 1 != 0:
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 
@@ -226,7 +231,7 @@ def config_count(cfg, key, default):
 def config_positive(cfg, key, default):
     """cfg[key], or `default`, as a finite float > 0; None stays None."""
     value = cfg.get(key, default)
-    if value is not None and (not isinstance(value, numbers.Real)
+    if value is not None and (not _is_number(value)
                               or not 0.0 < value < math.inf):
         raise ConfigError(f"{key} must be finite and positive, got {value!r}")
     return None if value is None else float(value)
@@ -395,8 +400,9 @@ def sweep_epsilon(config):
 # invariant suites
 # ----------------------------------------------------------------------
 
-# the suites draw, solve and check their random state points this many at a
-# time, which bounds the lockstep threshold arrays
+# the suites check their random state points this many at a time, which
+# bounds the stacked eigenproblems; the symmetrizer suite also draws and
+# certifies them in blocks of this size
 _BLOCK = 64
 
 
@@ -407,19 +413,15 @@ def random_state_points(rng, n, frac_high):
     frac <= 1, else at Fr_- + (frac - 1)(Fr_+ - Fr_-). One (n, 7) uniform
     draw takes each point's seven numbers in the order a point-by-point
     loop of scalar draws would, so the points and the generator's next
-    draw are the same as there. The thresholds are solved `_BLOCK` rows
-    at a time and handed to each point.
+    draw are the same as there. The thresholds of all n points come from
+    one `critical_froude_pairs` call and are handed to each point.
     """
     # shear fraction, rho_b, rho_s/rho_b, H_s, H_b, U_s, the shear's sign
     frac, rho_b, ratio, H_s, H_b, U_s, flip = rng.uniform(
         (0.0, 0.5, 0.05, 0.1, 0.1, -1.0, 0.0),
         (frac_high, 2.0, 0.95, 2.0, 2.0, 1.0, 1.0), size=(n, 7)).T
     rho_s = rho_b * ratio
-    h, rr = H_s / H_b, rho_s / rho_b
-    fr_minus, fr_plus = np.empty((2, n))
-    for i in range(0, n, _BLOCK):
-        fr_minus[i:i + _BLOCK], fr_plus[i:i + _BLOCK] = critical_froude_pairs(
-            h[i:i + _BLOCK], rr[i:i + _BLOCK])
+    fr_minus, fr_plus = critical_froude_pairs(H_s / H_b, rho_s / rho_b)
     shear = np.where(frac <= 1.0, frac * fr_minus,
                      fr_minus + (frac - 1.0) * (fr_plus - fr_minus))
     sign = np.where(flip < 0.5, 1.0, -1.0)
@@ -430,9 +432,12 @@ def random_state_points(rng, n, frac_high):
 
 
 def _suite_classification(rng, n_points):
+    # one draw and one threshold solve for every point; one stacked
+    # classification and eigenvalue check per block
+    drawn = random_state_points(rng, n_points, 2.4)
     checked = 0
     for start in range(0, n_points, _BLOCK):
-        points = random_state_points(rng, min(_BLOCK, n_points - start), 2.4)
+        points = drawn[start:start + _BLOCK]
         pairs = [(p, r) for p, r in zip(points, classify_many(points))
                  if not r.degenerate]
         eigs = np.linalg.eigvals(np.reshape(
@@ -456,11 +461,9 @@ def _suite_symmetrizer(rng, n_points):
         points = [p for p in random_state_points(
             rng, min(_BLOCK, n_points - done), 0.8)
             if in_hyperbolic_set(p, 0.1)]
-        for point, report in zip(points, classify_many(points)):
-            cert = symmetrizer(point, report)
-            eigs = np.linalg.eigvalsh(cert.S)
+        for point, cert in zip(points, symmetrizers(points)):
             if not (cert.certified and np.all(cert.minors > 0.0)
-                    and np.all(eigs > 0.0) and cert.asymmetry <= 1e-12):
+                    and cert.min_eigenvalue > 0.0 and cert.asymmetry <= 1e-12):
                 return False, f"certification failed at {point}"
             done += 1
     return True, f"{done} points certified by minors and eigenvalues"

@@ -45,6 +45,10 @@ from functools import cached_property
 import numpy as np
 
 _REAL_TOL = 1e-9
+# rows per scan chunk of `critical_froude_pairs`: the chunk's (rows, 256)
+# scan grid is the largest array a threshold solve builds
+_SCAN_ROWS = 64
+_STATE_FIELDS = ("rho_s", "rho_b", "H_s", "H_b", "U_s", "U_b")
 
 
 @dataclass(frozen=True)
@@ -64,9 +68,17 @@ class StatePoint:
     solved_thresholds: InitVar[tuple | None] = None
 
     def __post_init__(self, solved_thresholds):
-        vals = (self.rho_s, self.rho_b, self.H_s, self.H_b, self.U_s, self.U_b)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("state point has non-finite entries")
+        for name in _STATE_FIELDS:
+            value = getattr(self, name)
+            try:
+                finite = (not isinstance(value, (bool, np.bool_))
+                          and math.isfinite(value))
+            except (TypeError, OverflowError):
+                # not a real number, or an int too large for a float
+                finite = False
+            if not finite:
+                raise ValueError(f"state point {name} must be a finite "
+                                 f"number, got {value!r}")
         if self.rho_b <= 0.0 or self.rho_s <= 0.0:
             raise ValueError("densities must be positive")
         if self.H_s <= 0.0 or self.H_b <= 0.0:
@@ -288,14 +300,17 @@ def critical_froude_pairs(h_ratios, rho_ratios, tol=1e-10):
     """`critical_froude` for many (h_ratio, rho_ratio) rows at once.
 
     Returns (fr_minus, fr_plus) arrays. All rows run `critical_froude`'s
-    scan and bisections in lockstep, as arrays, each row with its own
-    density ratio and each bracket stopping where the scalar loop would;
-    every row equals `critical_froude(h, rr, tol)` bit for bit. A row
-    whose first scan misses the elliptic window goes through
-    `critical_froude` itself (finer scans, or its RuntimeError). The
-    scalar solver stays beside this one because each is the cheaper on
-    its own input size: a one-row call here costs ten to twenty scalar
-    calls.
+    scan and bisections as arrays, each row with its own density ratio
+    and each bracket stopping where the scalar loop would; every row
+    equals `critical_froude(h, rr, tol)` bit for bit. The 256-point scans
+    run `_SCAN_ROWS` rows at a time, each chunk on its own np.linspace
+    grid of which only the bracket end points are kept, so no
+    (rows, 256) grid outlives its chunk; then the brackets of all rows
+    bisect in one lockstep. A row whose first scan misses the elliptic
+    window goes through `critical_froude` itself (finer scans, or its
+    RuntimeError). The scalar solver stays beside this one because each
+    is the cheaper on its own input size: a one-row call here costs ten
+    to twenty scalar calls.
     """
     hs, rrs = np.broadcast_arrays(np.asarray(h_ratios, dtype=float),
                                   np.asarray(rho_ratios, dtype=float))
@@ -314,17 +329,28 @@ def critical_froude_pairs(h_ratios, rho_ratios, tol=1e-10):
             raise RuntimeError("no supercritical regime found below c = 1e6")
         low[low] = _disc_of_intercept(c_hi[low], hs[low], rrs[low]) <= 0.0
 
-    # one 256-point scan per row, the rows as np.linspace(0, c_hi, 256)
-    cs = np.linspace(0.0, c_hi, 256, axis=1)
-    neg = _disc_of_intercept(cs, hs[:, None], rrs[:, None]) < 0.0
-    found = neg.any(axis=1)
+    # per chunk, one 256-point scan per row, the rows as
+    # np.linspace(0, c_hi, 256); keep the rows that found the window and
+    # their Fr_- and Fr_+ brackets
+    found = np.zeros(hs.size, dtype=bool)
+    brackets = [np.empty((4, 0))]
+    for start in range(0, hs.size, _SCAN_ROWS):
+        chunk = slice(start, start + _SCAN_ROWS)
+        cs = np.linspace(0.0, c_hi[chunk], 256, axis=1)
+        neg = _disc_of_intercept(cs, hs[chunk, None], rrs[chunk, None]) < 0.0
+        hit = np.nonzero(neg.any(axis=1))[0]
+        cs, neg = cs[hit], neg[hit]
+        first = np.argmax(neg, axis=1)
+        last = 255 - np.argmax(neg[:, ::-1], axis=1)
+        k = np.arange(hit.size)
+        found[start + hit] = True
+        brackets.append(np.stack([np.where(first > 0, cs[k, first - 1], 0.0),
+                                  cs[k, first], cs[k, last], cs[k, last + 1]]))
     rows = np.nonzero(found)[0]
-    first = np.argmax(neg[rows], axis=1)
-    last = 255 - np.argmax(neg[rows, ::-1], axis=1)
+    minus_lo, minus_hi, plus_lo, plus_hi = np.concatenate(brackets, axis=1)
     # Fr_- brackets first, then Fr_+; `want` is "negative at hi"
-    lo = np.concatenate([np.where(first > 0, cs[rows, first - 1], 0.0),
-                         cs[rows, last]])
-    hi = np.concatenate([cs[rows, first], cs[rows, last + 1]])
+    lo = np.concatenate([minus_lo, plus_lo])
+    hi = np.concatenate([minus_hi, plus_hi])
     want = np.repeat([True, False], rows.size)
     h = np.concatenate([hs[rows], hs[rows]])
     rr = np.concatenate([rrs[rows], rrs[rows]])
@@ -370,6 +396,12 @@ def froude_table(rho_ratio, h_min, h_max, n_nodes=129, tol=1e-10):
 _ROOT_PAIRS = np.triu_indices(4, k=1)
 
 
+def _point_arrays(points):
+    """(rho_ratio, H_s, H_b, U_s, U_b) of a sequence of points, as arrays."""
+    return np.array([(p.rho_ratio, p.H_s, p.H_b, p.U_s, p.U_b)
+                     for p in points], dtype=float).reshape(-1, 5).T
+
+
 def classify_many(points):
     """Regime reports for a sequence of state points, one per point.
 
@@ -383,9 +415,8 @@ def classify_many(points):
     """
     for point in points:
         point.require_stable()
-    coeffs = np.stack([np.ones(len(points)), *coefficient_arrays(*(
-        np.array([getattr(p, name) for p in points], dtype=float)
-        for name in ("rho_ratio", "H_s", "H_b", "U_s", "U_b")))], axis=1)
+    coeffs = np.stack([np.ones(len(points)),
+                       *coefficient_arrays(*_point_arrays(points))], axis=1)
     roots = _companion_roots(*coeffs[:, 1:].T, polish=True)
     tols = _REAL_TOL * (1.0 + np.max(np.abs(roots), axis=1))
     nreals = np.sum(np.abs(roots.imag) <= tols[:, None], axis=1)
@@ -467,19 +498,6 @@ def state_matrix(point):
     ])
 
 
-def symmetrizer_matrix(point, lam):
-    """Assemble S at shift lam (exactly symmetric by construction)."""
-    rr = point.rho_ratio
-    us = point.U_s - lam
-    ub = point.U_b - lam
-    return np.array([
-        [rr, rr, rr * us, 0.0],
-        [rr, 1.0, 0.0, ub],
-        [rr * us, 0.0, rr * point.H_s, 0.0],
-        [0.0, ub, 0.0, point.H_b],
-    ])
-
-
 def _golden_max(fn, a, b, tol=1e-10):
     """Golden-section maximization of a unimodal-ish fn on [a, b]."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -499,54 +517,74 @@ def _golden_max(fn, a, b, tol=1e-10):
 
 
 def leading_minors(S):
-    return np.array([np.linalg.det(S[:k, :k]) for k in (1, 2, 3, 4)])
+    """The four leading principal minors of S, stacked as (..., 4)."""
+    return np.stack([np.linalg.det(S[..., :k, :k]) for k in (1, 2, 3, 4)],
+                    axis=-1)
+
+
+def symmetrizers(points, reports=None):
+    """Construct and certify the symmetrizers of a block of hyperbolic points.
+
+    At each point the shift starts from the midpoint of the two middle
+    roots, clipped into [min(U_s, U_b), max(U_s, U_b)]; if clipping
+    pushes it out of the open middle-root interval, a golden-section
+    search maximizes the smallest eigenvalue of that point's S over the
+    interval instead. Certification is Sylvester's criterion on the four
+    leading principal minors. The block's S come from one
+    `symmetrizer_fields` call, S A from one stacked matmul, the minors
+    from one stacked `det` per order and the smallest eigenvalues from
+    one stacked `eigvalsh`, so each certificate equals the one-point
+    `symmetrizer` bit for bit. `reports` are the points' classifications,
+    solved here when omitted.
+    """
+    if reports is None:
+        reports = classify_many(points)
+    for report in reports:
+        if report.regime != "Hyperbolic" or report.margin <= 0.0:
+            raise ValueError(
+                f"symmetrizer needs a hyperbolic point with positive margin, "
+                f"got regime {report.regime} with margin {report.margin:.3e}")
+    rr, H_s, H_b, U_s, U_b = _point_arrays(points)
+    roots = np.sort(np.array([r.roots.real for r in reports]).reshape(-1, 4),
+                    axis=1)
+    lo, hi = roots[:, 1], roots[:, 2]
+    lams = np.minimum(np.maximum(0.5 * (lo + hi), np.minimum(U_s, U_b)),
+                      np.maximum(U_s, U_b))
+    for i in np.nonzero(~((lo < lams) & (lams < hi)))[0]:
+        gap = hi[i] - lo[i]
+
+        def min_eig(l):
+            return float(np.linalg.eigvalsh(symmetrizer_fields(
+                rr[i], H_s[i], H_b[i], U_s[i], U_b[i], l))[0])
+
+        lams[i] = _golden_max(min_eig, lo[i] + 1e-12 * gap,
+                              hi[i] - 1e-12 * gap, tol=1e-10 * max(gap, 1.0))
+
+    S = symmetrizer_fields(rr, H_s, H_b, U_s, U_b, lams)
+    SA = S @ np.reshape([state_matrix(p) for p in points], (-1, 4, 4))
+    minors = leading_minors(S)
+    min_eigs = np.linalg.eigvalsh(S)[:, 0]
+    certified = np.all(minors > 0.0, axis=1)
+    asymmetry = np.max(np.abs(SA - SA.transpose(0, 2, 1)), axis=(1, 2))
+    return [Symmetrizer(lam=lam, S=S[i], SA=SA[i], certified=ok,
+                        minors=minors[i], min_eigenvalue=min_eig,
+                        asymmetry=asym)
+            for i, (lam, ok, min_eig, asym) in enumerate(zip(
+                lams.tolist(), certified.tolist(), min_eigs.tolist(),
+                asymmetry.tolist()))]
 
 
 def symmetrizer(point, report=None):
-    """Construct and certify the symmetrizer at a hyperbolic point.
-
-    The shift starts from the midpoint of the two middle roots, clipped
-    into [min(U_s, U_b), max(U_s, U_b)]; if clipping pushes it out of the
-    open middle-root interval, a golden-section search maximizes the
-    smallest eigenvalue of S over that interval instead. Certification
-    is Sylvester's criterion on the four leading principal minors.
-    """
-    if report is None:
-        report = classify(point)
-    if report.regime != "Hyperbolic" or report.margin <= 0.0:
-        raise ValueError(
-            f"symmetrizer needs a hyperbolic point with positive margin, "
-            f"got regime {report.regime} with margin {report.margin:.3e}")
-    lams = np.sort(report.roots.real)
-    lo, hi = lams[1], lams[2]
-    u_lo, u_hi = min(point.U_s, point.U_b), max(point.U_s, point.U_b)
-
-    lam = min(max(0.5 * (lo + hi), u_lo), u_hi)
-    if not lo < lam < hi:
-        gap = hi - lo
-
-        def min_eig(l):
-            return float(np.linalg.eigvalsh(symmetrizer_matrix(point, l))[0])
-
-        lam = _golden_max(min_eig, lo + 1e-12 * gap, hi - 1e-12 * gap,
-                          tol=1e-10 * max(gap, 1.0))
-
-    S = symmetrizer_matrix(point, lam)
-    SA = S @ state_matrix(point)
-    minors = leading_minors(S)
-    eigs = np.linalg.eigvalsh(S)
-    certified = bool(np.all(minors > 0.0))
-    return Symmetrizer(
-        lam=float(lam), S=S, SA=SA, certified=certified, minors=minors,
-        min_eigenvalue=float(eigs[0]),
-        asymmetry=float(np.max(np.abs(SA - SA.T))))
+    """`symmetrizers` at one point: its certified symmetrizer."""
+    return symmetrizers([point], None if report is None else [report])[0]
 
 
 def symmetrizer_fields(rho_ratio, H_s, H_b, U_s, U_b, lam):
     """Stacked symmetrizers S(x) for per-grid-point state arrays.
 
     All arguments broadcast; lam may vary per point. Returns (..., 4, 4).
-    Used by the energy functional, which needs S at every grid point.
+    Used by `symmetrizers` and by the energy functional, which needs S
+    at every grid point.
     """
     rr, H_s, H_b, U_s, U_b, lam = np.broadcast_arrays(
         *map(np.asarray, (rho_ratio, H_s, H_b, U_s, U_b, lam)))

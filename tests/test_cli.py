@@ -150,6 +150,40 @@ class TestConfigHandling:
         assert code == cli.CONFIG_ERROR
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, payload, key", [
+        ("check-all", {"n_points": True}, "n_points"),
+        ("check-all", {"seed": True, "n_points": 3}, "seed"),
+        ("classify", {"samples": True}, "samples"),
+        ("sweep-kappa", {"cfl": True}, "cfl"),
+        ("simulate-bilayer", {"dt": True, "T": 0.05}, "dt")])
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, command,
+                                      payload, key):
+        # JSON's true once passed as 1: one check-all point, cfl 1
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("value", [True, "x", None, 10 ** 400])
+    def test_classify_point_values_must_be_numbers(self, tmp_path, capsys,
+                                                   value):
+        # true once classified a depth of 1; a string or null printed
+        # numpy's "ufunc 'isfinite' not supported"; a 400-digit integer
+        # overflows math.isfinite
+        row = {"rho_s": 0.5, "rho_b": 1.0, "H_s": 0.4, "H_b": 0.6,
+               "U_s": 0.0, "U_b": 0.0}
+        cfg = write_config(tmp_path, "c.json", {"points": [
+            row, {**row, "H_s": value}]})
+        out = tmp_path / "o"
+        code = cli.main(["classify", "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: points[1]: state point H_s "
+                              "must be a finite number")
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command, key", [
         ("simulate-bilayer", "cfl"), ("simulate-bilayer", "dt"),
         ("simulate-stratified", "cfl"), ("simulate-stratified", "dt"),

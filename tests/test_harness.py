@@ -77,13 +77,23 @@ SMALL_KAPPA_CFG = {
 
 
 def test_config_count_reads_whole_numbers_only():
-    cfg = {"a": 7, "b": 2.0, "c": 2.7, "d": "3", "e": None}
+    cfg = {"a": 7, "b": 2.0, "c": 2.7, "d": "3", "e": None, "f": True}
     assert harness.config_count(cfg, "a", 1) == 7
     assert harness.config_count(cfg, "b", 1) == 2
     assert harness.config_count(cfg, "missing", 5) == 5
-    for key in "cde":
-        with pytest.raises(harness.ConfigError):
+    for key in "cdef":
+        with pytest.raises(harness.ConfigError, match=f"{key} must be"):
             harness.config_count(cfg, key, 1)
+
+
+def test_config_positive_rejects_booleans():
+    cfg = {"a": 0.5, "b": 2, "c": True, "d": False}
+    assert harness.config_positive(cfg, "a", 1.0) == 0.5
+    assert harness.config_positive(cfg, "b", 1.0) == 2.0
+    assert harness.config_positive(cfg, "missing", None) is None
+    for key in "cd":
+        with pytest.raises(harness.ConfigError, match=f"{key} must be"):
+            harness.config_positive(cfg, key, 1.0)
 
 
 class TestSweepKappa:
@@ -239,6 +249,47 @@ class TestStatePoints:
         assert not ok
         assert detail.startswith(f"root-count mismatch at {point}: "
                                  f"classifier 3, direct eigenvalues ")
+
+    def test_classification_suite_solves_thresholds_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return hyperbolicity.critical_froude_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "critical_froude_pairs", counted)
+        ok, detail = harness._suite_classification(
+            np.random.default_rng(0), 1000)
+        assert ok, detail
+        assert calls == [1000]
+
+    def test_symmetrizer_suite_certifies_each_block_once(self, monkeypatch):
+        blocks, certified, eigensolves = [], [], []
+        draw = harness.random_state_points
+        certify = harness.symmetrizers
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted_draw(rng, n, frac_high):
+            blocks.append(n)
+            return draw(rng, n, frac_high)
+
+        def counted_certify(points, reports=None):
+            certified.append(len(points))
+            return certify(points, reports)
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            eigensolves.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "random_state_points", counted_draw)
+        monkeypatch.setattr(harness, "symmetrizers", counted_certify)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        ok, detail = harness._suite_symmetrizer(np.random.default_rng(0), 400)
+        assert ok and detail.startswith("400 points certified"), detail
+        assert len(blocks) > 1
+        assert len(certified) == len(blocks) and sum(certified) == 400
+        # one stacked eigensolve per block, none per point
+        assert eigensolves == [(n, 4, 4) for n in certified]
 
     def test_thresholds_are_solved_once(self, monkeypatch):
         calls = []

@@ -1,5 +1,7 @@
 """Tests for the eigenvalue classifier, thresholds, symmetrizer, atlas."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from pycnolab.hyperbolicity import (
     state_matrix,
     symmetrizer,
     symmetrizer_fields,
-    symmetrizer_matrix,
+    symmetrizers,
 )
 
 
@@ -304,10 +306,11 @@ class TestCriticalFroude:
     def test_pairs_equal_scalar_thresholds(self, monkeypatch):
         # every row keeps its own density ratio; at rr = 1e-6 the first
         # scan misses the elliptic window and the row takes the scalar
-        # refinement
+        # refinement. 160 rows span three scan chunks (64, 64 and 32
+        # rows), each with missed rows.
         rng = np.random.default_rng(32)
-        hs = rng.uniform(0.05, 20.0, 48)
-        rrs = rng.uniform(0.02, 0.98, 48)
+        hs = rng.uniform(0.05, 20.0, 160)
+        rrs = rng.uniform(0.02, 0.98, 160)
         rrs[::8] = 1e-6
         calls = []
 
@@ -318,6 +321,8 @@ class TestCriticalFroude:
         monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
         fm, fp = critical_froude_pairs(hs, rrs)
         assert calls and {rr for _, rr in calls} == {1e-6}
+        missed = [i for i, h in enumerate(hs) if (h, 1e-6) in calls]
+        assert {i // hyperbolicity._SCAN_ROWS for i in missed} == {0, 1, 2}
         for i, (h, rr) in enumerate(zip(hs, rrs)):
             assert (fm[i], fp[i]) == critical_froude(h, rr), f"row {i}"
 
@@ -340,6 +345,16 @@ class TestClassify:
         with pytest.raises(AttributeError):
             p.U_b = 1.0
         assert p.thresholds == critical_froude(1.0, 0.5)
+
+    @pytest.mark.parametrize("value", [
+        True, False, "0.5", None, float("nan"), float("inf"), 10 ** 400])
+    def test_point_rejects_non_numbers(self, value):
+        # a bool is not a depth, and a 400-digit integer overflows a float
+        fields = dict(rho_s=0.5, rho_b=1.0, H_s=0.4, H_b=0.6, U_s=0.0, U_b=0.0)
+        for name in fields:
+            with pytest.raises(ValueError, match=f"state point {name} must"):
+                StatePoint(**{**fields, name: value})
+        assert StatePoint(**{**fields, "H_s": 1}).H_s == 1
 
     def test_symmetric_rest_case(self):
         p = StatePoint(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0, 0.0, 0.0)
@@ -469,6 +484,8 @@ class TestSymmetrizer:
             symmetrizer(p)
 
     def test_field_assembly_matches_pointwise(self):
+        # the stacked assembly against S written out entry by entry, one
+        # point at a time, as the module docstring states it
         rng = np.random.default_rng(55)
         pts = [hyperbolic_state(rng) for _ in range(6)]
         lams = np.array([symmetrizer(p).lam for p in pts])
@@ -480,16 +497,49 @@ class TestSymmetrizer:
             np.array([p.U_b for p in pts]),
             lams)
         for i, p in enumerate(pts):
-            direct = symmetrizer_matrix(p, lams[i])
+            rr, us, ub = p.rho_ratio, p.U_s - lams[i], p.U_b - lams[i]
+            direct = np.array([[rr, rr, rr * us, 0.0],
+                               [rr, 1.0, 0.0, ub],
+                               [rr * us, 0.0, rr * p.H_s, 0.0],
+                               [0.0, ub, 0.0, p.H_b]])
             assert np.array_equal(stack[i], direct), f"stacked S differs at {i}"
+
+    def test_block_certificates_equal_one_point_certificates(self):
+        rng = np.random.default_rng(57)
+        pts = [hyperbolic_state(rng) for _ in range(100)]
+        reports = classify_many(pts)
+        # a report whose middle-root interval lies above [min U, max U]:
+        # the clipped midpoint falls outside it, so the shift comes from
+        # the golden-section search
+        top = max(pts[70].U_s, pts[70].U_b)
+        roots = reports[70].roots
+        roots = roots - np.sort(roots.real)[1] + top + 0.5
+        reports[70] = replace(reports[70], roots=roots)
+        lo, hi = np.sort(roots.real)[1:3]
+        blocks = [(pts[:64], reports[:64]), (pts[64:], reports[64:])]
+        certs = [c for block in blocks for c in symmetrizers(*block)]
+        assert lo < certs[70].lam < hi and certs[70].lam > top
+        for i, (p, rep, cert) in enumerate(zip(pts, reports, certs)):
+            one = symmetrizer(p, rep)
+            for name in ("lam", "min_eigenvalue", "asymmetry", "certified"):
+                assert getattr(cert, name) == getattr(one, name), (name, i)
+                assert type(getattr(cert, name)) is type(getattr(one, name))
+            for name in ("S", "SA", "minors"):
+                assert getattr(cert, name).tobytes() == \
+                    getattr(one, name).tobytes(), (name, i)
+        assert symmetrizers([]) == []
 
     def test_minors_helper_is_determinants(self):
         rng = np.random.default_rng(56)
-        M = rng.normal(size=(4, 4))
-        M = M @ M.T + 4.0 * np.eye(4)
+        M = rng.normal(size=(3, 4, 4))
+        M = M @ M.transpose(0, 2, 1) + 4.0 * np.eye(4)
         minors = leading_minors(M)
-        for k in range(1, 5):
-            assert abs(minors[k - 1] - np.linalg.det(M[:k, :k])) <= 1e-12
+        assert minors.shape == (3, 4)
+        assert np.array_equal(leading_minors(M[1]), minors[1])
+        for j in range(3):
+            for k in range(1, 5):
+                assert abs(minors[j, k - 1]
+                           - np.linalg.det(M[j, :k, :k])) <= 1e-12
 
 
 class TestAtlas:
