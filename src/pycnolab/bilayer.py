@@ -47,7 +47,7 @@ from .core import (
     LevelGrid,
     SobolevIndex,
     check_thickness,
-    csv_cell,
+    write_table,
 )
 from .hyperbolicity import (
     characteristic_speed_bound,
@@ -311,11 +311,6 @@ def in_margin_set(state, params, sigma, table=None):
 # trajectories
 # ----------------------------------------------------------------------
 
-@dataclass(eq=False, kw_only=True)
-class Trajectory(Run):
-    params: BilayerParams
-
-
 def combined_norm(state, s=BLOWUP_NORM_INDEX):
     """H^s size of the four deviation fields together."""
     return stacked_norm(state.grid, state.stacked(), s)
@@ -370,7 +365,7 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
             t_low = run["diagnostics"]["t"][np.argmax(low)]
             run["warnings"] = (f"margin fell below sigma/2 = {0.5 * sigma} "
                                f"at t = {t_low:.6g}",) + run["warnings"]
-    return Trajectory(params=params, **run)
+    return Run(**run)
 
 
 # ----------------------------------------------------------------------
@@ -521,22 +516,14 @@ def make_initial(grid, kind="sine", amplitudes=None, wavenumber=1,
     return BilayerState(t, *fields)
 
 
-def write_snapshots(trajectory, f):
+def write_snapshots(run, f):
     """Rows (t, x, H_s, H_b, U_s, U_b) for every stored snapshot."""
-    f.write("t,x,H_s,H_b,U_s,U_b\n")
-    for st in trajectory.states:
-        rows = st.stacked()
-        t = csv_cell(st.t)
-        for j, x in enumerate(st.grid.x):
-            cells = ",".join(csv_cell(rows[i, j]) for i in range(4))
-            f.write(f"{t},{csv_cell(x)},{cells}\n")
+    write_table(f, "t,x,H_s,H_b,U_s,U_b", (
+        (st.t, x, *fields) for st in run.states
+        for x, fields in zip(st.grid.x, st.stacked().T)))
 
 
-def write_diagnostics(trajectory, f):
+def write_diagnostics(run, f):
     """Rows (t, mass_s, mass_b, hs_norm, margin)."""
-    d = trajectory.diagnostics
-    f.write("t,mass_s,mass_b,hs_norm,margin\n")
-    for i in range(d["t"].size):
-        cells = ",".join(csv_cell(d[k][i]) for k in
-                         ("t", "mass_s", "mass_b", "hs_norm", "margin"))
-        f.write(cells + "\n")
+    names = ("t", "mass_s", "mass_b", "hs_norm", "margin")
+    write_table(f, ",".join(names), zip(*(run.diagnostics[k] for k in names)))

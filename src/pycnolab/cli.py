@@ -32,8 +32,9 @@ from . import bilayer
 from . import harness
 from . import refined
 from . import stratified
-from .core import CFL_DEFAULT, BlowUpError, csv_cell
-from .harness import ConfigError, config_count, config_positive
+from .core import CFL_DEFAULT, BlowUpError, write_table
+from .harness import ConfigError, config_count, config_positive, \
+    config_real, config_reals
 from .hyperbolicity import StatePoint, atlas, classify_many, \
     count_line_intersections, critical_froude_pairs
 
@@ -132,12 +133,16 @@ class Artifacts:
         return path
 
     def summary(self, experiment, passed, fit=None):
-        data = harness.summary_dict(experiment, self.seed, passed, fit,
-                                    self.files)
+        """Write <experiment>_summary.json over the files so far; return it."""
+        data = {"id": experiment, "seed": self.seed, "pass": bool(passed),
+                "slope": None if fit is None else fit.slope,
+                "interval": None if fit is None else fit.interval,
+                "files": list(self.files)}
         name = experiment.replace("-", "_") + "_summary.json"
         path = os.path.join(self.out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            harness.write_summary(data, f)
+            json.dump(data, f, indent=2, sort_keys=True)
+            f.write("\n")
         return data
 
 
@@ -146,9 +151,9 @@ class Artifacts:
 # ----------------------------------------------------------------------
 
 def cmd_atlas(cfg, art, plots):
-    h_ratio = float(cfg.get("h_ratio", 0.5))
-    rho_ratios = [float(r) for r in cfg.get("rho_ratios", [0.1, 0.5, 0.9])]
-    intercepts = [float(c) for c in cfg.get("intercepts", [0.5, 1.5, 2.5])]
+    h_ratio = config_real(cfg, "h_ratio", 0.5)
+    rho_ratios = config_reals(cfg, "rho_ratios", [0.1, 0.5, 0.9])
+    intercepts = config_reals(cfg, "intercepts", [0.5, 1.5, 2.5])
     n_samples = config_count(cfg, "n_samples", 2001)
     if n_samples < 3:
         raise ConfigError(f"n_samples must be >= 3, got {n_samples}")
@@ -157,14 +162,11 @@ def cmd_atlas(cfg, art, plots):
     all_match = True
     for rr in rho_ratios:
         curves = atlas(h_ratio, rr, intercepts, n_samples=n_samples)
-
-        def curve_csv(f, curves=curves):
-            f.write("branch,p_s,p_b\n")
-            for name, ps, pb in curves.branches + curves.lines:
-                for a, b in zip(ps, pb):
-                    f.write(f"{name},{csv_cell(a)},{csv_cell(b)}\n")
-
-        art.write(f"atlas_curves_rr{rr:g}.csv", curve_csv)
+        art.write(f"atlas_curves_rr{rr:g}.csv",
+                  lambda f, curves=curves: write_table(f, "branch,p_s,p_b", (
+                      (name, a, b)
+                      for name, ps, pb in curves.branches + curves.lines
+                      for a, b in zip(ps, pb))))
         if plots:
             art.write(f"atlas_rr{rr:g}.svg", harness.svg_polylines(
                 [(n, ps, pb) for n, ps, pb in curves.branches + curves.lines],
@@ -180,15 +182,11 @@ def cmd_atlas(cfg, art, plots):
             crossings = count_line_intersections(curves, c)
             match = crossings == report.real_count
             all_match = all_match and match
-            rows.append((rr, c, crossings, report.real_count, match))
+            rows.append((rr, c, str(crossings), str(report.real_count),
+                         match))
 
-    def counts_csv(f):
-        f.write("rho_ratio,intercept,crossings,classifier,match\n")
-        for rr, c, n_geo, n_alg, match in rows:
-            f.write(f"{csv_cell(rr)},{csv_cell(c)},{n_geo},{n_alg},"
-                    f"{str(match).lower()}\n")
-
-    art.write("atlas_counts.csv", counts_csv)
+    art.write("atlas_counts.csv", lambda f: write_table(
+        f, "rho_ratio,intercept,crossings,classifier,match", rows))
     art.summary("atlas", all_match)
     return PASS if all_match else FAIL
 
@@ -211,20 +209,12 @@ def cmd_classify(cfg, art, plots):
             raise ConfigError(f"samples must be >= 1, got {samples}")
         points = harness.random_state_points(
             np.random.default_rng(art.seed), samples, 2.4)
-    reports = classify_many(points)
-
-    def table_csv(f):
-        f.write("rho_s,rho_b,H_s,H_b,U_s,U_b,regime,real_count,"
-                "fr_minus,fr_plus,margin,degenerate\n")
-        for p, rep in zip(points, reports):
-            cells = [csv_cell(v) for v in
-                     (p.rho_s, p.rho_b, p.H_s, p.H_b, p.U_s, p.U_b)]
-            cells += [rep.regime, str(rep.real_count), csv_cell(rep.fr_minus),
-                      csv_cell(rep.fr_plus), csv_cell(rep.margin),
-                      str(rep.degenerate).lower()]
-            f.write(",".join(cells) + "\n")
-
-    art.write("classify.csv", table_csv)
+    rows = [(p.rho_s, p.rho_b, p.H_s, p.H_b, p.U_s, p.U_b, rep.regime,
+             str(rep.real_count), rep.fr_minus, rep.fr_plus, rep.margin,
+             rep.degenerate) for p, rep in zip(points, classify_many(points))]
+    art.write("classify.csv", lambda f: write_table(
+        f, "rho_s,rho_b,H_s,H_b,U_s,U_b,regime,real_count,"
+        "fr_minus,fr_plus,margin,degenerate", rows))
     art.summary("classify", True)
     return PASS
 
@@ -247,9 +237,9 @@ def cmd_simulate_bilayer(cfg, art, plots):
         # headroom: the limit tightens when the state steepens
         dt = 0.9 * bilayer.cfl_limit(initial, params, cfl)
     traj = bilayer.integrate(
-        initial, params, float(cfg.get("T", 1.0)), dt=dt, cfl=cfl,
+        initial, params, config_real(cfg, "T", 1.0), dt=dt, cfl=cfl,
         snapshot_every=config_count(cfg, "snapshot_every", 8),
-        sigma=cfg.get("sigma"))
+        sigma=config_real(cfg, "sigma", None))
     art.write("snapshots.csv", lambda f: bilayer.write_snapshots(traj, f))
     art.write("diagnostics.csv", lambda f: bilayer.write_diagnostics(traj, f))
     if plots:
@@ -263,18 +253,18 @@ def cmd_simulate_bilayer(cfg, art, plots):
 
 def cmd_simulate_stratified(cfg, art, plots):
     params, levels, _, profile, state = harness.column_setup(cfg)
-    epsilon = cfg.get("epsilon")
+    epsilon = config_real(cfg, "epsilon", None)
     if epsilon is not None:
-        spec = stratified.PycnoclineSpec(params, float(epsilon),
+        spec = stratified.PycnoclineSpec(params, epsilon,
                                          cfg.get("shape", "tanh"))
         profile, _ = stratified.smooth_pycnocline(spec, levels)
-    kappa = float(cfg.get("kappa", 0.1))
+    kappa = config_real(cfg, "kappa", 0.1)
     cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
     dt = config_positive(cfg, "dt", None)
     if dt is None:
         dt = 0.9 * stratified.cfl_limit(state, profile, kappa, cfl)
     traj = stratified.integrate(
-        state, profile, kappa, float(cfg.get("T", 1.0)), dt=dt, cfl=cfl,
+        state, profile, kappa, config_real(cfg, "T", 1.0), dt=dt, cfl=cfl,
         snapshot_every=config_count(cfg, "snapshot_every", 8))
     art.write("profile.csv",
               lambda f: stratified.write_profile(profile, f))
@@ -284,14 +274,9 @@ def cmd_simulate_stratified(cfg, art, plots):
     d = traj.diagnostics
     mass = np.asarray(d["mass"])
     drift = np.max(np.abs(mass - mass[0]), axis=1)
-
-    def diag_csv(f):
-        f.write("t,min_depth,norm,mass_drift\n")
-        for i in range(len(d["t"])):
-            f.write(f"{csv_cell(d['t'][i])},{csv_cell(d['min_depth'][i])},"
-                    f"{csv_cell(d['norm'][i])},{csv_cell(drift[i])}\n")
-
-    art.write("diagnostics.csv", diag_csv)
+    art.write("diagnostics.csv", lambda f: write_table(
+        f, "t,min_depth,norm,mass_drift",
+        zip(d["t"], d["min_depth"], d["norm"], drift)))
     if plots:
         art.write("diagnostics.svg", harness.svg_polylines(
             [("norm", d["t"], d["norm"]),
@@ -307,9 +292,12 @@ def cmd_refine(cfg, art, plots):
     cfg = dict(cfg)
     cfg.setdefault("n_x", 128)
     params, levels, _, sharp, state = harness.column_setup(cfg)
-    kappa = float(cfg.get("kappa", 0.1))
-    T = float(cfg.get("T", 0.3))
-    spec = stratified.PycnoclineSpec(params, float(cfg.get("epsilon", 0.02)),
+    kappa = config_real(cfg, "kappa", 0.1)
+    T = config_real(cfg, "T", 0.3)
+    s = config_real(cfg, "s", 2.0)
+    agree_tol = config_real(cfg, "agreement_tol", 1e-10)
+    ratio_tol = 1.0 + config_real(cfg, "ratio_slack", 1e-9)
+    spec = stratified.PycnoclineSpec(params, config_real(cfg, "epsilon", 0.02),
                                      cfg.get("shape", "tanh"))
     target, _ = stratified.smooth_pycnocline(spec, levels)
 
@@ -325,11 +313,9 @@ def cmd_refine(cfg, art, plots):
     if run.blown_up:
         return _run_outcome("refine", run, art)
 
-    series = refined.consistency_residual(run, s=float(cfg.get("s", 2.0)))
+    series = refined.consistency_residual(run, s=s)
     agreement = float(np.max(series.agreement))
     ratio = float(np.max(series.ratio))
-    agree_tol = float(cfg.get("agreement_tol", 1e-10))
-    ratio_tol = 1.0 + float(cfg.get("ratio_slack", 1e-9))
     passed = agreement <= agree_tol and ratio <= ratio_tol
 
     art.write("residuals.csv",
@@ -376,13 +362,10 @@ def cmd_check_all(cfg, art, plots):
     merged["seed"] = art.seed
     report = harness.check_all(merged)
 
-    def table_csv(f):
-        f.write("suite,status,detail\n")
-        for row in report["suites"]:
-            detail = row["detail"].replace(",", ";")
-            f.write(f"{row['name']},{row['status']},{detail}\n")
-
-    art.write("check_all.csv", table_csv)
+    art.write("check_all.csv", lambda f: write_table(
+        f, "suite,status,detail",
+        ((row["name"], row["status"], row["detail"].replace(",", ";"))
+         for row in report["suites"])))
     art.write("check_all.json",
               lambda f: json.dump(report, f, indent=2, sort_keys=True),
               comment=False)

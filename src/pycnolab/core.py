@@ -19,7 +19,8 @@ All fields are immutable once constructed; operations return new arrays.
 
 The failure policy shared by every solver also lives here: one positivity
 floor on cell thickness, one blow-up growth factor, one default CFL
-number, one blow-up exception and one step-limit exception.
+number, one blow-up exception and one step-limit exception. So does the
+one CSV table writer, `write_table`, and its cell rule `csv_cell`.
 """
 
 import numpy as np
@@ -69,8 +70,21 @@ def check_kappa(kappa):
 
 
 def csv_cell(value):
-    """Shortest exact decimal form of one float (plain, not numpy repr)."""
+    """One CSV cell: a str as given, a bool as true or false, anything
+    else as the shortest exact decimal form of its float (plain, not
+    numpy repr), so an integer-valued 1 is written 1.0."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     return repr(float(value))
+
+
+def write_table(f, header, rows):
+    """The header line, then one line of comma-joined `csv_cell`s per row."""
+    f.write(header + "\n")
+    for row in rows:
+        f.write(",".join(map(csv_cell, row)) + "\n")
 
 
 class SobolevIndex(float):
@@ -185,16 +199,20 @@ class LevelGrid:
         their extents. cluster = 0 gives uniform spacing per side; for
         cluster = beta > 0 the edges follow a sinh stretch that
         concentrates cells at the interface (spacing there smaller by
-        roughly beta/sinh(beta)).
+        roughly beta/sinh(beta)). A negative or non-finite cluster is a
+        ValueError.
         """
         n_r = int(n_r)
         interface = float(interface)
         if not -1.0 < interface < 0.0:
             raise ValueError(f"interface must lie in (-1, 0), got {interface}")
+        beta = float(cluster)
+        if not 0.0 <= beta < np.inf:
+            raise ValueError(
+                f"cluster must be finite and non-negative, got {cluster}")
         depth_low = interface + 1.0
         n_low = min(max(int(round(n_r * depth_low)), 1), n_r - 1)
         n_up = n_r - n_low
-        beta = float(cluster)
 
         def side(a, b, n, toward_a):
             # edges from a to b, clustered toward a if toward_a

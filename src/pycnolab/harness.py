@@ -21,13 +21,16 @@ total-velocity residual, embedding exactness, the Montgomery Lipschitz
 bound, refined-system consistency, Richardson self-convergence) with a
 seeded generator and returns machine-readable pass/fail records.
 
-Artifacts are deterministic: CSV cells go through repr(float), JSON uses
-the default float repr, and SVG coordinates are rounded to fixed
-precision, so re-running a config with the same seed reproduces files
-byte for byte.
+Artifacts are deterministic: every CSV table goes through
+`core.write_table` (floats as repr(float)), JSON uses the default float
+repr, and SVG coordinates are rounded to fixed precision, so re-running
+a config with the same seed reproduces files byte for byte.
+
+Config values are read by `config_count`, `config_real`, `config_reals`
+and `config_positive`; a dotted key reads inside a section
+("params.rho_s"), and a JSON boolean, string or null is never a number.
 """
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -37,7 +40,7 @@ import numpy as np
 from . import bilayer
 from . import refined
 from . import stratified
-from .core import CFL_DEFAULT, LevelGrid, SpatialGrid, csv_cell
+from .core import CFL_DEFAULT, LevelGrid, SpatialGrid, write_table
 from .hyperbolicity import (
     StatePoint,
     classify_many,
@@ -188,8 +191,8 @@ def _judge(experiment, abscissa, headline, tolerance, cfg, meta, measure):
     if span < 99.0:
         raise ValueError(
             f"sweep abscissa spans a factor {span:.3g}; need two decades")
-    expected = float(cfg.get("expected_slope", 1.0))
-    tolerance = float(cfg.get("slope_tolerance", tolerance))
+    expected = config_real(cfg, "expected_slope", 1.0)
+    tolerance = config_real(cfg, "slope_tolerance", tolerance)
     result = SweepResult(experiment, abscissa, {}, headline, None, expected,
                          tolerance, passed=False, meta=meta)
     try:
@@ -220,17 +223,57 @@ def _is_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _lookup(cfg, key, default):
+    """cfg[key], or `default`; a dotted key reads a section, "params.rho_s"."""
+    *sections, name = key.split(".")
+    for section in sections:
+        cfg = cfg.get(section, {})
+    return cfg.get(name, default)
+
+
+def _real(value, key):
+    """`value` as a float; a bool, a string, a null or an int too large
+    for a float is a ConfigError naming `key`."""
+    if _is_number(value):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 def config_count(cfg, key, default):
     """cfg[key], or `default`, as an int; 2.7, "3" or true is a ConfigError."""
-    value = cfg.get(key, default)
+    value = _lookup(cfg, key, default)
     if not _is_number(value) or value % 1 != 0:
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 
 
+def config_real(cfg, key, default):
+    """cfg[key], or `default`, as a float; true, "3" or null is a ConfigError.
+
+    Where `default` is None the key is optional and a null stays None.
+    Range checks belong to the reader of the value.
+    """
+    value = _lookup(cfg, key, default)
+    if value is None and default is None:
+        return None
+    return _real(value, key)
+
+
+def config_reals(cfg, key, default):
+    """cfg[key], or `default`, as a list of floats, each read as by
+    `config_real`; anything but a JSON array is a ConfigError."""
+    values = _lookup(cfg, key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return [_real(v, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
 def config_positive(cfg, key, default):
     """cfg[key], or `default`, as a finite float > 0; None stays None."""
-    value = cfg.get(key, default)
+    value = _lookup(cfg, key, default)
     if value is not None and (not _is_number(value)
                               or not 0.0 < value < math.inf):
         raise ConfigError(f"{key} must be finite and positive, got {value!r}")
@@ -239,28 +282,33 @@ def config_positive(cfg, key, default):
 
 def params_from_config(cfg):
     """Two-layer constants of a config; a top-level kappa wins over params."""
-    p = cfg.get("params", {})
+    defaults = {"rho_s": 0.5, "rho_b": 1.0, "Hbar_s": 1.0 / 3.0,
+                "Hbar_b": 2.0 / 3.0, "Ubar_s": 0.0, "Ubar_b": 0.0}
     return bilayer.BilayerParams(
-        rho_s=p.get("rho_s", 0.5), rho_b=p.get("rho_b", 1.0),
-        Hbar_s=p.get("Hbar_s", 1.0 / 3.0), Hbar_b=p.get("Hbar_b", 2.0 / 3.0),
-        Ubar_s=p.get("Ubar_s", 0.0), Ubar_b=p.get("Ubar_b", 0.0),
-        kappa=float(cfg.get("kappa", p.get("kappa", 0.0))))
+        **{k: config_real(cfg, "params." + k, v) for k, v in defaults.items()},
+        kappa=config_real(cfg, "kappa",
+                          config_real(cfg, "params.kappa", 0.0)))
 
 
 def grid_from_config(cfg):
     """The periodic grid of a config: n_x points (256) over `length` (2 pi)."""
     return SpatialGrid(config_count(cfg, "n_x", 256),
-                       float(cfg.get("length", 2.0 * np.pi)))
+                       config_real(cfg, "length", 2.0 * np.pi))
 
 
 def initial_from_config(cfg, grid):
     """Two-layer initial deviations of a config's "initial" section."""
-    init = cfg.get("initial", {})
+    amplitudes = _lookup(cfg, "initial.amplitudes",
+                         {"H_s": 0.05, "U_s": 0.02})
+    if isinstance(amplitudes, dict):
+        amplitudes = {k: _real(v, f"initial.amplitudes.{k}")
+                      for k, v in amplitudes.items()}
     return bilayer.make_initial(
-        grid, kind=init.get("kind", "sine"),
-        amplitudes=init.get("amplitudes", {"H_s": 0.05, "U_s": 0.02}),
-        wavenumber=init.get("wavenumber", 1),
-        center=init.get("center"), width=init.get("width"))
+        grid, kind=_lookup(cfg, "initial.kind", "sine"),
+        amplitudes=amplitudes,
+        wavenumber=config_count(cfg, "initial.wavenumber", 1),
+        center=config_real(cfg, "initial.center", None),
+        width=config_real(cfg, "initial.width", None))
 
 
 def column_setup(cfg):
@@ -272,7 +320,7 @@ def column_setup(cfg):
     params = params_from_config(cfg)
     levels = LevelGrid.with_interface(config_count(cfg, "n_r", 64),
                                       -params.Hbar_s,
-                                      cluster=float(cfg.get("cluster", 6.0)))
+                                      cluster=config_real(cfg, "cluster", 6.0))
     initial = initial_from_config(cfg, grid_from_config(cfg))
     sharp, column = stratified.embed_bilayer(initial, params, levels)
     return params, levels, initial, sharp, column
@@ -295,13 +343,13 @@ def sweep_kappa(config):
     kappa terms.
     """
     cfg = dict(config)
-    kappas = sorted(float(k) for k in cfg.get("kappas", KAPPAS_DEFAULT))
+    kappas = sorted(config_reals(cfg, "kappas", KAPPAS_DEFAULT))
     if not kappas:
         raise ValueError("kappa sweep needs a non-empty kappas list")
     if kappas[0] <= 0.0:
         raise ValueError("kappa sweep values must be positive")
-    T = float(cfg.get("T", 0.5))
-    s = float(cfg.get("s", 2.0))
+    T = config_real(cfg, "T", 0.5)
+    s = config_real(cfg, "s", 2.0)
     cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
     grid = grid_from_config(cfg)
     base = params_from_config(cfg)
@@ -340,15 +388,15 @@ def sweep_epsilon(config):
     the closed-form profile distance delta_0.
     """
     cfg = dict(config)
-    epsilons = sorted(float(e) for e in cfg.get("epsilons", EPSILONS_DEFAULT))
+    epsilons = sorted(config_reals(cfg, "epsilons", EPSILONS_DEFAULT))
     if not epsilons:
         raise ValueError("epsilon sweep needs a non-empty epsilons list")
-    T = float(cfg.get("T", 0.5))
-    s = float(cfg.get("s", 2.0))
+    T = config_real(cfg, "T", 0.5)
+    s = config_real(cfg, "s", 2.0)
     cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
-    kappa = float(cfg.get("kappa", 0.1))
+    kappa = config_real(cfg, "kappa", 0.1)
     shape = cfg.get("shape", "tanh")
-    band_factor = float(cfg.get("band_factor", 3.0))
+    band_factor = config_real(cfg, "band_factor", 3.0)
     params, levels, bi_initial, _, strat_initial = column_setup(cfg)
     bi_params = replace(params, kappa=kappa)
     grid = bi_initial.grid
@@ -633,7 +681,7 @@ def check_all(config=None):
     """Run every cross-module invariant suite and report pass/fail rows."""
     cfg = dict(config or {})
     seed = config_count(cfg, "seed", 0)
-    kappa = float(cfg.get("kappa", 0.1))
+    kappa = config_real(cfg, "kappa", 0.1)
     n_points = config_count(cfg, "n_points", 1000)
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
@@ -671,29 +719,10 @@ def write_sweep_csv(result, f):
     names from the first line even when it is commented out.
     """
     names = sorted(result.series)
-    f.write(",".join(["abscissa"] + names) + "\n")
-    for i, x in enumerate(result.abscissa):
-        cells = [csv_cell(x)] + [csv_cell(result.series[n][i])
-                                 for n in names]
-        f.write(",".join(cells) + "\n")
+    write_table(f, ",".join(["abscissa"] + names),
+                zip(result.abscissa, *(result.series[n] for n in names)))
     meta = ",".join(f"{k}={v}" for k, v in sorted(result.meta.items()))
     f.write(f"# {result.experiment} {meta}\n")
-
-
-def summary_dict(experiment_id, seed, passed, fit, files):
-    return {
-        "id": experiment_id,
-        "seed": seed,
-        "pass": bool(passed),
-        "slope": None if fit is None else fit.slope,
-        "interval": None if fit is None else fit.interval,
-        "files": list(files),
-    }
-
-
-def write_summary(summary, f):
-    json.dump(summary, f, indent=2, sort_keys=True)
-    f.write("\n")
 
 
 SVG_FRAME = (480, 360, 48)    # width, height and padding in pixels

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CFL_DEFAULT, check_kappa, csv_cell
+from .core import CFL_DEFAULT, check_kappa, write_table
 from .stratified import (
     ColumnWork,
     StratifiedTrajectory,
@@ -257,12 +257,7 @@ def consistency_residual(run, s=2.0):
 
 def write_residuals(series, levels, f):
     """CSV rows (t, r, residual_hs, bound, ratio) per sample and level."""
-    f.write("t,r,residual_hs,bound,ratio\n")
-    for i, t in enumerate(series.times):
-        tc = csv_cell(t)
-        b = series.bound[i]
-        for j, r in enumerate(levels.r):
-            rn = series.residual_hs[i, j]
-            ratio = rn / b if b > 0.0 else 0.0
-            f.write(f"{tc},{csv_cell(r)},{csv_cell(rn)},{csv_cell(b)},"
-                    f"{csv_cell(ratio)}\n")
+    write_table(f, "t,r,residual_hs,bound,ratio", (
+        (t, r, rn, b, rn / b if b > 0.0 else 0.0)
+        for t, b, res in zip(series.times, series.bound, series.residual_hs)
+        for r, rn in zip(levels.r, res)))

@@ -64,7 +64,7 @@ from .core import (
     check_kappa,
     check_step,
     check_thickness,
-    csv_cell,
+    write_table,
 )
 
 
@@ -791,16 +791,12 @@ def smooth_pycnocline(spec, levels):
 # ----------------------------------------------------------------------
 
 def write_profile(profile, f):
-    f.write("r,rho,ubar\n")
-    for i, r in enumerate(profile.levels.r):
-        f.write(f"{csv_cell(r)},{csv_cell(profile.rho[i])},"
-                f"{csv_cell(profile.ubar[i])}\n")
+    write_table(f, "r,rho,ubar",
+                zip(profile.levels.r, profile.rho, profile.ubar))
 
 
 def write_state(state, f):
-    f.write("x,r,h,u\n")
-    for i, r in enumerate(state.levels.r):
-        rc = csv_cell(r)
-        for j, x in enumerate(state.grid.x):
-            f.write(f"{csv_cell(x)},{rc},{csv_cell(state.h.values[i, j])},"
-                    f"{csv_cell(state.u.values[i, j])}\n")
+    write_table(f, "x,r,h,u", (
+        (x, r, h, u)
+        for r, hs, us in zip(state.levels.r, state.h.values, state.u.values)
+        for x, h, u in zip(state.grid.x, hs, us)))

@@ -155,16 +155,85 @@ class TestConfigHandling:
         ("check-all", {"seed": True, "n_points": 3}, "seed"),
         ("classify", {"samples": True}, "samples"),
         ("sweep-kappa", {"cfl": True}, "cfl"),
-        ("simulate-bilayer", {"dt": True, "T": 0.05}, "dt")])
+        ("simulate-bilayer", {"dt": True, "T": 0.05}, "dt"),
+        ("simulate-bilayer", {"T": True}, "T"),
+        ("simulate-bilayer", {"T": "0.05"}, "T"),
+        ("simulate-bilayer", {"T": None}, "T"),
+        ("simulate-bilayer", {"params": {"rho_b": True}}, "params.rho_b"),
+        ("simulate-bilayer", {"params": {"rho_s": True}}, "params.rho_s"),
+        ("simulate-bilayer", {"params": {"Hbar_s": True}}, "params.Hbar_s"),
+        ("simulate-bilayer", {"params": {"Hbar_b": None}}, "params.Hbar_b"),
+        ("simulate-bilayer", {"params": {"Ubar_s": False}}, "params.Ubar_s"),
+        ("simulate-bilayer", {"params": {"Ubar_b": "0"}}, "params.Ubar_b"),
+        ("simulate-bilayer", {"params": {"kappa": True}}, "params.kappa"),
+        ("simulate-bilayer", {"kappa": True}, "kappa"),
+        ("simulate-bilayer", {"length": True}, "length"),
+        ("simulate-bilayer", {"sigma": True}, "sigma"),
+        ("simulate-bilayer", {"initial": {"amplitudes": {"H_s": True}}},
+         "initial.amplitudes.H_s"),
+        ("simulate-bilayer", {"initial": {"kind": "gaussian",
+                                          "center": True}}, "initial.center"),
+        ("simulate-bilayer", {"initial": {"kind": "gaussian",
+                                          "width": True}}, "initial.width"),
+        ("simulate-stratified", {"epsilon": True}, "epsilon"),
+        ("simulate-stratified", {"cluster": True}, "cluster"),
+        ("refine", {"epsilon": None}, "epsilon"),
+        ("refine", {"s": True}, "s"),
+        ("refine", {"agreement_tol": True}, "agreement_tol"),
+        ("refine", {"ratio_slack": True}, "ratio_slack"),
+        ("sweep-kappa", {"kappas": [1e-4, 1e-3, 1e-2, True]}, "kappas[3]"),
+        ("sweep-kappa", {"s": True}, "s"),
+        ("sweep-kappa", {"expected_slope": True}, "expected_slope"),
+        ("sweep-kappa", {"slope_tolerance": True}, "slope_tolerance"),
+        ("sweep-epsilon", {"epsilons": [1e-3, 1e-2, "0.1", 1.0]},
+         "epsilons[2]"),
+        ("sweep-epsilon", {"band_factor": True}, "band_factor"),
+        ("atlas", {"h_ratio": True}, "h_ratio"),
+        ("atlas", {"rho_ratios": [0.5, True]}, "rho_ratios[1]"),
+        ("atlas", {"intercepts": [True]}, "intercepts[0]"),
+        ("atlas", {"intercepts": "15"}, "intercepts"),
+        ("check-all", {"kappa": True, "n_points": 3}, "kappa")])
     def test_booleans_are_not_numbers(self, tmp_path, capsys, command,
                                       payload, key):
-        # JSON's true once passed as 1: one check-all point, cfl 1
+        # JSON's true once passed as 1: one check-all point, cfl 1, a
+        # horizon T = 1 or a diffusivity of 1; a null or a string is no
+        # number either, and the string "15" once read as the
+        # intercepts 1.0 and 5.0
+        small = {"n_x": 32, "T": 0.05}
+        payload = {**{k: v for k, v in small.items()
+                      if k in cli.CONFIG_KEYS[command]}, **payload}
         cfg = write_config(tmp_path, "c.json", payload)
         out = tmp_path / "o"
         code = cli.main([command, "--config", cfg, "--out", str(out)])
         assert code == cli.CONFIG_ERROR
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_wavenumber_must_be_whole(self, tmp_path, capsys):
+        # 1.5 once ran a sine that is not periodic on the torus
+        cfg = write_config(tmp_path, "c.json", {
+            "n_x": 32, "T": 0.05, "initial": {"wavenumber": 1.5}})
+        out = tmp_path / "o"
+        code = cli.main(["simulate-bilayer", "--config", cfg,
+                         "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert "initial.wavenumber must be a whole number" in \
+            capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("cluster", [float("nan"), -1.0])
+    def test_cluster_must_be_finite_and_non_negative(self, tmp_path, capsys,
+                                                     cluster):
+        # NaN once ran on a uniform grid
+        cfg = write_config(tmp_path, "c.json", {
+            "n_x": 32, "n_r": 8, "T": 0.05, "cluster": cluster})
+        out = tmp_path / "o"
+        code = cli.main(["simulate-stratified", "--config", cfg,
+                         "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert "cluster must be finite and non-negative" in \
+            capsys.readouterr().err
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("value", [True, "x", None, 10 ** 400])
     def test_classify_point_values_must_be_numbers(self, tmp_path, capsys,
@@ -425,6 +494,22 @@ class TestRunCommands:
         lines = (out / "classify.csv").read_text().splitlines()
         assert len(lines) == 2 + 2
         assert "Hyperbolic" in lines[1]
+
+    def test_classify_writes_integer_points_as_floats(self, tmp_path):
+        # every numeric cell is repr(float): an integer 1 is written 1.0,
+        # while the root count is the integer it is
+        cfg = write_config(tmp_path, "c.json", {"points": [
+            {"rho_s": 1, "rho_b": 2, "H_s": 1, "H_b": 1, "U_s": 0,
+             "U_b": 1}]})
+        out = tmp_path / "o"
+        code = cli.main(["classify", "--config", cfg, "--out", str(out)])
+        assert code == cli.PASS
+        header, row, footer = (out / "classify.csv").read_text().splitlines()
+        cells = row.split(",")
+        assert cells[:8] == ["1.0", "2.0", "1.0", "1.0", "0.0", "1.0",
+                             "Hyperbolic", "4"]
+        assert cells[-1] == "false"
+        assert footer == "# seed=0"
 
     def test_simulate_bilayer_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"n_x": 64, "T": 0.2})

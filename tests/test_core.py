@@ -1,5 +1,7 @@
 """Grid, field and norm checks against slow reference transforms."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pycnolab.core import (
     LevelGrid,
     SobolevIndex,
     SpatialGrid,
+    write_table,
 )
 
 from oracles import dft_sobolev_norm
@@ -62,6 +65,12 @@ class TestLevelGrid:
         idx = lg.interface_edge_index(-0.25)
         assert lg.w[idx] < lg.w[0]
         assert lg.w[idx - 1] < lg.w[0]
+
+    @pytest.mark.parametrize("cluster", [-1.0, np.nan, np.inf])
+    def test_bad_cluster_rejected(self, cluster):
+        # a NaN or negative cluster once gave a uniform grid silently
+        with pytest.raises(ValueError, match="cluster must be finite"):
+            LevelGrid.with_interface(16, -0.25, cluster=cluster)
 
 
 class TestFields:
@@ -214,3 +223,13 @@ class TestMixedNorm:
         lg = LevelGrid.uniform(6)
         norms = g.sobolev_norms_rows(rng.normal(size=(6, 32)), 0.5)
         assert np.sum(lg.w * norms) <= np.max(norms) + 1e-14
+
+
+def test_write_table_cells():
+    f = io.StringIO()
+    write_table(f, "a,b,c,d,e", [
+        (np.float64(0.1), 1, "Hyperbolic", True, np.bool_(False)),
+        (np.float64(1e-300), -3, "4", False, np.bool_(True))])
+    assert f.getvalue() == ("a,b,c,d,e\n"
+                            "0.1,1.0,Hyperbolic,true,false\n"
+                            "1e-300,-3.0,4,false,true\n")

@@ -1,6 +1,7 @@
 """Tests for the sweep/fit/suite orchestration layer."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import oracles
 import pycnolab.stratified
-from pycnolab import bilayer, harness, hyperbolicity
+from pycnolab import bilayer, cli, harness, hyperbolicity
 from pycnolab.core import LevelGrid, SpatialGrid
 
 
@@ -84,6 +85,34 @@ def test_config_count_reads_whole_numbers_only():
     for key in "cdef":
         with pytest.raises(harness.ConfigError, match=f"{key} must be"):
             harness.config_count(cfg, key, 1)
+
+
+def test_config_real_rejects_non_numbers():
+    cfg = {"a": 0.5, "b": 2, "c": True, "d": "3", "e": None,
+           "f": 10 ** 400, "params": {"rho_b": False, "rho_s": 0.25}}
+    assert harness.config_real(cfg, "a", 1.0) == 0.5
+    assert harness.config_real(cfg, "b", 1.0) == 2.0
+    assert type(harness.config_real(cfg, "b", 1.0)) is float
+    assert harness.config_real(cfg, "missing", 1.5) == 1.5
+    assert harness.config_real(cfg, "params.rho_s", 1.0) == 0.25
+    # null stays null only where the key is optional
+    assert harness.config_real(cfg, "e", None) is None
+    assert harness.config_real(cfg, "missing", None) is None
+    for key in ("c", "d", "e", "f", "params.rho_b"):
+        with pytest.raises(harness.ConfigError, match=f"{key} must be a "
+                                                      f"number"):
+            harness.config_real(cfg, key, 1.0)
+
+
+def test_config_reals_reads_each_item():
+    cfg = {"a": [1, 0.5], "b": [0.1, True], "c": 0.5, "d": "0.5"}
+    assert harness.config_reals(cfg, "a", ()) == [1.0, 0.5]
+    assert harness.config_reals(cfg, "missing", (2.0,)) == [2.0]
+    with pytest.raises(harness.ConfigError, match=r"b\[1\] must be a number"):
+        harness.config_reals(cfg, "b", ())
+    for key in "cd":
+        with pytest.raises(harness.ConfigError, match=f"{key} must be a list"):
+            harness.config_reals(cfg, key, ())
 
 
 def test_config_positive_rejects_booleans():
@@ -408,14 +437,20 @@ class TestArtifacts:
         assert lines[-1].startswith("# sweep-kappa")
         assert len(lines) == 2 + 5
 
-    def test_summary_shape(self):
+    def test_summary_shape(self, tmp_path):
         res = harness.sweep_kappa(SMALL_KAPPA_CFG)
-        summary = harness.summary_dict("sweep-kappa", 9, res.passed,
-                                       res.fit, ["sweep_kappa.csv"])
+        art = cli.Artifacts(str(tmp_path), 9)
+        art.write("sweep_kappa.csv",
+                  lambda f: harness.write_sweep_csv(res, f), comment=False)
+        summary = art.summary("sweep-kappa", res.passed, res.fit)
         assert set(summary) == {"id", "seed", "pass", "slope", "interval",
                                 "files"}
         assert summary["seed"] == 9 and summary["pass"] is True
         assert isinstance(summary["slope"], float)
+        assert summary["files"] == ["sweep_kappa.csv"]
+        with open(tmp_path / "sweep_kappa_summary.json",
+                  encoding="utf-8") as f:
+            assert json.load(f) == summary
 
     def test_svg_loglog_contains_points_and_fit(self):
         res = harness.sweep_kappa(SMALL_KAPPA_CFG)
