@@ -9,7 +9,9 @@ the Parseval sum
 which reduces to the left-Riemann L^2 quadrature at s = 0. Derivatives
 and the 2/3-rule dealiasing act on real fields through real FFTs: every
 SpatialGrid holds the multipliers i*xi and the dealias mask over the
-rfftfreq half-spectrum, built once and read-only. The vertical
+rfftfreq half-spectrum, built once and read-only. All real transforms
+go through `rfft`/`irfft` here, numpy's own pocketfft gufuncs called
+directly: numpy's bits without its per-call wrapper. The vertical
 structure lives on a cell decomposition of (-1, 0): cell edges
 -1 = e_0 < ... < e_{n_r} = 0, level positions at cell midpoints, weights
 w_i = e_{i+1} - e_i. Keeping edges explicit lets a layer interface sit
@@ -49,7 +51,7 @@ def check_thickness(thickness, t):
     For a column the thickness of cell i is w_i (1 + h_i); at two levels
     that is the layer depth Hbar_l + H_l.
     """
-    m = float(np.min(thickness))
+    m = float(np.minimum.reduce(thickness, axis=None))
     if m <= DEPTH_FLOOR:
         raise BlowUpError(
             f"cell thickness fell to {m:.3e} (floor {DEPTH_FLOOR})", t)
@@ -85,6 +87,17 @@ def write_table(f, header, rows):
     f.write(header + "\n")
     for row in rows:
         f.write(",".join(map(csv_cell, row)) + "\n")
+
+
+# looked up per call: importing numpy.fft with this module raised peak RSS
+def rfft(a, out):
+    """np.fft.rfft of the float64 rows of `a` (even length) into `out`."""
+    return np.fft._pocketfft_umath.rfft_n_even(a, 1.0, out=out)
+
+
+def irfft(a, out):
+    """np.fft.irfft of the half-spectra `a`, to out.shape[-1] points."""
+    return np.fft._pocketfft_umath.irfft(a, 1.0 / out.shape[-1], out=out)
 
 
 class SobolevIndex(float):
@@ -138,15 +151,17 @@ class SpatialGrid:
         """Spectral d^order/dx^order along the last axis of `values`."""
         if order < 1 or order != int(order):
             raise ValueError(f"derivative order must be a positive integer, got {order}")
-        fhat = np.fft.rfft(values, axis=-1)
-        fhat *= self.ixi ** int(order)
-        return np.fft.irfft(fhat, n=self.n_x, axis=-1)
+        return self._filter(values, self.ixi ** int(order))
 
     def dealias(self, values):
         """Apply the 2/3 rule along the last axis (zero modes |k| > n_x/3)."""
-        fhat = np.fft.rfft(values, axis=-1)
-        fhat *= self.dealias_mask
-        return np.fft.irfft(fhat, n=self.n_x, axis=-1)
+        return self._filter(values, self.dealias_mask)
+
+    def _filter(self, f, multiplier):
+        """irfft(multiplier * rfft(f)) along the last axis of `f`."""
+        f = np.asarray(f, dtype=float)
+        fhat = rfft(f, np.empty((*f.shape[:-1], f.shape[-1] // 2 + 1), complex))
+        return irfft(np.multiply(fhat, multiplier, out=fhat), np.empty_like(f))
 
     def sobolev_norms_rows(self, values, s):
         """H^s norm of every row of a (m, n_x) array; 1-D is one row."""

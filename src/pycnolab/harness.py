@@ -176,13 +176,13 @@ def _final(run, name):
 def _judge(experiment, abscissa, headline, tolerance, cfg, meta, measure):
     """The one verdict of a sweep on the series `measure()` returns.
 
-    The abscissa needs at least 4 points spanning two decades; that is
-    checked before `measure` runs anything. `measure` maps series names
-    to values over `abscissa`, or raises `_Inconclusive`. The headline
-    series is fitted against the config's expected_slope (default 1) +-
-    slope_tolerance (default `tolerance`); a headline that vanishes
-    everywhere passes without a fit. Every outcome carries the same
-    `meta`, so every CSV footer has one key set.
+    `measure` maps series names to values over `abscissa`, or raises
+    `_Inconclusive`. The headline series is fitted against the config's
+    expected_slope (default 1) +- slope_tolerance (default `tolerance`);
+    a headline that vanishes everywhere passes without a fit. Before
+    `measure` runs, the abscissa must hold 4 points over two decades,
+    expected_slope be finite and slope_tolerance finite and >= 0. Every
+    outcome carries the same `meta`, so every CSV footer has one key set.
     """
     abscissa = np.asarray(abscissa, dtype=float)
     if abscissa.size < 4:
@@ -193,6 +193,9 @@ def _judge(experiment, abscissa, headline, tolerance, cfg, meta, measure):
             f"sweep abscissa spans a factor {span:.3g}; need two decades")
     expected = config_real(cfg, "expected_slope", 1.0)
     tolerance = config_real(cfg, "slope_tolerance", tolerance)
+    if not (math.isfinite(expected) and 0.0 <= tolerance < math.inf):
+        raise ConfigError(f"need a finite expected_slope and slope_tolerance "
+                          f">= 0, got {expected} and {tolerance}")
     result = SweepResult(experiment, abscissa, {}, headline, None, expected,
                          tolerance, passed=False, meta=meta)
     try:
@@ -546,11 +549,9 @@ def _suite_conservation(kappa):
                   f"{worst_mom:.3e} per unit time")
 
 
-def _bd_residual_peak(dt_divisor, params, initial, T):
-    dt = bilayer.cfl_limit(initial, params) / dt_divisor
+def _bd_residual_peak(dt, params, initial, T):
     traj = bilayer.integrate(initial, params, T, dt=dt)
-    times, res = bilayer.bd_residual(traj, params)
-    return float(np.max(res))
+    return float(np.max(bilayer.bd_residual(traj, params)[1]))
 
 
 def _suite_bd_residual(kappa):
@@ -561,8 +562,9 @@ def _suite_bd_residual(kappa):
                                    kappa=kappa)
     initial = bilayer.make_initial(grid, amplitudes={"H_s": 0.05})
     T = 0.2
-    coarse = _bd_residual_peak(2.0, params, initial, T)
-    fine = _bd_residual_peak(4.0, params, initial, T)
+    limit = bilayer.cfl_limit(initial, params)
+    coarse = _bd_residual_peak(limit / 2.0, params, initial, T)
+    fine = _bd_residual_peak(limit / 4.0, params, initial, T)
     ratio = coarse / fine
     if not 8.0 <= ratio <= 32.0:
         return False, f"residual halving ratio {ratio:.2f} not fourth order"

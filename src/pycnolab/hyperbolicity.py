@@ -214,11 +214,11 @@ def characteristic_speed_bound(rho_ratio, H_s, H_b, U_s, U_b):
     |U_s| + sqrt(H_s + sqrt(K))). The argument needs positive depths;
     at a depth <= 0 the bound is inf, and NaN fields give NaN.
     """
-    if min(np.min(H_s), np.min(H_b)) <= 0.0:
+    if min(np.minimum.reduce(H_s, None), np.minimum.reduce(H_b, None)) <= 0.0:
         return math.inf
     root_k = np.sqrt(rho_ratio * H_s * H_b)
-    return float(np.max(np.maximum(np.abs(U_b) + np.sqrt(H_b + root_k),
-                                   np.abs(U_s) + np.sqrt(H_s + root_k))))
+    return float(np.maximum(np.abs(U_b) + np.sqrt(H_b + root_k),
+                            np.abs(U_s) + np.sqrt(H_s + root_k)).max())
 
 
 # ----------------------------------------------------------------------

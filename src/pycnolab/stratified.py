@@ -64,6 +64,8 @@ from .core import (
     check_kappa,
     check_step,
     check_thickness,
+    irfft,
+    rfft,
     write_table,
 )
 
@@ -87,6 +89,7 @@ class StratifiedProfile:
         self.levels = levels
         self.rho = rho
         self.ubar = ubar
+        self._w_col, self._ubar_col = levels.w[:, None], ubar[:, None]
 
     @cached_property
     def _step_matrices(self):
@@ -265,13 +268,13 @@ class ColumnWork:
     `spectra` of five half-spectra (three stage spectra, y = E rfft(h)
     and h's running sum; at kappa = 0 real views of the last three hold
     the physical h side). Fields transformed at the same point sit side
-    by side, so one rfft or irfft call takes them all; pocketfft
-    transforms rows independently, so the bits are those of separate
-    calls. The kernel reuses the stage-input blocks for 1 + h, the flux,
-    ubar + u and the advecting velocity. Every transform and ufunc of a
-    step writes into them through `out=`, so a step allocates only the
-    two arrays it returns; `heat` caches the heat propagator. Build one
-    per run; never share one between runs that may interleave.
+    by side, so one call of core's rfft or irfft takes them all;
+    pocketfft transforms rows independently, so the bits are those of
+    separate calls. The kernel reuses the stage-input blocks for 1 + h,
+    the flux, ubar + u and the advecting velocity. Every transform and
+    ufunc of a step writes into them through `out`, so a step allocates
+    only the two arrays it returns; `heat` caches the heat propagator.
+    Build one per run; never share one between runs that may interleave.
     """
 
     def __init__(self, grid, n_r):
@@ -297,9 +300,9 @@ class ColumnWork:
         h and u come from the caller, so they take two rffts.
         """
         ixi, (h_x, u_x) = self.grid.ixi, self.pair
-        np.multiply(ixi, np.fft.rfft(h, out=self.h_hat), out=h_x)
-        np.multiply(ixi, np.fft.rfft(u, out=u_x), out=u_x)
-        np.fft.irfft(self.pair, self.grid.n_x, out=self.derivs)
+        np.multiply(ixi, rfft(h, self.h_hat), out=h_x)
+        np.multiply(ixi, rfft(u, u_x), out=u_x)
+        irfft(self.pair, self.derivs)
 
 
 def _drift(kappa, dxh, h, out):
@@ -307,7 +310,7 @@ def _drift(kappa, dxh, h, out):
     if kappa == 0.0:
         return 0.0
     ratio = np.divide(dxh, np.add(1.0, h, out=out), out=out)
-    return kappa * float(np.max(np.abs(ratio, out=ratio)))
+    return kappa * float(np.abs(ratio, out=ratio).max())
 
 
 def column_rhs(h, u, t, grid, profile, kappa, pressure):
@@ -341,8 +344,8 @@ def _column_rhs_into(w, h, u, t, column, dh, du):
     grid, profile, kappa, pressure = column
     dxh, dxu, h_tot, u_tot = w.dxh, w.dxu, w.h_in, w.u_in
     np.add(1.0, h, out=h_tot)
-    check_thickness(np.multiply(profile.levels.w[:, None], h_tot, out=du), t)
-    np.add(profile.ubar[:, None], u, out=u_tot)
+    check_thickness(np.multiply(profile._w_col, h_tot, out=du), t)
+    np.add(profile._ubar_col, u, out=u_tot)
     if kappa > 0.0:
         # kappa dxh / h_tot, with du as scratch
         np.divide(np.multiply(kappa, dxh, out=du), h_tot, out=du)
@@ -350,14 +353,14 @@ def _column_rhs_into(w, h, u, t, column, dh, du):
     if kappa > 0.0:
         np.subtract(u_tot, du, out=u_tot)
     np.multiply(u_tot, dxu, out=dxu)
-    prod_hat, flux_hat = np.fft.rfft(w.products, out=w.pair)
+    prod_hat, flux_hat = rfft(w.products, w.pair)
     np.multiply(grid.dealias_mask, prod_hat, out=prod_hat)
     if dh.ndim == 2:
         np.multiply(w.flux_factor, flux_hat, out=dh)
-        adv = np.fft.irfft(prod_hat, grid.n_x, out=dxu)
+        adv = irfft(prod_hat, dxu)
     else:
         np.multiply(w.flux_factor, flux_hat, out=flux_hat)
-        adv = np.fft.irfft(w.pair, grid.n_x, out=dh)[0]
+        adv = irfft(w.pair, dh)[0]
     np.subtract(pressure(dxh, t, du), adv, out=du)
 
 
@@ -398,14 +401,13 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
     """
     grid, _, kappa, _ = column
     w = ColumnWork(grid, h.shape[0]) if work is None else work
-    rfft, irfft, n, ixi = np.fft.rfft, np.fft.irfft, grid.n_x, grid.ixi
     w.derive(h, u)
     if limit is not None:
         check_step(dt, limit(_drift(kappa, w.dxh, h, w.h_in)), t)
     us, ku, su = w.u_in, w.ku, w.sum_u
     if kappa > 0.0:
         if w.heat[0] != (kappa, dt):
-            w.heat = ((kappa, dt), np.exp(-0.5 * kappa * dt * ixi.imag ** 2))
+            w.heat = ((kappa, dt), np.exp(-0.5 * kappa * dt * grid.ixi.imag ** 2))
         half = w.heat[1]
         h_x, kh, hs = w.triple
         y, sh = w.h_hat, w.sum_h
@@ -414,9 +416,9 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
         def load():
             """d_x h, d_x u and h of the stage input (hs, us); d_x u's
             spectrum passes through kh's block, refilled by the kernel."""
-            np.multiply(ixi, hs, out=h_x)
-            np.multiply(ixi, rfft(us, out=kh), out=kh)
-            irfft(w.triple, n, out=w.loaded)
+            np.multiply(grid.ixi, hs, out=h_x)
+            np.multiply(grid.ixi, rfft(us, kh), out=kh)
+            irfft(w.triple, w.loaded)
 
         def E(f):
             """f <- E f in place."""
@@ -429,8 +431,8 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
 
         def load():
             """d_x h and d_x u of the stage input (hs, us)."""
-            np.multiply(ixi, rfft(w.inputs, out=w.pair), out=w.pair)
-            irfft(w.pair, n, out=w.derivs)
+            np.multiply(grid.ixi, rfft(w.inputs, w.pair), out=w.pair)
+            irfft(w.pair, w.derivs)
 
         def E(f):
             return f
@@ -462,9 +464,9 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
     stage(t + dt)
     np.add(E(sh), kh, out=sh)
     np.add(E(y), np.multiply(dt / 6.0, sh, out=sh), out=sh)
-    h1 = irfft(sh, n) if kappa > 0.0 else sh.copy()
+    h1 = irfft(sh, np.empty(h.shape)) if kappa > 0.0 else sh.copy()
     u1 = np.add(u, np.multiply(dt / 6.0, np.add(su, ku, out=su), out=su))
-    if not (np.all(np.isfinite(h1)) and np.all(np.isfinite(u1))):
+    if not (np.isfinite(h1).all() and np.isfinite(u1).all()):
         raise BlowUpError("non-finite fields after step", t + dt)
     return h1, u1
 
@@ -491,7 +493,8 @@ def diffusive_drift(grid, h, kappa):
     """
     if kappa == 0.0:
         return 0.0
-    dxh = np.fft.irfft(grid.ixi * np.fft.rfft(h), grid.n_x)
+    spectrum = rfft(h, np.empty((*h.shape[:-1], h.shape[-1] // 2 + 1), complex))
+    dxh = irfft(np.multiply(grid.ixi, spectrum, out=spectrum), np.empty_like(h))
     return _drift(kappa, dxh, h, np.empty_like(h))
 
 
@@ -542,7 +545,7 @@ def step(t, y, dt, grid, profile, kappa, cfl=CFL_DEFAULT, work=None):
 
     def limit(drift):
         wave = math.sqrt(max(float(h.max()) + 1.0, 0.0) * profile._wave_norm)
-        bound = float(np.max(np.abs(profile.ubar[:, None] + u))) + wave
+        bound = float(np.abs(profile._ubar_col + u).max()) + wave
         certified = cfl * grid.dx / (bound * (1.0 + 1e-12) + drift)
         if dt <= certified:
             return certified

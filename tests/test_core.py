@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from pycnolab.core import (
+    BlowUpError,
+    DEPTH_FLOOR,
     Field1D,
     Field2D,
     LevelGrid,
     SobolevIndex,
     SpatialGrid,
+    check_thickness,
+    irfft,
+    rfft,
     write_table,
 )
 
@@ -135,6 +140,49 @@ class TestSpectralDerivative:
         fb = g.derivative(b)
         fab = g.derivative(2.0 * a - 3.0 * b)
         assert np.allclose(fab, 2.0 * fa - 3.0 * fb, atol=1e-12)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float bits, signs of zero included."""
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.float64).view(np.uint64), b.view(np.float64).view(np.uint64))
+
+
+class TestRealTransformPair:
+    @pytest.mark.parametrize("n_x", [8, 64, 256])
+    @pytest.mark.parametrize("lead", [(), (2,), (3, 2), (64,), (2, 64)])
+    def test_pair_is_numpys_bit_for_bit(self, n_x, lead):
+        rng = np.random.default_rng(n_x + len(lead))
+        a = rng.standard_normal((*lead, n_x))
+        a[..., :2] = 0.0
+        a[..., 2] = -0.0
+        half = (*lead, n_x // 2 + 1)
+        out = np.empty(half, complex)
+        assert rfft(a, out) is out
+        assert same_bits(out, np.fft.rfft(a))
+        spectrum = out + rng.standard_normal(half) * 1e-3
+        back = np.empty((*lead, n_x))
+        assert irfft(spectrum, back) is back
+        assert same_bits(back, np.fft.irfft(spectrum, n_x))
+
+    def test_grid_filters_take_lists_and_stacks(self):
+        g = SpatialGrid(16)
+        rows = np.sin(np.stack([g.x, 2.0 * g.x]))
+        for f in (g.derivative, g.dealias):
+            assert same_bits(f(rows), np.stack([f(row) for row in rows]))
+            assert same_bits(f(list(rows[0])), f(rows[0]))
+            for n in (12, 20):
+                with pytest.raises(ValueError):
+                    f(np.ones(n))
+
+
+def test_check_thickness_takes_floats_and_tuples():
+    check_thickness(0.5, 0.0)
+    check_thickness((2.0 * DEPTH_FLOOR, 1.0), 0.0)
+    with pytest.raises(BlowUpError, match="fell to"):
+        check_thickness(DEPTH_FLOOR, 0.0)
+    with pytest.raises(BlowUpError, match="at t = 2"):
+        check_thickness((np.ones(3), np.array([1.0, 0.0, 1.0])), 2.0)
 
 
 class TestSobolevNorm:

@@ -164,6 +164,24 @@ class TestSweepKappa:
         with pytest.raises(ValueError, match="decades"):
             sweep(cfg)
 
+    @pytest.mark.parametrize("sweep", [harness.sweep_kappa,
+                                       harness.sweep_epsilon])
+    @pytest.mark.parametrize("key, value", [
+        ("expected_slope", math.nan), ("expected_slope", math.inf),
+        ("slope_tolerance", math.nan), ("slope_tolerance", math.inf),
+        ("slope_tolerance", -0.1)])
+    def test_slope_gate_checked_before_any_run(self, monkeypatch, sweep,
+                                               key, value):
+        # a NaN slope or a NaN or negative tolerance failed every sweep
+        # after all its runs, an infinite tolerance passed every sweep
+        def run(*args, **kwargs):
+            raise AssertionError("a sweep member ran")
+
+        monkeypatch.setattr(bilayer, "integrate", run)
+        monkeypatch.setattr(pycnolab.stratified, "integrate", run)
+        with pytest.raises(harness.ConfigError, match="finite expected_slope"):
+            sweep({"n_x": 32, "T": 0.05, key: value})
+
     def test_nonpositive_kappa_rejected(self):
         cfg = dict(SMALL_KAPPA_CFG)
         cfg["kappas"] = [0.0, 1e-3, 1e-2, 1e-1]

@@ -180,6 +180,16 @@ class TestCharacteristicPolynomial:
         U = np.array([0.0, np.nan, 0.0])
         assert np.isnan(characteristic_speed_bound(0.5, 1.0, 1.0, 0.0, U))
 
+    def test_speed_bound_takes_floats_and_arrays(self):
+        # at floats the closed form itself; over arrays the worst point
+        root_k = np.sqrt(0.5 * 0.3 * 0.7)
+        want = max(0.2 + np.sqrt(0.7 + root_k), 0.1 + np.sqrt(0.3 + root_k))
+        assert characteristic_speed_bound(0.5, 0.3, 0.7, -0.1, 0.2) == want
+        points = [(0.3, 0.7, -0.1, 0.2), (0.6, 0.4, 0.5, 0.0)]
+        stacked = [np.array(v) for v in zip(*points)]
+        assert characteristic_speed_bound(0.5, *stacked) == max(
+            characteristic_speed_bound(0.5, *v) for v in points)
+
 
 class TestDiscriminant:
     def test_matches_sylvester_resultant(self):

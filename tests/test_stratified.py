@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from pycnolab.core import BlowUpError, Field1D, Field2D, LevelGrid, SpatialGrid
-from pycnolab import bilayer, refined, stratified
+from pycnolab import bilayer, core, refined, stratified
 from pycnolab.stratified import (
     PycnoclineSpec,
     StratifiedProfile,
@@ -169,6 +169,27 @@ class TestMontgomery:
                           PARAMS.rho_ratio * H_s + H_b)
         err = np.max(np.abs(pr - want))
         assert err <= 1e-14, f"embedded pressure off by {err:.3e}"
+
+    @pytest.mark.parametrize("n_r", [2, 12, 64])
+    def test_self_pressure_is_the_negated_product(self, n_r):
+        # the bits of -((1/rho) W d_x h), signs of zero included: a
+        # matmul with a negated kernel agrees on every nonzero entry but
+        # gives +0 where the product is exactly zero (a rest state), and
+        # a rest state's CSVs then read 0.0 where they read -0.0. n_r = 12
+        # takes a random, non-monotone density
+        rng = np.random.default_rng(n_r)
+        levels = LevelGrid.uniform(n_r)
+        rho = (rng.uniform(0.5, 2.0, n_r) if n_r == 12
+               else np.linspace(2.0, 1.0, n_r))
+        prof = StratifiedProfile(levels, rho, np.zeros(n_r))
+        assert np.any(np.diff(rho) > 0.0) == (n_r == 12)
+        dxh = rng.standard_normal((n_r, 64))
+        dxh[:, :3] = 0.0
+        out = np.empty_like(dxh)
+        assert self_pressure(prof)(dxh, 0.0, out) is out
+        want = -(pressure_matrix(prof) @ dxh)
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert np.signbit(out[:, :3]).all()
 
     def test_kernel_structure(self):
         rng = np.random.default_rng(13)
@@ -495,23 +516,31 @@ class TestStepIntegrate:
         # come from one irfft after the rfft of u; h1 takes one irfft:
         # 29 blocks (2 + 5 + 3 x 7 + 1) in 5 + 3 x 4 + 1 = 18 calls. At
         # kappa = 0 a stage input's (h, u) share one rfft and (dh, the
-        # advection) one irfft: 32 blocks in 5 + 3 x 4 = 17 calls
+        # advection) one irfft: 32 blocks in 5 + 3 x 4 = 17 calls. Every
+        # transform goes through core's pair; none through np.fft
         _, profile, state = embedded_pair(n_x=32, n_r=12)
-        calls = []
+        calls, numpy_calls = [], []
         for name in ("rfft", "irfft"):
-            real = getattr(np.fft, name)
+            pair, real = getattr(core, name), getattr(np.fft, name)
+            assert getattr(stratified, name) is pair
 
-            def counted(a, *args, _real=real, **kwargs):
+            def counted(a, out, _pair=pair):
                 calls.append(a.shape[0] if a.ndim == 3 else 1)
-                return _real(a, *args, **kwargs)
+                return _pair(a, out)
 
-            monkeypatch.setattr(np.fft, name, counted)
+            def spied(*args, _real=real, _name=name, **kwargs):
+                numpy_calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(stratified, name, counted)
+            monkeypatch.setattr(np.fft, name, spied)
         for kappa, blocks, most_calls in ((0.05, 29, 18), (0.0, 32, 17)):
             dt = cfl_limit(state, profile, kappa)
             calls.clear()
             step(0.0, arrays(state), dt, state.grid, profile, kappa)
             assert sum(calls) == blocks, kappa
             assert len(calls) <= most_calls, kappa
+        assert numpy_calls == []
 
     @staticmethod
     def spy_step(monkeypatch, module, exact_route):
