@@ -26,12 +26,11 @@ the cell thicknesses w_i (1 + h_i) are then the layer depths, and the
 column pressure (1/rho) W d_x h is exactly the pair of gradients above.
 `step` and `integrate` march that column with the shared
 integrating-factor RK4 and time loop, which integrates the diffusion
-kappa d_x^2 H_l exactly. What stays here is specific to two layers: the
-exact CFL bound dt <= cfl * dx / (lambda_max + kappa max|d_x H_l / h_l|)
-with lambda_max the largest root of the characteristic quartic over the
-grid (the diffusion sets no bound; a closed-form bound on lambda_max
-certifies most steps), hyperbolicity margins and the sigma gate, the
-total-velocity residual, the symmetrizer energy and the CSV writers.
+kappa d_x^2 H_l exactly, under the shared step limit. What stays here
+is specific to two layers: the speeds that limit takes, the largest
+root magnitude lambda_max of the characteristic quartic over the grid
+and its closed-form bound, hyperbolicity margins and the sigma gate,
+the total-velocity residual, the symmetrizer energy and the CSV writers.
 """
 
 import math
@@ -62,10 +61,10 @@ from .stratified import (
     Run,
     StratifiedProfile,
     column_derivative,
-    diffusive_drift,
     march,
     rk4,
     self_pressure,
+    state_limit,
 )
 
 BLOWUP_NORM_INDEX = SobolevIndex(2.0)
@@ -187,50 +186,29 @@ def total_velocity(state, params):
     return Field1D(Vs, g), Field1D(Vb, g)
 
 
-def grid_max_speed(state, params):
-    """Largest characteristic root magnitude over the grid."""
-    return max_characteristic_speed(params.rho_ratio,
-                                    *_totals(state.stacked(), params))
-
-
 def cfl_limit(state, params, cfl=CFL_DEFAULT):
-    """Largest admissible dt at this state, by the exact route.
-
-    cfl dx over the largest characteristic speed, solved at every grid
-    point, plus the diffusive drift kappa max|d_x H_l / h_l| (the
-    diffusion sets no bound). Initial dts come from here; `step` checks
-    the same limit, with the drift of rk4's first stage, whenever the
-    speed bound cannot certify its dt.
-    """
-    # d_x H_l / h_l = d_x h / (1 + h) with h = H_l / Hbar_l
-    h = _to_column(state.stacked(), state.grid, params)[0]
-    speed = (grid_max_speed(state, params)
-             + diffusive_drift(state.grid, h, params.kappa))
-    return cfl * state.grid.dx / speed
+    """Largest admissible dt at this state: `state_limit` at lambda_max,
+    the quartic's largest root magnitude over the grid."""
+    stacked = state.stacked()
+    h, u, _ = _to_column(stacked, state.grid, params)
+    speed = max_characteristic_speed(params.rho_ratio,
+                                     *_totals(stacked, params))
+    return state_limit(h, u, state.grid, params.kappa, speed, cfl)
 
 
 def step(t, y, dt, grid, params, cfl=CFL_DEFAULT, work=None):
     """One IF-RK4 step of the two-level column from y at time t.
 
     y stacks the rows (H_s, H_b, U_s, U_b); fresh ones at t + dt come
-    back. A dt within cfl dx / (bound + drift), with the closed-form
-    `characteristic_speed_bound` for the quartic's roots, is certified
-    without solving the quartic; any other dt (a depth <= 0 included) is
-    checked against `cfl_limit`'s exact limit, which also words a breach.
-    `work` is the run's two-level ColumnWork.
+    back. `rk4` certifies dt with `characteristic_speed_bound` (infinite
+    at a depth <= 0) and solves the quartic only past it. `work` is the
+    run's two-level ColumnWork.
     """
-    totals = _totals(y, params)
-
-    def limit(drift):
-        bound = characteristic_speed_bound(params.rho_ratio, *totals)
-        certified = cfl * grid.dx / (bound * (1.0 + 1e-12) + drift)
-        if dt <= certified:
-            return certified
-        speed = max_characteristic_speed(params.rho_ratio, *totals) + drift
-        return cfl * grid.dx / speed
-
+    rr, totals = params.rho_ratio, _totals(y, params)
     h, u, column = _to_column(y, grid, params)
-    h, u = rk4(h, u, t, dt, *column, work=work, limit=limit)
+    h, u = rk4(h, u, t, dt, *column, work=work, cfl=cfl, speeds=(
+        lambda: characteristic_speed_bound(rr, *totals),
+        lambda: max_characteristic_speed(rr, *totals)))
     return _from_column(h, u, params)
 
 

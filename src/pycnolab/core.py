@@ -160,6 +160,9 @@ class SpatialGrid:
     def _filter(self, f, multiplier):
         """irfft(multiplier * rfft(f)) along the last axis of `f`."""
         f = np.asarray(f, dtype=float)
+        if f.shape[-1:] != (self.n_x,):
+            raise ValueError(f"values of shape {f.shape} need a last axis "
+                             f"of n_x = {self.n_x} samples")
         fhat = rfft(f, np.empty((*f.shape[:-1], f.shape[-1] // 2 + 1), complex))
         return irfft(np.multiply(fhat, multiplier, out=fhat), np.empty_like(f))
 

@@ -24,8 +24,8 @@ does not cap the fourth-order accuracy of the stepper.
 The forced system is the column kernel of `stratified` with the
 interpolated forcing as its pressure tendency, stepped by the same
 integrating-factor RK4 (the diffusion integrated exactly) and time loop,
-under the same failure policy; only the step limit is the transport one
-(`advective_limit`), since no wave couples the levels.
+under the same failure policy and step limit; no wave couples the
+levels, so the speed that limit takes is the advection max|ubar + u|.
 """
 
 import functools
@@ -37,10 +37,10 @@ from .core import CFL_DEFAULT, check_kappa, write_table
 from .stratified import (
     ColumnWork,
     StratifiedTrajectory,
-    diffusive_drift,
     march_column,
     pressure_matrix,
     rk4,
+    state_limit,
 )
 
 
@@ -115,17 +115,6 @@ class ReferenceRun:
 # the forced system
 # ----------------------------------------------------------------------
 
-def advective_limit(u, drift, grid, profile, cfl=CFL_DEFAULT):
-    """Stability step for the pressureless transport (no wave coupling).
-
-    cfl dx over max|ubar + u| plus the diffusive drift of h (each step
-    passes the one `rk4` takes from its first stage); the diffusion
-    itself is stepped exactly and sets no bound.
-    """
-    speed = float(np.max(np.abs(profile.ubar[:, None] + u))) + drift
-    return cfl * grid.dx / max(speed, 1e-8)
-
-
 @dataclass(eq=False, kw_only=True)
 class RefinedRun(StratifiedTrajectory):
     reference: ReferenceRun
@@ -150,11 +139,15 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
         raise ValueError(
             f"horizon T = {T:.6g} exceeds the reference horizon "
             f"{forcing.horizon:.6g}")
+
+    def advection(u):
+        """max|ubar + u|, the transport's fastest speed, as a callable."""
+        return lambda: float(np.max(np.abs(profile.ubar[:, None] + u)))
+
     if dt is None:
-        spacing = float(np.min(np.diff(forcing.times)))
-        drift = diffusive_drift(grid, initial.h.values, kappa)
-        dt = min(spacing, advective_limit(initial.u.values, drift, grid,
-                                          profile, cfl))
+        h, u = initial.h.values, initial.u.values
+        dt = min(float(np.min(np.diff(forcing.times))),
+                 state_limit(h, u, grid, kappa, advection(u)(), cfl))
     # RK4 stages 2 and 3, and the end of one step and the start of the
     # next, query the same time
     at = functools.lru_cache(maxsize=1)(forcing.forcing)
@@ -163,9 +156,9 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
 
     def advance(t, y, dt):
         h, u = y
-        return rk4(h, u, t, dt, *column, work=work,
-                   limit=lambda drift: advective_limit(u, drift, grid,
-                                                       profile, cfl))
+        speed = advection(u)
+        return rk4(h, u, t, dt, *column, work=work, speeds=(speed, speed),
+                   cfl=cfl)
 
     run = march_column(initial, advance, T, dt, snapshot_every)
     return RefinedRun(profile=profile, kappa=kappa, reference=forcing, **run)

@@ -40,13 +40,14 @@ classical RK4 on physical fields, 32 blocks in 17 calls.
 
 `march` is the one fixed-step time loop, which turns blow-ups and
 mid-run CFL breaches into flagged, truncated trajectories; it carries
-each run's arrays and builds state objects only at snapshots. The CFL
-estimate takes the gravity-wave speeds from the symmetric form a R a,
-R[i, j] = rho[max(i, j)] and a = sqrt(depth w / rho), which is similar
-to diag(depth) (1/rho) W, and adds the diffusive drift
-kappa max|d_x h / (1 + h)| to the advection; the profile-only matrices
-are built once per (immutable) StratifiedProfile; `step` tries a
-closed-form bound on the estimate before it solves the eigenproblem.
+each run's arrays and builds state objects only at snapshots. The step
+limit of every system is `stability_limit`, cfl dx over a speed plus the
+diffusive drift kappa max|d_x h / (1 + h)|: `rk4` certifies each step
+against a system's closed-form speed bound and solves its exact speed
+only past it. The column's exact speed takes the gravity waves from the
+symmetric form a R a, R[i, j] = rho[max(i, j)] and
+a = sqrt(depth w / rho), which is similar to diag(depth) (1/rho) W; the
+profile-only matrices are built once per (immutable) StratifiedProfile.
 """
 
 import math
@@ -313,6 +314,24 @@ def _drift(kappa, dxh, h, out):
     return kappa * float(np.abs(ratio, out=ratio).max())
 
 
+def stability_limit(speed, drift, grid, cfl):
+    """cfl dx / (speed + drift), the step limit of every system.
+
+    The sum is floored at 1e-8, so a motionless column with no depth left
+    gets a finite step, which the thickness floor then flags; a NaN speed
+    gives a NaN limit.
+    """
+    return cfl * grid.dx / max(speed + drift, 1e-8)
+
+
+def state_limit(h, u, grid, kappa, speed, cfl):
+    """`stability_limit` at `speed` with the drift of (h, u) as `rk4`
+    takes it; every initial dt comes from here."""
+    w = ColumnWork(grid, h.shape[0])
+    w.derive(h, u)
+    return stability_limit(speed, _drift(kappa, w.dxh, h, w.h_in), grid, cfl)
+
+
 def column_rhs(h, u, t, grid, profile, kappa, pressure):
     """Stacked time derivatives for raw (n_r, n_x) arrays, less diffusion.
 
@@ -372,7 +391,7 @@ def column_derivative(h, u, t, grid, profile, kappa, pressure):
     return dh, du
 
 
-def rk4(h, u, t, dt, *column, work=None, limit=None):
+def rk4(h, u, t, dt, *column, work=None, speeds=None, cfl=CFL_DEFAULT):
     """One integrating-factor RK4 step of the column (Lawson's IF-RK4).
 
     `column` = (grid, profile, kappa, pressure) as for column_rhs, whose
@@ -390,11 +409,14 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
     d_x u come from one irfft. At kappa = 0, E is the identity, the
     stage inputs are physical and the step is classical RK4, bit for
     bit; a stage input's h and u then go through one rfft, and dh comes
-    back with the dealiased advection. `limit(drift)`, if given, maps the
-    diffusive drift of h (taken from k1's d_x h) to the stability limit
-    that dt must meet; it is checked before any stage is evaluated.
-    `work` is the run's ColumnWork (a throwaway one when omitted); the
-    two returned arrays are fresh. Stacked fields count as one call: a
+    back with the dealiased advection. `speeds`, if given, is a pair
+    (bound, exact) of zero-argument callables giving a cheap upper bound
+    on the fastest speed of (h, u) and that speed itself. dt is checked
+    before any stage, with the drift taken from k1's d_x h: a dt within
+    the `stability_limit` of bound (1 + 1e-12) is certified, and only
+    past it is exact called, whose limit dt must then meet. `work` is the
+    run's ColumnWork (a throwaway one when omitted); the two returned
+    arrays are fresh. Stacked fields count as one call: a
     kappa > 0 step transforms 29 (n_r, n_x) blocks in 18 calls
     (k1 2 + 1 + 1 + 1, each later stage 1 + 1 + 1 + 1, h1 1), a
     kappa = 0 step 32 blocks in 17 calls.
@@ -402,8 +424,13 @@ def rk4(h, u, t, dt, *column, work=None, limit=None):
     grid, _, kappa, _ = column
     w = ColumnWork(grid, h.shape[0]) if work is None else work
     w.derive(h, u)
-    if limit is not None:
-        check_step(dt, limit(_drift(kappa, w.dxh, h, w.h_in)), t)
+    if speeds is not None:
+        bound, exact = speeds
+        drift = _drift(kappa, w.dxh, h, w.h_in)
+        limit = stability_limit(bound() * (1.0 + 1e-12), drift, grid, cfl)
+        if not dt <= limit:  # a NaN bound takes the exact route
+            limit = stability_limit(exact(), drift, grid, cfl)
+        check_step(dt, limit, t)
     us, ku, su = w.u_in, w.ku, w.sum_u
     if kappa > 0.0:
         if w.heat[0] != (kappa, dt):
@@ -483,21 +510,6 @@ def rhs(state, profile, kappa):
             Field2D(du, state.grid, state.levels))
 
 
-def diffusive_drift(grid, h, kappa):
-    """kappa max|d_x h / (1 + h)|, the largest speed the diffusion adds.
-
-    It is the only kappa term still stepped explicitly: the correction
-    to the advecting velocity in the u equations. `rk4` takes it from
-    the d_x h of its first stage; this call transforms h on its own, to
-    the same bits.
-    """
-    if kappa == 0.0:
-        return 0.0
-    spectrum = rfft(h, np.empty((*h.shape[:-1], h.shape[-1] // 2 + 1), complex))
-    dxh = irfft(np.multiply(grid.ixi, spectrum, out=spectrum), np.empty_like(h))
-    return _drift(kappa, dxh, h, np.empty_like(h))
-
-
 def wave_speed_estimate(h, u, profile):
     """Upper estimate of the fastest characteristic speed.
 
@@ -520,39 +532,31 @@ def wave_speed_estimate(h, u, profile):
 
 
 def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
-    """cfl dx over the wave speed estimate plus the diffusive drift.
-
-    The diffusion itself is stepped exactly by `rk4` and sets no bound.
-    Initial dts come from here; `step` checks this limit, with rk4's
-    first-stage drift, only where its closed-form bound falls short.
-    """
+    """Largest admissible dt at this state: `state_limit` at the
+    `wave_speed_estimate` of the column."""
     h, u = state.h.values, state.u.values
-    speed = (wave_speed_estimate(h, u, profile)
-             + diffusive_drift(state.grid, h, kappa))
-    return cfl * state.grid.dx / speed
+    return state_limit(h, u, state.grid, kappa,
+                       wave_speed_estimate(h, u, profile), cfl)
 
 
 def step(t, y, dt, grid, profile, kappa, cfl=CFL_DEFAULT, work=None):
     """One IF-RK4 step of the level-coupled system from y = (h, u) at t.
 
-    Returns fresh (h, u) at t + dt. A dt within cfl dx / (bound + drift)
-    is certified without an eigensolve: ||q A q||_2 <= max q^2 ||A||_2
-    puts the wave term under sqrt(max(max(1 + h), 0) ||b R b||_2) for
-    any rho. Any other dt is checked against `cfl_limit`'s exact limit,
-    which also words a breach. `work` is the run's ColumnWork.
+    Returns fresh (h, u) at t + dt. `rk4` certifies dt with the
+    closed-form bound max|ubar + u| + sqrt(max(max(1 + h), 0) ||b R b||_2)
+    on `wave_speed_estimate`, which ||q A q||_2 <= max q^2 ||A||_2 gives
+    for any rho, and solves the eigenproblem only past it. `work` is the
+    run's ColumnWork.
     """
     h, u = y
 
-    def limit(drift):
+    def bound():
         wave = math.sqrt(max(float(h.max()) + 1.0, 0.0) * profile._wave_norm)
-        bound = float(np.abs(profile._ubar_col + u).max()) + wave
-        certified = cfl * grid.dx / (bound * (1.0 + 1e-12) + drift)
-        if dt <= certified:
-            return certified
-        return cfl * grid.dx / (wave_speed_estimate(h, u, profile) + drift)
+        return float(np.abs(profile._ubar_col + u).max()) + wave
 
     return rk4(h, u, t, dt, grid, profile, kappa, self_pressure(profile),
-               work=work, limit=limit)
+               work=work, cfl=cfl,
+               speeds=(bound, lambda: wave_speed_estimate(h, u, profile)))
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from pycnolab import bilayer, harness, stratified
 from pycnolab.core import BlowUpError, Field1D, SpatialGrid
+from pycnolab.hyperbolicity import max_characteristic_speed
 from pycnolab.stratified import StratifiedProfile
 from pycnolab.bilayer import (
     BilayerParams,
@@ -17,7 +18,6 @@ from pycnolab.bilayer import (
     cfl_limit,
     combined_norm,
     energy_functional,
-    grid_max_speed,
     integrate,
     make_initial,
     pointwise_margin,
@@ -171,6 +171,16 @@ class TestStep:
         with pytest.raises(ValueError):
             step(0.0, state.stacked(), 2.0 * limit, grid, PARAMS0)
 
+    def test_limit_without_depth_or_motion_is_finite(self):
+        # zero depths and velocities have no speed; the limit floors the
+        # speed at 1e-8 instead of dividing by zero
+        grid = SpatialGrid(16)
+        z = Field1D.zeros(grid)
+        state = BilayerState(
+            0.0, Field1D(np.full(16, -PARAMS0.Hbar_s), grid),
+            Field1D(np.full(16, -PARAMS0.Hbar_b), grid), z, z)
+        assert cfl_limit(state, PARAMS0) == 0.4 * grid.dx / 1e-8
+
     def test_mass_mean_per_step(self):
         grid = SpatialGrid(128)
         state = make_initial(grid, "gaussian",
@@ -269,7 +279,8 @@ class TestIntegrate:
         init = make_initial(grid, "sine", {"H_s": a, "U_b": 0.5 * a},
                             wavenumber=wav)
         assert dt >= 5.0 * 0.4 * grid.dx ** 2 / (2.0 * p.kappa)
-        assert dt <= 0.4 * grid.dx / grid_max_speed(init, p)
+        assert dt <= 0.4 * grid.dx / max_characteristic_speed(
+            p.rho_ratio, *bilayer._totals(init.stacked(), p))
         traj = integrate(init, p, T, dt=dt)
         assert not traj.blown_up and traj.n_steps == 10
         w0 = np.array([-1j * a, 0.0, 0.0, -0.5j * a])
@@ -606,6 +617,7 @@ class TestWriters:
         data = np.genfromtxt(buf, delimiter=",", names=True)
         assert data.dtype.names == ("t", "mass_s", "mass_b", "hs_norm", "margin")
         assert data["t"].size == traj.diagnostics["t"].size
-        speed = grid_max_speed(init, PARAMS0)
+        speed = max_characteristic_speed(
+            PARAMS0.rho_ratio, *bilayer._totals(init.stacked(), PARAMS0))
         assert speed > 0.0
         assert combined_norm(init) > 0.0

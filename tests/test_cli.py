@@ -571,6 +571,21 @@ class TestRunCommands:
                          "--out", str(tmp_path / "p")])
         assert code == cli.CONFIG_ERROR
 
+    def test_motionless_column_without_depth_is_flagged(self, tmp_path,
+                                                        capsys):
+        # no speed at all: the initial limit is finite, not a division by
+        # zero, and the depth floor flags the run on its first step
+        cfg = write_config(tmp_path, "c.json", {
+            "n_x": 32, "T": 0.1, "kappa": 0.0,
+            "initial": {"kind": "gaussian", "width": 1e6,
+                        "amplitudes": {"H_s": -0.5, "H_b": -0.7}}})
+        out = tmp_path / "o"
+        code = cli.main(["simulate-stratified", "--config", cfg,
+                         "--out", str(out)])
+        assert code == cli.INCONCLUSIVE
+        assert "cell thickness fell to" in capsys.readouterr().err
+        assert read_summary(out, "simulate-stratified")["pass"] is False
+
     def test_refine_blowup_warns_and_exits_inconclusive(self, tmp_path,
                                                         capsys):
         cfg = write_config(tmp_path, "c.json", {

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pycnolab.core import LevelGrid, SpatialGrid
+from pycnolab.core import LevelGrid, SpatialGrid, StepLimitError
 from pycnolab import bilayer
 from pycnolab import stratified
 from pycnolab.refined import (
@@ -177,6 +177,30 @@ class TestSolveRefined:
                 assert not same_u, "zeroed forcing left its level unchanged"
             else:
                 assert same_h and same_u, f"level {i} felt a foreign forcing"
+
+    def test_steps_at_its_own_advective_limit(self):
+        # the transport limit cfl dx / (max|ubar + u| + kappa max|d_x h /
+        # (1 + h)|), below the reference spacing here, is the initial dt:
+        # one step spans a horizon of one limit, and a horizon 1e-9 longer
+        # takes two; a step at the limit runs and one of twice the limit
+        # is refused
+        grid, levels, profile, state, traj = reference_setup()
+        ref = ReferenceRun(traj, profile)
+        h, u = state.h.values, state.u.values + 3.0
+        init = stratified.StratifiedState.from_arrays(0.0, grid, levels, h, u)
+        drift = 0.1 * np.max(np.abs(grid.derivative(h) / (1.0 + h)))
+        limit = 0.4 * grid.dx / (
+            np.max(np.abs(profile.ubar[:, None] + u)) + drift)
+        assert limit < np.min(np.diff(ref.times))
+        for T, n_steps in ((limit, 1), (limit * (1.0 + 1e-9), 2)):
+            run = solve_refined(init, profile, ref, 0.1, T)
+            assert run.n_steps == n_steps and len(run.states) >= 2
+        run = solve_refined(init, profile, ref, 0.1, limit, dt=limit)
+        assert not run.blown_up and len(run.states) == 2
+        with pytest.raises(StepLimitError, match="exceeds the stability "
+                           "limit"):
+            solve_refined(init, profile, ref, 0.1, 2.0 * limit,
+                          dt=2.0 * limit)
 
     def test_horizon_and_grid_guards(self):
         grid, levels, profile, state, traj = reference_setup(T=0.2)

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from pycnolab.core import BlowUpError, Field1D, Field2D, LevelGrid, SpatialGrid
 from pycnolab import bilayer, core, refined, stratified
+from pycnolab.hyperbolicity import max_characteristic_speed
 from pycnolab.stratified import (
     PycnoclineSpec,
     StratifiedProfile,
@@ -335,6 +336,21 @@ class TestStepIntegrate:
         assert np.all(traj.final.h.values == 0.0)
         assert np.all(traj.final.u.values == 0.0)
         assert not traj.blown_up
+
+    def test_limit_without_depth_or_motion_is_finite(self):
+        # a motionless column with no positive depth has no speed; the
+        # limit floors it at 1e-8 instead of dividing by zero, and the
+        # thickness floor flags the run on its first step
+        levels = LevelGrid.uniform(4)
+        grid = SpatialGrid(16)
+        prof = StratifiedProfile(levels, np.array([2.0, 1.5, 1.2, 1.0]),
+                                 np.zeros(4))
+        state = StratifiedState.from_arrays(
+            0.0, grid, levels, np.full((4, 16), -1.5), np.zeros((4, 16)))
+        assert cfl_limit(state, prof, 0.0) == 0.4 * grid.dx / 1e-8
+        traj = integrate(state, prof, 0.0, T=0.1)
+        assert traj.blown_up and traj.n_steps == 1
+        assert "cell thickness" in traj.warnings[0]
 
     def test_cfl_rejection(self):
         _, profile, state = embedded_pair()
@@ -754,7 +770,8 @@ class TestStepIntegrate:
 
     def test_speed_estimate_dominates_two_layer(self):
         bistate, profile, state = embedded_pair()
-        fast = bilayer.grid_max_speed(bistate, PARAMS)
+        fast = max_characteristic_speed(
+            PARAMS.rho_ratio, *bilayer._totals(bistate.stacked(), PARAMS))
         est = wave_speed_estimate(*arrays(state), profile)
         assert est >= 0.99 * fast, (
             f"estimate {est:.4f} fell below the two-layer speed {fast:.4f}")
