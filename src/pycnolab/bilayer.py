@@ -30,7 +30,7 @@ kappa d_x^2 H_l exactly, under the shared step limit. What stays here
 is specific to two layers: the speeds that limit takes, the largest
 root magnitude lambda_max of the characteristic quartic over the grid
 and its closed-form bound, hyperbolicity margins and the sigma gate,
-the total-velocity residual, the symmetrizer energy and the CSV writers.
+the total-velocity residual and the CSV writers.
 """
 
 import math
@@ -50,11 +50,8 @@ from .core import (
 )
 from .hyperbolicity import (
     characteristic_speed_bound,
-    coefficient_arrays,
     froude_table,
     max_characteristic_speed,
-    quartic_roots_batch,
-    symmetrizer_fields,
 )
 from .stratified import (
     ColumnWork,
@@ -140,15 +137,6 @@ class BilayerState:
                          self.U_s.values, self.U_b.values])
 
 
-@dataclass
-class EnergySample:
-    """Symmetrizer quadratic form and plain L2 size of a perturbation."""
-    t: float
-    E: float
-    l2: float
-    coercivity: float = 0.0
-
-
 def _totals(stacked, params):
     return (params.Hbar_s + stacked[0], params.Hbar_b + stacked[1],
             params.Ubar_s + stacked[2], params.Ubar_b + stacked[3])
@@ -190,10 +178,10 @@ def cfl_limit(state, params, cfl=CFL_DEFAULT):
     """Largest admissible dt at this state: `state_limit` at lambda_max,
     the quartic's largest root magnitude over the grid."""
     stacked = state.stacked()
-    h, u, _ = _to_column(stacked, state.grid, params)
     speed = max_characteristic_speed(params.rho_ratio,
                                      *_totals(stacked, params))
-    return state_limit(h, u, state.grid, params.kappa, speed, cfl)
+    return state_limit(_to_column(stacked, state.grid, params)[0],
+                       state.grid, params.kappa, speed, cfl)
 
 
 def step(t, y, dt, grid, params, cfl=CFL_DEFAULT, work=None):
@@ -243,6 +231,12 @@ class MarginTable:
         self.hi = hi
         self._build()
 
+    @classmethod
+    def spanning(cls, rho_ratio, ratios):
+        """A table over [min/2, 2 max] of the depth ratios it first reads."""
+        return cls(rho_ratio, 0.5 * float(ratios.min()),
+                   2.0 * float(ratios.max()))
+
     def _build(self):
         decades = math.log10(self.hi / self.lo)
         n = max(17, int(decades * MARGIN_NODES_PER_DECADE) + 1)
@@ -264,25 +258,23 @@ def pointwise_margin(state, params, table=None):
     check_thickness((hs, hb), state.t)
     ratios = hs / hb
     if table is None:
-        table = MarginTable(params.rho_ratio,
-                            0.5 * float(ratios.min()), 2.0 * float(ratios.max()))
+        table = MarginTable.spanning(params.rho_ratio, ratios)
     shear = np.abs(ub - us) / np.sqrt(hb)
-    return table(ratios) - shear, table
+    return table(ratios) - shear
 
 
-def in_margin_set(state, params, sigma, table=None):
+def in_margin_set(state, params, sigma):
     """Pointwise membership in the sigma-margin hyperbolicity set."""
     rr = params.rho_ratio
     if not sigma / 2.0 <= rr <= 1.0 - sigma / 2.0:
-        return False, table
+        return False
     hs, hb, _, _ = _totals(state.stacked(), params)
     ratios = hs / hb
     if float(ratios.min()) < sigma or float(ratios.max()) > 1.0 / sigma:
-        return False, table
+        return False
     if float((hs + hb).min()) < sigma:
-        return False, table
-    margin, table = pointwise_margin(state, params, table)
-    return bool(margin.min() >= sigma), table
+        return False
+    return bool(pointwise_margin(state, params).min() >= sigma)
 
 
 # ----------------------------------------------------------------------
@@ -313,18 +305,18 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
     recorded as a warning, not an error. The run halts with a blow-up
     flag when the H^2 norm passes BLOWUP_FACTOR times its initial value,
     depths hit the positivity floor or the CFL limit tightens below the
-    step (see `stratified.march`).
+    step (see `stratified.march`); an initial state at the floor raises
+    BlowUpError.
     """
-    table = None
-    if sigma is not None:
-        ok, table = in_margin_set(initial, params, sigma, table)
-        if not ok:
-            raise ValueError(
-                f"initial state leaves the sigma = {sigma} margin set")
+    if sigma is not None and not in_margin_set(initial, params, sigma):
+        raise ValueError(
+            f"initial state leaves the sigma = {sigma} margin set")
+    hs, hb, _, _ = _totals(initial.stacked(), params)
+    check_thickness((hs, hb), initial.t)
+    table = MarginTable.spanning(params.rho_ratio, hs / hb)
 
     def record(st, norm):
-        nonlocal table
-        margin, table = pointwise_margin(st, params, table)
+        margin = pointwise_margin(st, params, table)
         return {"t": st.t, "mass_s": float(st.H_s.values.mean()),
                 "mass_b": float(st.H_b.values.mean()), "hs_norm": norm,
                 "margin": float(margin.min())}
@@ -401,56 +393,6 @@ def bd_residual(trajectory, params):
                  - kappa * d(vb, order=2))
         res[j] = scale * np.sqrt(float(np.sum(np.mean(eq * eq, axis=1))))
     return times, res
-
-
-# ----------------------------------------------------------------------
-# symmetrizer energy
-# ----------------------------------------------------------------------
-
-def _middle_root_shift(hs, hb, us, ub, rho_ratio):
-    """Per-point shift lambda: midpoint of the middle real roots, clipped."""
-    roots = quartic_roots_batch(*coefficient_arrays(rho_ratio, hs, hb, us, ub))
-    scale = 1.0 + np.max(np.abs(roots), axis=-1)
-    n_real = np.sum(np.abs(roots.imag) <= 1e-9 * scale[..., None], axis=-1)
-    if np.any(n_real < 4):
-        raise ValueError("base state leaves the hyperbolic regime")
-    lams = np.sort(roots.real, axis=-1)
-    lam = 0.5 * (lams[..., 1] + lams[..., 2])
-    return np.clip(lam, np.minimum(us, ub), np.maximum(us, ub))
-
-
-def energy_functional(base, perturbation, params):
-    """The symmetrizer energy of a perturbation pair along a base pair.
-
-    `base` and `perturbation` are (state_U, state_V) pairs; the
-    symmetrizer is assembled pointwise at the base U state with the
-    middle-root shift, and E sums its quadratic form over both
-    perturbation members with trapezoidal (here: exact periodic)
-    quadrature. The sample records the empirical coercivity constant
-    c^2 = min over the grid of the smallest symmetrizer eigenvalue, so
-    E >= c^2 * l2^2 holds by construction.
-    """
-    base_u, _ = base
-    pert_u, pert_v = perturbation
-    grid = base_u.grid
-    hs, hb, us, ub = _totals(base_u.stacked(), params)
-    check_thickness((hs, hb), base_u.t)
-    lam = _middle_root_shift(hs, hb, us, ub, params.rho_ratio)
-    S = symmetrizer_fields(params.rho_ratio, hs, hb, us, ub, lam)
-
-    eigs = np.linalg.eigvalsh(S)
-    c2 = float(eigs[..., 0].min())
-    if c2 <= 0.0:
-        raise ValueError(
-            f"symmetrizer lost definiteness (min eigenvalue {c2:.3e})")
-
-    du = pert_u.stacked().T    # (n_x, 4)
-    dv = pert_v.stacked().T
-    quad = grid.length / grid.n_x
-    E = float(np.einsum("xi,xij,xj->", du, S, du)
-              + np.einsum("xi,xij,xj->", dv, S, dv)) * quad
-    l2 = float(np.sqrt((np.sum(du * du) + np.sum(dv * dv)) * quad))
-    return EnergySample(t=base_u.t, E=E, l2=l2, coercivity=c2)
 
 
 # ----------------------------------------------------------------------

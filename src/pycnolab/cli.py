@@ -419,6 +419,7 @@ def main(argv=None):
         return COMMANDS[args.command](cfg, art, args.plots)
     except BlowUpError as err:
         print(f"blow-up: {err}", file=sys.stderr)
+        art.summary(args.command, False)
         return INCONCLUSIVE
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -583,8 +583,7 @@ def symmetrizer_fields(rho_ratio, H_s, H_b, U_s, U_b, lam):
     """Stacked symmetrizers S(x) for per-grid-point state arrays.
 
     All arguments broadcast; lam may vary per point. Returns (..., 4, 4).
-    Used by `symmetrizers` and by the energy functional, which needs S
-    at every grid point.
+    Used by `symmetrizers`; its least eigenvalue over a grid is the coercivity.
     """
     rr, H_s, H_b, U_s, U_b, lam = np.broadcast_arrays(
         *map(np.asarray, (rho_ratio, H_s, H_b, U_s, U_b, lam)))

@@ -36,7 +36,8 @@ import numpy as np
 from .core import CFL_DEFAULT, check_kappa, write_table
 from .stratified import (
     ColumnWork,
-    StratifiedTrajectory,
+    Run,
+    StratifiedProfile,
     march_column,
     pressure_matrix,
     rk4,
@@ -116,7 +117,9 @@ class ReferenceRun:
 # ----------------------------------------------------------------------
 
 @dataclass(eq=False, kw_only=True)
-class RefinedRun(StratifiedTrajectory):
+class RefinedRun(Run):
+    profile: StratifiedProfile
+    kappa: float
     reference: ReferenceRun
 
 
@@ -147,7 +150,7 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
     if dt is None:
         h, u = initial.h.values, initial.u.values
         dt = min(float(np.min(np.diff(forcing.times))),
-                 state_limit(h, u, grid, kappa, advection(u)(), cfl))
+                 state_limit(h, grid, kappa, advection(u)(), cfl))
     # RK4 stages 2 and 3, and the end of one step and the start of the
     # next, query the same time
     at = functools.lru_cache(maxsize=1)(forcing.forcing)

@@ -59,6 +59,7 @@ import numpy as np
 from .core import (
     BLOWUP_FACTOR,
     CFL_DEFAULT,
+    DEPTH_FLOOR,
     BlowUpError,
     Field2D,
     StepLimitError,
@@ -324,12 +325,14 @@ def stability_limit(speed, drift, grid, cfl):
     return cfl * grid.dx / max(speed + drift, 1e-8)
 
 
-def state_limit(h, u, grid, kappa, speed, cfl):
-    """`stability_limit` at `speed` with the drift of (h, u) as `rk4`
-    takes it; every initial dt comes from here."""
-    w = ColumnWork(grid, h.shape[0])
-    w.derive(h, u)
-    return stability_limit(speed, _drift(kappa, w.dxh, h, w.h_in), grid, cfl)
+def state_limit(h, grid, kappa, speed, cfl):
+    """`stability_limit` at `speed` with the drift of h as `rk4` takes
+    it; every initial dt comes from here. A point with 1 + h at or below
+    DEPTH_FLOOR, which the first step flags, adds no drift."""
+    live = 1.0 + h > DEPTH_FLOOR
+    dxh = np.where(live, grid.derivative(h), 0.0)
+    drift = _drift(kappa, dxh, np.where(live, h, 0.0), np.empty_like(h))
+    return stability_limit(speed, drift, grid, cfl)
 
 
 def column_rhs(h, u, t, grid, profile, kappa, pressure):
@@ -412,25 +415,18 @@ def rk4(h, u, t, dt, *column, work=None, speeds=None, cfl=CFL_DEFAULT):
     back with the dealiased advection. `speeds`, if given, is a pair
     (bound, exact) of zero-argument callables giving a cheap upper bound
     on the fastest speed of (h, u) and that speed itself. dt is checked
-    before any stage, with the drift taken from k1's d_x h: a dt within
-    the `stability_limit` of bound (1 + 1e-12) is certified, and only
-    past it is exact called, whose limit dt must then meet. `work` is the
-    run's ColumnWork (a throwaway one when omitted); the two returned
-    arrays are fresh. Stacked fields count as one call: a
-    kappa > 0 step transforms 29 (n_r, n_x) blocks in 18 calls
-    (k1 2 + 1 + 1 + 1, each later stage 1 + 1 + 1 + 1, h1 1), a
-    kappa = 0 step 32 blocks in 17 calls.
+    after k1, whose thickness check flags a state at the floor first,
+    with the drift from k1's d_x h: a dt within the `stability_limit`
+    of bound (1 + 1e-12) is certified, and only past it is exact called,
+    whose limit dt must then meet. `work` is the run's ColumnWork (a
+    throwaway one when omitted); the two returned arrays are fresh.
+    Stacked fields count as one call: a kappa > 0 step transforms 29
+    (n_r, n_x) blocks in 18 calls (k1 2 + 1 + 1 + 1, each later stage
+    1 + 1 + 1 + 1, h1 1), a kappa = 0 step 32 blocks in 17 calls.
     """
     grid, _, kappa, _ = column
     w = ColumnWork(grid, h.shape[0]) if work is None else work
     w.derive(h, u)
-    if speeds is not None:
-        bound, exact = speeds
-        drift = _drift(kappa, w.dxh, h, w.h_in)
-        limit = stability_limit(bound() * (1.0 + 1e-12), drift, grid, cfl)
-        if not dt <= limit:  # a NaN bound takes the exact route
-            limit = stability_limit(exact(), drift, grid, cfl)
-        check_step(dt, limit, t)
     us, ku, su = w.u_in, w.ku, w.sum_u
     if kappa > 0.0:
         if w.heat[0] != (kappa, dt):
@@ -476,6 +472,13 @@ def rk4(h, u, t, dt, *column, work=None, speeds=None, cfl=CFL_DEFAULT):
 
     # k1 goes straight into the running sums; then y = E h and sh = E k1
     _column_rhs_into(w, h, u, t, column, k1_dh, su)
+    if speeds is not None:
+        bound, exact = speeds
+        drift = _drift(kappa, w.dxh, h, w.h_in)
+        limit = stability_limit(bound() * (1.0 + 1e-12), drift, grid, cfl)
+        if not dt <= limit:  # a NaN bound takes the exact route
+            limit = stability_limit(exact(), drift, grid, cfl)
+        check_step(dt, limit, t)
     E(y)
     E(sh)
     np.add(y, np.multiply(0.5 * dt, sh, out=hs), out=hs)
@@ -535,7 +538,7 @@ def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
     """Largest admissible dt at this state: `state_limit` at the
     `wave_speed_estimate` of the column."""
     h, u = state.h.values, state.u.values
-    return state_limit(h, u, state.grid, kappa,
+    return state_limit(h, state.grid, kappa,
                        wave_speed_estimate(h, u, profile), cfl)
 
 
@@ -577,12 +580,6 @@ class Run:
     @property
     def final(self):
         return self.states[-1]
-
-
-@dataclass(eq=False, kw_only=True)
-class StratifiedTrajectory(Run):
-    profile: StratifiedProfile
-    kappa: float
 
 
 def march(initial, y, advance, to_state, T, dt, norm, record,
@@ -675,7 +672,7 @@ def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
     work = ColumnWork(grid, initial.levels.n_r)
     run = march_column(initial, lambda t, y, dt: step(
         t, y, dt, grid, profile, kappa, cfl, work), T, dt, snapshot_every)
-    return StratifiedTrajectory(profile=profile, kappa=kappa, **run)
+    return Run(**run)
 
 
 def march_column(initial, advance, T, dt, snapshot_every):

@@ -17,7 +17,6 @@ from pycnolab.bilayer import (
     bd_residual,
     cfl_limit,
     combined_norm,
-    energy_functional,
     integrate,
     make_initial,
     pointwise_margin,
@@ -340,7 +339,7 @@ class TestIntegrate:
     def test_margin_matches_direct_bisection(self):
         grid = SpatialGrid(32)
         init = make_initial(grid, "sine", {"H_s": 0.05, "U_s": 0.1})
-        margin, _ = pointwise_margin(init, PARAMS0)
+        margin = pointwise_margin(init, PARAMS0)
         from pycnolab.hyperbolicity import critical_froude
         hs = PARAMS0.Hbar_s + init.H_s.values
         hb = PARAMS0.Hbar_b + init.H_b.values
@@ -479,56 +478,8 @@ class TestBDResidual:
 
 
 class TestEnergy:
-    def base_pair(self, grid, p):
-        u = make_initial(grid, "sine", {"H_s": 0.03, "U_s": 0.02})
-        Vs, Vb = total_velocity(u, p)
-        v = BilayerState(0.0, u.H_s, u.H_b, Vs, Vb)
-        return u, v
-
-    def test_zero_perturbation(self):
-        grid = SpatialGrid(64)
-        p = params_with(kappa=0.1)
-        base = self.base_pair(grid, p)
-        z = BilayerState.zeros(grid)
-        sample = energy_functional(base, (z, z), p)
-        assert sample.E == 0.0
-        assert sample.l2 == 0.0
-        assert sample.coercivity > 0.0
-
-    def test_point_mass_matches_direct_form(self):
-        grid = SpatialGrid(32)
-        p = PARAMS0
-        z4 = BilayerState.zeros(grid)
-        base = (z4, z4)  # rest: the shift is 0, S is the same at all nodes
-        vec = np.array([0.02, -0.01, 0.03, 0.005])
-        node = 11
-        rows = np.zeros((4, grid.n_x))
-        rows[:, node] = vec
-        pert = BilayerState.from_arrays(0.0, grid, rows)
-        sample = energy_functional(base, (pert, BilayerState.zeros(grid)), p)
-        from pycnolab.hyperbolicity import StatePoint, symmetrizer
-        sp = StatePoint(p.rho_s, p.rho_b, p.Hbar_s, p.Hbar_b, 0.0, 0.0)
-        S = symmetrizer(sp).S
-        want = float(vec @ S @ vec) * grid.length / grid.n_x
-        assert abs(sample.E - want) <= 1e-14 * max(1.0, abs(want)), (
-            f"point-mass energy {sample.E} vs direct {want}")
-
-    def test_coercivity_bound(self):
-        grid = SpatialGrid(64)
-        p = params_with(kappa=0.1)
-        base = self.base_pair(grid, p)
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            pu = BilayerState.from_arrays(
-                0.0, grid, 0.01 * rng.normal(size=(4, grid.n_x)))
-            pv = BilayerState.from_arrays(
-                0.0, grid, 0.01 * rng.normal(size=(4, grid.n_x)))
-            s = energy_functional(base, (pu, pv), p)
-            assert s.E >= s.coercivity * s.l2 ** 2 * (1.0 - 1e-12), (
-                f"coercivity violated: E={s.E}, c2*l2^2={s.coercivity * s.l2 ** 2}")
-
     def test_nearby_runs_stay_close_in_energy(self):
-        # qualitative Gronwall shape: the energy of the difference of two
+        # qualitative Gronwall shape: the L2 size of the difference of two
         # nearby runs grows by at most a modest factor on a short horizon
         grid = SpatialGrid(64)
         p = params_with(kappa=0.1)
@@ -541,21 +492,11 @@ class TestEnergy:
         n = int(np.ceil(T / dt))
         ta = integrate(a, p, T, dt=T / n)
         tb = integrate(b, p, T, dt=T / n)
-        samples = []
-        for sa, sb in zip(ta.states, tb.states):
-            Va = total_velocity(sa, p)
-            Vb = total_velocity(sb, p)
-            du = BilayerState.from_arrays(sa.t, grid, sb.stacked() - sa.stacked())
-            dv = BilayerState.from_arrays(
-                sa.t, grid,
-                np.vstack([sb.stacked()[:2] - sa.stacked()[:2],
-                           np.array([Vb[0].values - Va[0].values,
-                                     Vb[1].values - Va[1].values])]))
-            base_v = BilayerState(sa.t, sa.H_s, sa.H_b, Va[0], Va[1])
-            samples.append(energy_functional((sa, base_v), (du, dv), p))
-        e0 = np.sqrt(samples[0].E)
-        eT = np.sqrt(max(s.E for s in samples))
-        assert eT <= 10.0 * e0, f"difference energy grew {eT / e0:.1f}x"
+        sizes = [bilayer.stacked_norm(grid, sb.stacked() - sa.stacked(), 0.0)
+                 for sa, sb in zip(ta.states, tb.states)]
+        assert len(sizes) > 2 and sizes[0] > 0.0
+        assert max(sizes) <= 10.0 * sizes[0], (
+            f"difference grew {max(sizes) / sizes[0]:.1f}x")
 
 
 class TestInitialData:

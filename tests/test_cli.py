@@ -586,6 +586,27 @@ class TestRunCommands:
         assert "cell thickness fell to" in capsys.readouterr().err
         assert read_summary(out, "simulate-stratified")["pass"] is False
 
+    @pytest.mark.parametrize("command", ["simulate-stratified",
+                                         "simulate-bilayer"])
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_zero_depth_with_diffusion_is_flagged(self, tmp_path, capsys,
+                                                  command, dt):
+        # both layers at exactly zero depth somewhere: d_x h / (1 + h) is
+        # infinite there, which once gave an initial limit of 0 (a
+        # ZeroDivisionError) or failed a given dt against it (exit 2)
+        payload = {"n_x": 32, "T": 0.1, "kappa": 0.1,
+                   "initial": {"kind": "gaussian", "width": 1e6,
+                               "amplitudes": {"H_s": -1.0 / 3.0,
+                                              "H_b": -2.0 / 3.0}}}
+        if dt is not None:
+            payload["dt"] = dt
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.INCONCLUSIVE
+        assert "cell thickness fell to 0.000e+00" in capsys.readouterr().err
+        assert read_summary(out, command)["pass"] is False
+
     def test_refine_blowup_warns_and_exits_inconclusive(self, tmp_path,
                                                         capsys):
         cfg = write_config(tmp_path, "c.json", {

@@ -352,6 +352,40 @@ class TestStepIntegrate:
         assert traj.blown_up and traj.n_steps == 1
         assert "cell thickness" in traj.warnings[0]
 
+    def test_limit_with_diffusion_at_zero_depth_is_finite(self):
+        # 1 + h = 0 exactly at x = 3 pi / 2, where d_x h / (1 + h) is
+        # infinite; points at the floor add no drift, and the floor flags
+        # the run on its first step, with the default dt or a given one
+        levels = LevelGrid.uniform(4)
+        grid = SpatialGrid(16)
+        prof = StratifiedProfile(levels, np.array([2.0, 1.5, 1.2, 1.0]),
+                                 np.zeros(4))
+        h = np.tile(-0.5 + 0.5 * np.sin(grid.x), (4, 1))
+        assert (1.0 + h).min() == 0.0
+        state = StratifiedState.from_arrays(0.0, grid, levels, h,
+                                            np.zeros((4, 16)))
+        limit = cfl_limit(state, prof, 0.1)
+        assert 0.0 < limit < cfl_limit(state, prof, 0.0)
+        for dt in (None, 0.01):
+            traj = integrate(state, prof, 0.1, T=0.1, dt=dt)
+            assert traj.blown_up and len(traj.states) == 1
+            assert "cell thickness fell to 0.000e+00" in traj.warnings[0]
+
+    @pytest.mark.parametrize("n_r, n_x", [(64, 256), (2, 64), (24, 64)])
+    def test_initial_limit_takes_a_steps_drift(self, n_r, n_x):
+        # at positive depth the initial limit is the limit rk4 takes from
+        # k1's d_x h, bit for bit
+        rng = np.random.default_rng(n_r)
+        grid = SpatialGrid(n_x)
+        h = grid.dealias(0.2 * rng.standard_normal((n_r, n_x)))
+        u = rng.standard_normal((n_r, n_x))
+        work = stratified.ColumnWork(grid, n_r)
+        work.derive(h, u)
+        for kappa in (0.0, 0.1):
+            drift = stratified._drift(kappa, work.dxh, h, np.empty_like(h))
+            assert stratified.state_limit(h, grid, kappa, 1.3, 0.4) == \
+                stratified.stability_limit(1.3, drift, grid, 0.4)
+
     def test_cfl_rejection(self):
         _, profile, state = embedded_pair()
         limit = cfl_limit(state, profile, 0.0)
@@ -610,9 +644,10 @@ class TestStepIntegrate:
     def test_step_bound_dominates_the_speed_estimate(self, monkeypatch):
         # the limit a step certifies never exceeds cfl_limit's: on random
         # fields over monotone and non-monotone profiles, at depths near
-        # the floor, at h = 0, at uniform depths (where rounding alone
-        # would put the bound under the eigensolve's estimate) and with
-        # levels, or the whole column, at non-positive depth
+        # the floor, at h = 0 and at uniform depths (where rounding alone
+        # would put the bound under the eigensolve's estimate); with
+        # levels, or the whole column, at non-positive depth, k1's
+        # thickness check flags the state before any limit is checked
         rng = np.random.default_rng(53)
         grid = SpatialGrid(16)
         cases = []
@@ -639,14 +674,23 @@ class TestStepIntegrate:
                                                        h, u), p, kappa, 0.3)
                  for p, h, u, kappa in cases]
         seen, _ = self.spy_step(monkeypatch, stratified, "wave_speed_estimate")
+        checked = 0
         for (prof, h, u, kappa), want in zip(cases, exact):
             seen.clear()
+            depth = prof.levels.w[:, None] * (1.0 + h)
+            if depth.min() <= core.DEPTH_FLOOR:
+                with pytest.raises(BlowUpError, match="cell thickness"):
+                    step(0.0, (h, u), 1e-9, grid, prof, kappa, cfl=0.3)
+                assert seen == []
+                continue
             try:
                 step(0.0, (h, u), 1e-9, grid, prof, kappa, cfl=0.3)
             except BlowUpError:
                 pass
             assert len(seen) == 1 and seen[0] <= want, (
                 f"certified {seen[0]!r} past the exact limit {want!r}")
+            checked += 1
+        assert checked == 7 * 16  # all but `below` and the -1.5 column
 
     def test_heat_propagator_follows_kappa_and_dt(self):
         # one workspace through steps of changing (kappa, dt) gives the
@@ -692,10 +736,10 @@ class TestStepIntegrate:
         assert len(solves) == 1
         assert seen == [exact]
 
-    def test_two_layer_step_at_nonpositive_depth_takes_exact_route(
+    def test_two_layer_step_at_nonpositive_depth_stops_at_the_floor(
             self, monkeypatch):
-        # the bound is inf at a depth <= 0, so even dt = limit/4 is checked
-        # against cfl_limit; the kernel's thickness floor then ends the step
+        # k1's thickness check ends the step before its limit is checked,
+        # so no quartic is solved for a state with no positive depth
         bistate = bilayer.make_initial(
             SpatialGrid(32), amplitudes={"H_b": -0.7, "U_s": 0.1})
         params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
@@ -707,8 +751,8 @@ class TestStepIntegrate:
                            r"-3\.333e-02 \(floor 1e-06\) at t = 0"):
             bilayer.step(0.0, bistate.stacked(), exact / 4.0, bistate.grid,
                          params, cfl=0.3)
-        assert len(solves) == 1
-        assert seen == [exact]
+        assert solves == []
+        assert seen == []
 
     @pytest.mark.parametrize("T", [float("inf"), float("nan"), 0.0, -1.0])
     def test_horizon_must_be_finite_and_positive(self, T):
