@@ -42,10 +42,10 @@ import numpy as np
 
 from .core import (
     CFL_DEFAULT,
-    Field1D,
     LevelGrid,
     SobolevIndex,
     check_thickness,
+    frozen_array,
     write_table,
 )
 from .hyperbolicity import (
@@ -110,31 +110,16 @@ class BilayerParams:
 
 
 class BilayerState:
-    """Deviation fields at one instant, all on a shared grid."""
+    """Deviation fields at one instant: `stacked` is one read-only
+    (4, n_x) copy, whose rows are H_s, H_b, U_s and U_b."""
 
     FIELDS = ("H_s", "H_b", "U_s", "U_b")
 
-    def __init__(self, t, H_s, H_b, U_s, U_b):
+    def __init__(self, t, grid, stacked):
         self.t = float(t)
-        grid = H_s.grid
-        for f in (H_b, U_s, U_b):
-            if f.grid is not grid:
-                raise ValueError("all four fields must share one grid")
-        self.H_s, self.H_b, self.U_s, self.U_b = H_s, H_b, U_s, U_b
         self.grid = grid
-
-    @classmethod
-    def zeros(cls, grid, t=0.0):
-        z = Field1D.zeros(grid)
-        return cls(t, z, z, z, z)
-
-    @classmethod
-    def from_arrays(cls, t, grid, stacked):
-        return cls(t, *(Field1D(row, grid) for row in stacked))
-
-    def stacked(self):
-        return np.array([self.H_s.values, self.H_b.values,
-                         self.U_s.values, self.U_b.values])
+        self.stacked = frozen_array(stacked, (4, grid.n_x), "BilayerState")
+        self.H_s, self.H_b, self.U_s, self.U_b = self.stacked
 
 
 def _totals(stacked, params):
@@ -156,31 +141,26 @@ def _from_column(h, u, params):
 
 
 def rhs(state, params):
-    """Time derivatives (dH_s, dH_b, dU_s, dU_b), diffusion included."""
-    h, u, column = _to_column(state.stacked(), state.grid, params)
-    dh, du = column_derivative(h, u, state.t, *column)
-    return tuple(Field1D(row, state.grid)
-                 for row in _from_column(dh, du, params))
+    """Time derivatives, rows (dH_s, dH_b, dU_s, dU_b), diffusion included."""
+    h, u, column = _to_column(state.stacked, state.grid, params)
+    return _from_column(*column_derivative(h, u, state.t, *column), params)
 
 
 def total_velocity(state, params):
-    """The fields V_l = U_l - kappa d_x H_l / (Hbar_l + H_l)."""
-    stacked = state.stacked()
-    hs, hb, _, _ = _totals(stacked, params)
+    """(V_s, V_b), the arrays V_l = U_l - kappa d_x H_l / (Hbar_l + H_l)."""
+    hs, hb, _, _ = _totals(state.stacked, params)
     check_thickness((hs, hb), state.t)
-    g = state.grid
-    Vs = stacked[2] - params.kappa * g.derivative(stacked[0]) / hs
-    Vb = stacked[3] - params.kappa * g.derivative(stacked[1]) / hb
-    return Field1D(Vs, g), Field1D(Vb, g)
+    d = state.grid.derivative
+    return (state.U_s - params.kappa * d(state.H_s) / hs,
+            state.U_b - params.kappa * d(state.H_b) / hb)
 
 
 def cfl_limit(state, params, cfl=CFL_DEFAULT):
     """Largest admissible dt at this state: `state_limit` at lambda_max,
     the quartic's largest root magnitude over the grid."""
-    stacked = state.stacked()
     speed = max_characteristic_speed(params.rho_ratio,
-                                     *_totals(stacked, params))
-    return state_limit(_to_column(stacked, state.grid, params)[0],
+                                     *_totals(state.stacked, params))
+    return state_limit(_to_column(state.stacked, state.grid, params)[0],
                        state.grid, params.kappa, speed, cfl)
 
 
@@ -254,7 +234,7 @@ class MarginTable:
 
 def pointwise_margin(state, params, table=None):
     """Fr_-(H_s/H_b) - |u_b - u_s|/sqrt(h_b) at every grid point."""
-    hs, hb, us, ub = _totals(state.stacked(), params)
+    hs, hb, us, ub = _totals(state.stacked, params)
     check_thickness((hs, hb), state.t)
     ratios = hs / hb
     if table is None:
@@ -268,7 +248,7 @@ def in_margin_set(state, params, sigma):
     rr = params.rho_ratio
     if not sigma / 2.0 <= rr <= 1.0 - sigma / 2.0:
         return False
-    hs, hb, _, _ = _totals(state.stacked(), params)
+    hs, hb, _, _ = _totals(state.stacked, params)
     ratios = hs / hb
     if float(ratios.min()) < sigma or float(ratios.max()) > 1.0 / sigma:
         return False
@@ -283,7 +263,7 @@ def in_margin_set(state, params, sigma):
 
 def combined_norm(state, s=BLOWUP_NORM_INDEX):
     """H^s size of the four deviation fields together."""
-    return stacked_norm(state.grid, state.stacked(), s)
+    return stacked_norm(state.grid, state.stacked, s)
 
 
 def stacked_norm(grid, stacked, s=BLOWUP_NORM_INDEX):
@@ -311,23 +291,23 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
     if sigma is not None and not in_margin_set(initial, params, sigma):
         raise ValueError(
             f"initial state leaves the sigma = {sigma} margin set")
-    hs, hb, _, _ = _totals(initial.stacked(), params)
+    hs, hb, _, _ = _totals(initial.stacked, params)
     check_thickness((hs, hb), initial.t)
     table = MarginTable.spanning(params.rho_ratio, hs / hb)
 
     def record(st, norm):
         margin = pointwise_margin(st, params, table)
-        return {"t": st.t, "mass_s": float(st.H_s.values.mean()),
-                "mass_b": float(st.H_b.values.mean()), "hs_norm": norm,
+        return {"t": st.t, "mass_s": float(st.H_s.mean()),
+                "mass_b": float(st.H_b.mean()), "hs_norm": norm,
                 "margin": float(margin.min())}
 
     if dt is None:
         dt = cfl_limit(initial, params, cfl)
     grid = initial.grid
     work = ColumnWork(grid, 2)
-    run = march(initial, initial.stacked(),
+    run = march(initial, initial.stacked,
                 lambda t, y, dt: step(t, y, dt, grid, params, cfl, work),
-                lambda t, y: BilayerState.from_arrays(t, grid, y),
+                lambda t, y: BilayerState(t, grid, y),
                 T, dt, combined_norm, record, snapshot_every)
     if sigma is not None:
         low = run["diagnostics"]["margin"] < 0.5 * sigma
@@ -360,12 +340,8 @@ def bd_residual(trajectory, params):
     grid = states[0].grid
     kappa = params.kappa
 
-    H = np.array([s.stacked()[:2] for s in states])        # (m, 2, n_x)
-    V = np.zeros_like(H)
-    for i, s in enumerate(states):
-        Vs, Vb = total_velocity(s, params)
-        V[i, 0] = Vs.values
-        V[i, 1] = Vb.values
+    H = np.array([s.stacked[:2] for s in states])          # (m, 2, n_x)
+    V = np.array([total_velocity(s, params) for s in states])
 
     # five-point centered d/dt
     dH = (-H[4:] + 8.0 * H[3:-1] - 8.0 * H[1:-3] + H[:-4]) / (12.0 * dt)
@@ -379,8 +355,8 @@ def bd_residual(trajectory, params):
 
     for j, i in enumerate(range(2, len(states) - 2)):
         st = states[i]
-        hs, hb, _, _ = _totals(st.stacked(), params)
-        dHs, dHb = d(st.H_s.values), d(st.H_b.values)
+        hs, hb, _, _ = _totals(st.stacked, params)
+        dHs, dHb = d(st.H_s), d(st.H_b)
         vs, vb = V[i]
         eq = np.zeros((4, grid.n_x))
         eq[0] = dH[j, 0] + d(grid.dealias(hs * (params.Ubar_s + vs)))
@@ -406,6 +382,7 @@ def make_initial(grid, kind="sine", amplitudes=None, wavenumber=1,
     kind "sine": a * sin(2 pi k x / L); "gaussian": a * exp(-(x-c)^2 /
     (2 w^2)) with the offset wrapped periodically; "zero". `amplitudes`
     maps field names (H_s, H_b, U_s, U_b) to a; omitted fields stay 0.
+    A width that is not finite and positive is a ValueError.
     """
     if amplitudes is None:
         amplitudes = {"H_s": 0.05}
@@ -420,6 +397,8 @@ def make_initial(grid, kind="sine", amplitudes=None, wavenumber=1,
         center = 0.5 * L
     if width is None:
         width = L / 12.0
+    if not 0.0 < width < np.inf:
+        raise ValueError(f"width must be finite and positive, got {width}")
 
     def shape(a):
         if kind == "sine":
@@ -431,16 +410,15 @@ def make_initial(grid, kind="sine", amplitudes=None, wavenumber=1,
             return np.zeros(grid.n_x)
         raise ValueError(f"unknown initial-data kind {kind!r}")
 
-    fields = [Field1D(shape(amplitudes.get(name, 0.0)), grid)
-              for name in BilayerState.FIELDS]
-    return BilayerState(t, *fields)
+    return BilayerState(t, grid, [shape(amplitudes.get(name, 0.0))
+                                  for name in BilayerState.FIELDS])
 
 
 def write_snapshots(run, f):
     """Rows (t, x, H_s, H_b, U_s, U_b) for every stored snapshot."""
     write_table(f, "t,x,H_s,H_b,U_s,U_b", (
         (st.t, x, *fields) for st in run.states
-        for x, fields in zip(st.grid.x, st.stacked().T)))
+        for x, fields in zip(st.grid.x, st.stacked.T)))
 
 
 def write_diagnostics(run, f):

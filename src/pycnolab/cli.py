@@ -194,15 +194,22 @@ def cmd_atlas(cfg, art, plots):
 def cmd_classify(cfg, art, plots):
     points = []
     if "points" in cfg:
-        for i, row in enumerate(cfg["points"]):
+        rows = cfg["points"]
+        if not isinstance(rows, list) or not rows:
+            raise ConfigError(
+                f"points must list at least one state point, got {rows!r}")
+        keys = ("rho_s", "rho_b", "H_s", "H_b", "U_s", "U_b")
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise ConfigError(
+                    f"points[{i}] must be a JSON object, got {row!r}")
+            missing = [k for k in keys if k not in row]
+            if missing:
+                raise ConfigError(f"points[{i}] lacks {', '.join(missing)}")
             try:
-                points.append(StatePoint(
-                    rho_s=row["rho_s"], rho_b=row["rho_b"], H_s=row["H_s"],
-                    H_b=row["H_b"], U_s=row["U_s"], U_b=row["U_b"]))
+                points.append(StatePoint(**{k: row[k] for k in keys}))
             except ValueError as err:
                 raise ConfigError(f"points[{i}]: {err}") from None
-        if not points:
-            raise ConfigError("points must list at least one state point")
     else:
         samples = config_count(cfg, "samples", 200)
         if samples < 1:

@@ -1,4 +1,4 @@
-"""Grids, fields and discrete norms shared by every solver in the package.
+"""Grids, state arrays and the discrete norms every solver shares.
 
 Space is the torus [0, L) sampled on n_x uniform points, so d/dx is a
 Fourier multiplier i*xi with xi = 2*pi*k/L and the discrete H^s norm is
@@ -17,7 +17,10 @@ structure lives on a cell decomposition of (-1, 0): cell edges
 w_i = e_{i+1} - e_i. Keeping edges explicit lets a layer interface sit
 exactly on an edge, which the embedding identities need.
 
-All fields are immutable once constructed; operations return new arrays.
+Both state classes, `bilayer.BilayerState` and
+`stratified.StratifiedState`, hold their fields as read-only arrays,
+each copied, shape-checked and finiteness-checked once by
+`frozen_array` when the state is built; operations return new arrays.
 
 The failure policy shared by every solver also lives here: one positivity
 floor on cell thickness, one blow-up growth factor, one default CFL
@@ -217,10 +220,13 @@ class LevelGrid:
         their extents. cluster = 0 gives uniform spacing per side; for
         cluster = beta > 0 the edges follow a sinh stretch that
         concentrates cells at the interface (spacing there smaller by
-        roughly beta/sinh(beta)). A negative or non-finite cluster is a
-        ValueError.
+        roughly beta/sinh(beta)). Fewer than two cells, or a negative or
+        non-finite cluster, is a ValueError.
         """
         n_r = int(n_r)
+        if n_r < 2:
+            raise ValueError(
+                f"n_r must be >= 2 to hold an interface, got {n_r}")
         interface = float(interface)
         if not -1.0 < interface < 0.0:
             raise ValueError(f"interface must lie in (-1, 0), got {interface}")
@@ -269,50 +275,13 @@ class LevelGrid:
         return f"LevelGrid(n_r={self.n_r})"
 
 
-def _check_finite(values, what):
-    if not np.all(np.isfinite(values)):
+def frozen_array(values, shape, what):
+    """A read-only float copy of `values`; a shape other than `shape` or a
+    non-finite entry is a ValueError naming `what`."""
+    values = np.array(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{what} has shape {values.shape}, expected {shape}")
+    if not np.isfinite(values).all():
         raise ValueError(f"{what} contains non-finite entries")
-
-
-class Field1D:
-    """Real samples of one scalar field on a SpatialGrid."""
-
-    def __init__(self, values, grid):
-        values = np.asarray(values, dtype=float).copy()
-        if values.ndim != 1 or values.size != grid.n_x:
-            raise ValueError(
-                f"field has {values.shape} samples, grid expects ({grid.n_x},)")
-        _check_finite(values, "Field1D")
-        values.flags.writeable = False
-        self.values = values
-        self.grid = grid
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(np.zeros(grid.n_x), grid)
-
-    def __repr__(self):
-        return f"Field1D(n_x={self.grid.n_x})"
-
-
-class Field2D:
-    """Real samples on SpatialGrid x LevelGrid, stored as (n_r, n_x)."""
-
-    def __init__(self, values, grid, levels):
-        values = np.asarray(values, dtype=float).copy()
-        if values.shape != (levels.n_r, grid.n_x):
-            raise ValueError(
-                f"field has shape {values.shape}, expected ({levels.n_r}, {grid.n_x})")
-        _check_finite(values, "Field2D")
-        values.flags.writeable = False
-        self.values = values
-        self.grid = grid
-        self.levels = levels
-
-    @classmethod
-    def zeros(cls, grid, levels):
-        return cls(np.zeros((levels.n_r, grid.n_x)), grid, levels)
-
-    def __repr__(self):
-        return f"Field2D(n_r={self.levels.n_r}, n_x={self.grid.n_x})"
-
+    values.flags.writeable = False
+    return values

@@ -311,7 +311,7 @@ def initial_from_config(cfg, grid):
         amplitudes=amplitudes,
         wavenumber=config_count(cfg, "initial.wavenumber", 1),
         center=config_real(cfg, "initial.center", None),
-        width=config_real(cfg, "initial.width", None))
+        width=config_positive(cfg, "initial.width", None))
 
 
 def column_setup(cfg):
@@ -335,7 +335,7 @@ def column_setup(cfg):
 
 def _bilayer_difference_norm(a, b, s):
     """Combined H^s size of the four field differences between states."""
-    return bilayer.stacked_norm(a.grid, a.stacked() - b.stacked(), s)
+    return bilayer.stacked_norm(a.grid, a.stacked - b.stacked, s)
 
 
 def sweep_kappa(config):
@@ -427,8 +427,8 @@ def sweep_epsilon(config):
             final = _final(stratified.integrate(
                 strat_initial, profile, kappa, T, dt=dt, cfl=cfl,
                 snapshot_every=10 ** 9), f"stratified run at eps = {eps:g}")
-            hn = grid.sobolev_norms_rows(final.h.values - want.h.values, s)
-            un = grid.sobolev_norms_rows(final.u.values - want.u.values, s)
+            hn = grid.sobolev_norms_rows(final.h - want.h, s)
+            un = grid.sobolev_norms_rows(final.u - want.u, s)
             per_level = np.sqrt(hn * hn + un * un)
             mask = np.abs(levels.r + params.Hbar_s) > band_factor * eps
             if not np.any(mask):
@@ -534,13 +534,13 @@ def _suite_conservation(kappa):
         if traj.blown_up:
             return False, f"conservation run blew up at kappa = {k:g}"
         for name in ("H_s", "H_b"):
-            drift = abs(getattr(traj.final, name).values.mean()
-                        - getattr(initial, name).values.mean()) / T
+            drift = abs(getattr(traj.final, name).mean()
+                        - getattr(initial, name).mean()) / T
             worst_mass = max(worst_mass, drift)
         if k == 0.0:
             for name in ("U_s", "U_b"):
-                drift = abs(getattr(traj.final, name).values.mean()
-                            - getattr(initial, name).values.mean()) / T
+                drift = abs(getattr(traj.final, name).mean()
+                            - getattr(initial, name).mean()) / T
                 worst_mom = max(worst_mom, drift)
     if worst_mass > 1e-12 or worst_mom > 1e-12:
         return False, (f"mass drift {worst_mass:.3e}, momentum drift "
@@ -577,7 +577,7 @@ def _suite_embedding():
         "initial": {"amplitudes": {"H_s": 0.05, "U_b": 0.02}}})
     # the two-layer system runs as the two-level column, so its pressure
     # is checked against the closed-form layer gradients first
-    H_s, H_b = bistate.H_s.values, bistate.H_b.values
+    H_s, H_b = bistate.H_s, bistate.H_b
     d = bistate.grid.derivative
     P = stratified.pressure_matrix(params.column)
     press = P @ d(np.array([H_b / params.Hbar_b, H_s / params.Hbar_s]))
@@ -588,9 +588,10 @@ def _suite_embedding():
                        f"gradients by {gap:.3e}")
     dh, du = stratified.rhs(state, profile, params.kappa)
     want = stratified.embed_bilayer(bilayer.BilayerState(
-        bistate.t, *bilayer.rhs(bistate, params)), params, levels)[1]
-    err = max(float(np.max(np.abs(dh.values - want.h.values))),
-              float(np.max(np.abs(du.values - want.u.values))))
+        bistate.t, bistate.grid, bilayer.rhs(bistate, params)), params,
+        levels)[1]
+    err = max(float(np.max(np.abs(dh - want.h))),
+              float(np.max(np.abs(du - want.u))))
     if err > 1e-12:
         return False, f"embedded time derivatives differ by {err:.3e}"
     dt = min(bilayer.cfl_limit(bistate, params),
@@ -600,8 +601,8 @@ def _suite_embedding():
     strat = stratified.integrate(state, profile, params.kappa, T, dt=dt,
                                  snapshot_every=10 ** 9)
     want = stratified.embed_bilayer(bi.final, params, levels)[1]
-    drift = max(float(np.max(np.abs(strat.final.h.values - want.h.values))),
-                float(np.max(np.abs(strat.final.u.values - want.u.values))))
+    drift = max(float(np.max(np.abs(strat.final.h - want.h))),
+                float(np.max(np.abs(strat.final.u - want.u))))
     if drift > 1e-10:
         return False, f"embedded trajectory drifted by {drift:.3e}"
     return True, (f"pressure matches to {gap:.1e}, derivatives to "

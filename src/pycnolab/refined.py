@@ -83,7 +83,7 @@ class ReferenceRun:
         self.grid = states[0].grid
         self.levels = states[0].levels
         self.profile = target_profile
-        self.h_snapshots = np.stack([s.h.values for s in states])
+        self.h_snapshots = np.stack([s.h for s in states])
         P = pressure_matrix(target_profile)
         dxh = self.grid.derivative(self.h_snapshots)
         self.forcing_snapshots = -np.einsum("ij,tjx->tix", P, dxh)
@@ -148,9 +148,9 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
         return lambda: float(np.max(np.abs(profile.ubar[:, None] + u)))
 
     if dt is None:
-        h, u = initial.h.values, initial.u.values
         dt = min(float(np.min(np.diff(forcing.times))),
-                 state_limit(h, grid, kappa, advection(u)(), cfl))
+                 state_limit(initial.h, grid, kappa, advection(initial.u)(),
+                             cfl))
     # RK4 stages 2 and 3, and the end of one step and the start of the
     # next, query the same time
     at = functools.lru_cache(maxsize=1)(forcing.forcing)
@@ -215,8 +215,7 @@ def consistency_residual(run, s=2.0):
     bounds = []
     ratios = []
     for state in run.states:
-        t = state.t
-        h, u = state.h.values, state.u.values
+        t, h, u = state.t, state.h, state.u
         h_ref = ref.h_ref(t)
         diff = h - h_ref
         closed = P @ grid.derivative(diff)

@@ -61,11 +61,11 @@ from .core import (
     CFL_DEFAULT,
     DEPTH_FLOOR,
     BlowUpError,
-    Field2D,
     StepLimitError,
     check_kappa,
     check_step,
     check_thickness,
+    frozen_array,
     irfft,
     rfft,
     write_table,
@@ -115,26 +115,16 @@ class StratifiedProfile:
 
 
 class StratifiedState:
-    """Deviation fields (h, u) at one instant."""
+    """Deviation fields at one instant: read-only (n_r, n_x) copies of h
+    and u, levels bottom to top."""
 
-    def __init__(self, t, h, u):
-        if h.grid != u.grid or h.levels != u.levels:
-            raise ValueError("h and u must share grid and levels")
+    def __init__(self, t, grid, levels, h, u):
         self.t = float(t)
-        self.h = h
-        self.u = u
-        self.grid = h.grid
-        self.levels = h.levels
-
-    @classmethod
-    def zeros(cls, grid, levels, t=0.0):
-        z = Field2D.zeros(grid, levels)
-        return cls(t, z, z)
-
-    @classmethod
-    def from_arrays(cls, t, grid, levels, h_values, u_values):
-        return cls(t, Field2D(h_values, grid, levels),
-                   Field2D(u_values, grid, levels))
+        self.grid = grid
+        self.levels = levels
+        shape = (levels.n_r, grid.n_x)
+        self.h = frozen_array(h, shape, "h")
+        self.u = frozen_array(u, shape, "u")
 
 
 @dataclass
@@ -502,15 +492,12 @@ def rk4(h, u, t, dt, *column, work=None, speeds=None, cfl=CFL_DEFAULT):
 
 
 def rhs(state, profile, kappa):
-    """Time derivatives (dh, du) as Field2D pairs, diffusion included."""
+    """Time derivatives (dh, du) as (n_r, n_x) arrays, diffusion included."""
     if state.levels != profile.levels:
         raise ValueError("state and profile live on different level grids")
     check_kappa(kappa)
-    dh, du = column_derivative(state.h.values, state.u.values, state.t,
-                               state.grid, profile, kappa,
-                               self_pressure(profile))
-    return (Field2D(dh, state.grid, state.levels),
-            Field2D(du, state.grid, state.levels))
+    return column_derivative(state.h, state.u, state.t, state.grid, profile,
+                             kappa, self_pressure(profile))
 
 
 def wave_speed_estimate(h, u, profile):
@@ -537,9 +524,8 @@ def wave_speed_estimate(h, u, profile):
 def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
     """Largest admissible dt at this state: `state_limit` at the
     `wave_speed_estimate` of the column."""
-    h, u = state.h.values, state.u.values
-    return state_limit(h, state.grid, kappa,
-                       wave_speed_estimate(h, u, profile), cfl)
+    return state_limit(state.h, state.grid, kappa,
+                       wave_speed_estimate(state.h, state.u, profile), cfl)
 
 
 def step(t, y, dt, grid, profile, kappa, cfl=CFL_DEFAULT, work=None):
@@ -645,15 +631,15 @@ def march(initial, y, advance, to_state, T, dt, norm, record,
 def state_norm(state, s=2.0):
     """Worst-level H^s size of (h, u) together."""
     g = state.grid
-    hn = g.sobolev_norms_rows(state.h.values, s)
-    un = g.sobolev_norms_rows(state.u.values, s)
+    hn = g.sobolev_norms_rows(state.h, s)
+    un = g.sobolev_norms_rows(state.u, s)
     return float(np.max(np.sqrt(hn * hn + un * un)))
 
 
 def column_record(state, norm):
     """Diagnostics row of a column snapshot: min depth, norm, level masses."""
-    return {"t": state.t, "min_depth": float((1.0 + state.h.values).min()),
-            "norm": norm, "mass": state.h.values.mean(axis=1)}
+    return {"t": state.t, "min_depth": float((1.0 + state.h).min()),
+            "norm": norm, "mass": state.h.mean(axis=1)}
 
 
 def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
@@ -678,8 +664,8 @@ def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
 def march_column(initial, advance, T, dt, snapshot_every):
     """`march` over a column's arrays y = (h, u), with column snapshots."""
     grid, levels = initial.grid, initial.levels
-    return march(initial, (initial.h.values, initial.u.values), advance,
-                 lambda t, y: StratifiedState.from_arrays(t, grid, levels, *y),
+    return march(initial, (initial.h, initial.u), advance,
+                 lambda t, y: StratifiedState(t, grid, levels, *y),
                  T, dt, state_norm, column_record, snapshot_every)
 
 
@@ -714,11 +700,11 @@ def embed_bilayer(bistate, params, levels):
     n_x = bistate.grid.n_x
     h = np.empty((n_r, n_x))
     u = np.empty((n_r, n_x))
-    h[lower] = bistate.H_b.values / params.Hbar_b
-    h[upper] = bistate.H_s.values / params.Hbar_s
-    u[lower] = bistate.U_b.values
-    u[upper] = bistate.U_s.values
-    state = StratifiedState.from_arrays(bistate.t, bistate.grid, levels, h, u)
+    h[lower] = bistate.H_b / params.Hbar_b
+    h[upper] = bistate.H_s / params.Hbar_s
+    u[lower] = bistate.U_b
+    u[upper] = bistate.U_s
+    state = StratifiedState(bistate.t, bistate.grid, levels, h, u)
     return profile, state
 
 
@@ -730,8 +716,8 @@ def layer_average(state, params):
     def avg(rows, sl):
         return (w[sl, None] * rows[sl]).sum(axis=0) / w[sl].sum()
 
-    return (avg(state.h.values, upper), avg(state.h.values, lower),
-            avg(state.u.values, upper), avg(state.u.values, lower))
+    return (avg(state.h, upper), avg(state.h, lower),
+            avg(state.u, upper), avg(state.u, lower))
 
 
 # ----------------------------------------------------------------------
@@ -802,5 +788,5 @@ def write_profile(profile, f):
 def write_state(state, f):
     write_table(f, "x,r,h,u", (
         (x, r, h, u)
-        for r, hs, us in zip(state.levels.r, state.h.values, state.u.values)
+        for r, hs, us in zip(state.levels.r, state.h, state.u)
         for x, h, u in zip(state.grid.x, hs, us)))

@@ -152,13 +152,13 @@ class TestAcceptance:
                                      snapshot_every=10 ** 9)
             assert not traj.blown_up, f"kappa {kappa} run blew up"
             for name in ("H_s", "H_b"):
-                drift = abs(getattr(traj.final, name).values.mean()
-                            - getattr(initial, name).values.mean()) / T
+                drift = abs(getattr(traj.final, name).mean()
+                            - getattr(initial, name).mean()) / T
                 worst_mass = max(worst_mass, drift)
             if kappa == 0.0:
                 for name in ("U_s", "U_b"):
-                    drift = abs(getattr(traj.final, name).values.mean()
-                                - getattr(initial, name).values.mean()) / T
+                    drift = abs(getattr(traj.final, name).mean()
+                                - getattr(initial, name).mean()) / T
                     worst_mom = max(worst_mom, drift)
         elapsed = time.monotonic() - t0
         ok = worst_mass <= 1e-12 and worst_mom <= 1e-12 and elapsed < 30.0
@@ -214,7 +214,7 @@ class TestAcceptance:
             profile, state = stratified.embed_bilayer(bistate, params,
                                                       levels)
             dH_s, dH_b, dU_s, dU_b = oracles.two_layer_rhs(
-                bistate.stacked(), params.rho_ratio, params.Hbar_s,
+                bistate.stacked, params.rho_ratio, params.Hbar_s,
                 params.Hbar_b, params.Ubar_s, params.Ubar_b, kappa,
                 grid.length)
             dh, du = stratified.rhs(state, profile, kappa)
@@ -224,8 +224,8 @@ class TestAcceptance:
             want_u = oracles.embedded_rows(levels.r, -params.Hbar_s,
                                            dU_s, dU_b)
             worst_rhs = max(worst_rhs,
-                            float(np.max(np.abs(dh.values - want_h))),
-                            float(np.max(np.abs(du.values - want_u))))
+                            float(np.max(np.abs(dh - want_h))),
+                            float(np.max(np.abs(du - want_u))))
 
         params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
                                        kappa=0.1)
@@ -237,15 +237,15 @@ class TestAcceptance:
                                      snapshot_every=10 ** 9)
         assert not strat.blown_up
         H_s, H_b, U_s, U_b = oracles.two_layer_run(
-            bistate.stacked(), strat.dt, strat.n_steps, params.rho_ratio,
+            bistate.stacked, strat.dt, strat.n_steps, params.rho_ratio,
             params.Hbar_s, params.Hbar_b, params.Ubar_s, params.Ubar_b,
             params.kappa, grid.length)
         want_h = oracles.embedded_rows(levels.r, -params.Hbar_s,
                                        H_s / params.Hbar_s,
                                        H_b / params.Hbar_b)
         want_u = oracles.embedded_rows(levels.r, -params.Hbar_s, U_s, U_b)
-        drift = max(float(np.max(np.abs(strat.final.h.values - want_h))),
-                    float(np.max(np.abs(strat.final.u.values - want_u))))
+        drift = max(float(np.max(np.abs(strat.final.h - want_h))),
+                    float(np.max(np.abs(strat.final.u - want_u))))
         elapsed = time.monotonic() - t0
         ok = worst_rhs <= 1e-12 and drift <= 1e-8 and elapsed < 120.0
         report(7, "exact two-layer embedding", ok,

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from pycnolab import bilayer, harness, stratified
-from pycnolab.core import BlowUpError, Field1D, SpatialGrid
+from pycnolab.core import BlowUpError, SpatialGrid
 from pycnolab.hyperbolicity import max_characteristic_speed
 from pycnolab.stratified import StratifiedProfile
 from pycnolab.bilayer import (
@@ -28,6 +28,12 @@ from pycnolab.bilayer import (
 )
 
 PARAMS0 = BilayerParams(rho_s=0.5, rho_b=1.0, Hbar_s=1.0 / 3.0, Hbar_b=2.0 / 3.0)
+
+
+def state_of(grid, H_s=0.0, H_b=0.0, U_s=0.0, U_b=0.0):
+    """A BilayerState at t = 0; a number stands for a constant field."""
+    return BilayerState(0.0, grid, [np.broadcast_to(f, grid.n_x)
+                                    for f in (H_s, H_b, U_s, U_b)])
 
 
 def params_with(**kw):
@@ -71,9 +77,9 @@ class TestParams:
 class TestRhs:
     def test_rest_state_is_equilibrium(self):
         grid = SpatialGrid(64)
-        state = BilayerState.zeros(grid)
+        state = state_of(grid)
         for out in rhs(state, PARAMS0):
-            assert np.max(np.abs(out.values)) == 0.0
+            assert np.max(np.abs(out)) == 0.0
 
     def test_single_mode_pressure_response(self):
         # H_s = a sin x at rest: only the velocity equations respond,
@@ -83,10 +89,10 @@ class TestRhs:
         state = make_initial(grid, "sine", {"H_s": a}, wavenumber=1)
         dHs, dHb, dUs, dUb = rhs(state, PARAMS0)
         cos = np.cos(grid.x)
-        assert np.max(np.abs(dHs.values)) <= 1e-13
-        assert np.max(np.abs(dHb.values)) <= 1e-13
-        assert np.max(np.abs(dUs.values + a * cos)) <= 1e-12
-        assert np.max(np.abs(dUb.values + 0.5 * a * cos)) <= 1e-12
+        assert np.max(np.abs(dHs)) <= 1e-13
+        assert np.max(np.abs(dHb)) <= 1e-13
+        assert np.max(np.abs(dUs + a * cos)) <= 1e-12
+        assert np.max(np.abs(dUb + 0.5 * a * cos)) <= 1e-12
 
     def test_spectral_diffusion_term(self):
         grid = SpatialGrid(128)
@@ -97,14 +103,14 @@ class TestRhs:
         p = params_with(kappa=kappa)
         dHs_d, _, dUs_d, dUb_d = rhs(state, p)
         dHs_0, _, dUs_0, dUb_0 = rhs(state, PARAMS0)
-        added = dHs_d.values - dHs_0.values
-        want = -kappa * k * k * state.H_s.values
+        added = dHs_d - dHs_0
+        want = -kappa * k * k * state.H_s
         assert np.max(np.abs(added - want)) <= 1e-12, (
             f"diffusion term off by {np.max(np.abs(added - want)):.2e}")
         # velocity equations unchanged here: the bolus correction
         # multiplies d_x U, which vanishes for this data
-        assert np.max(np.abs(dUs_d.values - dUs_0.values)) <= 1e-13
-        assert np.max(np.abs(dUb_d.values - dUb_0.values)) <= 1e-13
+        assert np.max(np.abs(dUs_d - dUs_0)) <= 1e-13
+        assert np.max(np.abs(dUb_d - dUb_0)) <= 1e-13
 
     def test_kappa_continuity(self):
         grid = SpatialGrid(64)
@@ -114,19 +120,15 @@ class TestRhs:
             coef = rng.normal(size=3) * 0.01
             fields[name] = sum(c * np.sin((i + 1) * grid.x + i)
                                for i, c in enumerate(coef))
-        state = BilayerState(0.0, *(Field1D(fields[n], grid)
-                                    for n in BilayerState.FIELDS))
-        base = np.array([f.values for f in rhs(state, PARAMS0)])
+        state = state_of(grid, **fields)
+        base = rhs(state, PARAMS0)
         kappa = 1e-6
-        near = np.array([f.values for f in
-                         rhs(state, params_with(kappa=kappa))])
+        near = rhs(state, params_with(kappa=kappa))
         assert np.max(np.abs(near - base)) <= kappa * 10.0
 
     def test_depth_floor_aborts(self):
         grid = SpatialGrid(32)
-        hollow = Field1D(np.full(grid.n_x, -PARAMS0.Hbar_s + 1e-8), grid)
-        z = Field1D.zeros(grid)
-        state = BilayerState(0.0, hollow, z, z, z)
+        state = state_of(grid, H_s=-PARAMS0.Hbar_s + 1e-8)
         with pytest.raises(BlowUpError):
             rhs(state, PARAMS0)
 
@@ -135,49 +137,43 @@ class TestRhs:
         a = 0.05
         kappa = 0.3
         u0 = 0.1
-        Hs = Field1D(a * np.sin(grid.x), grid)
-        Us = Field1D(np.full(grid.n_x, u0), grid)
-        z = Field1D.zeros(grid)
-        state = BilayerState(0.0, Hs, z, Us, z)
+        state = state_of(grid, H_s=a * np.sin(grid.x), U_s=u0)
         p = params_with(kappa=kappa)
         Vs, Vb = total_velocity(state, p)
         want = u0 - kappa * a * np.cos(grid.x) / (p.Hbar_s + a * np.sin(grid.x))
-        assert np.max(np.abs(Vs.values - want)) <= 1e-12
-        assert np.max(np.abs(Vb.values)) <= 1e-14  # flat layer: V_b = U_b
+        assert np.max(np.abs(Vs - want)) <= 1e-12
+        assert np.max(np.abs(Vb)) <= 1e-14  # flat layer: V_b = U_b
 
     def test_total_velocity_trivial_cases(self):
         grid = SpatialGrid(64)
         state = make_initial(grid, "sine", {"H_s": 0.03, "U_s": 0.02})
         Vs, _ = total_velocity(state, PARAMS0)  # kappa = 0
-        assert np.array_equal(Vs.values, state.U_s.values)
+        assert np.array_equal(Vs, state.U_s)
 
 
 class TestStep:
     def test_rest_state_fixed(self):
         grid = SpatialGrid(64)
-        state = BilayerState.zeros(grid)
-        out = step(0.0, state.stacked(), 0.005, grid, PARAMS0)
+        state = state_of(grid)
+        out = step(0.0, state.stacked, 0.005, grid, PARAMS0)
         assert out.shape == (4, 64)
         assert np.max(np.abs(out)) == 0.0
         traj = integrate(state, PARAMS0, 0.005, dt=0.005)
         assert traj.n_steps == 1 and traj.final.t == 0.005
-        assert np.max(np.abs(traj.final.stacked())) == 0.0
+        assert np.max(np.abs(traj.final.stacked)) == 0.0
 
     def test_cfl_rejection(self):
         grid = SpatialGrid(64)
         state = make_initial(grid, "sine", {"H_s": 0.05})
         limit = cfl_limit(state, PARAMS0)
         with pytest.raises(ValueError):
-            step(0.0, state.stacked(), 2.0 * limit, grid, PARAMS0)
+            step(0.0, state.stacked, 2.0 * limit, grid, PARAMS0)
 
     def test_limit_without_depth_or_motion_is_finite(self):
         # zero depths and velocities have no speed; the limit floors the
         # speed at 1e-8 instead of dividing by zero
         grid = SpatialGrid(16)
-        z = Field1D.zeros(grid)
-        state = BilayerState(
-            0.0, Field1D(np.full(16, -PARAMS0.Hbar_s), grid),
-            Field1D(np.full(16, -PARAMS0.Hbar_b), grid), z, z)
+        state = state_of(grid, H_s=-PARAMS0.Hbar_s, H_b=-PARAMS0.Hbar_b)
         assert cfl_limit(state, PARAMS0) == 0.4 * grid.dx / 1e-8
 
     def test_mass_mean_per_step(self):
@@ -185,9 +181,9 @@ class TestStep:
         state = make_initial(grid, "gaussian",
                              {"H_s": 0.05, "U_b": -0.02}, width=0.7)
         p = params_with(kappa=0.05)
-        out = step(0.0, state.stacked(), 0.5 * cfl_limit(state, p), grid, p)
+        out = step(0.0, state.stacked, 0.5 * cfl_limit(state, p), grid, p)
         for before, after in ((state.H_s, out[0]), (state.H_b, out[1])):
-            drift = abs(after.mean() - before.values.mean())
+            drift = abs(after.mean() - before.mean())
             assert drift <= 1e-13, f"mass mean drifted by {drift:.2e}"
 
     def test_richardson_fourth_order(self):
@@ -200,7 +196,7 @@ class TestStep:
         finals = []
         for mult in (2, 4, 8, 16):
             traj = integrate(init, p, T, dt=T / (n0 * mult), snapshot_every=10 ** 9)
-            finals.append(traj.final.stacked())
+            finals.append(traj.final.stacked)
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         e3 = np.max(np.abs(finals[2] - finals[3]))
@@ -212,22 +208,19 @@ class TestStep:
     def test_blowup_on_depth_crossing(self):
         grid = SpatialGrid(64)
         eps = 1.0001e-6
-        Hs = Field1D(np.full(grid.n_x, eps - PARAMS0.Hbar_s), grid)
-        Hb = Field1D(np.full(grid.n_x, eps - PARAMS0.Hbar_b), grid)
-        Us = Field1D(0.3 * np.sin(grid.x), grid)
-        z = Field1D.zeros(grid)
-        state = BilayerState(0.0, Hs, Hb, Us, z)
+        state = state_of(grid, H_s=eps - PARAMS0.Hbar_s,
+                         H_b=eps - PARAMS0.Hbar_b, U_s=0.3 * np.sin(grid.x))
         with pytest.raises(BlowUpError):
-            step(0.0, state.stacked(), cfl_limit(state, PARAMS0), grid,
+            step(0.0, state.stacked, cfl_limit(state, PARAMS0), grid,
                  PARAMS0)
 
 
 class TestIntegrate:
     def test_rest_trajectory_constant(self):
         grid = SpatialGrid(32)
-        traj = integrate(BilayerState.zeros(grid), PARAMS0, 0.3)
+        traj = integrate(state_of(grid), PARAMS0, 0.3)
         assert not traj.blown_up
-        assert np.max(np.abs(traj.final.stacked())) == 0.0
+        assert np.max(np.abs(traj.final.stacked)) == 0.0
 
     def test_run_builds_one_column(self, monkeypatch):
         built = []
@@ -261,7 +254,7 @@ class TestIntegrate:
                 kappa, wav, w0, T)
             phase = np.exp(1j * wav * grid.x)
             want = np.real(wT[:, None] * phase[None, :])
-            got = traj.final.stacked()
+            got = traj.final.stacked
             err = np.max(np.abs(got - want))
             assert err <= 1e-3 * a, (
                 f"kappa={kappa}: linearized evolution off by {err:.2e}")
@@ -279,7 +272,7 @@ class TestIntegrate:
                             wavenumber=wav)
         assert dt >= 5.0 * 0.4 * grid.dx ** 2 / (2.0 * p.kappa)
         assert dt <= 0.4 * grid.dx / max_characteristic_speed(
-            p.rho_ratio, *bilayer._totals(init.stacked(), p))
+            p.rho_ratio, *bilayer._totals(init.stacked, p))
         traj = integrate(init, p, T, dt=dt)
         assert not traj.blown_up and traj.n_steps == 10
         w0 = np.array([-1j * a, 0.0, 0.0, -0.5j * a])
@@ -287,7 +280,7 @@ class TestIntegrate:
             p.rho_ratio, p.Hbar_s, p.Hbar_b, p.Ubar_s, p.Ubar_b,
             p.kappa, wav, w0, T)
         want = np.real(wT[:, None] * np.exp(1j * wav * grid.x)[None, :])
-        err = np.max(np.abs(traj.final.stacked() - want))
+        err = np.max(np.abs(traj.final.stacked - want))
         assert err <= 1e-3 * a, f"linearized evolution off by {err:.2e}"
         d = traj.diagnostics
         for key in ("mass_s", "mass_b"):
@@ -308,7 +301,7 @@ class TestIntegrate:
             if kappa == 0.0:
                 for U0, UT in ((init.U_s, traj.final.U_s),
                                (init.U_b, traj.final.U_b)):
-                    drift = abs(UT.values.mean() - U0.values.mean())
+                    drift = abs(UT.mean() - U0.mean())
                     assert drift <= 1e-12, f"velocity mean drift {drift:.2e}"
 
     def test_blowup_ceiling_halts(self, monkeypatch):
@@ -329,10 +322,7 @@ class TestIntegrate:
         assert np.all(traj.diagnostics["margin"] > 0.1)
         # a strongly sheared state is rejected at the gate
         fast = make_initial(grid, "sine", {"H_s": 0.02})
-        fast = BilayerState(
-            0.0, fast.H_s, fast.H_b,
-            Field1D(np.full(grid.n_x, 0.9), grid),
-            Field1D(np.full(grid.n_x, -0.9), grid))
+        fast = state_of(grid, fast.H_s, fast.H_b, 0.9, -0.9)
         with pytest.raises(ValueError):
             integrate(fast, PARAMS0, 0.1, sigma=0.3)
 
@@ -341,10 +331,10 @@ class TestIntegrate:
         init = make_initial(grid, "sine", {"H_s": 0.05, "U_s": 0.1})
         margin = pointwise_margin(init, PARAMS0)
         from pycnolab.hyperbolicity import critical_froude
-        hs = PARAMS0.Hbar_s + init.H_s.values
-        hb = PARAMS0.Hbar_b + init.H_b.values
-        shear = np.abs((PARAMS0.Ubar_b + init.U_b.values)
-                       - (PARAMS0.Ubar_s + init.U_s.values)) / np.sqrt(hb)
+        hs = PARAMS0.Hbar_s + init.H_s
+        hb = PARAMS0.Hbar_b + init.H_b
+        shear = np.abs((PARAMS0.Ubar_b + init.U_b)
+                       - (PARAMS0.Ubar_s + init.U_s)) / np.sqrt(hb)
         for j in (0, 7, 19):
             fm, _ = critical_froude(hs[j] / hb[j], PARAMS0.rho_ratio)
             assert abs(margin[j] - (fm - shear[j])) <= 5e-6, (
@@ -393,10 +383,8 @@ class TestIntegrate:
         T = 0.2
         base = make_initial(grid, "sine", {"H_s": 0.03, "U_s": 0.02},
                             wavenumber=1)
-        boosted = BilayerState(
-            0.0, base.H_s, base.H_b,
-            Field1D(base.U_s.values + c, grid),
-            Field1D(base.U_b.values + c, grid))
+        boosted = BilayerState(0.0, grid,
+                               base.stacked + [[0.0], [0.0], [c], [c]])
         p = params_with(kappa=0.05)
         dt = 0.5 * min(cfl_limit(base, p), cfl_limit(boosted, p))
         n = int(np.ceil(T / dt))
@@ -408,10 +396,10 @@ class TestIntegrate:
             return np.fft.ifft(fhat).real
 
         for name in BilayerState.FIELDS:
-            expect = translate(getattr(ref, name).values, c * T)
+            expect = translate(getattr(ref, name), c * T)
             if name.startswith("U"):
                 expect = expect + c
-            got = getattr(mov, name).values
+            got = getattr(mov, name)
             err = np.max(np.abs(got - expect))
             assert err <= 1e-9, f"Galilean mismatch on {name}: {err:.2e}"
 
@@ -423,12 +411,8 @@ class TestIntegrate:
 
         def reflect(state, t=0.0):
             idx = (-np.arange(grid.n_x)) % grid.n_x
-            return BilayerState(
-                t,
-                Field1D(state.H_s.values[idx], grid),
-                Field1D(state.H_b.values[idx], grid),
-                Field1D(-state.U_s.values[idx], grid),
-                Field1D(-state.U_b.values[idx], grid))
+            return BilayerState(t, grid, state.stacked[:, idx]
+                                * [[1.0], [1.0], [-1.0], [-1.0]])
 
         p = params_with(kappa=0.02)
         dt = 0.5 * cfl_limit(init, p)
@@ -438,8 +422,8 @@ class TestIntegrate:
                          snapshot_every=10 ** 9).final
         mirrored = reflect(fwd, t=T)
         for name in BilayerState.FIELDS:
-            err = np.max(np.abs(getattr(back, name).values
-                                - getattr(mirrored, name).values))
+            err = np.max(np.abs(getattr(back, name)
+                                - getattr(mirrored, name)))
             assert err <= 1e-10, f"reflection mismatch on {name}: {err:.2e}"
 
 
@@ -486,13 +470,13 @@ class TestEnergy:
         a = make_initial(grid, "sine", {"H_s": 0.03, "U_s": 0.02})
         shift = np.zeros((4, grid.n_x))
         shift[0] = 1e-5 * np.sin(2.0 * grid.x)
-        b = BilayerState.from_arrays(0.0, grid, a.stacked() + shift)
+        b = BilayerState(0.0, grid, a.stacked + shift)
         T = 0.2
         dt = 0.5 * cfl_limit(a, p)
         n = int(np.ceil(T / dt))
         ta = integrate(a, p, T, dt=T / n)
         tb = integrate(b, p, T, dt=T / n)
-        sizes = [bilayer.stacked_norm(grid, sb.stacked() - sa.stacked(), 0.0)
+        sizes = [bilayer.stacked_norm(grid, sb.stacked - sa.stacked, 0.0)
                  for sa, sb in zip(ta.states, tb.states)]
         assert len(sizes) > 2 and sizes[0] > 0.0
         assert max(sizes) <= 10.0 * sizes[0], (
@@ -504,13 +488,20 @@ class TestInitialData:
         grid = SpatialGrid(64)
         s = make_initial(grid, "sine", {"U_b": 0.1}, wavenumber=3)
         want = 0.1 * np.sin(3.0 * grid.x)
-        assert np.max(np.abs(s.U_b.values - want)) <= 1e-13
-        assert np.max(np.abs(s.H_s.values)) == 0.0
+        assert np.max(np.abs(s.U_b - want)) <= 1e-13
+        assert np.max(np.abs(s.H_s)) == 0.0
         g = make_initial(grid, "gaussian", {"H_s": 1.0},
                          center=float(grid.x[10]), width=0.3)
-        assert abs(g.H_s.values[10] - 1.0) <= 1e-12
+        assert abs(g.H_s[10] - 1.0) <= 1e-12
         z = make_initial(grid, "zero")
-        assert np.max(np.abs(z.stacked())) == 0.0
+        assert np.max(np.abs(z.stacked)) == 0.0
+
+    @pytest.mark.parametrize("width", [0.0, -0.5, np.inf, np.nan])
+    def test_bad_width_rejected(self, width):
+        # 0 once failed as a non-finite field, and -0.5 ran as 0.5
+        with pytest.raises(ValueError, match="width must be finite and "
+                           "positive"):
+            make_initial(SpatialGrid(16), "gaussian", width=width)
 
     def test_bad_names_rejected(self):
         grid = SpatialGrid(32)
@@ -533,7 +524,7 @@ class TestInitialData:
             assert np.all(got["t"] == st.t)
             assert np.array_equal(got["x"], grid.x)
             for name in BilayerState.FIELDS:
-                assert np.array_equal(got[name], getattr(st, name).values)
+                assert np.array_equal(got[name], getattr(st, name))
 
 
 class TestWriters:
@@ -559,6 +550,6 @@ class TestWriters:
         assert data.dtype.names == ("t", "mass_s", "mass_b", "hs_norm", "margin")
         assert data["t"].size == traj.diagnostics["t"].size
         speed = max_characteristic_speed(
-            PARAMS0.rho_ratio, *bilayer._totals(init.stacked(), PARAMS0))
+            PARAMS0.rho_ratio, *bilayer._totals(init.stacked, PARAMS0))
         assert speed > 0.0
         assert combined_norm(init) > 0.0

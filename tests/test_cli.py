@@ -28,13 +28,16 @@ def read_summary(out_dir, experiment):
 
 
 def test_import_leaves_scipy_unloaded():
-    # the runtime is numpy only; scipy serves the tests alone
+    # the runtime is numpy only; scipy serves the tests alone. numpy.fft
+    # and numpy.random each raise a process's peak RSS when imported, so
+    # the package reaches them at call time only
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, pycnolab.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            "if m.split('.')[0] == 'scipy' or m.startswith(('numpy.fft', "
+            "'numpy.random'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
@@ -234,6 +237,47 @@ class TestConfigHandling:
         assert "cluster must be finite and non-negative" in \
             capsys.readouterr().err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("n_r", [1, 0, -3])
+    def test_column_needs_two_cells(self, tmp_path, capsys, n_r):
+        # 1 and 0 once failed in LevelGrid's edge checks, -3 in linspace
+        cfg = write_config(tmp_path, "c.json", {"n_r": n_r})
+        code = cli.main(["simulate-stratified", "--config", cfg,
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.CONFIG_ERROR
+        assert f"n_r must be >= 2 to hold an interface, got {n_r}" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate-bilayer",
+                                         "simulate-stratified"])
+    @pytest.mark.parametrize("width", [0, -0.5, float("inf")])
+    def test_width_must_be_finite_and_positive(self, tmp_path, capsys,
+                                               command, width):
+        # 0 once failed as a non-finite field, and -0.5 ran as 0.5
+        cfg = write_config(tmp_path, "c.json", {
+            "n_x": 32, "T": 0.05, "initial": {"kind": "gaussian",
+                                              "width": width}})
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert "initial.width must be finite and positive" in \
+            capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("points, message", [
+        ([{"rho_s": 0.5}], "points[0] lacks rho_b, H_s, H_b, U_s, U_b"),
+        ("x", "points must list at least one state point, got 'x'"),
+        ([0.5], "points[0] must be a JSON object, got 0.5")])
+    def test_classify_points_must_be_whole_rows(self, tmp_path, capsys,
+                                                points, message):
+        # these once printed "'rho_b'" and "string indices must be
+        # integers"
+        cfg = write_config(tmp_path, "c.json", {"points": points})
+        out = tmp_path / "o"
+        code = cli.main(["classify", "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("value", [True, "x", None, 10 ** 400])
     def test_classify_point_values_must_be_numbers(self, tmp_path, capsys,

@@ -1,4 +1,4 @@
-"""Grid, field and norm checks against slow reference transforms."""
+"""Grid, state and norm checks against slow reference transforms."""
 
 import io
 
@@ -8,8 +8,6 @@ import pytest
 from pycnolab.core import (
     BlowUpError,
     DEPTH_FLOOR,
-    Field1D,
-    Field2D,
     LevelGrid,
     SobolevIndex,
     SpatialGrid,
@@ -18,6 +16,8 @@ from pycnolab.core import (
     rfft,
     write_table,
 )
+from pycnolab.bilayer import BilayerState
+from pycnolab.stratified import StratifiedState
 
 from oracles import dft_sobolev_norm
 
@@ -71,6 +71,12 @@ class TestLevelGrid:
         assert lg.w[idx] < lg.w[0]
         assert lg.w[idx - 1] < lg.w[0]
 
+    @pytest.mark.parametrize("n_r", [1, 0, -3])
+    def test_too_few_cells_rejected(self, n_r):
+        # these once failed in the edge checks or in np.linspace
+        with pytest.raises(ValueError, match=f"n_r must be >= 2.*got {n_r}"):
+            LevelGrid.with_interface(n_r, -0.25)
+
     @pytest.mark.parametrize("cluster", [-1.0, np.nan, np.inf])
     def test_bad_cluster_rejected(self, cluster):
         # a NaN or negative cluster once gave a uniform grid silently
@@ -78,24 +84,52 @@ class TestLevelGrid:
             LevelGrid.with_interface(16, -0.25, cluster=cluster)
 
 
-class TestFields:
-    def test_shape_and_finite_validation(self):
-        g = SpatialGrid(16)
-        with pytest.raises(ValueError):
-            Field1D(np.zeros(15), g)
-        bad = np.zeros(16)
-        bad[3] = np.nan
-        with pytest.raises(ValueError):
-            Field1D(bad, g)
-        lg = LevelGrid.uniform(4)
-        with pytest.raises(ValueError):
-            Field2D(np.zeros((5, 16)), g, lg)
+GRID16, LEVELS4 = SpatialGrid(16), LevelGrid.uniform(4)
 
-    def test_fields_are_frozen(self):
-        g = SpatialGrid(16)
-        f = Field1D.zeros(g)
-        with pytest.raises(ValueError):
-            f.values[0] = 1.0
+
+def two_layer_arrays(values):
+    """A BilayerState of `values` and the arrays it holds."""
+    state = BilayerState(0.0, GRID16, values)
+    return [state.stacked, state.H_s, state.H_b, state.U_s, state.U_b]
+
+
+def column_h_arrays(values):
+    """A StratifiedState with h = `values`, u = 0, and its arrays."""
+    state = StratifiedState(0.0, GRID16, LEVELS4, values, np.zeros((4, 16)))
+    return [state.h, state.u]
+
+
+def column_u_arrays(values):
+    """A StratifiedState with h = 0, u = `values`, and its arrays."""
+    state = StratifiedState(0.0, GRID16, LEVELS4, np.zeros((4, 16)), values)
+    return [state.h, state.u]
+
+
+@pytest.mark.parametrize("make", [two_layer_arrays, column_h_arrays,
+                                  column_u_arrays])
+class TestStates:
+    """Both state classes copy, check and freeze their (4, 16) arrays."""
+
+    def test_wrong_shape_rejected(self, make):
+        for bad in (np.zeros((5, 16)), np.zeros((4, 15)), np.zeros(16)):
+            with pytest.raises(ValueError, match="has shape"):
+                make(bad)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_rejected(self, make, entry):
+        bad = np.zeros((4, 16))
+        bad[1, 3] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            make(bad)
+
+    def test_arrays_are_frozen_copies(self, make):
+        values = np.zeros((4, 16))
+        arrays = make(values)
+        values[0, 0] = 1.0
+        for a in arrays:
+            assert not a.any()
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 class TestSpectralDerivative:
@@ -240,15 +274,15 @@ class TestMixedNorm:
     def test_zero(self):
         g = SpatialGrid(16)
         lg = LevelGrid.uniform(5)
-        z = Field2D.zeros(g, lg)
-        assert np.array_equal(g.sobolev_norms_rows(z.values, 1.0), np.zeros(5))
+        z = np.zeros((lg.n_r, g.n_x))
+        assert np.array_equal(g.sobolev_norms_rows(z, 1.0), np.zeros(5))
 
     def test_per_level_constants(self):
         g = SpatialGrid(16, length=2.0)
         lg = LevelGrid.uniform(4)
         c = np.array([1.0, -2.0, 3.0, 0.5])
         vals = np.repeat(c[:, None], 16, axis=1)
-        norms = g.sobolev_norms_rows(Field2D(vals, g, lg).values, 0.0)
+        norms = g.sobolev_norms_rows(vals, 0.0)
         root_l = np.sqrt(2.0)
         assert np.max(np.abs(norms - np.abs(c) * root_l)) < 1e-13
         assert abs(np.max(norms) - 3.0 * root_l) < 1e-13

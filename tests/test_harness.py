@@ -194,8 +194,7 @@ class TestSweepKappa:
         grid = SpatialGrid(64)
         a = bilayer.make_initial(grid, "sine", {"H_s": 0.05, "U_b": 0.02})
         b = bilayer.make_initial(grid, "gaussian", {"H_b": 0.03})
-        diff = bilayer.BilayerState.from_arrays(0.0, grid,
-                                                a.stacked() - b.stacked())
+        diff = bilayer.BilayerState(0.0, grid, a.stacked - b.stacked)
         want = [bilayer.combined_norm(diff, s) for s in (0.0, 2.0)]
         monkeypatch.setattr(bilayer.BilayerState, "__init__", None)
         got = [harness._bilayer_difference_norm(a, b, s) for s in (0.0, 2.0)]

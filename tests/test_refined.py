@@ -20,6 +20,11 @@ from pycnolab.refined import (
 PARAMS = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0)
 
 
+def rest_state(grid, levels):
+    z = np.zeros((levels.n_r, grid.n_x))
+    return stratified.StratifiedState(0.0, grid, levels, z, z)
+
+
 def reference_setup(n_x=64, n_r=16, kappa=0.1, T=0.3, cluster=0.0):
     grid = SpatialGrid(n_x)
     levels = LevelGrid.with_interface(n_r, -PARAMS.Hbar_s, cluster=cluster)
@@ -39,7 +44,7 @@ def fabricated_trajectory(grid, levels, coeffs, times):
     states = []
     for t in times:
         amp = sum(c * t ** k for k, c in enumerate(coeffs))
-        states.append(stratified.StratifiedState.from_arrays(
+        states.append(stratified.StratifiedState(
             t, grid, levels, 0.01 * amp * rows, np.zeros_like(rows)))
     return types.SimpleNamespace(states=states)
 
@@ -70,10 +75,10 @@ class TestForcing:
         P = stratified.pressure_matrix(profile)
         for i in (0, len(traj.states) // 2, len(traj.states) - 1):
             t = traj.states[i].t
-            want = -(P @ grid.derivative(traj.states[i].h.values))
+            want = -(P @ grid.derivative(traj.states[i].h))
             got = ref.forcing(t)
             assert np.max(np.abs(got - want)) <= 1e-15
-            assert np.array_equal(ref.h_ref(t), traj.states[i].h.values)
+            assert np.array_equal(ref.h_ref(t), traj.states[i].h)
 
     def test_cubic_in_time_is_exact(self):
         grid = SpatialGrid(32)
@@ -88,7 +93,7 @@ class TestForcing:
         P = stratified.pressure_matrix(prof)
         for t in (0.13, 0.37, 0.52, 0.81, 0.97):
             amp = sum(c * t ** k for k, c in enumerate(coeffs))
-            h_t = amp * traj.states[0].h.values  # coeffs[0] = 1 at t = 0
+            h_t = amp * traj.states[0].h  # coeffs[0] = 1 at t = 0
             want = -(P @ grid.derivative(h_t))
             err = np.max(np.abs(ref.forcing(t) - want))
             assert err <= 1e-13, f"t = {t}: cubic interpolation off {err:.3e}"
@@ -109,7 +114,7 @@ class TestForcing:
             stratified.PycnoclineSpec(PARAMS, 0.03, "tanh"), levels)
         worst = 0.0
         for state in traj.states[:: max(1, len(traj.states) // 5)]:
-            dxh = grid.derivative(state.h.values)
+            dxh = grid.derivative(state.h)
             worst = max(worst, float(stratified.montgomery_lipschitz_ratios(
                 levels, profile.rho[None], target.rho[None], dxh[None])[0]))
         assert worst <= 1.0 + 1e-9, f"crossed forcing ratio {worst}"
@@ -133,10 +138,10 @@ class TestSolveRefined:
         run = solve_refined(state, profile, ref, kappa, T, dt=dt)
         half = stratified.integrate(state, profile, kappa, T, dt=dt / 2.0,
                                     snapshot_every=10 ** 9)
-        tol = max(np.max(np.abs(half.final.h.values - traj.final.h.values)),
-                  np.max(np.abs(half.final.u.values - traj.final.u.values)))
-        diff = max(np.max(np.abs(run.final.h.values - traj.final.h.values)),
-                   np.max(np.abs(run.final.u.values - traj.final.u.values)))
+        tol = max(np.max(np.abs(half.final.h - traj.final.h)),
+                  np.max(np.abs(half.final.u - traj.final.u)))
+        diff = max(np.max(np.abs(run.final.h - traj.final.h)),
+                   np.max(np.abs(run.final.u - traj.final.u)))
         assert diff <= 10.0 * tol, (
             f"self-consistency diff {diff:.3e} vs stepper error {tol:.3e}")
 
@@ -146,19 +151,19 @@ class TestSolveRefined:
         levels = LevelGrid.uniform(6)
         prof = stratified.StratifiedProfile(levels, np.ones(6), np.zeros(6))
         rest = stratified.integrate(
-            stratified.StratifiedState.zeros(grid, levels), prof, 0.0,
+            rest_state(grid, levels), prof, 0.0,
             T=0.3, snapshot_every=1)
         ref = ReferenceRun(rest, prof)
         amp, wavenumber, kappa = 0.01, 3, 0.1
         h0 = np.tile(amp * np.sin(wavenumber * grid.x), (6, 1))
-        init = stratified.StratifiedState.from_arrays(
+        init = stratified.StratifiedState(
             0.0, grid, levels, h0, np.zeros((6, grid.n_x)))
         run = solve_refined(init, prof, ref, kappa, 0.3, dt=0.002)
         want = oracles.heat_mode_decay(amp, kappa, wavenumber, 0.3)
-        err = np.max(np.abs(run.final.h.values[2]
+        err = np.max(np.abs(run.final.h[2]
                             - want * np.sin(wavenumber * grid.x)))
         assert err <= 1e-12, f"heat decay off oracle by {err:.3e}"
-        assert np.all(run.final.u.values == 0.0)
+        assert np.all(run.final.u == 0.0)
 
     def test_levels_decouple_bitwise(self):
         grid, levels, profile, state, traj = reference_setup(n_r=12)
@@ -169,10 +174,10 @@ class TestSolveRefined:
         run_a = solve_refined(state, profile, ref_a, 0.1, 0.3, dt=traj.dt)
         run_b = solve_refined(state, profile, ref_b, 0.1, 0.3, dt=traj.dt)
         for i in range(levels.n_r):
-            same_h = np.array_equal(run_a.final.h.values[i],
-                                    run_b.final.h.values[i])
-            same_u = np.array_equal(run_a.final.u.values[i],
-                                    run_b.final.u.values[i])
+            same_h = np.array_equal(run_a.final.h[i],
+                                    run_b.final.h[i])
+            same_u = np.array_equal(run_a.final.u[i],
+                                    run_b.final.u[i])
             if i == 5:
                 assert not same_u, "zeroed forcing left its level unchanged"
             else:
@@ -186,8 +191,8 @@ class TestSolveRefined:
         # is refused
         grid, levels, profile, state, traj = reference_setup()
         ref = ReferenceRun(traj, profile)
-        h, u = state.h.values, state.u.values + 3.0
-        init = stratified.StratifiedState.from_arrays(0.0, grid, levels, h, u)
+        h, u = state.h, state.u + 3.0
+        init = stratified.StratifiedState(0.0, grid, levels, h, u)
         drift = 0.1 * np.max(np.abs(grid.derivative(h) / (1.0 + h)))
         limit = 0.4 * grid.dx / (
             np.max(np.abs(profile.ubar[:, None] + u)) + drift)
@@ -207,7 +212,7 @@ class TestSolveRefined:
         ref = ReferenceRun(traj, profile)
         with pytest.raises(ValueError):
             solve_refined(state, profile, ref, 0.1, 0.5)
-        other = stratified.StratifiedState.zeros(SpatialGrid(32), levels)
+        other = rest_state(SpatialGrid(32), levels)
         with pytest.raises(ValueError):
             solve_refined(other, profile, ref, 0.1, 0.2)
 
@@ -224,13 +229,13 @@ class TestSolveRefined:
         levels = LevelGrid.uniform(4)
         prof = stratified.StratifiedProfile(levels, np.ones(4), np.zeros(4))
         rest = stratified.integrate(
-            stratified.StratifiedState.zeros(grid, levels), prof, 0.0,
+            rest_state(grid, levels), prof, 0.0,
             T=0.2, dt=0.02, snapshot_every=1)
         ref = ReferenceRun(rest, prof)
         h0 = np.zeros((4, 16))
         h0[1, 3] = -1.0 + 5e-7
-        init = stratified.StratifiedState.from_arrays(0.0, grid, levels, h0,
-                                                      np.zeros((4, 16)))
+        init = stratified.StratifiedState(0.0, grid, levels, h0,
+                                          np.zeros((4, 16)))
         run = solve_refined(init, prof, ref, 0.0, 0.2, dt=0.01)
         assert run.blown_up
         assert run.blowup_time is not None
