@@ -24,13 +24,12 @@ Numerically this system is the two-level case of the isopycnal column of
 shear (Ubar_b, Ubar_s), h = (H_b/Hbar_b, H_s/Hbar_s) and u = (U_b, U_s);
 the cell thicknesses w_i (1 + h_i) are then the layer depths, and the
 column pressure (1/rho) W d_x h is exactly the pair of gradients above.
-`step` and `integrate` march that column with the shared
-integrating-factor RK4 and time loop, which integrates the diffusion
-kappa d_x^2 H_l exactly, under the shared step limit. What stays here
-is specific to two layers: the speeds that limit takes, the largest
-root magnitude lambda_max of the characteristic quartic over the grid
-and its closed-form bound, hyperbolicity margins and the sigma gate,
-the total-velocity residual and the CSV writers.
+`step` and `integrate` march that column with the shared RK4, time
+loop and step limit. What stays here is specific to two layers: the
+speeds that limit takes (the largest root magnitude lambda_max of the
+characteristic quartic over the grid, and its closed-form bound),
+hyperbolicity margins and the sigma gate, the total-velocity residual
+and the CSV writers.
 """
 
 import math
@@ -51,6 +50,7 @@ from .core import (
 from .hyperbolicity import (
     characteristic_speed_bound,
     froude_table,
+    in_sigma_set,
     max_characteristic_speed,
 )
 from .stratified import (
@@ -128,7 +128,7 @@ def _totals(stacked, params):
 
 
 def _to_column(stacked, grid, params):
-    """Column arrays (h, u), lower level first, and the column_rhs arguments."""
+    """Column arrays (h, u), lower level first, and the `rk4` column."""
     h = np.array([stacked[1] / params.Hbar_b, stacked[0] / params.Hbar_s])
     profile = params.column
     return h, stacked[[3, 2]], (grid, profile, params.kappa,
@@ -244,17 +244,12 @@ def pointwise_margin(state, params, table=None):
 
 
 def in_margin_set(state, params, sigma):
-    """Pointwise membership in the sigma-margin hyperbolicity set."""
-    rr = params.rho_ratio
-    if not sigma / 2.0 <= rr <= 1.0 - sigma / 2.0:
-        return False
+    """`in_sigma_set` at every grid point, with the table's Fr_-."""
     hs, hb, _, _ = _totals(state.stacked, params)
     ratios = hs / hb
-    if float(ratios.min()) < sigma or float(ratios.max()) > 1.0 / sigma:
-        return False
-    if float((hs + hb).min()) < sigma:
-        return False
-    return bool(pointwise_margin(state, params).min() >= sigma)
+    return in_sigma_set(sigma, params.rho_ratio, float(ratios.min()),
+                        float(ratios.max()), float((hs + hb).min()),
+                        lambda: pointwise_margin(state, params).min())
 
 
 # ----------------------------------------------------------------------
@@ -280,13 +275,11 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
     from the `dt` request, shrunk to divide T evenly); every step
     re-checks the limit against the current state. Snapshots and
     diagnostics (masses, H^2 norm, worst margin) are stored every
-    `snapshot_every` steps. If `sigma` is given the initial state must
-    lie in the sigma-margin set; dropping below sigma/2 along the run is
-    recorded as a warning, not an error. The run halts with a blow-up
-    flag when the H^2 norm passes BLOWUP_FACTOR times its initial value,
-    depths hit the positivity floor or the CFL limit tightens below the
-    step (see `stratified.march`); an initial state at the floor raises
-    BlowUpError.
+    `snapshot_every` steps. If `sigma` is given (in (0, 1)) the initial
+    state must lie in the sigma-margin set; dropping below sigma/2 along
+    the run is recorded as a warning, not an error. Blow-ups are flagged
+    as `stratified.march` flags them; an initial state at the floor
+    raises BlowUpError.
     """
     if sigma is not None and not in_margin_set(initial, params, sigma):
         raise ValueError(

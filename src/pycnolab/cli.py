@@ -21,7 +21,6 @@ step mid-run) or the sweep was inconclusive.
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -206,6 +205,10 @@ def cmd_classify(cfg, art, plots):
             missing = [k for k in keys if k not in row]
             if missing:
                 raise ConfigError(f"points[{i}] lacks {', '.join(missing)}")
+            unknown = sorted(set(row) - set(keys))
+            if unknown:
+                raise ConfigError(
+                    f"points[{i}] has unknown keys: {', '.join(unknown)}")
             try:
                 points.append(StatePoint(**{k: row[k] for k in keys}))
             except ValueError as err:
@@ -296,46 +299,22 @@ def cmd_refine(cfg, art, plots):
     # n_x stays modest by default: the substitution path differentiates
     # the large fields separately, so its rounding floor grows with the
     # top wavenumber while the closed form stays quiet
-    cfg = dict(cfg)
-    cfg.setdefault("n_x", 128)
-    params, levels, _, sharp, state = harness.column_setup(cfg)
-    kappa = config_real(cfg, "kappa", 0.1)
-    T = config_real(cfg, "T", 0.3)
-    s = config_real(cfg, "s", 2.0)
-    agree_tol = config_real(cfg, "agreement_tol", 1e-10)
-    ratio_tol = 1.0 + config_real(cfg, "ratio_slack", 1e-9)
-    spec = stratified.PycnoclineSpec(params, config_real(cfg, "epsilon", 0.02),
-                                     cfg.get("shape", "tanh"))
-    target, _ = stratified.smooth_pycnocline(spec, levels)
-
-    dt = config_positive(cfg, "dt", None)
-    if dt is None:
-        dt = stratified.cfl_limit(state, sharp, kappa) / 2.0
-    reference = stratified.integrate(state, sharp, kappa, T, dt=dt,
-                                     snapshot_every=1)
-    if reference.blown_up:
-        return _run_outcome("refine", reference, art)
-    forcing = refined.ReferenceRun(reference, target)
-    run = refined.solve_refined(state, target, forcing, kappa, T, dt=dt)
-    if run.blown_up:
-        return _run_outcome("refine", run, art)
-
-    series = refined.consistency_residual(run, s=s)
-    agreement = float(np.max(series.agreement))
-    ratio = float(np.max(series.ratio))
-    passed = agreement <= agree_tol and ratio <= ratio_tol
-
+    check = harness.refined_check({"n_x": 128, **cfg})
+    if check.series is None:
+        return _run_outcome("refine", check.run, art)
+    series = check.series
     art.write("residuals.csv",
-              lambda f: refined.write_residuals(series, levels, f))
+              lambda f: refined.write_residuals(series, check.levels, f))
     if plots:
         art.write("residuals.svg", harness.svg_polylines(
             [("max_residual", series.times, series.residual_hs.max(axis=1)),
              ("bound", series.times, series.bound)],
             "refined-system residual vs bound"), comment=False)
-    print(f"residual paths agree to {agreement:.3e} "
-          f"(tolerance {agree_tol:g}); bound ratio {ratio:.6f}")
-    art.summary("refine", passed)
-    return PASS if passed else FAIL
+    print(f"residual paths agree to {check.agreement:.3e} "
+          f"(tolerance {check.agreement_tol:g}); bound ratio "
+          f"{check.ratio:.6f}")
+    art.summary("refine", check.passed)
+    return PASS if check.passed else FAIL
 
 
 def _run_sweep(fn, cfg, art, plots):
@@ -388,8 +367,10 @@ COMMANDS = {
     "simulate-bilayer": cmd_simulate_bilayer,
     "simulate-stratified": cmd_simulate_stratified,
     "refine": cmd_refine,
-    "sweep-kappa": functools.partial(_run_sweep, harness.sweep_kappa),
-    "sweep-epsilon": functools.partial(_run_sweep, harness.sweep_epsilon),
+    # the sweeps are looked up when called, so a wrapped or patched
+    # harness function is the one that runs
+    "sweep-kappa": lambda *args: _run_sweep(harness.sweep_kappa, *args),
+    "sweep-epsilon": lambda *args: _run_sweep(harness.sweep_epsilon, *args),
     "check-all": cmd_check_all,
 }
 

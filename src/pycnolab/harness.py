@@ -7,9 +7,7 @@ the two-layer density jump over widths epsilon, evolves the continuously
 stratified column from embedded two-layer data, and measures the
 terminal distance to the embedded two-layer run away from the pycnocline
 band, expected first order in the profile distance delta_0. Each slope
-comes with a 95% interval from the Student-t quantile, computed by
-`t_quantile` from the closed-form t distribution function of integer
-degrees of freedom (no special-function library). Both sweeps, and every
+comes with a 95% Student-t interval (`t_quantile`). Both sweeps, and every
 column experiment, take their grid, constants, levels and embedded
 initial column from one config reader (`grid_from_config`,
 `column_setup`), and one judge turns each sweep's measured series into
@@ -19,7 +17,9 @@ check_all re-runs the cross-module identity suites (classification vs
 direct eigenvalues, symmetrizer certificates, conservation, the
 total-velocity residual, embedding exactness, the Montgomery Lipschitz
 bound, refined-system consistency, Richardson self-convergence) with a
-seeded generator and returns machine-readable pass/fail records.
+seeded generator and returns machine-readable pass/fail records. The
+refined experiment is one recipe, `refined_check`, which the `refine`
+subcommand and the refined-consistency suite both run.
 
 Artifacts are deterministic: every CSV table goes through
 `core.write_table` (floats as repr(float)), JSON uses the default float
@@ -333,11 +333,6 @@ def column_setup(cfg):
 # kappa sweep
 # ----------------------------------------------------------------------
 
-def _bilayer_difference_norm(a, b, s):
-    """Combined H^s size of the four field differences between states."""
-    return bilayer.stacked_norm(a.grid, a.stacked - b.stacked, s)
-
-
 def sweep_kappa(config):
     """Terminal distance between diffusive runs and the plain run.
 
@@ -370,8 +365,9 @@ def sweep_kappa(config):
 
     def measure():
         plain = final(0.0, "kappa = 0 run")
-        return {"difference": np.array([_bilayer_difference_norm(
-            final(k, f"run at kappa = {k:g}"), plain, s) for k in kappas])}
+        return {"difference": np.array([bilayer.stacked_norm(
+            grid, final(k, f"run at kappa = {k:g}").stacked - plain.stacked,
+            s) for k in kappas])}
 
     return _judge("sweep-kappa", kappas, "difference", 0.1, cfg,
                   {"dt": dt, "T": T, "s": s, "n_x": grid.n_x}, measure)
@@ -445,6 +441,66 @@ def sweep_epsilon(config):
                   {"dt": dt, "T": T, "kappa": kappa, "shape": shape,
                    "epsilons": epsilons, "band_factor": band_factor,
                    "n_x": grid.n_x, "n_r": levels.n_r}, measure)
+
+
+# ----------------------------------------------------------------------
+# refined experiment
+# ----------------------------------------------------------------------
+
+@dataclass(eq=False, kw_only=True)
+class RefinedCheck:
+    """The last run of a refined experiment and its residual verdict."""
+    levels: LevelGrid
+    run: stratified.Run
+    agreement_tol: float
+    ratio_tol: float
+    failed: str = None  # after a blow-up: "reference run" or "refined run"
+    series: refined.ResidualSeries = None  # None after a blow-up
+    agreement: float = math.nan
+    ratio: float = math.nan
+
+    @property
+    def passed(self):
+        return (self.agreement <= self.agreement_tol
+                and self.ratio <= self.ratio_tol)
+
+
+def refined_check(cfg):
+    """The refined-system consistency experiment of a config.
+
+    The sharp column of `column_setup`, snapshot every step, forces the
+    refined run on the smooth target of half-width epsilon (0.02); both
+    share kappa (0.1), T (0.3) and dt (the config's, or half the CFL
+    limit of the reference). The H^s residual (s = 2) passes when its
+    two routes agree to agreement_tol (1e-10) and its bound ratio is at
+    most 1 + ratio_slack (1e-9). Every value is read before any run.
+    """
+    params, levels, _, sharp, state = column_setup(cfg)
+    kappa = config_real(cfg, "kappa", 0.1)
+    T = config_real(cfg, "T", 0.3)
+    s = config_real(cfg, "s", 2.0)
+    given = dict(levels=levels,
+                 agreement_tol=config_real(cfg, "agreement_tol", 1e-10),
+                 ratio_tol=1.0 + config_real(cfg, "ratio_slack", 1e-9))
+    spec = stratified.PycnoclineSpec(params, config_real(cfg, "epsilon", 0.02),
+                                     cfg.get("shape", "tanh"))
+    target, _ = stratified.smooth_pycnocline(spec, levels)
+    dt = config_positive(cfg, "dt", None)
+    if dt is None:
+        dt = stratified.cfl_limit(state, sharp, kappa) / 2.0
+
+    reference = stratified.integrate(state, sharp, kappa, T, dt=dt,
+                                     snapshot_every=1)
+    if reference.blown_up:
+        return RefinedCheck(run=reference, failed="reference run", **given)
+    run = refined.solve_refined(
+        state, refined.ReferenceRun(reference, target), kappa, T, dt=dt)
+    if run.blown_up:
+        return RefinedCheck(run=run, failed="refined run", **given)
+    series = refined.consistency_residual(run, s=s)
+    return RefinedCheck(run=run, series=series,
+                        agreement=float(np.max(series.agreement)),
+                        ratio=float(np.max(series.ratio)), **given)
 
 
 # ----------------------------------------------------------------------
@@ -528,20 +584,16 @@ def _suite_conservation(kappa):
     worst_mass = 0.0
     worst_mom = 0.0
     for k in (0.0, kappa):
-        params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
-                                       kappa=k)
-        traj = bilayer.integrate(initial, params, T, snapshot_every=10 ** 9)
+        traj = bilayer.integrate(initial, params_from_config({"kappa": k}), T,
+                                 snapshot_every=10 ** 9)
         if traj.blown_up:
             return False, f"conservation run blew up at kappa = {k:g}"
-        for name in ("H_s", "H_b"):
-            drift = abs(getattr(traj.final, name).mean()
-                        - getattr(initial, name).mean()) / T
-            worst_mass = max(worst_mass, drift)
+        # mean drifts of H_s, H_b, U_s and U_b; momentum only at kappa = 0
+        drift = np.abs(traj.final.stacked.mean(axis=1)
+                       - initial.stacked.mean(axis=1)) / T
+        worst_mass = max(worst_mass, float(drift[:2].max()))
         if k == 0.0:
-            for name in ("U_s", "U_b"):
-                drift = abs(getattr(traj.final, name).mean()
-                            - getattr(initial, name).mean()) / T
-                worst_mom = max(worst_mom, drift)
+            worst_mom = max(worst_mom, float(drift[2:].max()))
     if worst_mass > 1e-12 or worst_mom > 1e-12:
         return False, (f"mass drift {worst_mass:.3e}, momentum drift "
                        f"{worst_mom:.3e} exceed 1e-12 per unit time")
@@ -558,8 +610,7 @@ def _suite_bd_residual(kappa):
     if kappa <= 0.0:
         return None, "kappa = 0 makes the total velocity equal the velocity"
     grid = SpatialGrid(64)
-    params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
-                                   kappa=kappa)
+    params = params_from_config({"kappa": kappa})
     initial = bilayer.make_initial(grid, amplitudes={"H_s": 0.05})
     T = 0.2
     limit = bilayer.cfl_limit(initial, params)
@@ -636,32 +687,21 @@ def _suite_lipschitz(rng, n_triples):
 
 
 def _suite_refined(kappa):
-    k = kappa if kappa > 0.0 else 0.1
-    params, levels, _, profile, state = column_setup(
-        {"n_x": 64, "n_r": 32, "cluster": 4.0})
-    dt = stratified.cfl_limit(state, profile, k) / 2.0
-    ref_traj = stratified.integrate(state, profile, k, 0.3, dt=dt,
-                                    snapshot_every=1)
-    target, _ = stratified.smooth_pycnocline(
-        stratified.PycnoclineSpec(params, 0.02, "tanh"), levels)
-    forcing = refined.ReferenceRun(ref_traj, target)
-    run = refined.solve_refined(state, target, forcing, k, 0.3, dt=dt)
-    if run.blown_up:
-        return False, "refined run blew up"
-    series = refined.consistency_residual(run)
-    agreement = float(np.max(series.agreement))
-    ratio = float(np.max(series.ratio))
-    if agreement > 1e-10:
-        return False, f"residual paths disagree at {agreement:.3e}"
-    if ratio > 1.0 + 1e-9:
-        return False, f"consistency bound violated: ratio {ratio}"
-    return True, f"paths agree to {agreement:.1e}, bound ratio {ratio:.3f}"
+    check = refined_check({"n_x": 64, "n_r": 32, "cluster": 4.0,
+                           "kappa": kappa if kappa > 0.0 else 0.1})
+    if check.series is None:
+        return False, f"{check.failed} blew up"
+    if not check.agreement <= check.agreement_tol:
+        return False, f"residual paths disagree at {check.agreement:.3e}"
+    if not check.ratio <= check.ratio_tol:
+        return False, f"consistency bound violated: ratio {check.ratio}"
+    return True, (f"paths agree to {check.agreement:.1e}, bound ratio "
+                  f"{check.ratio:.3f}")
 
 
 def _suite_richardson():
     grid = SpatialGrid(64)
-    params = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0,
-                                   kappa=0.05)
+    params = params_from_config({"kappa": 0.05})
     initial = bilayer.make_initial(grid, amplitudes={"H_s": 0.05})
     T = 0.2
     base = bilayer.cfl_limit(initial, params) / 2.0
@@ -673,7 +713,8 @@ def _suite_richardson():
     for m in (1, 2, 4):
         run = bilayer.integrate(initial, params, T, dt=base / m,
                                 snapshot_every=10 ** 9).final
-        errs.append(_bilayer_difference_norm(run, finest, 0.0))
+        errs.append(bilayer.stacked_norm(grid, run.stacked - finest.stacked,
+                                         0.0))
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     if not all(8.0 <= r <= 32.0 for r in ratios):
         return False, f"halving ratios {[f'{r:.1f}' for r in ratios]}"

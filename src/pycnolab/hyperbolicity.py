@@ -124,7 +124,6 @@ class HyperbolicityReport:
 class Symmetrizer:
     lam: float
     S: np.ndarray
-    SA: np.ndarray
     certified: bool
     minors: np.ndarray
     min_eigenvalue: float
@@ -302,15 +301,13 @@ def critical_froude_pairs(h_ratios, rho_ratios, tol=1e-10):
     Returns (fr_minus, fr_plus) arrays. All rows run `critical_froude`'s
     scan and bisections as arrays, each row with its own density ratio
     and each bracket stopping where the scalar loop would; every row
-    equals `critical_froude(h, rr, tol)` bit for bit. The 256-point scans
-    run `_SCAN_ROWS` rows at a time, each chunk on its own np.linspace
-    grid of which only the bracket end points are kept, so no
-    (rows, 256) grid outlives its chunk; then the brackets of all rows
-    bisect in one lockstep. A row whose first scan misses the elliptic
-    window goes through `critical_froude` itself (finer scans, or its
-    RuntimeError). The scalar solver stays beside this one because each
-    is the cheaper on its own input size: a one-row call here costs ten
-    to twenty scalar calls.
+    equals `critical_froude(h, rr, tol)` bit for bit. The scans run in
+    chunks of `_SCAN_ROWS` rows, keeping only the bracket end points;
+    then the brackets of all rows bisect in one lockstep. A row whose
+    first scan misses the elliptic window goes through `critical_froude`
+    itself (finer scans, or its RuntimeError). The scalar solver stays
+    beside this one because each is the cheaper on its own input size: a
+    one-row call here costs ten to twenty scalar calls.
     """
     hs, rrs = np.broadcast_arrays(np.asarray(h_ratios, dtype=float),
                                   np.asarray(rho_ratios, dtype=float))
@@ -463,25 +460,29 @@ def classify(point):
     return classify_many([point])[0]
 
 
-def in_hyperbolic_set(point, sigma):
+def in_sigma_set(sigma, rho_ratio, ratio_min, ratio_max, depth_min, margin):
     """Membership in the compact hyperbolicity set with margin sigma.
 
-    Four conditions: sigma/2 <= rho_s/rho_b <= 1 - sigma/2,
-    sigma <= H_s/H_b <= 1/sigma, H_s + H_b >= sigma, and
-    Fr_- - |U_b - U_s|/sqrt(H_b) >= sigma.
+    Four conditions: sigma/2 <= rho_s/rho_b <= 1 - sigma/2, sigma <= H_s/H_b
+    <= 1/sigma over [ratio_min, ratio_max], H_s + H_b >= sigma at its
+    least, `depth_min`, and Fr_- - |U_b - U_s|/sqrt(H_b) >= sigma, whose
+    least value `margin()` runs only if the first three hold. A sigma
+    outside (0, 1) is a ValueError.
     """
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
-    rr = point.rho_ratio
-    if not (sigma / 2.0 <= rr <= 1.0 - sigma / 2.0):
-        return False
+    return bool(sigma / 2.0 <= rho_ratio <= 1.0 - sigma / 2.0
+                and sigma <= ratio_min and ratio_max <= 1.0 / sigma
+                and depth_min >= sigma and margin() >= sigma)
+
+
+def in_hyperbolic_set(point, sigma):
+    """`in_sigma_set` at one state point, with its exact Fr_-."""
     ratio = point.H_s / point.H_b
-    if not (sigma <= ratio <= 1.0 / sigma):
-        return False
-    if point.H_s + point.H_b < sigma:
-        return False
-    return bool(point.thresholds[0] - point.shear >= sigma)
+    return in_sigma_set(sigma, point.rho_ratio, ratio, ratio,
+                        point.H_s + point.H_b,
+                        lambda: point.thresholds[0] - point.shear)
 
 
 # ----------------------------------------------------------------------
@@ -522,7 +523,7 @@ def leading_minors(S):
                     axis=-1)
 
 
-def symmetrizers(points, reports=None):
+def symmetrizers(points):
     """Construct and certify the symmetrizers of a block of hyperbolic points.
 
     At each point the shift starts from the midpoint of the two middle
@@ -530,15 +531,12 @@ def symmetrizers(points, reports=None):
     pushes it out of the open middle-root interval, a golden-section
     search maximizes the smallest eigenvalue of that point's S over the
     interval instead. Certification is Sylvester's criterion on the four
-    leading principal minors. The block's S come from one
-    `symmetrizer_fields` call, S A from one stacked matmul, the minors
-    from one stacked `det` per order and the smallest eigenvalues from
-    one stacked `eigvalsh`, so each certificate equals the one-point
-    `symmetrizer` bit for bit. `reports` are the points' classifications,
-    solved here when omitted.
+    leading principal minors. S, S A, the minors and the smallest
+    eigenvalues are each one stacked call over the block, so a
+    certificate is the same whether its point is certified alone or in
+    a block.
     """
-    if reports is None:
-        reports = classify_many(points)
+    reports = classify_many(points)
     for report in reports:
         if report.regime != "Hyperbolic" or report.margin <= 0.0:
             raise ValueError(
@@ -566,17 +564,12 @@ def symmetrizers(points, reports=None):
     min_eigs = np.linalg.eigvalsh(S)[:, 0]
     certified = np.all(minors > 0.0, axis=1)
     asymmetry = np.max(np.abs(SA - SA.transpose(0, 2, 1)), axis=(1, 2))
-    return [Symmetrizer(lam=lam, S=S[i], SA=SA[i], certified=ok,
+    return [Symmetrizer(lam=lam, S=S[i], certified=ok,
                         minors=minors[i], min_eigenvalue=min_eig,
                         asymmetry=asym)
             for i, (lam, ok, min_eig, asym) in enumerate(zip(
                 lams.tolist(), certified.tolist(), min_eigs.tolist(),
                 asymmetry.tolist()))]
-
-
-def symmetrizer(point, report=None):
-    """`symmetrizers` at one point: its certified symmetrizer."""
-    return symmetrizers([point], None if report is None else [report])[0]
 
 
 def symmetrizer_fields(rho_ratio, H_s, H_b, U_s, U_b, lam):
@@ -615,16 +608,15 @@ class AtlasCurves:
     lines: list = field(default_factory=list)      # (name, p_s, p_b)
 
 
-def atlas(h_ratio, rho_ratio, intercepts, n_samples=2001, reach=None):
+def atlas(h_ratio, rho_ratio, intercepts, n_samples=2001):
     """Polyline samples of the quartic curve plus shear lines.
 
     The curve (p_s^2-1)(p_b^2-1) = rr splits into an inner oval
     (|p_s| <= sqrt(1-rr), traced top and bottom) and four outer branches
     on which p_s^2-1 = sqrt(rr) e^s, p_b^2-1 = sqrt(rr) e^{-s}; the
     exponential parameter keeps samples dense near the corners where the
-    lines p_b = p_s sqrt(h_ratio) + intercept cross. `reach` extends the
-    sampled range; by default it adapts to cover every real
-    characteristic root of the supplied intercepts.
+    lines p_b = p_s sqrt(h_ratio) + intercept cross. The sampled range
+    covers every real characteristic root of the supplied intercepts.
     """
     h_ratio = float(h_ratio)
     rho_ratio = float(rho_ratio)
@@ -633,17 +625,16 @@ def atlas(h_ratio, rho_ratio, intercepts, n_samples=2001, reach=None):
     intercepts = [float(c) for c in intercepts]
     slope = np.sqrt(h_ratio)
 
-    if reach is None:
-        reach = 4.0
-        for c in intercepts:
-            roots = quartic_roots_batch(*coefficient_arrays(
-                rho_ratio, h_ratio, 1.0, 0.0, c))
-            real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.max(np.abs(roots)))]
-            if real.size:
-                ps = -real / np.sqrt(h_ratio)
-                pb = c - real
-                reach = max(reach, 1.5 * float(np.max(np.abs(ps))) + 1.0,
-                            1.5 * float(np.max(np.abs(pb))) + 1.0)
+    reach = 4.0
+    for c in intercepts:
+        roots = quartic_roots_batch(*coefficient_arrays(
+            rho_ratio, h_ratio, 1.0, 0.0, c))
+        real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.max(np.abs(roots)))]
+        if real.size:
+            ps = -real / np.sqrt(h_ratio)
+            pb = c - real
+            reach = max(reach, 1.5 * float(np.max(np.abs(ps))) + 1.0,
+                        1.5 * float(np.max(np.abs(pb))) + 1.0)
 
     out = AtlasCurves(h_ratio=h_ratio, rho_ratio=rho_ratio)
     n = int(n_samples)

@@ -17,15 +17,15 @@ remainder (1/rho) M[rho] d_x (h - h_ref), which `consistency_residual`
 evaluates along two separate float paths together with its mixed-norm
 bound.
 
-The forcing is stored at the reference snapshot times and interpolated
-with a four-point Lagrange cubic in t, so it is exact at the nodes and
-does not cap the fourth-order accuracy of the stepper.
+A `ReferenceRun` holds the target profile, which `solve_refined` and
+`consistency_residual` read from it, and the forcing and h_ref at the
+reference snapshot times, interpolated by a four-point Lagrange cubic in
+t: exact at the nodes, it does not cap the stepper's fourth order.
 
 The forced system is the column kernel of `stratified` with the
-interpolated forcing as its pressure tendency, stepped by the same
-integrating-factor RK4 (the diffusion integrated exactly) and time loop,
-under the same failure policy and step limit; no wave couples the
-levels, so the speed that limit takes is the advection max|ubar + u|.
+interpolated forcing as its pressure tendency, stepped by the same RK4,
+time loop, failure policy and step limit; no wave couples the levels,
+so the speed that limit takes is the advection max|ubar + u|.
 """
 
 import functools
@@ -37,7 +37,6 @@ from .core import CFL_DEFAULT, check_kappa, write_table
 from .stratified import (
     ColumnWork,
     Run,
-    StratifiedProfile,
     march_column,
     pressure_matrix,
     rk4,
@@ -81,7 +80,6 @@ class ReferenceRun:
             raise ValueError("reference snapshot times must increase")
         self.times = times
         self.grid = states[0].grid
-        self.levels = states[0].levels
         self.profile = target_profile
         self.h_snapshots = np.stack([s.h for s in states])
         P = pressure_matrix(target_profile)
@@ -93,23 +91,22 @@ class ReferenceRun:
     def horizon(self):
         return float(self.times[-1])
 
-    def _check_time(self, t):
+    def _interpolate(self, snapshots, t):
+        """The cubic interpolant of `snapshots` at time t, (n_r, n_x)."""
         if t < self.times[0] - self._tol or t > self.times[-1] + self._tol:
             raise ValueError(
                 f"t = {t:.6g} is outside the reference horizon "
                 f"[{self.times[0]:.6g}, {self.horizon:.6g}]")
+        k, w = _lagrange_stencil(self.times, t)
+        return np.einsum("a,aix->ix", w, snapshots[k:k + 4])
 
     def forcing(self, t):
         """Forcing field at time t as an (n_r, n_x) array."""
-        self._check_time(t)
-        k, w = _lagrange_stencil(self.times, t)
-        return np.einsum("a,aix->ix", w, self.forcing_snapshots[k:k + 4])
+        return self._interpolate(self.forcing_snapshots, t)
 
     def h_ref(self, t):
         """Reference interface deviation at time t, same interpolant."""
-        self._check_time(t)
-        k, w = _lagrange_stencil(self.times, t)
-        return np.einsum("a,aix->ix", w, self.h_snapshots[k:k + 4])
+        return self._interpolate(self.h_snapshots, t)
 
 
 # ----------------------------------------------------------------------
@@ -118,26 +115,24 @@ class ReferenceRun:
 
 @dataclass(eq=False, kw_only=True)
 class RefinedRun(Run):
-    profile: StratifiedProfile
     kappa: float
     reference: ReferenceRun
 
 
-def solve_refined(initial, profile, forcing, kappa, T, dt=None,
-                  cfl=CFL_DEFAULT, snapshot_every=1):
+def solve_refined(initial, forcing, kappa, T, dt=None, cfl=CFL_DEFAULT,
+                  snapshot_every=1):
     """Integrate the forced system to horizon T with fixed-step IF-RK4.
 
-    `forcing` is a ReferenceRun whose horizon must reach T; when dt is
-    omitted the step is the smaller of the reference snapshot spacing and
-    the transport stability limit, which every step re-checks.
+    `forcing` is a ReferenceRun whose horizon must reach T; its target
+    profile is the run's background. When dt is omitted the step is the
+    smaller of the reference snapshot spacing and the transport
+    stability limit, which every step re-checks.
     """
     T = float(T)
     check_kappa(kappa)
-    grid, levels = initial.grid, initial.levels
-    if levels != forcing.levels or grid != forcing.grid:
+    grid, levels, profile = initial.grid, initial.levels, forcing.profile
+    if levels != profile.levels or grid != forcing.grid:
         raise ValueError("initial data and forcing live on different grids")
-    if profile.levels != levels:
-        raise ValueError("profile and initial data level grids differ")
     if T > forcing.horizon + 1e-9 * max(1.0, T):
         raise ValueError(
             f"horizon T = {T:.6g} exceeds the reference horizon "
@@ -164,7 +159,7 @@ def solve_refined(initial, profile, forcing, kappa, T, dt=None,
                    cfl=cfl)
 
     run = march_column(initial, advance, T, dt, snapshot_every)
-    return RefinedRun(profile=profile, kappa=kappa, reference=forcing, **run)
+    return RefinedRun(kappa=kappa, reference=forcing, **run)
 
 
 # ----------------------------------------------------------------------
@@ -184,9 +179,7 @@ class ResidualSeries:
     h - h_ref; ratio[i] compares the worst level against the bound.
     """
     times: np.ndarray
-    s: float
     residual_hs: np.ndarray
-    substitution_hs: np.ndarray
     agreement: np.ndarray
     bound: np.ndarray
     ratio: np.ndarray
@@ -201,7 +194,7 @@ def consistency_residual(run, s=2.0):
     to d_x of (h - h_ref). Exact arithmetic makes them identical.
     """
     ref = run.reference
-    profile = run.profile
+    profile = ref.profile
     grid = run.states[0].grid
     w = profile.levels.w
     P = pressure_matrix(profile)
@@ -209,7 +202,6 @@ def consistency_residual(run, s=2.0):
 
     times = []
     res_hs = []
-    sub_hs = []
     gaps = []
     closed_sup = 0.0
     bounds = []
@@ -236,7 +228,6 @@ def consistency_residual(run, s=2.0):
 
         times.append(t)
         res_hs.append(rn)
-        sub_hs.append(grid.sobolev_norms_rows(substitution, s))
         gaps.append(float(np.max(np.abs(substitution - closed))))
         closed_sup = max(closed_sup, float(np.max(np.abs(closed))))
         bounds.append(bound)
@@ -244,8 +235,7 @@ def consistency_residual(run, s=2.0):
 
     scale = max(closed_sup, 1e-30)
     return ResidualSeries(
-        times=np.array(times), s=float(s),
-        residual_hs=np.array(res_hs), substitution_hs=np.array(sub_hs),
+        times=np.array(times), residual_hs=np.array(res_hs),
         agreement=np.array(gaps) / scale, bound=np.array(bounds),
         ratio=np.array(ratios))
 

@@ -23,20 +23,14 @@ this system: `embed_bilayer` maps a bilayer state onto an
 interface-aligned level grid and the level-wise dynamics reproduces the
 bilayer dynamics to rounding.
 
-This module hosts the only dynamics of the package. `column_rhs` is the
-column right-hand side less the diffusion kappa d_x^2 h, with a
-pluggable pressure tendency: the self-consistent -(1/rho) W d_x h here,
-at two levels for `bilayer`, or a prescribed forcing for `refined`; it
-transforms eight (n_r, n_x) blocks in five calls. `rk4` is the one time
-step, Lawson's integrating-factor RK4: the diffusion, linear and
-diagonal in Fourier space, is integrated exactly by the propagator
-exp(-kappa xi^2 dt/2), so only the waves and the advection bound the
-step. Each run builds one `ColumnWork`, and every stage, product and
-transform of its steps is written into those buffers, laid out so that
-fields transformed at the same point share one call. At kappa > 0 the
-h side of the step stays in rfft half-spectra, where E is a plain
-multiply, so a step transforms 29 blocks in 18 calls; a kappa = 0 step,
-classical RK4 on physical fields, 32 blocks in 17 calls.
+This module hosts the only dynamics of the package: one kernel, the
+column right-hand side less the diffusion kappa d_x^2 h with a pluggable
+pressure tendency (the self-consistent -(1/rho) W d_x h here, at two
+levels for `bilayer`, a prescribed forcing for `refined`), and one time
+step, `rk4`, Lawson's integrating-factor RK4, which integrates the
+diffusion exactly, so only the waves and the advection bound the step.
+`column_derivative` is the kernel plus the diffusion, for callers
+outside a step. Each run steps in the reused buffers of one `ColumnWork`.
 
 `march` is the one fixed-step time loop, which turns blow-ups and
 mid-run CFL breaches into flagged, truncated trajectories; it carries
@@ -228,7 +222,7 @@ def montgomery_lipschitz_ratios(levels, rho1, rho2, h):
 def self_pressure(profile):
     """Pressure tendency -(1/rho) W d_x h of the self-consistent column.
 
-    Written into `out`, the storage `column_rhs` offers for it.
+    Written into `out`, the storage the kernel offers for it.
     """
     P = pressure_matrix(profile)
     return lambda dxh, t, out: np.negative(np.matmul(P, dxh, out=out),
@@ -238,11 +232,9 @@ def self_pressure(profile):
 def _aligned_blocks(k, shape, dtype):
     """k blocks of np.empty(shape, dtype), as one (k, *shape) array.
 
-    Each block starts on a 64-byte boundary, block sizes padded up to a
-    multiple of 64 bytes: malloc gives 16-byte alignment only; where a
-    buffer starts mod 64 then follows whatever the process allocated
-    before, and a step's ufuncs ran up to 4% slower at some offsets than
-    at others.
+    Each block starts on a 64-byte boundary, its size padded to a
+    multiple of 64 bytes: malloc aligns to 16 bytes only, and a step's
+    ufuncs ran up to 4% slower at some offsets than at others.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize
     stride = -(-size // 64) * 64
@@ -325,33 +317,17 @@ def state_limit(h, grid, kappa, speed, cfl):
     return stability_limit(speed, drift, grid, cfl)
 
 
-def column_rhs(h, u, t, grid, profile, kappa, pressure):
-    """Stacked time derivatives for raw (n_r, n_x) arrays, less diffusion.
-
-    The thickness diffusion kappa d_x^2 h is left out: `rk4` steps it
-    exactly, and `column_derivative` adds it back. `pressure(dxh, t, buf)`
-    returns the pressure tendency added to du, using the (n_r, n_x)
-    array `buf` as storage if it needs any; a cell thickness
-    w_i (1 + h_i) at or below the floor raises BlowUpError. One fused
-    real-FFT pass computes what `grid.derivative` and `grid.dealias`
-    compose to: h and u are transformed once, and each output is
-    inverted once (eight blocks in five calls). This call works in a
-    throwaway ColumnWork and returns fresh arrays; `rk4` runs the same
-    kernel in its run's workspace.
-    """
-    w = ColumnWork(grid, h.shape[0])
-    w.derive(h, u)
-    pair, du = np.empty((2, *h.shape)), np.empty_like(u)
-    _column_rhs_into(w, h, u, t, (grid, profile, kappa, pressure), pair, du)
-    return pair[1], du
-
-
 def _column_rhs_into(w, h, u, t, column, dh, du):
-    """column_rhs of (h, u) into (dh, du), d_x h and d_x u read from w.
+    """The column kernel: (dh, du) of (h, u) less the diffusion, into
+    (dh, du), with d_x h and d_x u read from w.
 
-    `dh` is either a half-spectrum, which receives dh's, or a real
-    (2, n_r, n_x) pair, which receives the dealiased advection and dh
-    from one irfft. The flux and adv d_x u go through one rfft.
+    `column` = (grid, profile, kappa, pressure); `pressure(dxh, t, buf)`
+    returns the pressure tendency added to du, with the (n_r, n_x) `buf`
+    as storage. A cell thickness w_i (1 + h_i) at or below the floor
+    raises BlowUpError. `dh` is either a half-spectrum, which receives
+    dh's, or a real (2, n_r, n_x) pair, which receives the dealiased
+    advection and dh from one irfft. The flux and adv d_x u go through
+    one rfft.
     """
     grid, profile, kappa, pressure = column
     dxh, dxu, h_tot, u_tot = w.dxh, w.dxu, w.h_in, w.u_in
@@ -377,17 +353,24 @@ def _column_rhs_into(w, h, u, t, column, dh, du):
 
 
 def column_derivative(h, u, t, grid, profile, kappa, pressure):
-    """The whole time derivative: column_rhs plus kappa d_x^2 h."""
-    dh, du = column_rhs(h, u, t, grid, profile, kappa, pressure)
+    """The whole time derivative (dh, du) of raw (n_r, n_x) arrays.
+
+    The column kernel, run in a throwaway ColumnWork, plus the diffusion
+    kappa d_x^2 h that `rk4` steps exactly; fresh arrays come back.
+    """
+    w = ColumnWork(grid, h.shape[0])
+    w.derive(h, u)
+    pair, du = np.empty((2, *h.shape)), np.empty_like(u)
+    _column_rhs_into(w, h, u, t, (grid, profile, kappa, pressure), pair, du)
     if kappa > 0.0:
-        dh = dh + kappa * grid.derivative(h, order=2)
-    return dh, du
+        return pair[1] + kappa * grid.derivative(h, order=2), du
+    return pair[1], du
 
 
 def rk4(h, u, t, dt, *column, work=None, speeds=None, cfl=CFL_DEFAULT):
     """One integrating-factor RK4 step of the column (Lawson's IF-RK4).
 
-    `column` = (grid, profile, kappa, pressure) as for column_rhs, whose
+    `column` = (grid, profile, kappa, pressure) as for the kernel, whose
     stages k1..k4 give the u update of classical RK4. The h update
     carries the exact heat propagator E = exp(kappa dt/2 d_x^2), the
     multiplier exp(-kappa xi^2 dt/2) over the rfft half-spectrum, over
@@ -410,9 +393,8 @@ def rk4(h, u, t, dt, *column, work=None, speeds=None, cfl=CFL_DEFAULT):
     of bound (1 + 1e-12) is certified, and only past it is exact called,
     whose limit dt must then meet. `work` is the run's ColumnWork (a
     throwaway one when omitted); the two returned arrays are fresh.
-    Stacked fields count as one call: a kappa > 0 step transforms 29
-    (n_r, n_x) blocks in 18 calls (k1 2 + 1 + 1 + 1, each later stage
-    1 + 1 + 1 + 1, h1 1), a kappa = 0 step 32 blocks in 17 calls.
+    A kappa > 0 step transforms 29 (n_r, n_x) blocks in 18 calls (k1 5,
+    each later stage 4, h1 1), a kappa = 0 step 32 blocks in 17 calls.
     """
     grid, _, kappa, _ = column
     w = ColumnWork(grid, h.shape[0]) if work is None else work
@@ -491,10 +473,14 @@ def rk4(h, u, t, dt, *column, work=None, speeds=None, cfl=CFL_DEFAULT):
     return h1, u1
 
 
-def rhs(state, profile, kappa):
-    """Time derivatives (dh, du) as (n_r, n_x) arrays, diffusion included."""
+def _check_levels(state, profile):
     if state.levels != profile.levels:
         raise ValueError("state and profile live on different level grids")
+
+
+def rhs(state, profile, kappa):
+    """Time derivatives (dh, du) as (n_r, n_x) arrays, diffusion included."""
+    _check_levels(state, profile)
     check_kappa(kappa)
     return column_derivative(state.h, state.u, state.t, state.grid, profile,
                              kappa, self_pressure(profile))
@@ -524,6 +510,7 @@ def wave_speed_estimate(h, u, profile):
 def cfl_limit(state, profile, kappa, cfl=CFL_DEFAULT):
     """Largest admissible dt at this state: `state_limit` at the
     `wave_speed_estimate` of the column."""
+    _check_levels(state, profile)
     return state_limit(state.h, state.grid, kappa,
                        wave_speed_estimate(state.h, state.u, profile), cfl)
 
@@ -651,6 +638,7 @@ def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
     worst-level H^2 norm, min depth) every `snapshot_every` steps and
     flags the run when it blows up.
     """
+    _check_levels(initial, profile)
     check_kappa(kappa)
     if dt is None:
         dt = cfl_limit(initial, profile, kappa, cfl)

@@ -20,7 +20,7 @@ from pycnolab.hyperbolicity import (
     count_line_intersections,
     critical_froude,
     in_hyperbolic_set,
-    symmetrizer,
+    symmetrizers,
 )
 
 PARAMS = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0)
@@ -117,7 +117,7 @@ class TestAcceptance:
             p = state_with_shear(rng, rng.uniform(0.0, 0.8))
             if not in_hyperbolic_set(p, 0.1):
                 continue
-            sym = symmetrizer(p)
+            sym = symmetrizers([p])[0]
             eigs = np.linalg.eigvalsh(sym.S)
             if not (sym.certified and np.all(sym.minors > 0.0)
                     and np.all(eigs > 0.0)):
@@ -284,8 +284,7 @@ class TestAcceptance:
         target, _ = stratified.smooth_pycnocline(
             stratified.PycnoclineSpec(PARAMS, 0.02, "tanh"), levels)
         forcing = refined.ReferenceRun(reference, target)
-        run = refined.solve_refined(state, target, forcing, kappa, 0.3,
-                                    dt=dt)
+        run = refined.solve_refined(state, forcing, kappa, 0.3, dt=dt)
         assert not run.blown_up
         series = refined.consistency_residual(run, s=2.0)
         agreement = float(np.max(series.agreement))

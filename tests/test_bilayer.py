@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pycnolab import bilayer, harness, stratified
+from pycnolab import bilayer, harness, hyperbolicity, stratified
 from pycnolab.core import BlowUpError, SpatialGrid
 from pycnolab.hyperbolicity import max_characteristic_speed
 from pycnolab.stratified import StratifiedProfile
@@ -325,6 +325,30 @@ class TestIntegrate:
         fast = state_of(grid, fast.H_s, fast.H_b, 0.9, -0.9)
         with pytest.raises(ValueError):
             integrate(fast, PARAMS0, 0.1, sigma=0.3)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, -0.5, float("nan")])
+    def test_sigma_outside_the_unit_interval_rejected(self, sigma):
+        # sigma = 0 once divided by zero in the depth-ratio clause
+        init = make_initial(SpatialGrid(32), "sine", {"H_s": 0.02})
+        with pytest.raises(ValueError, match=r"sigma must lie in \(0, 1\)"):
+            bilayer.in_margin_set(init, PARAMS0, sigma)
+
+    def test_margin_set_is_the_point_set_at_every_grid_point(self):
+        # a state constant in x is one state point: the table's Fr_- and
+        # the exact one give the same verdict away from the set's edge
+        grid = SpatialGrid(16)
+        verdicts = []
+        for H_s, U_s, sigma in ((0.0, 0.0, 0.1), (0.0, 0.0, 0.6),
+                                (0.3, 0.0, 0.3), (0.0, 0.6, 0.1),
+                                (0.0, 0.7, 0.2)):
+            state = state_of(grid, H_s, 0.0, U_s, 0.0)
+            point = hyperbolicity.StatePoint(
+                PARAMS0.rho_s, PARAMS0.rho_b, PARAMS0.Hbar_s + H_s,
+                PARAMS0.Hbar_b, U_s, 0.0)
+            verdicts.append(bilayer.in_margin_set(state, PARAMS0, sigma))
+            assert verdicts[-1] == hyperbolicity.in_hyperbolic_set(point,
+                                                                   sigma)
+        assert verdicts == [True, False, True, True, False]
 
     def test_margin_matches_direct_bisection(self):
         grid = SpatialGrid(32)

@@ -267,7 +267,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("points, message", [
         ([{"rho_s": 0.5}], "points[0] lacks rho_b, H_s, H_b, U_s, U_b"),
         ("x", "points must list at least one state point, got 'x'"),
-        ([0.5], "points[0] must be a JSON object, got 0.5")])
+        ([0.5], "points[0] must be a JSON object, got 0.5"),
+        ([{"rho_s": 0.5, "rho_b": 1.0, "H_s": 0.4, "H_b": 0.6, "U_s": 0.0,
+           "U_b": 0.3, "Ub": 9, "Hs": 1}],
+         "points[0] has unknown keys: Hs, Ub")])
     def test_classify_points_must_be_whole_rows(self, tmp_path, capsys,
                                                 points, message):
         # these once printed "'rho_b'" and "string indices must be
@@ -278,6 +281,20 @@ class TestConfigHandling:
         assert code == cli.CONFIG_ERROR
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("sigma", [0, 1, -0.5])
+    def test_sigma_must_lie_in_the_unit_interval(self, tmp_path, capsys,
+                                                 sigma):
+        # sigma = 0 once ended in a ZeroDivisionError traceback (exit 1)
+        cfg = write_config(tmp_path, "c.json", {"n_x": 32, "T": 0.05,
+                                                "sigma": sigma})
+        out = tmp_path / "o"
+        code = cli.main(["simulate-bilayer", "--config", cfg,
+                         "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"config error: sigma must lie in (0, 1), got {float(sigma)}\n")
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("value", [True, "x", None, 10 ** 400])
     def test_classify_point_values_must_be_numbers(self, tmp_path, capsys,
@@ -349,6 +366,26 @@ class TestConfigHandling:
 
 
 class TestSweepCommands:
+    @pytest.mark.parametrize("command", ["sweep-kappa", "sweep-epsilon"])
+    def test_sweeps_are_looked_up_when_called(self, tmp_path, monkeypatch,
+                                              capsys, command):
+        # a wrapped harness sweep, such as a tracer's, is the one that
+        # runs; a binding made at import once bypassed it
+        calls = []
+
+        def sweep(cfg):
+            calls.append(cfg)
+            return harness.SweepResult(
+                command, np.array([1.0, 10.0, 100.0, 1000.0]),
+                {"d": np.zeros(4)}, "d", None, 1.0, 0.1, passed=True,
+                detail="all distances vanish", meta={"n_x": 8})
+
+        monkeypatch.setattr(harness, command.replace("-", "_"), sweep)
+        code = cli.main([command, "--out", str(tmp_path / "o")])
+        assert code == cli.PASS and calls == [{}]
+        assert capsys.readouterr().out == (
+            f"{command}: all distances vanish\n")
+
     def test_sweep_kappa_passes_and_reruns_identically(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "n_x": 64, "T": 0.3,

@@ -197,7 +197,8 @@ class TestSweepKappa:
         diff = bilayer.BilayerState(0.0, grid, a.stacked - b.stacked)
         want = [bilayer.combined_norm(diff, s) for s in (0.0, 2.0)]
         monkeypatch.setattr(bilayer.BilayerState, "__init__", None)
-        got = [harness._bilayer_difference_norm(a, b, s) for s in (0.0, 2.0)]
+        got = [bilayer.stacked_norm(grid, a.stacked - b.stacked, s)
+               for s in (0.0, 2.0)]
         assert got == want
 
 
@@ -319,9 +320,9 @@ class TestStatePoints:
             blocks.append(n)
             return draw(rng, n, frac_high)
 
-        def counted_certify(points, reports=None):
+        def counted_certify(points):
             certified.append(len(points))
-            return certify(points, reports)
+            return certify(points)
 
         def counted_eigvalsh(a, *args, **kwargs):
             eigensolves.append(np.shape(a))
@@ -350,7 +351,7 @@ class TestStatePoints:
         for point in harness.random_state_points(rng, 2, 0.8):
             hyperbolicity.classify(point)
             hyperbolicity.in_hyperbolic_set(point, 0.05)
-            hyperbolicity.symmetrizer(point)
+            hyperbolicity.symmetrizers([point])
             assert calls == []
             # the pair solved to place the shear is handed over as is
             assert point.thresholds == solve(point.H_s / point.H_b,
@@ -359,7 +360,7 @@ class TestStatePoints:
         fresh = hyperbolicity.StatePoint(0.5, 1.0, 0.8, 1.1, 0.0, 0.1)
         hyperbolicity.classify(fresh)
         hyperbolicity.in_hyperbolic_set(fresh, 0.05)
-        hyperbolicity.symmetrizer(fresh)
+        hyperbolicity.symmetrizers([fresh])
         assert len(calls) == 1
 
 
@@ -438,6 +439,37 @@ class TestCheckAll:
         by_name = {row["name"]: row for row in report["suites"]}
         assert by_name["embedding"]["status"] == "fail"
         assert not report["passed"]
+
+
+class TestRefinedCheck:
+    def test_suite_flags_a_blown_up_reference(self, monkeypatch):
+        # the suite once handed a truncated reference to ReferenceRun,
+        # whose "need at least 4 reference snapshots" ended check-all
+        # with a config error; the recipe stops at the blown-up run
+        zero_depth = {"kind": "gaussian", "width": 1e6,
+                      "amplitudes": {"H_s": -1.0 / 3.0, "H_b": -2.0 / 3.0}}
+        recipe = harness.refined_check
+        monkeypatch.setattr(harness, "refined_check", lambda cfg: recipe(
+            {**cfg, "initial": zero_depth}))
+        assert harness._suite_refined(0.1) == (False,
+                                               "reference run blew up")
+        check = recipe({"n_x": 32, "n_r": 8, "initial": zero_depth})
+        assert check.failed == "reference run" and check.series is None
+        assert check.run.blown_up and not check.passed
+
+    def test_refine_and_the_suite_run_one_recipe(self, tmp_path,
+                                                 monkeypatch):
+        configs = []
+        recipe = harness.refined_check
+        monkeypatch.setattr(harness, "refined_check", lambda cfg: (
+            configs.append(dict(cfg)) or recipe(cfg)))
+        ok, detail = harness._suite_refined(0.0)
+        assert ok, detail
+        code = cli.main(["refine", "--out", str(tmp_path / "o")])
+        assert code == cli.PASS
+        assert configs == [
+            {"n_x": 64, "n_r": 32, "cluster": 4.0, "kappa": 0.1},
+            {"n_x": 128}]
 
 
 class TestArtifacts:

@@ -20,12 +20,12 @@ from pycnolab.hyperbolicity import (
     critical_froude_pairs,
     froude_table,
     in_hyperbolic_set,
+    in_sigma_set,
     leading_minors,
     max_characteristic_speed,
     quartic_discriminant,
     quartic_roots_batch,
     state_matrix,
-    symmetrizer,
     symmetrizer_fields,
     symmetrizers,
 )
@@ -435,8 +435,20 @@ class TestClassify:
         fm, _ = critical_froude(1.0, 0.5)
         sheared = StatePoint(0.5, 1.0, 0.5, 0.5, 0.0, (fm - 0.05) * np.sqrt(0.5))
         assert not in_hyperbolic_set(sheared, 0.1)
-        with pytest.raises(ValueError):
-            in_hyperbolic_set(good, 0.0)
+        for sigma in (0.0, 1.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=r"sigma must lie in"):
+                in_hyperbolic_set(good, sigma)
+
+    def test_margin_runs_only_inside_the_first_three_conditions(self):
+        def margin():
+            raise AssertionError("margin evaluated")
+
+        # density ratio, depth ratio below and above, total depth
+        for args in ((0.97, 1.0, 1.0, 1.0), (0.5, 0.05, 1.0, 1.0),
+                     (0.5, 1.0, 11.0, 1.0), (0.5, 1.0, 1.0, 0.05)):
+            assert not in_sigma_set(0.1, *args, margin)
+        assert in_sigma_set(0.1, 0.5, 1.0, 1.0, 1.0, lambda: 0.1)
+        assert not in_sigma_set(0.1, 0.5, 1.0, 1.0, 1.0, lambda: 0.09)
 
 
 class TestSymmetrizer:
@@ -444,7 +456,7 @@ class TestSymmetrizer:
         rng = np.random.default_rng(51)
         for _ in range(40):
             p = hyperbolic_state(rng)
-            sym = symmetrizer(p)
+            sym = symmetrizers([p])[0]
             assert sym.asymmetry <= 1e-12, (
                 f"S A asymmetry {sym.asymmetry:.3e} at {p}")
             assert np.max(np.abs(sym.S - sym.S.T)) == 0.0
@@ -453,7 +465,7 @@ class TestSymmetrizer:
         rng = np.random.default_rng(52)
         for _ in range(40):
             p = hyperbolic_state(rng)
-            sym = symmetrizer(p)
+            sym = symmetrizers([p])[0]
             assert sym.certified, f"not certified at {p}"
             assert np.all(sym.minors > 0.0)
             assert sym.min_eigenvalue > 0.0
@@ -464,7 +476,7 @@ class TestSymmetrizer:
         rng = np.random.default_rng(53)
         for _ in range(30):
             p = hyperbolic_state(rng)
-            sym = symmetrizer(p)
+            sym = symmetrizers([p])[0]
             rr = p.rho_ratio
             us = p.U_s - sym.lam
             want = np.array([
@@ -482,7 +494,7 @@ class TestSymmetrizer:
         for _ in range(20):
             p = hyperbolic_state(rng)
             rep = classify(p)
-            sym = symmetrizer(p, rep)
+            sym = symmetrizers([p])[0]
             lams = np.sort(rep.roots.real)
             assert lams[1] < sym.lam < lams[2], (
                 f"shift {sym.lam} outside middle-root gap ({lams[1]}, {lams[2]})")
@@ -491,14 +503,14 @@ class TestSymmetrizer:
         fm, fp = critical_froude(1.0, 0.5)
         p = StatePoint(0.5, 1.0, 1.0, 1.0, 0.0, 0.5 * (fm + fp))
         with pytest.raises(ValueError):
-            symmetrizer(p)
+            symmetrizers([p])
 
     def test_field_assembly_matches_pointwise(self):
         # the stacked assembly against S written out entry by entry, one
         # point at a time, as the module docstring states it
         rng = np.random.default_rng(55)
         pts = [hyperbolic_state(rng) for _ in range(6)]
-        lams = np.array([symmetrizer(p).lam for p in pts])
+        lams = np.array([symmetrizers([p])[0].lam for p in pts])
         stack = symmetrizer_fields(
             np.array([p.rho_ratio for p in pts]),
             np.array([p.H_s for p in pts]),
@@ -514,27 +526,33 @@ class TestSymmetrizer:
                                [0.0, ub, 0.0, p.H_b]])
             assert np.array_equal(stack[i], direct), f"stacked S differs at {i}"
 
-    def test_block_certificates_equal_one_point_certificates(self):
+    def test_block_certificates_equal_one_point_certificates(
+            self, monkeypatch):
         rng = np.random.default_rng(57)
         pts = [hyperbolic_state(rng) for _ in range(100)]
-        reports = classify_many(pts)
         # a report whose middle-root interval lies above [min U, max U]:
         # the clipped midpoint falls outside it, so the shift comes from
         # the golden-section search
-        top = max(pts[70].U_s, pts[70].U_b)
-        roots = reports[70].roots
+        odd = pts[70]
+        top = max(odd.U_s, odd.U_b)
+        roots = classify_many(pts)[70].roots
         roots = roots - np.sort(roots.real)[1] + top + 0.5
-        reports[70] = replace(reports[70], roots=roots)
         lo, hi = np.sort(roots.real)[1:3]
-        blocks = [(pts[:64], reports[:64]), (pts[64:], reports[64:])]
-        certs = [c for block in blocks for c in symmetrizers(*block)]
+        classify_all = hyperbolicity.classify_many
+
+        def shifted(points):
+            return [replace(r, roots=roots) if p is odd else r
+                    for p, r in zip(points, classify_all(points))]
+
+        monkeypatch.setattr(hyperbolicity, "classify_many", shifted)
+        certs = symmetrizers(pts[:64]) + symmetrizers(pts[64:])
         assert lo < certs[70].lam < hi and certs[70].lam > top
-        for i, (p, rep, cert) in enumerate(zip(pts, reports, certs)):
-            one = symmetrizer(p, rep)
+        for i, (p, cert) in enumerate(zip(pts, certs)):
+            one = symmetrizers([p])[0]
             for name in ("lam", "min_eigenvalue", "asymmetry", "certified"):
                 assert getattr(cert, name) == getattr(one, name), (name, i)
                 assert type(getattr(cert, name)) is type(getattr(one, name))
-            for name in ("S", "SA", "minors"):
+            for name in ("S", "minors"):
                 assert getattr(cert, name).tobytes() == \
                     getattr(one, name).tobytes(), (name, i)
         assert symmetrizers([]) == []

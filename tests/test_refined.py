@@ -135,7 +135,7 @@ class TestSolveRefined:
         grid, levels, profile, state, traj = reference_setup()
         kappa, T, dt = 0.1, 0.3, traj.dt
         ref = ReferenceRun(traj, profile)
-        run = solve_refined(state, profile, ref, kappa, T, dt=dt)
+        run = solve_refined(state, ref, kappa, T, dt=dt)
         half = stratified.integrate(state, profile, kappa, T, dt=dt / 2.0,
                                     snapshot_every=10 ** 9)
         tol = max(np.max(np.abs(half.final.h - traj.final.h)),
@@ -158,7 +158,7 @@ class TestSolveRefined:
         h0 = np.tile(amp * np.sin(wavenumber * grid.x), (6, 1))
         init = stratified.StratifiedState(
             0.0, grid, levels, h0, np.zeros((6, grid.n_x)))
-        run = solve_refined(init, prof, ref, kappa, 0.3, dt=0.002)
+        run = solve_refined(init, ref, kappa, 0.3, dt=0.002)
         want = oracles.heat_mode_decay(amp, kappa, wavenumber, 0.3)
         err = np.max(np.abs(run.final.h[2]
                             - want * np.sin(wavenumber * grid.x)))
@@ -171,8 +171,8 @@ class TestSolveRefined:
         ref_b = ReferenceRun(traj, profile)
         ref_b.forcing_snapshots = ref_b.forcing_snapshots.copy()
         ref_b.forcing_snapshots[:, 5, :] = 0.0
-        run_a = solve_refined(state, profile, ref_a, 0.1, 0.3, dt=traj.dt)
-        run_b = solve_refined(state, profile, ref_b, 0.1, 0.3, dt=traj.dt)
+        run_a = solve_refined(state, ref_a, 0.1, 0.3, dt=traj.dt)
+        run_b = solve_refined(state, ref_b, 0.1, 0.3, dt=traj.dt)
         for i in range(levels.n_r):
             same_h = np.array_equal(run_a.final.h[i],
                                     run_b.final.h[i])
@@ -198,23 +198,51 @@ class TestSolveRefined:
             np.max(np.abs(profile.ubar[:, None] + u)) + drift)
         assert limit < np.min(np.diff(ref.times))
         for T, n_steps in ((limit, 1), (limit * (1.0 + 1e-9), 2)):
-            run = solve_refined(init, profile, ref, 0.1, T)
+            run = solve_refined(init, ref, 0.1, T)
             assert run.n_steps == n_steps and len(run.states) >= 2
-        run = solve_refined(init, profile, ref, 0.1, limit, dt=limit)
+        run = solve_refined(init, ref, 0.1, limit, dt=limit)
         assert not run.blown_up and len(run.states) == 2
         with pytest.raises(StepLimitError, match="exceeds the stability "
                            "limit"):
-            solve_refined(init, profile, ref, 0.1, 2.0 * limit,
+            solve_refined(init, ref, 0.1, 2.0 * limit,
                           dt=2.0 * limit)
+
+    def test_profile_comes_from_the_forcing(self):
+        # the run's transport uses the forcing's own target: the same
+        # steps as the forced column written out with that target, bit
+        # for bit, snapshot by snapshot
+        grid, levels, _, state, traj = reference_setup(n_r=12, cluster=2.0)
+        target, _ = stratified.smooth_pycnocline(
+            stratified.PycnoclineSpec(PARAMS, 0.03, "tanh"), levels)
+        ref = ReferenceRun(traj, target)
+        run = solve_refined(state, ref, 0.1, 0.3, dt=traj.dt)
+        assert run.reference is ref and not run.blown_up
+        column = (grid, target, 0.1, lambda dxh, t, out: ref.forcing(t))
+        work = stratified.ColumnWork(grid, levels.n_r)
+
+        def advance(t, y, dt):
+            def speed():
+                return float(np.max(np.abs(target.ubar[:, None] + y[1])))
+
+            return stratified.rk4(*y, t, dt, *column, work=work,
+                                  speeds=(speed, speed))
+
+        want = stratified.march_column(state, advance, 0.3, traj.dt, 1)
+        assert run.n_steps == want["n_steps"] > 1
+        assert len(run.states) == len(want["states"])
+        for got, exp in zip(run.states, want["states"]):
+            assert got.t == exp.t
+            assert np.array_equal(got.h, exp.h)
+            assert np.array_equal(got.u, exp.u)
 
     def test_horizon_and_grid_guards(self):
         grid, levels, profile, state, traj = reference_setup(T=0.2)
         ref = ReferenceRun(traj, profile)
         with pytest.raises(ValueError):
-            solve_refined(state, profile, ref, 0.1, 0.5)
+            solve_refined(state, ref, 0.1, 0.5)
         other = rest_state(SpatialGrid(32), levels)
         with pytest.raises(ValueError):
-            solve_refined(other, profile, ref, 0.1, 0.2)
+            solve_refined(other, ref, 0.1, 0.2)
 
     @pytest.mark.parametrize("kappa", [-0.1, float("nan"), float("inf")])
     def test_bad_kappa_rejected(self, kappa):
@@ -222,7 +250,7 @@ class TestSolveRefined:
         ref = ReferenceRun(traj, profile)
         with pytest.raises(ValueError, match="kappa must be finite and "
                            "non-negative"):
-            solve_refined(state, profile, ref, kappa, 0.2)
+            solve_refined(state, ref, kappa, 0.2)
 
     def test_depth_collapse_flags_run(self):
         grid = SpatialGrid(16)
@@ -236,7 +264,7 @@ class TestSolveRefined:
         h0[1, 3] = -1.0 + 5e-7
         init = stratified.StratifiedState(0.0, grid, levels, h0,
                                           np.zeros((4, 16)))
-        run = solve_refined(init, prof, ref, 0.0, 0.2, dt=0.01)
+        run = solve_refined(init, ref, 0.0, 0.2, dt=0.01)
         assert run.blown_up
         assert run.blowup_time is not None
         assert len(run.states) == 1
@@ -250,13 +278,13 @@ class TestConsistencyResidual:
         target, _ = stratified.smooth_pycnocline(
             stratified.PycnoclineSpec(PARAMS, eps, "tanh"), levels)
         ref = ReferenceRun(traj, target)
-        run = solve_refined(state, target, ref, 0.1, 0.3, dt=traj.dt)
+        run = solve_refined(state, ref, 0.1, 0.3, dt=traj.dt)
         return run
 
     def test_identity_crossing_leaves_no_residual(self):
         grid, levels, profile, state, traj = reference_setup()
         ref = ReferenceRun(traj, profile)
-        run = solve_refined(state, profile, ref, 0.1, 0.3, dt=traj.dt)
+        run = solve_refined(state, ref, 0.1, 0.3, dt=traj.dt)
         series = consistency_residual(run)
         peak = float(np.max(series.residual_hs))
         assert peak <= 1e-8, f"identity crossing left residual {peak:.3e}"

@@ -14,7 +14,7 @@ from pycnolab.stratified import (
     StratifiedProfile,
     StratifiedState,
     cfl_limit,
-    column_rhs,
+    column_derivative,
     embed_bilayer,
     integrate,
     layer_average,
@@ -465,7 +465,8 @@ class TestStepIntegrate:
 
     def test_kappa_zero_step_is_classical_rk4(self):
         # without diffusion the integrating factor is the identity: the
-        # step is the textbook RK4 composition of column_rhs, bit for bit
+        # step is the textbook RK4 composition of column_derivative, bit
+        # for bit
         rng = np.random.default_rng(37)
         levels = LevelGrid.uniform(8)
         grid = SpatialGrid(32)
@@ -474,12 +475,13 @@ class TestStepIntegrate:
         u = 0.05 * rng.standard_normal((8, 32))
         column = (grid, prof, 0.0, self_pressure(prof))
         t, dt = 0.3, 0.01
-        k1 = column_rhs(h, u, t, *column)
-        k2 = column_rhs(h + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1],
-                        t + 0.5 * dt, *column)
-        k3 = column_rhs(h + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1],
-                        t + 0.5 * dt, *column)
-        k4 = column_rhs(h + dt * k3[0], u + dt * k3[1], t + dt, *column)
+        k1 = column_derivative(h, u, t, *column)
+        k2 = column_derivative(h + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1],
+                               t + 0.5 * dt, *column)
+        k3 = column_derivative(h + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1],
+                               t + 0.5 * dt, *column)
+        k4 = column_derivative(h + dt * k3[0], u + dt * k3[1], t + dt,
+                               *column)
         got = rk4(h, u, t, dt, *column)
         for i, y in enumerate((h, u)):
             want = y + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i]
@@ -801,9 +803,8 @@ class TestStepIntegrate:
             (lambda: bilayer.integrate(bistate, params, 40 * dt_b, dt=dt_b,
                                        snapshot_every=10 ** 9),
              {"BilayerState": 1, "copies": 1}),
-            (lambda: refined.solve_refined(state, profile, reference, 0.05,
-                                           40 * dt, dt=dt,
-                                           snapshot_every=10 ** 9),
+            (lambda: refined.solve_refined(state, reference, 0.05, 40 * dt,
+                                           dt=dt, snapshot_every=10 ** 9),
              {"StratifiedState": 1, "copies": 2}))
         for run, want in runs:
             built.clear()
@@ -873,6 +874,20 @@ class TestStepIntegrate:
         traj = integrate(state, prof, 0.0, T=0.1)
         assert traj.blown_up
         assert "cell thickness" in traj.warnings[0]
+
+    def test_profile_on_another_level_grid_rejected(self):
+        # same n_r, other edges: integrate and cfl_limit once stepped on
+        # silently while rhs refused
+        grid = SpatialGrid(16)
+        state = rest_state(grid, LevelGrid.uniform(6))
+        prof = StratifiedProfile(interface_levels(6),
+                                 np.linspace(2.0, 1.0, 6), np.zeros(6))
+        for call in (lambda: rhs(state, prof, 0.1),
+                     lambda: cfl_limit(state, prof, 0.1),
+                     lambda: integrate(state, prof, 0.1, 0.1),
+                     lambda: integrate(state, prof, 0.1, 0.1, dt=0.01)):
+            with pytest.raises(ValueError, match="different level grids"):
+                call()
 
 
 class TestEmbedding:
