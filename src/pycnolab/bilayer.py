@@ -35,7 +35,7 @@ and the CSV writers.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -184,25 +184,13 @@ def step(t, y, dt, grid, params, cfl=CFL_DEFAULT, work=None):
 # margins along a run
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _margin_nodes(rho_ratio, lo, hi, n_nodes):
-    """`froude_table`'s nodes and Fr_- values, read-only, solved once per
-    process for each (density ratio, range, node count)."""
-    nodes, fr_minus, _ = froude_table(rho_ratio, lo, hi, n_nodes=n_nodes)
-    nodes.flags.writeable = False
-    fr_minus.flags.writeable = False
-    return nodes, fr_minus
-
-
 class MarginTable:
     """Interpolation table for Fr_-(depth ratio) at fixed density ratio.
 
-    Exact bisection at every grid point and step would dominate runtime;
-    the threshold is smooth in the depth ratio, so diagnostics read a
-    geometric table instead and extend it on demand. Each run keeps its
-    own table and range, but a table's nodes are shared per (density
-    ratio, range, node count) within a process: the runs of one call
-    mostly start from the same state, and solve its thresholds once.
+    Exact thresholds at every grid point and step would cost more than
+    the table; the threshold is smooth in the depth ratio, so
+    diagnostics read a geometric table instead and extend it on demand.
+    Each run builds and keeps its own table and range.
     """
 
     def __init__(self, rho_ratio, lo, hi):
@@ -220,8 +208,8 @@ class MarginTable:
     def _build(self):
         decades = math.log10(self.hi / self.lo)
         n = max(17, int(decades * MARGIN_NODES_PER_DECADE) + 1)
-        self.nodes, self.fr_minus = _margin_nodes(self.rho_ratio, self.lo,
-                                                  self.hi, n)
+        self.nodes, self.fr_minus, _ = froude_table(self.rho_ratio, self.lo,
+                                                    self.hi, n_nodes=n)
 
     def __call__(self, ratios):
         rmin, rmax = float(np.min(ratios)), float(np.max(ratios))

@@ -35,7 +35,7 @@ from .core import CFL_DEFAULT, BlowUpError, write_table
 from .harness import ConfigError, config_count, config_positive, \
     config_real, config_reals
 from .hyperbolicity import StatePoint, atlas, classify_many, \
-    count_line_intersections, critical_froude_pairs
+    count_line_intersections, critical_froude
 
 PASS = 0
 FAIL = 1
@@ -171,8 +171,7 @@ def cmd_atlas(cfg, art, plots):
                 [(n, ps, pb) for n, ps, pb in curves.branches + curves.lines],
                 f"slowness curves, rho ratio {rr:g}"), comment=False)
         # the intercepts share one (h_ratio, rr) pair: solve it once
-        thresholds = [float(fr[0]) for fr in
-                      critical_froude_pairs(h_ratio, rr)]
+        thresholds = critical_froude(h_ratio, rr)
         reports = classify_many([
             StatePoint(rho_s=rr, rho_b=1.0, H_s=h_ratio, H_b=1.0, U_s=0.0,
                        U_b=c, solved_thresholds=thresholds)

@@ -44,7 +44,7 @@ from .core import CFL_DEFAULT, LevelGrid, SpatialGrid, write_table
 from .hyperbolicity import (
     StatePoint,
     classify_many,
-    critical_froude_pairs,
+    critical_froude,
     in_hyperbolic_set,
     state_matrix,
     symmetrizers,
@@ -521,14 +521,15 @@ def random_state_points(rng, n, frac_high):
     draw takes each point's seven numbers in the order a point-by-point
     loop of scalar draws would, so the points and the generator's next
     draw are the same as there. The thresholds of all n points come from
-    one `critical_froude_pairs` call and are handed to each point.
+    one `critical_froude` call, each row as it would alone, and are
+    handed to each point.
     """
     # shear fraction, rho_b, rho_s/rho_b, H_s, H_b, U_s, the shear's sign
     frac, rho_b, ratio, H_s, H_b, U_s, flip = rng.uniform(
         (0.0, 0.5, 0.05, 0.1, 0.1, -1.0, 0.0),
         (frac_high, 2.0, 0.95, 2.0, 2.0, 1.0, 1.0), size=(n, 7)).T
     rho_s = rho_b * ratio
-    fr_minus, fr_plus = critical_froude_pairs(H_s / H_b, rho_s / rho_b)
+    fr_minus, fr_plus = critical_froude(H_s / H_b, rho_s / rho_b)
     shear = np.where(frac <= 1.0, frac * fr_minus,
                      fr_minus + (frac - 1.0) * (fr_plus - fr_minus))
     sign = np.where(flip < 0.5, 1.0, -1.0)

@@ -25,6 +25,19 @@ Since P(U_s +- sqrt(H_s)) = -rr H_s H_b < 0, the quartic always has at
 least two real roots, so the sign of its discriminant decides the count
 outright: positive means 4 real, negative means 2.
 
+In the normalized state H_b = 1, H_s = h = H_s/H_b, U_s = 0, U_b = c
+(r = rr) that discriminant is even in c, D(c) = 16 h q(c^2), with the
+monic quartic
+
+    q(s) = s^4 + (h+1)(r-4) s^3
+           + (6h^2 - 3h^2 r + h r^2 - 26hr + 4h - 3r + 6) s^2
+           - (h+1)(4h^2 - 3h^2 r + 20hr^2 - 10hr - 8h - 3r + 4) s
+           + (1-r)((h-1)^2 + 4hr)^2 .
+
+q(0) > 0 and q is negative inside the elliptic window, so Fr_- and
+Fr_+ are the square roots of its two positive roots (the thresholds of
+Ovsyannikov 1979, "Two-layer 'shallow water' model").
+
 For hyperbolic points the matrix S built from a shift l between the two
 middle roots,
 
@@ -45,9 +58,6 @@ from functools import cached_property
 import numpy as np
 
 _REAL_TOL = 1e-9
-# rows per scan chunk of `critical_froude_pairs`: the chunk's (rows, 256)
-# scan grid is the largest array a threshold solve builds
-_SCAN_ROWS = 64
 _STATE_FIELDS = ("rho_s", "rho_b", "H_s", "H_b", "U_s", "U_b")
 
 
@@ -151,23 +161,6 @@ def coefficient_arrays(rho_ratio, H_s, H_b, U_s, U_b):
     return c3, c2, c1, c0
 
 
-def quartic_discriminant(c3, c2, c1, c0):
-    """Discriminant of l^4 + c3 l^3 + c2 l^2 + c1 l + c0 (vectorized).
-
-    Positive means four real roots here (two real roots always exist),
-    negative means exactly two. Powers are spelled as products, so a
-    Python float and an array element give the same bits.
-    """
-    b, c, d, e = c3, c2, c1, c0
-    b2, c2, d2, e2 = b * b, c * c, d * d, e * e
-    return (256.0 * e2 * e - 192.0 * b * d * e2 - 128.0 * c2 * e2
-            + 144.0 * c * d2 * e - 27.0 * d2 * d2 + 144.0 * b2 * c * e2
-            - 6.0 * b2 * d2 * e - 80.0 * b * c2 * d * e
-            + 18.0 * b * c * d2 * d + 16.0 * c2 * c2 * e - 4.0 * c2 * c * d2
-            - 27.0 * b2 * b2 * e2 + 18.0 * b2 * b * c * d * e
-            - 4.0 * b2 * b * d2 * d - 4.0 * b2 * c2 * c * e + b2 * c2 * d2)
-
-
 def _companion_roots(c3, c2, c1, c0, polish):
     """Companion-matrix eigenvalues of stacked monic quartics, (..., 4).
 
@@ -224,165 +217,75 @@ def characteristic_speed_bound(rho_ratio, H_s, H_b, U_s, U_b):
 # critical Froude thresholds
 # ----------------------------------------------------------------------
 
-def _disc_of_intercept(c, h_ratio, rho_ratio):
-    """Discriminant of the normalized quartic (H_b=1, H_s=h, U_s=0, U_b=c).
-
-    A Python float stays a float, so the bisection runs without numpy
-    scalars; arrays give the same values elementwise, bit for bit.
-    """
-    if not isinstance(c, float):
-        c = np.asarray(c, dtype=float)
-    h = h_ratio
-    c3 = -2.0 * c
-    c2 = c * c - 1.0 - h
-    c1 = 2.0 * c * h
-    c0 = -h * (c * c - 1.0) - rho_ratio * h
-    return quartic_discriminant(c3, c2, c1, c0)
+# a root of q counts as resolved when its first-order error bound is
+# below this share of its distance to the nearest other root
+_RESOLVED_SHARE = 0.1
+_DIAGONAL = (..., range(4), range(4))
 
 
-def critical_froude(h_ratio, rho_ratio, tol=1e-10, scan_points=256):
+def critical_froude(h_ratio, rho_ratio):
     """The two shear thresholds (Fr_minus, Fr_plus) for given ratios.
 
-    Works on the normalized state H_b = 1, H_s = h_ratio, U_s = 0,
-    U_b = c >= 0 and locates the sign changes of the quartic
-    discriminant in c by scan plus bisection. Between the thresholds the
-    discriminant is negative (two real roots); outside it is positive.
+    Broadcasts over arrays: scalar ratios give a pair of floats, arrays
+    a pair of arrays. The thresholds are the square roots of the two
+    positive roots of q (module docstring), which come from one batched
+    companion solve with a Newton polish, so a row gets the same bits
+    alone or in a block. A root s is resolved when its first-order error
+    bound eps sum_k |a_k| |s|^k / |q'(s)| is below a tenth of its distance
+    to every other root of q. As rho_ratio -> 0 the elliptic window
+    closes and its two roots merge; where they are not two resolved
+    positive roots, RuntimeError names the first such (h_ratio,
+    rho_ratio) instead of returning a wrong pair.
     """
-    h_ratio = float(h_ratio)
-    rho_ratio = float(rho_ratio)
-    if h_ratio <= 0.0:
-        raise ValueError(f"h_ratio must be positive, got {h_ratio}")
-    if not 0.0 < rho_ratio < 1.0:
-        raise ValueError(f"rho_ratio must lie in (0, 1), got {rho_ratio}")
-
-    c_hi = 2.0 * (2.0 + math.sqrt(h_ratio))
-    while _disc_of_intercept(c_hi, h_ratio, rho_ratio) <= 0.0:
-        c_hi *= 2.0
-        if c_hi > 1e6:
-            raise RuntimeError("no supercritical regime found below c = 1e6")
-
-    m = int(scan_points)
-    neg = np.array([], dtype=int)
-    cs = None
-    while m <= 64 * scan_points:
-        cs = np.linspace(0.0, c_hi, m)
-        disc = _disc_of_intercept(cs, h_ratio, rho_ratio)
-        neg = np.nonzero(disc < 0.0)[0]
-        if neg.size:
-            break
-        m *= 8
-    if not neg.size:
-        raise RuntimeError(
-            f"elliptic window not resolved for h_ratio={h_ratio}, "
-            f"rho_ratio={rho_ratio}; it is narrower than {c_hi / m:.2e}")
-
-    def bisect(lo, hi, want_neg_at_hi):
-        # sign of disc flips once in [lo, hi]
-        for _ in range(200):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if (_disc_of_intercept(mid, h_ratio, rho_ratio) < 0.0) == want_neg_at_hi:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    first, last = int(neg[0]), int(neg[-1])
-    fr_minus = bisect(float(cs[first - 1]) if first > 0 else 0.0,
-                      float(cs[first]), True)
-    fr_plus = bisect(float(cs[last]), float(cs[last + 1]), False)
-    return fr_minus, fr_plus
-
-
-def critical_froude_pairs(h_ratios, rho_ratios, tol=1e-10):
-    """`critical_froude` for many (h_ratio, rho_ratio) rows at once.
-
-    Returns (fr_minus, fr_plus) arrays. All rows run `critical_froude`'s
-    scan and bisections as arrays, each row with its own density ratio
-    and each bracket stopping where the scalar loop would; every row
-    equals `critical_froude(h, rr, tol)` bit for bit. The scans run in
-    chunks of `_SCAN_ROWS` rows, keeping only the bracket end points;
-    then the brackets of all rows bisect in one lockstep. A row whose
-    first scan misses the elliptic window goes through `critical_froude`
-    itself (finer scans, or its RuntimeError). The scalar solver stays
-    beside this one because each is the cheaper on its own input size: a
-    one-row call here costs ten to twenty scalar calls.
-    """
-    hs, rrs = np.broadcast_arrays(np.asarray(h_ratios, dtype=float),
-                                  np.asarray(rho_ratios, dtype=float))
-    hs, rrs = hs.ravel(), rrs.ravel()
-    if not np.all(hs > 0.0):
-        raise ValueError(f"h_ratio must be positive, got {hs.min()}")
-    ok = (rrs > 0.0) & (rrs < 1.0)
+    h, r = np.broadcast_arrays(np.asarray(h_ratio, dtype=float),
+                               np.asarray(rho_ratio, dtype=float))
+    if not np.all(h > 0.0):
+        raise ValueError(f"h_ratio must be positive, got {h[~(h > 0.0)][0]}")
+    inside = (r > 0.0) & (r < 1.0)
+    if not inside.all():
+        raise ValueError(f"rho_ratio must lie in (0, 1), got {r[~inside][0]}")
+    # powers spelled as products: a numpy scalar's ** can round otherwise
+    hr = h * r
+    t = (h - 1.0) * (h - 1.0) + 4.0 * hr
+    coeffs = ((h + 1.0) * (r - 4.0),
+              6.0 * h * h - 3.0 * h * hr + hr * r - 26.0 * hr + 4.0 * h
+              - 3.0 * r + 6.0,
+              -(h + 1.0) * (4.0 * h * h - 3.0 * h * hr + 20.0 * hr * r
+                            - 10.0 * hr - 8.0 * h - 3.0 * r + 4.0),
+              (1.0 - r) * t * t)
+    s = _companion_roots(*coeffs, polish=True)
+    size = np.zeros(s.shape)
+    for a in (1.0,) + coeffs:
+        size = size * np.abs(s) + np.abs(a)[..., None]
+    # |q'(s_i)| is the product of s_i's distances to the other roots
+    gaps = np.abs(s[..., :, None] - s[..., None, :])
+    gaps[_DIAGONAL] = 1.0
+    slope = np.prod(gaps, axis=-1)
+    gaps[_DIAGONAL] = np.inf
+    resolved = (np.finfo(float).eps * size
+                < _RESOLVED_SHARE * slope * np.min(gaps, axis=-1))
+    positive = (s.imag == 0.0) & (s.real > 0.0)
+    ok = (np.sum(positive, axis=-1) == 2) & np.all(resolved | ~positive,
+                                                   axis=-1)
     if not ok.all():
-        raise ValueError(f"rho_ratio must lie in (0, 1), got {rrs[~ok][0]}")
-
-    c_hi = 2.0 * (2.0 + np.sqrt(hs))
-    low = _disc_of_intercept(c_hi, hs, rrs) <= 0.0
-    while low.any():
-        c_hi[low] *= 2.0
-        if c_hi[low].max() > 1e6:
-            raise RuntimeError("no supercritical regime found below c = 1e6")
-        low[low] = _disc_of_intercept(c_hi[low], hs[low], rrs[low]) <= 0.0
-
-    # per chunk, one 256-point scan per row, the rows as
-    # np.linspace(0, c_hi, 256); keep the rows that found the window and
-    # their Fr_- and Fr_+ brackets
-    found = np.zeros(hs.size, dtype=bool)
-    brackets = [np.empty((4, 0))]
-    for start in range(0, hs.size, _SCAN_ROWS):
-        chunk = slice(start, start + _SCAN_ROWS)
-        cs = np.linspace(0.0, c_hi[chunk], 256, axis=1)
-        neg = _disc_of_intercept(cs, hs[chunk, None], rrs[chunk, None]) < 0.0
-        hit = np.nonzero(neg.any(axis=1))[0]
-        cs, neg = cs[hit], neg[hit]
-        first = np.argmax(neg, axis=1)
-        last = 255 - np.argmax(neg[:, ::-1], axis=1)
-        k = np.arange(hit.size)
-        found[start + hit] = True
-        brackets.append(np.stack([np.where(first > 0, cs[k, first - 1], 0.0),
-                                  cs[k, first], cs[k, last], cs[k, last + 1]]))
-    rows = np.nonzero(found)[0]
-    minus_lo, minus_hi, plus_lo, plus_hi = np.concatenate(brackets, axis=1)
-    # Fr_- brackets first, then Fr_+; `want` is "negative at hi"
-    lo = np.concatenate([minus_lo, plus_lo])
-    hi = np.concatenate([minus_hi, plus_hi])
-    want = np.repeat([True, False], rows.size)
-    h = np.concatenate([hs[rows], hs[rows]])
-    rr = np.concatenate([rrs[rows], rrs[rows]])
-    active = hi - lo > tol
-    for _ in range(200):
-        idx = np.nonzero(active)[0]
-        if not idx.size:
-            break
-        mid = 0.5 * (lo[idx] + hi[idx])
-        to_hi = (_disc_of_intercept(mid, h[idx], rr[idx]) < 0.0) == want[idx]
-        hi[idx[to_hi]] = mid[to_hi]
-        lo[idx[~to_hi]] = mid[~to_hi]
-        active[idx] = hi[idx] - lo[idx] > tol
-    mids = 0.5 * (lo + hi)
-
-    fr_minus = np.empty(hs.size)
-    fr_plus = np.empty(hs.size)
-    fr_minus[rows], fr_plus[rows] = mids[:rows.size], mids[rows.size:]
-    for i in np.nonzero(~found)[0]:
-        fr_minus[i], fr_plus[i] = critical_froude(hs[i], rrs[i], tol=tol)
-    return fr_minus, fr_plus
+        i = np.argmin(ok)
+        raise RuntimeError(f"elliptic window not resolved at (h_ratio, "
+                           f"rho_ratio) = ({h.flat[i]}, {r.flat[i]})")
+    fr = np.sqrt(np.sort(np.where(positive, s.real, np.inf), axis=-1)[..., :2])
+    return tuple(fr.tolist()) if fr.ndim == 1 else (fr[..., 0], fr[..., 1])
 
 
-def froude_table(rho_ratio, h_min, h_max, n_nodes=129, tol=1e-10):
+def froude_table(rho_ratio, h_min, h_max, n_nodes=129):
     """Sampled Fr_-(h) and Fr_+(h) over [h_min, h_max] for interpolation.
 
     Solvers evaluating hyperbolicity margins along a trajectory use
-    np.interp on this table instead of running a bisection at every grid
-    point; the thresholds vary smoothly in the depth ratio so the table
+    np.interp on this table instead of solving the thresholds at every
+    grid point; they vary smoothly in the depth ratio, so the table
     error is far below diagnostic needs for >= 129 nodes. The nodes are
-    geometrically spaced and solved by one `critical_froude_pairs` call,
-    so each equals `critical_froude(h, rho_ratio, tol)` bit for bit.
+    geometrically spaced and solved by one `critical_froude` call.
     """
     hs = np.geomspace(h_min, h_max, int(n_nodes))
-    return (hs,) + critical_froude_pairs(hs, rho_ratio, tol=tol)
+    return (hs,) + critical_froude(hs, rho_ratio)
 
 
 # ----------------------------------------------------------------------
@@ -620,6 +523,8 @@ def atlas(h_ratio, rho_ratio, intercepts, n_samples=2001):
     """
     h_ratio = float(h_ratio)
     rho_ratio = float(rho_ratio)
+    if not h_ratio > 0.0:
+        raise ValueError(f"h_ratio must be positive, got {h_ratio}")
     if not 0.0 < rho_ratio < 1.0:
         raise ValueError(f"rho_ratio must lie in (0, 1), got {rho_ratio}")
     intercepts = [float(c) for c in intercepts]

@@ -148,6 +148,73 @@ def quartic_discriminant_resultant(b, c, d, e):
     return np.linalg.det(S)
 
 
+def quartic_discriminant(c3, c2, c1, c0):
+    """Discriminant of l^4 + c3 l^3 + c2 l^2 + c1 l + c0, expanded (vectorized).
+
+    Positive means four real roots for the bilayer quartic (two real
+    roots always exist), negative means exactly two.
+    """
+    b, c, d, e = c3, c2, c1, c0
+    b2, c2, d2, e2 = b * b, c * c, d * d, e * e
+    return (256.0 * e2 * e - 192.0 * b * d * e2 - 128.0 * c2 * e2
+            + 144.0 * c * d2 * e - 27.0 * d2 * d2 + 144.0 * b2 * c * e2
+            - 6.0 * b2 * d2 * e - 80.0 * b * c2 * d * e
+            + 18.0 * b * c * d2 * d + 16.0 * c2 * c2 * e - 4.0 * c2 * c * d2
+            - 27.0 * b2 * b2 * e2 + 18.0 * b2 * b * c * d * e
+            - 4.0 * b2 * b * d2 * d - 4.0 * b2 * c2 * c * e + b2 * c2 * d2)
+
+
+def _disc_of_intercept(c, h_ratio, rho_ratio):
+    """Discriminant of the normalized quartic (H_b=1, H_s=h, U_s=0, U_b=c)."""
+    h = h_ratio
+    return quartic_discriminant(-2.0 * c, c * c - 1.0 - h, 2.0 * c * h,
+                                -h * (c * c - 1.0) - rho_ratio * h)
+
+
+def critical_froude_bisection(h_ratio, rho_ratio, tol=1e-10,
+                              scan_points=256):
+    """(Fr_minus, Fr_plus) as the sign changes in c of the discriminant.
+
+    Scans c in [0, c_hi] for the elliptic window (negative discriminant),
+    refining the scan up to 64-fold, then bisects each end of the window
+    to width `tol`. RuntimeError where the scan cannot find the window.
+    """
+    c_hi = 2.0 * (2.0 + np.sqrt(h_ratio))
+    while _disc_of_intercept(c_hi, h_ratio, rho_ratio) <= 0.0:
+        c_hi *= 2.0
+        if c_hi > 1e6:
+            raise RuntimeError("no supercritical regime found below c = 1e6")
+    m = int(scan_points)
+    while True:
+        cs = np.linspace(0.0, c_hi, m)
+        neg = np.nonzero(_disc_of_intercept(cs, h_ratio, rho_ratio) < 0.0)[0]
+        if neg.size:
+            break
+        m *= 8
+        if m > 64 * scan_points:
+            raise RuntimeError(
+                f"elliptic window not resolved for h_ratio={h_ratio}, "
+                f"rho_ratio={rho_ratio}")
+
+    def bisect(lo, hi, want_neg_at_hi):
+        # the discriminant changes sign once in [lo, hi]
+        for _ in range(200):
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if (_disc_of_intercept(mid, h_ratio, rho_ratio) < 0.0) \
+                    == want_neg_at_hi:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    first, last = int(neg[0]), int(neg[-1])
+    return (bisect(float(cs[first - 1]) if first > 0 else 0.0,
+                   float(cs[first]), True),
+            bisect(float(cs[last]), float(cs[last + 1]), False))
+
+
 # ----------------------------------------------------------------------
 # linearized bilayer evolution about the rest state (single Fourier mode)
 # ----------------------------------------------------------------------

@@ -71,13 +71,14 @@ class TestAcceptance:
                 if rep.real_count != brute:
                     mismatches += 1
                 counts[rep.regime] = counts.get(rep.regime, 0) + 1
-        # thresholds are reproducible under bracket refinement
+        # the closed-form thresholds agree with a fine bisection
         worst_shift = 0.0
         for _ in range(40):
             h = rng.uniform(0.1, 10.0)
             rr = rng.uniform(0.05, 0.95)
             coarse = critical_froude(h, rr)
-            fine = critical_froude(h, rr, tol=1e-13, scan_points=1024)
+            fine = oracles.critical_froude_bisection(h, rr, tol=1e-13,
+                                                     scan_points=1024)
             worst_shift = max(worst_shift,
                               abs(coarse[0] - fine[0]),
                               abs(coarse[1] - fine[1]))

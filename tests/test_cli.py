@@ -541,27 +541,38 @@ class TestRunCommands:
         assert len(rows) == 9
         assert all(row.endswith(",true") for row in rows)
 
+    @pytest.mark.parametrize("h_ratio", [-0.5, 0.0])
+    def test_atlas_rejects_non_positive_depth_ratio(self, tmp_path, capsys,
+                                                    recwarn, h_ratio):
+        # rejected before any curve is sampled or written
+        cfg = write_config(tmp_path, "c.json", {"h_ratio": h_ratio})
+        out = tmp_path / "o"
+        code = cli.main(["atlas", "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert not out.exists() or not any(out.iterdir())
+        assert "h_ratio must be positive" in capsys.readouterr().err
+        assert not recwarn.list
+
     def test_atlas_solves_each_density_ratio_once(self, tmp_path,
                                                   monkeypatch):
-        solve, solve_pairs = (hyperbolicity.critical_froude,
-                              cli.critical_froude_pairs)
-        calls, pairs = [], []
+        calls, solves = [], []
+        solve = hyperbolicity.critical_froude
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
-        def counted_pairs(*args, **kwargs):
-            pairs.append(args)
-            return solve_pairs(*args, **kwargs)
+        def counted_solve(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
-        monkeypatch.setattr(cli, "critical_froude_pairs", counted_pairs)
+        monkeypatch.setattr(cli, "critical_froude", counted_solve)
         code = cli.main(["atlas", "--out", str(tmp_path / "o")])
         assert code == cli.PASS
         # three density ratios, three intercepts each: three solves
         assert calls == []
-        assert pairs == [(0.5, 0.1), (0.5, 0.5), (0.5, 0.9)]
+        assert solves == [(0.5, 0.1), (0.5, 0.5), (0.5, 0.9)]
 
     def test_classify_with_explicit_points(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"points": [

@@ -302,9 +302,9 @@ class TestStatePoints:
 
         def counted(*args, **kwargs):
             calls.append(np.size(args[0]))
-            return hyperbolicity.critical_froude_pairs(*args, **kwargs)
+            return hyperbolicity.critical_froude(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "critical_froude_pairs", counted)
+        monkeypatch.setattr(harness, "critical_froude", counted)
         ok, detail = harness._suite_classification(
             np.random.default_rng(0), 1000)
         assert ok, detail

@@ -17,13 +17,11 @@ from pycnolab.hyperbolicity import (
     coefficient_arrays,
     count_line_intersections,
     critical_froude,
-    critical_froude_pairs,
     froude_table,
     in_hyperbolic_set,
     in_sigma_set,
     leading_minors,
     max_characteristic_speed,
-    quartic_discriminant,
     quartic_roots_batch,
     state_matrix,
     symmetrizer_fields,
@@ -91,7 +89,7 @@ class TestCharacteristicPolynomial:
         for _ in range(80):
             p = random_state(rng)
             coeffs = oracles.characteristic_polynomial(p)
-            disc = quartic_discriminant(*coeffs[1:])
+            disc = oracles.quartic_discriminant(*coeffs[1:])
             scale = np.max(np.abs(coeffs)) + 1.0
             if abs(disc) < 1e-6 * scale ** 6:
                 continue  # closed form loses accuracy near double roots
@@ -196,7 +194,7 @@ class TestDiscriminant:
         rng = np.random.default_rng(21)
         for _ in range(60):
             b, c, d, e = rng.uniform(-3.0, 3.0, size=4)
-            explicit = quartic_discriminant(b, c, d, e)
+            explicit = oracles.quartic_discriminant(b, c, d, e)
             resultant = oracles.quartic_discriminant_resultant(b, c, d, e)
             scale = max(abs(explicit), abs(resultant), 1.0)
             assert abs(explicit - resultant) <= 1e-9 * scale, (
@@ -208,7 +206,7 @@ class TestDiscriminant:
         for _ in range(200):
             p = random_state(rng)
             coeffs = oracles.characteristic_polynomial(p)
-            disc = quartic_discriminant(*coeffs[1:])
+            disc = oracles.quartic_discriminant(*coeffs[1:])
             scale = (np.max(np.abs(coeffs)) + 1.0) ** 6
             if abs(disc) < 1e-8 * scale:
                 continue
@@ -246,33 +244,92 @@ class TestCriticalFroude:
             assert classify(below).regime == "Hyperbolic"
             assert classify(above).regime == "FastHyperbolic"
 
-    def test_stable_under_bracket_refinement(self):
-        for h, rr in ((0.5, 0.1), (0.5, 0.9), (2.0, 0.5), (1.0, 0.5)):
-            coarse = critical_froude(h, rr, scan_points=256)
-            fine = critical_froude(h, rr, scan_points=2048)
-            assert abs(coarse[0] - fine[0]) <= 1e-8, f"Fr_- unstable at {(h, rr)}"
-            assert abs(coarse[1] - fine[1]) <= 1e-8, f"Fr_+ unstable at {(h, rr)}"
+    def test_agrees_with_bisection_oracle(self):
+        # over the lab's range, within the bisection's own error
+        rng = np.random.default_rng(33)
+        hs = rng.uniform(0.05, 20.0, 2000)
+        rrs = rng.uniform(0.05, 0.95, 2000)
+        fm, fp = critical_froude(hs, rrs)
+        for i, (h, rr) in enumerate(zip(hs, rrs)):
+            want = oracles.critical_froude_bisection(h, rr)
+            assert abs(fm[i] - want[0]) <= 2e-10, f"Fr_- at {(h, rr)}"
+            assert abs(fp[i] - want[1]) <= 2e-10, f"Fr_+ at {(h, rr)}"
 
-    def test_scalar_and_array_discriminants_agree(self):
-        # the bisection evaluates Python floats, the scan whole arrays;
-        # both must give the same bits so the brackets are unchanged
-        rng = np.random.default_rng(37)
-        for _ in range(50):
-            h = float(rng.uniform(0.05, 5.0))
-            rr = float(rng.uniform(0.02, 0.98))
-            cs = np.concatenate([np.linspace(0.0, 12.0, 97),
-                                 rng.uniform(0.0, 12.0, 64)])
-            array = hyperbolicity._disc_of_intercept(cs, h, rr)
-            for c, want in zip(cs, array):
-                got = hyperbolicity._disc_of_intercept(float(c), h, rr)
-                assert type(got) is float
-                assert got == want, f"c={c!r}, h={h!r}, rr={rr!r}"
+    # (h_ratio, rho_ratio, Fr_-, Fr_+): the discriminant's zeros in c,
+    # found to 50 digits with mpmath
+    REFERENCES = (
+        (0.05, 0.05, "1.1088946915539099687293696915868345981787308028973",
+         "1.3226454386382601979459357205218599915407762798263"),
+        (0.3, 0.9, "0.36395925003118936741613138982360028847101926723669",
+         "2.1302536860943983381297978352904490790519354166771"),
+        (1.0, 0.5, "1.0823922002923939687994464107327788401221441267560",
+         "2.6131259297527530557132863468543743071675223766985"),
+        (2.5, 0.2, "1.9332374768096420042280744716759123583681455135760",
+         "3.0905508324660550366679894657622457300674780199389"),
+        (7.0, 0.75, "1.4379462978078044966175560238874685976675187112192",
+         "4.8187343751560916513873189098757181089000593129442"),
+        (20.0, 0.95, "1.0259113609183378059626566696485463748327354797367",
+         "7.1229481533501130232911367817651155069069305198664"),
+    )
+
+    def test_matches_50_digit_references(self):
+        for h, rr, *digits in self.REFERENCES:
+            got = critical_froude(h, rr)
+            for value, ref in zip(got, map(float, digits)):
+                assert abs(value - ref) <= 1e-13 * ref, f"{(h, rr)}: {got}"
+
+    def test_row_alone_equals_row_in_block(self):
+        rng = np.random.default_rng(34)
+        hs = rng.uniform(0.05, 20.0, 300)
+        rrs = rng.uniform(0.05, 0.95, 300)
+        fm, fp = critical_froude(hs, rrs)
+        grid = critical_froude(hs.reshape(20, 15), rrs.reshape(20, 15))
+        assert np.array_equal(grid[0].ravel(), fm)
+        assert np.array_equal(grid[1].ravel(), fp)
+        for i, (h, rr) in enumerate(zip(hs.tolist(), rrs.tolist())):
+            alone = critical_froude(h, rr)
+            assert all(type(v) is float for v in alone)
+            assert alone == (fm[i], fp[i]), f"row {i}"
+
+    def test_narrow_window_is_solved(self):
+        # rr = 1e-9: the window is 6e-6 of Fr_- wide at h = 1e-4 and 1e4,
+        # where the bisection scan could not find it
+        hs, fm, fp = froude_table(1e-9, 1e-4, 1e4, n_nodes=5)
+        want = {1e-4: ("1.0099968375960797500595504403511424337996752250262",
+                       "1.0100031621514202483148229961407317720399727801254"),
+                1e4: ("100.99968375960797500595504403511424337996752250262",
+                      "101.00031621514202483148229961407317720399727801254")}
+        for i in (0, -1):
+            ref_minus, ref_plus = map(float, want[hs[i]])
+            assert abs(fm[i] - ref_minus) <= 5e-8 * ref_minus
+            assert abs(fp[i] - ref_plus) <= 5e-8 * ref_plus
+            assert fm[i] < fp[i]
+
+    def test_unresolved_window_raises(self):
+        # rr = 1e-12: at extreme depth ratios the two roots of q are not
+        # separated from each other or from the complex pair
+        with pytest.raises(RuntimeError, match=r"\(0\.0001, 1e-12\)"):
+            froude_table(1e-12, 1e-4, 1e4, n_nodes=17)
+        with pytest.raises(RuntimeError, match=r"\(10000\.0, 1e-12\)"):
+            critical_froude(1e4, 1e-12)
+        # two positive roots come back here, 6% below the true pair; only
+        # their error bound rejects them
+        with pytest.raises(RuntimeError, match="not resolved"):
+            critical_froude(1000.0, 3.1622776601683796e-14)
 
     def test_rejects_bad_ratios(self):
         with pytest.raises(ValueError):
             critical_froude(-1.0, 0.5)
         with pytest.raises(ValueError):
             critical_froude(1.0, 1.5)
+
+    def test_arrays_reject_bad_ratios(self):
+        with pytest.raises(ValueError):
+            critical_froude([1.0, -1.0], 0.5)
+        with pytest.raises(ValueError):
+            critical_froude(1.0, [0.5, 1.5])
+        with pytest.raises(ValueError):
+            critical_froude([1.0, np.nan], 0.5)
 
     def test_table_interpolates_thresholds(self):
         hs, fm, fp = froude_table(0.5, 0.2, 2.0, n_nodes=65)
@@ -282,65 +339,6 @@ class TestCriticalFroude:
             exact = critical_froude(h, 0.5)
             assert abs(np.interp(h, hs, fm) - exact[0]) <= 1e-4
             assert abs(np.interp(h, hs, fp) - exact[1]) <= 1e-4
-
-    def test_table_nodes_equal_scalar_thresholds(self, monkeypatch):
-        # the lockstep pass reproduces critical_froude node by node
-        tables = {}
-        with monkeypatch.context() as m:
-            m.setattr(hyperbolicity, "critical_froude", None)
-            for rr in (0.05, 0.5, 0.95):
-                tables[rr] = froude_table(rr, 0.01, 100.0, n_nodes=97)
-        for rr, (hs, fm, fp) in tables.items():
-            want = np.array([critical_froude(h, rr) for h in hs])
-            assert np.array_equal(fm, want[:, 0]), f"Fr_- at rr = {rr}"
-            assert np.array_equal(fp, want[:, 1]), f"Fr_+ at rr = {rr}"
-
-    def test_table_falls_back_to_scalar_scan(self, monkeypatch):
-        # at rr = 1e-6 the 256-point scan misses the narrow elliptic
-        # window of most nodes; those go through the scalar refinement
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return critical_froude(*args, **kwargs)
-
-        monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
-        hs, fm, fp = froude_table(1e-6, 1e-4, 1e4, n_nodes=17)
-        assert 0 < len(calls) < hs.size
-        want = np.array([critical_froude(h, 1e-6) for h in hs])
-        assert np.array_equal(fm, want[:, 0])
-        assert np.array_equal(fp, want[:, 1])
-        with pytest.raises(RuntimeError):
-            froude_table(1e-9, 1e-4, 1e4, n_nodes=5)
-
-    def test_pairs_equal_scalar_thresholds(self, monkeypatch):
-        # every row keeps its own density ratio; at rr = 1e-6 the first
-        # scan misses the elliptic window and the row takes the scalar
-        # refinement. 160 rows span three scan chunks (64, 64 and 32
-        # rows), each with missed rows.
-        rng = np.random.default_rng(32)
-        hs = rng.uniform(0.05, 20.0, 160)
-        rrs = rng.uniform(0.02, 0.98, 160)
-        rrs[::8] = 1e-6
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return critical_froude(*args, **kwargs)
-
-        monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
-        fm, fp = critical_froude_pairs(hs, rrs)
-        assert calls and {rr for _, rr in calls} == {1e-6}
-        missed = [i for i, h in enumerate(hs) if (h, 1e-6) in calls]
-        assert {i // hyperbolicity._SCAN_ROWS for i in missed} == {0, 1, 2}
-        for i, (h, rr) in enumerate(zip(hs, rrs)):
-            assert (fm[i], fp[i]) == critical_froude(h, rr), f"row {i}"
-
-    def test_pairs_reject_bad_ratios(self):
-        with pytest.raises(ValueError):
-            critical_froude_pairs([1.0, -1.0], 0.5)
-        with pytest.raises(ValueError):
-            critical_froude_pairs(1.0, [0.5, 1.5])
 
     def test_table_rejects_bad_ratios(self):
         with pytest.raises(ValueError):
@@ -600,6 +598,11 @@ class TestAtlas:
                 ref = oracles.real_root_count_bruteforce(
                     rr, h_ratio, 1.0, 0.0, c)
                 assert got == ref
+
+    @pytest.mark.parametrize("h_ratio", [-0.5, 0.0, float("nan")])
+    def test_rejects_non_positive_depth_ratio(self, h_ratio):
+        with pytest.raises(ValueError, match="h_ratio must be positive"):
+            atlas(h_ratio, 0.5, [1.0])
 
     def test_result_is_atlas_curves(self):
         curves = atlas(1.0, 0.5, [])
