@@ -27,7 +27,8 @@ column pressure (1/rho) W d_x h is exactly the pair of gradients above.
 `step` and `integrate` march that column with the shared RK4, time
 loop and step limit. What stays here is specific to two layers: the
 speeds that limit takes (the largest root magnitude lambda_max of the
-characteristic quartic over the grid, and its closed-form bound),
+characteristic quartic over the grid, solved only at the points whose
+closed-form bound can reach it, and that bound),
 hyperbolicity margins and the sigma gate, the total-velocity residual
 and the CSV writers.
 """

@@ -34,8 +34,8 @@ from . import stratified
 from .core import CFL_DEFAULT, BlowUpError, write_table
 from .harness import ConfigError, config_count, config_positive, \
     config_real, config_reals
-from .hyperbolicity import StatePoint, atlas, classify_many, \
-    count_line_intersections, critical_froude
+from .hyperbolicity import StatePoint, UnresolvedWindowError, atlas, \
+    classify_many, count_line_intersections, critical_froude
 
 PASS = 0
 FAIL = 1
@@ -209,9 +209,17 @@ def cmd_classify(cfg, art, plots):
                 raise ConfigError(
                     f"points[{i}] has unknown keys: {', '.join(unknown)}")
             try:
-                points.append(StatePoint(**{k: row[k] for k in keys}))
+                point = StatePoint(**{k: row[k] for k in keys})
             except ValueError as err:
                 raise ConfigError(f"points[{i}]: {err}") from None
+            if point.rho_s < point.rho_b:
+                # the thresholds, cached on the point for classify_many,
+                # are solved here so an unresolved window names its row
+                try:
+                    point.thresholds
+                except UnresolvedWindowError as err:
+                    raise ConfigError(f"points[{i}]: {err}") from None
+            points.append(point)
     else:
         samples = config_count(cfg, "samples", 200)
         if samples < 1:

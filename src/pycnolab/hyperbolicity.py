@@ -190,27 +190,81 @@ def quartic_roots_batch(c3, c2, c1, c0):
 
 
 def max_characteristic_speed(rho_ratio, H_s, H_b, U_s, U_b):
-    """max |root| over broadcast state arrays; used for CFL bounds."""
-    roots = quartic_roots_batch(*coefficient_arrays(rho_ratio, H_s, H_b, U_s, U_b))
-    return float(np.max(np.abs(roots)))
+    """max |root| over broadcast state arrays; used for CFL bounds.
+
+    The quartic is solved first at the grid point whose pointwise
+    `characteristic_speed_bound` is largest, then only at the points
+    whose bound, times 1 + _PRUNE_SLACK, is above that point's largest
+    root magnitude; no other point can hold a larger one. The slack
+    covers the companion solve's rounding where the bound is tight (at
+    zero shear it is the exact speed). `eigvals` solves each matrix of a
+    stack on its own, so the maximum is the same float one batch over
+    every point gives. A depth <= 0 or a non-finite bound solves every
+    point.
+    """
+    fields = [np.ravel(f) for f in np.broadcast_arrays(
+        *map(np.asarray, (rho_ratio, H_s, H_b, U_s, U_b)))]
+    bounds = _pointwise_speed_bounds(*fields)
+    if bounds is None or not np.isfinite(bounds).all():
+        return _largest_root(fields)
+    top = np.argmax(bounds)
+    speed = _largest_root([f[top:top + 1] for f in fields])
+    rest = bounds * (1.0 + _PRUNE_SLACK) > speed
+    rest[top] = False
+    if rest.any():
+        speed = max(speed, _largest_root([f[rest] for f in fields]))
+    return speed
+
+
+def _largest_root(fields):
+    """max |root| of the quartics of (rho_ratio, H_s, H_b, U_s, U_b)."""
+    return float(np.max(np.abs(quartic_roots_batch(
+        *coefficient_arrays(*fields)))))
 
 
 def characteristic_speed_bound(rho_ratio, H_s, H_b, U_s, U_b):
     """Closed-form upper bound on max |root| over broadcast state arrays.
 
     With K = rr H_s H_b, a root l has A B = K for A = (U_b - l)^2 - H_b
-    and B = (U_s - l)^2 - H_s. If |l - U_b|^2 > H_b + sqrt(K) and
-    |l - U_s|^2 > H_s + sqrt(K), then |A| >= |l - U_b|^2 - H_b > sqrt(K)
-    and |B| > sqrt(K), so |A B| > K: no root, real or complex, lies
-    there. Hence |l| <= max(|U_b| + sqrt(H_b + sqrt(K)),
-    |U_s| + sqrt(H_s + sqrt(K))). The argument needs positive depths;
-    at a depth <= 0 the bound is inf, and NaN fields give NaN.
+    and B = (U_s - l)^2 - H_s. For any t > 0, if |l - U_b|^2 > H_b + t
+    and |l - U_s|^2 > H_s + K/t, then |A| >= |l - U_b|^2 - H_b > t and
+    |B| > K/t, so |A B| > K: no root, real or complex, lies there. Two
+    choices of t give two bounds, and a point's bound is the smaller:
+    - t = sqrt(K): |l| <= max(|U_b| + sqrt(H_b + sqrt(K)),
+      |U_s| + sqrt(H_s + sqrt(K)));
+    - t with H_b + t = H_s + K/t: |l| <= max(|U_s|, |U_b|) + sqrt(X),
+      X = (H_s + H_b)/2 + sqrt(((H_b - H_s)/2)^2 + K), which at zero
+      shear is the exact speed.
+    The computed bound is raised by _BOUND_ROUNDING (relative), a few
+    roundings, so that where it is exact it stays above the speed a
+    solve computes. Over arrays the bound is the largest pointwise one.
+    The argument needs positive depths; at a depth <= 0 the bound is
+    inf, and NaN fields give NaN.
     """
+    bounds = _pointwise_speed_bounds(rho_ratio, H_s, H_b, U_s, U_b)
+    return math.inf if bounds is None else float(np.max(bounds))
+
+
+# relative slack on the pointwise speed bounds: rounding allowance of
+# the bound itself, and of `max_characteristic_speed`'s pruning
+_BOUND_ROUNDING = 4.0 * np.finfo(float).eps
+_PRUNE_SLACK = 1e-6
+
+
+def _pointwise_speed_bounds(rho_ratio, H_s, H_b, U_s, U_b):
+    """`characteristic_speed_bound` at each point, or None at a depth
+    <= 0."""
     if min(np.minimum.reduce(H_s, None), np.minimum.reduce(H_b, None)) <= 0.0:
-        return math.inf
-    root_k = np.sqrt(rho_ratio * H_s * H_b)
-    return float(np.maximum(np.abs(U_b) + np.sqrt(H_b + root_k),
-                            np.abs(U_s) + np.sqrt(H_s + root_k)).max())
+        return None
+    k = rho_ratio * H_s * H_b
+    root_k = np.sqrt(k)
+    a_s, a_b = np.abs(U_s), np.abs(U_b)
+    apart = np.maximum(a_b + np.sqrt(H_b + root_k),
+                       a_s + np.sqrt(H_s + root_k))
+    half_gap = 0.5 * (H_b - H_s)
+    x = 0.5 * (H_s + H_b) + np.sqrt(half_gap * half_gap + k)
+    return (np.minimum(apart, np.maximum(a_s, a_b) + np.sqrt(x))
+            * (1.0 + _BOUND_ROUNDING))
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +275,10 @@ def characteristic_speed_bound(rho_ratio, H_s, H_b, U_s, U_b):
 # below this share of its distance to the nearest other root
 _RESOLVED_SHARE = 0.1
 _DIAGONAL = (..., range(4), range(4))
+
+
+class UnresolvedWindowError(RuntimeError):
+    """The elliptic window's two roots cannot be told apart in floats."""
 
 
 def critical_froude(h_ratio, rho_ratio):
@@ -234,7 +292,7 @@ def critical_froude(h_ratio, rho_ratio):
     bound eps sum_k |a_k| |s|^k / |q'(s)| is below a tenth of its distance
     to every other root of q. As rho_ratio -> 0 the elliptic window
     closes and its two roots merge; where they are not two resolved
-    positive roots, RuntimeError names the first such (h_ratio,
+    positive roots, UnresolvedWindowError names the first such (h_ratio,
     rho_ratio) instead of returning a wrong pair.
     """
     h, r = np.broadcast_arrays(np.asarray(h_ratio, dtype=float),
@@ -269,8 +327,9 @@ def critical_froude(h_ratio, rho_ratio):
                                                    axis=-1)
     if not ok.all():
         i = np.argmin(ok)
-        raise RuntimeError(f"elliptic window not resolved at (h_ratio, "
-                           f"rho_ratio) = ({h.flat[i]}, {r.flat[i]})")
+        raise UnresolvedWindowError(
+            f"elliptic window not resolved at (h_ratio, rho_ratio) = "
+            f"({h.flat[i]}, {r.flat[i]})")
     fr = np.sqrt(np.sort(np.where(positive, s.real, np.inf), axis=-1)[..., :2])
     return tuple(fr.tolist()) if fr.ndim == 1 else (fr[..., 0], fr[..., 1])
 

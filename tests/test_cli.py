@@ -314,6 +314,26 @@ class TestConfigHandling:
                               "must be a finite number")
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("rho_s, message", [
+        (1e-12, "points[1]: elliptic window not resolved at (h_ratio, "
+                "rho_ratio) = (0.0001, 1e-12)"),
+        (2.0, "stable stratification rho_s < rho_b required, got "
+              "2.0 >= 1.0")])
+    def test_classify_point_without_thresholds(self, tmp_path, capsys,
+                                               rho_s, message):
+        # rho_s/rho_b = 1e-12 closes the elliptic window below what floats
+        # resolve; it once ended in a RuntimeError traceback (exit 1). An
+        # unstable point has no thresholds and keeps its own message
+        row = {"rho_s": rho_s, "rho_b": 1.0, "H_s": 0.0001, "H_b": 1.0,
+               "U_s": 0, "U_b": 0.3}
+        cfg = write_config(tmp_path, "c.json", {"points": [
+            {**row, "rho_s": 0.5}, row]})
+        out = tmp_path / "o"
+        code = cli.main(["classify", "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "classify.csv").exists()
+
     @pytest.mark.parametrize("command, key", [
         ("simulate-bilayer", "cfl"), ("simulate-bilayer", "dt"),
         ("simulate-stratified", "cfl"), ("simulate-stratified", "dt"),

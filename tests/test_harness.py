@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -430,6 +431,38 @@ class TestCheckAll:
         # a seed of 2.7 is a config error, not a run stamped seed=2
         with pytest.raises(harness.ConfigError):
             harness.check_all({"seed": 2.7, "n_points": 3})
+
+    def test_check_all_cost(self, monkeypatch):
+        # Richardson marches base, base/2, base/4 and base/8 with no
+        # base/32 reference run (467 two-layer steps per call with it),
+        # and the exact speed solves the quartic only where the pointwise
+        # bound leaves room (6,848 matrices per call when every grid
+        # point was solved)
+        steps, matrices = [], []
+        step, roots = bilayer.step, hyperbolicity.quartic_roots_batch
+        monkeypatch.setattr(bilayer, "step",
+                            lambda *a, **k: steps.append(1) or step(*a, **k))
+        monkeypatch.setattr(hyperbolicity, "quartic_roots_batch",
+                            lambda *c: matrices.append(np.size(c[0]))
+                            or roots(*c))
+        report = harness.check_all({"seed": 7})
+        assert report["passed"], report
+        assert len(steps) == 232
+        assert sum(matrices) <= 2000, (sum(matrices), len(matrices))
+
+    def test_richardson_suite_fails_first_order_finals(self, monkeypatch):
+        # finals carrying an error c dt halve their differences per
+        # halving: ratios near 2, outside the [8, 32] band
+        integrate = bilayer.integrate
+
+        def first_order(initial, params, T, dt, **kwargs):
+            final = integrate(initial, params, T, dt=dt, **kwargs).final
+            return types.SimpleNamespace(final=bilayer.BilayerState(
+                final.t, final.grid, final.stacked + 0.1 * dt))
+
+        monkeypatch.setattr(bilayer, "integrate", first_order)
+        assert harness._suite_richardson() == (
+            False, "halving ratios ['2.0', '2.0']")
 
     def test_corrupted_pressure_fails_embedding_suite(self, monkeypatch):
         orig = pycnolab.stratified.pressure_matrix

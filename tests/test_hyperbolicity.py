@@ -180,13 +180,89 @@ class TestCharacteristicPolynomial:
 
     def test_speed_bound_takes_floats_and_arrays(self):
         # at floats the closed form itself; over arrays the worst point
-        root_k = np.sqrt(0.5 * 0.3 * 0.7)
-        want = max(0.2 + np.sqrt(0.7 + root_k), 0.1 + np.sqrt(0.3 + root_k))
+        k = 0.5 * 0.3 * 0.7
+        apart = max(0.2 + np.sqrt(0.7 + np.sqrt(k)),
+                    0.1 + np.sqrt(0.3 + np.sqrt(k)))
+        balanced = 0.2 + np.sqrt(0.5 + np.sqrt(0.2 * 0.2 + k))
+        want = min(apart, balanced) * (1.0 + 4.0 * np.finfo(float).eps)
         assert characteristic_speed_bound(0.5, 0.3, 0.7, -0.1, 0.2) == want
         points = [(0.3, 0.7, -0.1, 0.2), (0.6, 0.4, 0.5, 0.0)]
         stacked = [np.array(v) for v in zip(*points)]
         assert characteristic_speed_bound(0.5, *stacked) == max(
             characteristic_speed_bound(0.5, *v) for v in points)
+
+    def test_speed_bound_is_tight_at_zero_shear(self):
+        # with U_s = U_b = U the fastest roots are U +- sqrt(X) exactly,
+        # X the larger root of (X - H_b)(X - H_s) = K; solved about U
+        rng = np.random.default_rng(18)
+        n = 2000
+        rr = rng.uniform(0.01, 8.0, n)
+        H_s, H_b = 10.0 ** rng.uniform(-4.0, 1.0, (2, n))
+        U = rng.uniform(-3.0, 3.0, n)
+        roots = quartic_roots_batch(*coefficient_arrays(rr, H_s, H_b, 0.0,
+                                                        0.0))
+        speeds = np.abs(U) + np.max(np.abs(roots), axis=-1)
+        bounds = np.array([characteristic_speed_bound(*v) for v in
+                           zip(rr, H_s, H_b, U, U)])
+        assert np.max(np.abs(bounds / speeds - 1.0)) <= 1e-12
+
+    def test_pruned_speed_equals_full_solve(self):
+        # the quartic is solved only at points whose bound can pass the
+        # largest root found; the maximum is the float of one batch over
+        # every point, on grids at zero shear, with elliptic points and
+        # with density ratios above 1
+        rng = np.random.default_rng(19)
+        x = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        zero_shear = elliptic = heavy = 0
+        for _ in range(1200):
+            rr = (rng.uniform(1.0, 8.0) if rng.uniform() < 0.3
+                  else rng.uniform(0.01, 1.0))
+            depth_s, depth_b = 10.0 ** rng.uniform(-2.0, 1.0, 2)
+            amp = rng.uniform(0.0, 0.5, 4) * rng.integers(0, 2, 4)
+            phase = rng.uniform(0.0, 2.0 * np.pi, 4)
+            H_s = depth_s * (1.0 + amp[0] * np.sin(x + phase[0]))
+            H_b = depth_b * (1.0 + amp[1] * np.sin(2.0 * x + phase[1]))
+            shear = (rng.choice([0.0, rng.uniform(-2.0, 2.0)])
+                     * np.sqrt(depth_b))
+            U_s = (rng.uniform(-1.0, 1.0) - 0.5 * shear
+                   + 0.1 * amp[2] * np.sin(x + phase[2]))
+            U_b = U_s + shear + (0.1 * amp[3] * np.sin(3.0 * x + phase[3])
+                                 if shear else 0.0)
+            roots = quartic_roots_batch(*coefficient_arrays(rr, H_s, H_b,
+                                                            U_s, U_b))
+            want = float(np.max(np.abs(roots)))
+            assert max_characteristic_speed(rr, H_s, H_b, U_s, U_b) == want
+            zero_shear += not shear
+            elliptic += bool(np.any(roots.imag != 0.0))
+            heavy += rr > 1.0
+        assert min(zero_shear, elliptic, heavy) > 200, (zero_shear,
+                                                        elliptic, heavy)
+
+    @pytest.mark.parametrize("field, value", [
+        (1, 0.0), (2, -0.1), (3, np.nan), (4, np.nan)])
+    def test_speed_solves_every_point_without_a_bound(self, monkeypatch,
+                                                      field, value):
+        # a depth <= 0 or a NaN field leaves no finite bound to prune
+        # with: one solve over every point, as before pruning
+        sizes = []
+        roots = hyperbolicity.quartic_roots_batch
+        monkeypatch.setattr(hyperbolicity, "quartic_roots_batch",
+                            lambda *c: sizes.append(np.size(c[0]))
+                            or roots(*c))
+        fields = [np.full(16, v) for v in (0.5, 0.3, 0.7, -0.1, 0.0)]
+        fields[4] += 0.2 * np.sin(np.linspace(0.0, 2.0 * np.pi, 16))
+        max_characteristic_speed(*fields)
+        assert sizes[0] == 1 and sum(sizes) < 16, sizes
+        fields[field][5] = value
+        sizes.clear()
+        if np.isnan(value):
+            # eigvals rejects the NaN matrix, as it did in the full solve
+            with pytest.raises(np.linalg.LinAlgError):
+                max_characteristic_speed(*fields)
+        else:
+            assert max_characteristic_speed(*fields) == float(np.max(np.abs(
+                roots(*coefficient_arrays(*fields)))))
+        assert sizes == [16]
 
 
 class TestDiscriminant:
