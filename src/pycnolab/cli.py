@@ -35,7 +35,7 @@ from .core import CFL_DEFAULT, BlowUpError, write_table
 from .harness import ConfigError, config_count, config_positive, \
     config_real, config_reals
 from .hyperbolicity import StatePoint, UnresolvedWindowError, atlas, \
-    classify_many, count_line_intersections, critical_froude
+    classify_arrays, count_line_intersections, critical_froude
 
 PASS = 0
 FAIL = 1
@@ -157,9 +157,15 @@ def cmd_atlas(cfg, art, plots):
     if n_samples < 3:
         raise ConfigError(f"n_samples must be >= 3, got {n_samples}")
 
+    # every density ratio's thresholds are solved before any curve is
+    # written, so an unresolved window leaves no file behind
+    try:
+        solved = [critical_froude(h_ratio, rr) for rr in rho_ratios]
+    except UnresolvedWindowError as err:
+        raise ConfigError(str(err)) from None
     rows = []
     all_match = True
-    for rr in rho_ratios:
+    for rr, thresholds in zip(rho_ratios, solved):
         curves = atlas(h_ratio, rr, intercepts, n_samples=n_samples)
         art.write(f"atlas_curves_rr{rr:g}.csv",
                   lambda f, curves=curves: write_table(f, "branch,p_s,p_b", (
@@ -170,18 +176,13 @@ def cmd_atlas(cfg, art, plots):
             art.write(f"atlas_rr{rr:g}.svg", harness.svg_polylines(
                 [(n, ps, pb) for n, ps, pb in curves.branches + curves.lines],
                 f"slowness curves, rho ratio {rr:g}"), comment=False)
-        # the intercepts share one (h_ratio, rr) pair: solve it once
-        thresholds = critical_froude(h_ratio, rr)
-        reports = classify_many([
-            StatePoint(rho_s=rr, rho_b=1.0, H_s=h_ratio, H_b=1.0, U_s=0.0,
-                       U_b=c, solved_thresholds=thresholds)
-            for c in intercepts])
-        for c, report in zip(intercepts, reports):
+        counts = classify_arrays(rr, h_ratio, 1.0, 0.0, np.array(intercepts),
+                                 *thresholds).real_count.tolist()
+        for c, count in zip(intercepts, counts):
             crossings = count_line_intersections(curves, c)
-            match = crossings == report.real_count
+            match = crossings == count
             all_match = all_match and match
-            rows.append((rr, c, str(crossings), str(report.real_count),
-                         match))
+            rows.append((rr, c, str(crossings), str(count), match))
 
     art.write("atlas_counts.csv", lambda f: write_table(
         f, "rho_ratio,intercept,crossings,classifier,match", rows))
@@ -210,28 +211,29 @@ def cmd_classify(cfg, art, plots):
                     f"points[{i}] has unknown keys: {', '.join(unknown)}")
             try:
                 point = StatePoint(**{k: row[k] for k in keys})
-            except ValueError as err:
-                raise ConfigError(f"points[{i}]: {err}") from None
-            if point.rho_s < point.rho_b:
-                # the thresholds, cached on the point for classify_many,
-                # are solved here so an unresolved window names its row
-                try:
+                if point.rho_s < point.rho_b:
+                    # solved here so an unresolved window names its row
                     point.thresholds
-                except UnresolvedWindowError as err:
-                    raise ConfigError(f"points[{i}]: {err}") from None
+            except (ValueError, UnresolvedWindowError) as err:
+                raise ConfigError(f"points[{i}]: {err}") from None
             points.append(point)
+        for point in points:
+            point.require_stable()
+        states = np.array([(p.rho_s, p.rho_b, p.H_s, p.H_b, p.U_s, p.U_b,
+                            *p.thresholds) for p in points], dtype=float)
     else:
         samples = config_count(cfg, "samples", 200)
         if samples < 1:
             raise ConfigError(f"samples must be >= 1, got {samples}")
-        points = harness.random_state_points(
+        states = harness.random_states(
             np.random.default_rng(art.seed), samples, 2.4)
-    rows = [(p.rho_s, p.rho_b, p.H_s, p.H_b, p.U_s, p.U_b, rep.regime,
-             str(rep.real_count), rep.fr_minus, rep.fr_plus, rep.margin,
-             rep.degenerate) for p, rep in zip(points, classify_many(points))]
+    report = classify_arrays(*harness.state_arrays(states))
     art.write("classify.csv", lambda f: write_table(
         f, "rho_s,rho_b,H_s,H_b,U_s,U_b,regime,real_count,"
-        "fr_minus,fr_plus,margin,degenerate", rows))
+        "fr_minus,fr_plus,margin,degenerate", zip(
+            *states[:, :6].T, report.regime, report.real_count.astype(str),
+            report.fr_minus, report.fr_plus, report.margin,
+            report.degenerate)))
     art.summary("classify", True)
     return PASS
 

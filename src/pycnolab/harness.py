@@ -43,11 +43,11 @@ from . import stratified
 from .core import CFL_DEFAULT, LevelGrid, SpatialGrid, write_table
 from .hyperbolicity import (
     StatePoint,
-    classify_many,
+    certify_arrays,
+    classify_arrays,
     critical_froude,
-    in_hyperbolic_set,
-    state_matrix,
-    symmetrizers,
+    in_sigma_set,
+    state_matrices,
 )
 
 SCHEMA_VERSION = 1
@@ -513,16 +513,17 @@ def refined_check(cfg):
 _BLOCK = 64
 
 
-def random_state_points(rng, n, frac_high):
+def random_states(rng, n, frac_high):
     """n random states, each with its shear at a fraction of the thresholds.
 
-    The fraction frac ~ U(0, frac_high) places the shear at frac Fr_- when
-    frac <= 1, else at Fr_- + (frac - 1)(Fr_+ - Fr_-). One (n, 7) uniform
-    draw takes each point's seven numbers in the order a point-by-point
-    loop of scalar draws would, so the points and the generator's next
-    draw are the same as there. The thresholds of all n points come from
-    one `critical_froude` call, each row as it would alone, and are
-    handed to each point.
+    The rows of the returned (n, 8) array are (rho_s, rho_b, H_s, H_b,
+    U_s, U_b, Fr_-, Fr_+). The fraction frac ~ U(0, frac_high) places the
+    shear at frac Fr_- when frac <= 1, else at Fr_- + (frac - 1)(Fr_+ -
+    Fr_-). One (n, 7) uniform draw takes each point's seven numbers in
+    the order a point-by-point loop of scalar draws would, so the states
+    and the generator's next draw are the same as there. The thresholds
+    of all n states come from one `critical_froude` call, each row as it
+    would alone.
     """
     # shear fraction, rho_b, rho_s/rho_b, H_s, H_b, U_s, the shear's sign
     frac, rho_b, ratio, H_s, H_b, U_s, flip = rng.uniform(
@@ -534,30 +535,38 @@ def random_state_points(rng, n, frac_high):
                      fr_minus + (frac - 1.0) * (fr_plus - fr_minus))
     sign = np.where(flip < 0.5, 1.0, -1.0)
     U_b = U_s + sign * shear * np.sqrt(H_b)
-    rows = np.stack([rho_s, rho_b, H_s, H_b, U_s, U_b, fr_minus, fr_plus],
-                    axis=1).tolist()
-    return [StatePoint(*row[:6], solved_thresholds=row[6:]) for row in rows]
+    return np.stack([rho_s, rho_b, H_s, H_b, U_s, U_b, fr_minus, fr_plus],
+                    axis=1)
+
+
+def state_arrays(states):
+    """The (rho_ratio, H_s, H_b, U_s, U_b, Fr_-, Fr_+) arrays that
+    `classify_arrays` and `certify_arrays` take, of `random_states` rows."""
+    rho_s, rho_b, H_s, H_b, U_s, U_b, fr_minus, fr_plus = states.T
+    return rho_s / rho_b, H_s, H_b, U_s, U_b, fr_minus, fr_plus
 
 
 def _suite_classification(rng, n_points):
     # one draw and one threshold solve for every point; one stacked
     # classification and eigenvalue check per block
-    drawn = random_state_points(rng, n_points, 2.4)
+    drawn = random_states(rng, n_points, 2.4)
     checked = 0
     for start in range(0, n_points, _BLOCK):
-        points = drawn[start:start + _BLOCK]
-        pairs = [(p, r) for p, r in zip(points, classify_many(points))
-                 if not r.degenerate]
-        eigs = np.linalg.eigvals(np.reshape(
-            [state_matrix(p) for p, _ in pairs], (-1, 4, 4)))
+        states = drawn[start:start + _BLOCK]
+        arrays = state_arrays(states)
+        report = classify_arrays(*arrays)
+        kept = ~report.degenerate
+        eigs = np.linalg.eigvals(
+            state_matrices(*(a[kept] for a in arrays[:5])))
         scale = 1.0 + np.max(np.abs(eigs), axis=1)
         direct = np.sum(np.abs(eigs.imag) <= 1e-9 * scale[:, None], axis=1)
-        for (point, report), n_direct in zip(pairs, direct.tolist()):
-            if n_direct != report.real_count:
-                return False, (
-                    f"root-count mismatch at {point}: classifier "
-                    f"{report.real_count}, direct eigenvalues {n_direct}")
-        checked += len(pairs)
+        counts = report.real_count[kept]
+        if np.any(direct != counts):
+            i = np.argmax(direct != counts)
+            point = StatePoint(*states[kept][i, :6].tolist())
+            return False, (f"root-count mismatch at {point}: classifier "
+                           f"{counts[i]}, direct eigenvalues {direct[i]}")
+        checked += direct.size
     return True, f"{checked} non-degenerate points agree with eigenvalues"
 
 
@@ -566,14 +575,18 @@ def _suite_symmetrizer(rng, n_points):
     while done < n_points:
         # never more points than remain: a point-by-point loop would stop
         # drawing there, and the Lipschitz suite reads the generator next
-        points = [p for p in random_state_points(
-            rng, min(_BLOCK, n_points - done), 0.8)
-            if in_hyperbolic_set(p, 0.1)]
-        for point, cert in zip(points, symmetrizers(points)):
-            if not (cert.certified and np.all(cert.minors > 0.0)
-                    and cert.min_eigenvalue > 0.0 and cert.asymmetry <= 1e-12):
-                return False, f"certification failed at {point}"
-            done += 1
+        states = random_states(rng, min(_BLOCK, n_points - done), 0.8)
+        rr, H_s, H_b, U_s, U_b, fr_minus, _ = state_arrays(states)
+        states = states[in_sigma_set(
+            0.1, rr, H_s / H_b, H_s / H_b, H_s + H_b,
+            lambda: fr_minus - np.abs(U_b - U_s) / np.sqrt(H_b))]
+        cert = certify_arrays(*state_arrays(states))
+        ok = (cert.certified & np.all(cert.minors > 0.0, axis=1)
+              & (cert.min_eigenvalue > 0.0) & (cert.asymmetry <= 1e-12))
+        if not ok.all():
+            point = StatePoint(*states[np.argmin(ok), :6].tolist())
+            return False, f"certification failed at {point}"
+        done += ok.size
     return True, f"{done} points certified by minors and eigenvalues"
 
 
@@ -667,20 +680,21 @@ def _suite_lipschitz(rng, n_triples):
     Each triple draws its level count, rho1, the perturbation that makes
     rho2, and h on 16 columns, in that order, so the generator reads the
     numbers a triple-by-triple loop would. The triples are then grouped
-    by level count, and each group is checked by one
-    `montgomery_lipschitz_ratios` call.
+    by level count, and each group forms its rho2 in one expression and
+    is checked by one `montgomery_lipschitz_ratios` call.
     """
     groups = {}
     for _ in range(n_triples):
         n_r = int(rng.integers(4, 48))
-        rho1 = rng.uniform(0.2, 4.0, n_r)
-        rho2 = np.abs(rho1 + rng.uniform(-0.5, 0.5, n_r)) + 0.05
         groups.setdefault(n_r, []).append(
-            (rho1, rho2, rng.standard_normal((n_r, 16))))
+            (rng.uniform(0.2, 4.0, n_r), rng.uniform(-0.5, 0.5, n_r),
+             rng.standard_normal((n_r, 16))))
     worst = 0.0
-    for n_r, triples in groups.items():
+    for n_r, draws in groups.items():
+        rho1, perturbation, h = (np.array(a) for a in zip(*draws))
         ratios = stratified.montgomery_lipschitz_ratios(
-            LevelGrid.uniform(n_r), *(np.array(a) for a in zip(*triples)))
+            LevelGrid.uniform(n_r), rho1,
+            np.abs(rho1 + perturbation) + 0.05, h)
         worst = max(worst, float(np.max(ratios)))
     if worst > 1.0 + 1e-9:
         return False, f"bound ratio reached {worst}"

@@ -49,6 +49,12 @@ middle roots,
 is symmetric, makes S A symmetric exactly, and is positive definite
 precisely when its leading principal minors (rr, rr(1-rr),
 rr^2 (H_s (1-rr) - us^2), rr^2 P(l)) are positive.
+
+Both checks work on blocks of points held as arrays, one entry per
+point: `classify_arrays` and `certify_arrays` take (rho_ratio, H_s, H_b,
+U_s, U_b, Fr_-, Fr_+) arrays and return one report whose fields are
+arrays. `classify_many`, `classify` and `symmetrizers` are their
+one-object-per-point wrappers for StatePoints.
 """
 
 import math
@@ -119,6 +125,8 @@ class StatePoint:
 
 @dataclass(eq=False)
 class HyperbolicityReport:
+    """The regime of one state point, or, from `classify_arrays`, of a
+    block: then every field holds one entry (or row) per point."""
     coefficients: np.ndarray
     roots: np.ndarray
     real_count: int
@@ -132,6 +140,8 @@ class HyperbolicityReport:
 
 @dataclass(eq=False)
 class Symmetrizer:
+    """The certified symmetrizer of one hyperbolic point, or, from
+    `certify_arrays`, of a block: one entry (or row) per point."""
     lam: float
     S: np.ndarray
     certified: bool
@@ -145,12 +155,11 @@ class Symmetrizer:
 # ----------------------------------------------------------------------
 
 def coefficient_arrays(rho_ratio, H_s, H_b, U_s, U_b):
-    """Monic quartic coefficients (c3, c2, c1, c0), broadcasting over arrays.
+    """Monic quartic coefficients (c3, c2, c1, c0) over broadcast arrays.
 
-    Expansion of ((U_b-l)^2 - H_b)((U_s-l)^2 - H_s) - rr H_s H_b.
+    Expansion of ((U_b-l)^2 - H_b)((U_s-l)^2 - H_s) - rr H_s H_b; a
+    coefficient whose inputs are all scalars stays a scalar.
     """
-    rho_ratio, H_s, H_b, U_s, U_b = np.broadcast_arrays(
-        *map(np.asarray, (rho_ratio, H_s, H_b, U_s, U_b)))
     # (l^2 - 2 U_b l + U_b^2 - H_b) * (l^2 - 2 U_s l + U_s^2 - H_s)
     ab, cb = -2.0 * U_b, U_b * U_b - H_b
     as_, cs = -2.0 * U_s, U_s * U_s - H_s
@@ -161,24 +170,27 @@ def coefficient_arrays(rho_ratio, H_s, H_b, U_s, U_b):
     return c3, c2, c1, c0
 
 
-def _companion_roots(c3, c2, c1, c0, polish):
-    """Companion-matrix eigenvalues of stacked monic quartics, (..., 4).
+def _companion_roots(coeffs, polish):
+    """Companion-matrix eigenvalues of monic quartics, (..., 4); the last
+    axis of `coeffs` holds each quartic's (c3, c2, c1, c0).
 
     With `polish`, one Newton step moves each root against its own
     quartic, Horner's rule evaluated as np.polyval evaluates it.
     """
-    c3, c2, c1, c0 = np.broadcast_arrays(*map(np.asarray, (c3, c2, c1, c0)))
-    comp = np.zeros(c3.shape + (4, 4))
-    comp[..., 0, :] = -np.stack([c3, c2, c1, c0], axis=-1)
-    comp[..., [1, 2, 3], [0, 1, 2]] = 1.0
+    comp = np.zeros(coeffs.shape[:-1] + (4, 4))
+    comp[..., 0, :] = -coeffs
+    comp[..., 1:, :3] = np.eye(3)
     roots = np.linalg.eigvals(comp)
     if polish:
+        c3, c2, c1, c0 = (coeffs[..., None, k] for k in range(4))
         val = np.zeros_like(roots)
         for a in (1.0, c3, c2, c1, c0):
-            val = val * roots + np.asarray(a)[..., None]
+            val *= roots
+            val += a
         der = np.zeros_like(roots)
         for a in (4.0, 3.0 * c3, 2.0 * c2, c1):
-            der = der * roots + np.asarray(a)[..., None]
+            der *= roots
+            der += a
         ok = np.abs(der) > 1e-30
         roots = np.where(ok, roots - val / np.where(ok, der, 1.0), roots)
     return roots
@@ -186,7 +198,8 @@ def _companion_roots(c3, c2, c1, c0, polish):
 
 def quartic_roots_batch(c3, c2, c1, c0):
     """Eigenvalue roots for stacked quartics; returns (..., 4) complex."""
-    return _companion_roots(c3, c2, c1, c0, polish=False)
+    return _companion_roots(np.stack(np.broadcast_arrays(c3, c2, c1, c0),
+                                     axis=-1), polish=False)
 
 
 def max_characteristic_speed(rho_ratio, H_s, H_b, U_s, U_b):
@@ -311,7 +324,7 @@ def critical_froude(h_ratio, rho_ratio):
               -(h + 1.0) * (4.0 * h * h - 3.0 * h * hr + 20.0 * hr * r
                             - 10.0 * hr - 8.0 * h - 3.0 * r + 4.0),
               (1.0 - r) * t * t)
-    s = _companion_roots(*coeffs, polish=True)
+    s = _companion_roots(np.stack(coeffs, axis=-1), polish=True)
     size = np.zeros(s.shape)
     for a in (1.0,) + coeffs:
         size = size * np.abs(s) + np.abs(a)[..., None]
@@ -353,68 +366,68 @@ def froude_table(rho_ratio, h_min, h_max, n_nodes=129):
 
 # the six root pairs (i < j) whose separation flags near-collisions
 _ROOT_PAIRS = np.triu_indices(4, k=1)
+# regime names by code: 0 below Fr_-, 1 above Fr_+, 2 in the window
+_REGIMES = np.array(["Hyperbolic", "FastHyperbolic", "Elliptic"])
+
+
+def classify_arrays(rho_ratio, H_s, H_b, U_s, U_b, fr_minus, fr_plus):
+    """Regime report of a block of state points, one row per point.
+
+    The arguments are 1-D arrays of one length, each point's thresholds
+    Fr_- < Fr_+ among them, or scalars shared by every point; each field
+    of the returned report holds one entry (or row) per point, or the
+    shared value of a field taken as a scalar. One coefficient expansion,
+    one batched companion solve and one Newton polish serve the block.
+    The real-root count uses the scale-aware tolerance 1e-9*(1 +
+    max|root|). Points whose shear sits within that tolerance of a
+    threshold, or whose roots nearly collide, are flagged degenerate
+    rather than trusted; so are four real roots inside the window (only
+    possible in the tolerance band around a tangency) and odd counts (a
+    conjugate pair on the tolerance edge), which take the threshold
+    test's regime. For four roots that test reads Hyperbolic exactly
+    where the margin is >= 0.
+    """
+    c3, c2, c1, c0 = coefficient_arrays(rho_ratio, H_s, H_b, U_s, U_b)
+    coefficients = np.stack([np.ones_like(c3), c3, c2, c1, c0], axis=-1)
+    roots = _companion_roots(coefficients[..., 1:], polish=True)
+    tols = _REAL_TOL * (1.0 + np.max(np.abs(roots), axis=-1))
+    real_count = np.sum(np.abs(roots.imag) <= tols[..., None], axis=-1)
+    seps = np.abs(roots[..., _ROOT_PAIRS[0]] - roots[..., _ROOT_PAIRS[1]])
+    shear = np.abs(U_b - U_s) / np.sqrt(H_b)
+    margin = fr_minus - shear
+    four, two = real_count >= 4, real_count == 2
+    degenerate = ((np.min(seps, axis=-1) <= 10.0 * tols)
+                  | (np.minimum(np.abs(shear - fr_minus),
+                                np.abs(shear - fr_plus))
+                     <= _REAL_TOL * (1.0 + shear))
+                  | (four & (fr_minus < shear) & (shear < fr_plus))
+                  | ~(four | two))
+    code = np.where(two, 2, np.where(margin >= 0.0, 0, np.where(
+        four | (shear >= fr_plus), 1, 2)))
+    return HyperbolicityReport(coefficients, roots, real_count, _REGIMES[code],
+                               fr_minus, fr_plus, shear, margin, degenerate)
 
 
 def _point_arrays(points):
-    """(rho_ratio, H_s, H_b, U_s, U_b) of a sequence of points, as arrays."""
-    return np.array([(p.rho_ratio, p.H_s, p.H_b, p.U_s, p.U_b)
-                     for p in points], dtype=float).reshape(-1, 5).T
+    """The cores' (rho_ratio, H_s, H_b, U_s, U_b, Fr_-, Fr_+) arrays of a
+    sequence of points; each must be stably stratified."""
+    for point in points:
+        point.require_stable()
+    return np.array([(p.rho_ratio, p.H_s, p.H_b, p.U_s, p.U_b, *p.thresholds)
+                     for p in points], dtype=float).reshape(-1, 7).T
+
+
+def _rows(block):
+    """The one-point objects of a block result, one per row: 1-D fields
+    give Python numbers and strings, wider ones their rows."""
+    return [type(block)(*row) for row in zip(*(
+        c.tolist() if c.ndim == 1 else c for c in vars(block).values()))]
 
 
 def classify_many(points):
-    """Regime reports for a sequence of state points, one per point.
-
-    Requires stable stratification. The quartic coefficients of all
-    points come from one `coefficient_arrays` call and their roots from
-    one batched companion eigenvalue solve and Newton polish. The
-    real-root count uses the scale-aware tolerance 1e-9*(1 + max|root|);
-    points whose shear sits within that tolerance of a threshold, or
-    whose roots nearly collide, are flagged degenerate rather than
-    trusted.
-    """
-    for point in points:
-        point.require_stable()
-    coeffs = np.stack([np.ones(len(points)),
-                       *coefficient_arrays(*_point_arrays(points))], axis=1)
-    roots = _companion_roots(*coeffs[:, 1:].T, polish=True)
-    tols = _REAL_TOL * (1.0 + np.max(np.abs(roots), axis=1))
-    nreals = np.sum(np.abs(roots.imag) <= tols[:, None], axis=1)
-    seps = np.abs(roots[:, _ROOT_PAIRS[0]] - roots[:, _ROOT_PAIRS[1]])
-    collided = np.min(seps, axis=1) <= 10.0 * tols
-
-    reports = []
-    for point, coeff, root, nreal, degenerate in zip(
-            points, coeffs, roots, nreals.tolist(), collided.tolist()):
-        fr_minus, fr_plus = point.thresholds
-        shear = point.shear
-        margin = fr_minus - shear
-        degenerate = degenerate or (min(abs(shear - fr_minus),
-                                        abs(shear - fr_plus))
-                                    <= _REAL_TOL * (1.0 + shear))
-        if nreal >= 4:
-            regime = "Hyperbolic" if shear < fr_plus else "FastHyperbolic"
-            if not (shear <= fr_minus or shear >= fr_plus):
-                # root count and threshold test disagree: only possible in
-                # the tolerance band around a tangency
-                degenerate = True
-                regime = "Hyperbolic" if margin >= 0.0 else "FastHyperbolic"
-        elif nreal == 2:
-            regime = "Elliptic"
-        else:
-            # odd counts arise when a conjugate pair sits exactly on the
-            # tolerance edge; classify by the threshold test instead
-            degenerate = True
-            if margin >= 0.0:
-                regime = "Hyperbolic"
-            elif shear >= fr_plus:
-                regime = "FastHyperbolic"
-            else:
-                regime = "Elliptic"
-        reports.append(HyperbolicityReport(
-            coefficients=coeff, roots=root, real_count=nreal, regime=regime,
-            fr_minus=fr_minus, fr_plus=fr_plus, shear=shear, margin=margin,
-            degenerate=degenerate))
-    return reports
+    """Regime reports for a sequence of state points, one per point: the
+    rows of `classify_arrays`. Requires stable stratification."""
+    return _rows(classify_arrays(*_point_arrays(points)))
 
 
 def classify(point):
@@ -428,15 +441,17 @@ def in_sigma_set(sigma, rho_ratio, ratio_min, ratio_max, depth_min, margin):
     Four conditions: sigma/2 <= rho_s/rho_b <= 1 - sigma/2, sigma <= H_s/H_b
     <= 1/sigma over [ratio_min, ratio_max], H_s + H_b >= sigma at its
     least, `depth_min`, and Fr_- - |U_b - U_s|/sqrt(H_b) >= sigma, whose
-    least value `margin()` runs only if the first three hold. A sigma
-    outside (0, 1) is a ValueError.
+    least value `margin()` runs only if the first three hold somewhere.
+    Evaluates elementwise over broadcast arrays, so a block of points is
+    tested in one call. A sigma outside (0, 1) is a ValueError.
     """
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma}")
-    return bool(sigma / 2.0 <= rho_ratio <= 1.0 - sigma / 2.0
-                and sigma <= ratio_min and ratio_max <= 1.0 / sigma
-                and depth_min >= sigma and margin() >= sigma)
+    inside = ((sigma / 2.0 <= rho_ratio) & (rho_ratio <= 1.0 - sigma / 2.0)
+              & (sigma <= ratio_min) & (ratio_max <= 1.0 / sigma)
+              & (depth_min >= sigma))
+    return inside & (margin() >= sigma) if np.any(inside) else inside
 
 
 def in_hyperbolic_set(point, sigma):
@@ -451,14 +466,13 @@ def in_hyperbolic_set(point, sigma):
 # symmetrizer
 # ----------------------------------------------------------------------
 
-def state_matrix(point):
-    """The 4x4 coefficient matrix A at the state point."""
-    return np.array([
-        [point.U_s, 0.0, point.H_s, 0.0],
-        [0.0, point.U_b, 0.0, point.H_b],
-        [1.0, 1.0, point.U_s, 0.0],
-        [point.rho_ratio, 1.0, 0.0, point.U_b],
-    ])
+def state_matrices(rho_ratio, H_s, H_b, U_s, U_b):
+    """The coefficient matrices A of broadcast state arrays, (..., 4, 4)."""
+    rr, H_s, H_b, U_s, U_b = np.broadcast_arrays(rho_ratio, H_s, H_b, U_s, U_b)
+    zero, one = np.zeros_like(U_s), np.ones_like(U_s)
+    return np.stack([U_s, zero, H_s, zero, zero, U_b, zero, H_b,
+                     one, one, U_s, zero, rr, one, zero, U_b],
+                    axis=-1).reshape(rr.shape + (4, 4))
 
 
 def _golden_max(fn, a, b, tol=1e-10):
@@ -485,28 +499,29 @@ def leading_minors(S):
                     axis=-1)
 
 
-def symmetrizers(points):
-    """Construct and certify the symmetrizers of a block of hyperbolic points.
+def certify_arrays(rho_ratio, H_s, H_b, U_s, U_b, fr_minus, fr_plus):
+    """Symmetrizers of a block of hyperbolic points, one row per point.
 
-    At each point the shift starts from the midpoint of the two middle
-    roots, clipped into [min(U_s, U_b), max(U_s, U_b)]; if clipping
-    pushes it out of the open middle-root interval, a golden-section
-    search maximizes the smallest eigenvalue of that point's S over the
-    interval instead. Certification is Sylvester's criterion on the four
-    leading principal minors. S, S A, the minors and the smallest
-    eigenvalues are each one stacked call over the block, so a
-    certificate is the same whether its point is certified alone or in
-    a block.
+    Takes `classify_arrays`'s arguments; every point must classify
+    Hyperbolic with a positive margin. At each point the shift starts
+    from the midpoint of the two middle roots, clipped into [min(U_s,
+    U_b), max(U_s, U_b)]; if clipping pushes it out of the open
+    middle-root interval, a golden-section search maximizes the smallest
+    eigenvalue of that point's S over the interval instead. Certification
+    is Sylvester's criterion on the four leading principal minors. S,
+    S A, the minors and the smallest eigenvalues are each one stacked
+    call over the block, so a row is the same alone or in a block.
     """
-    reports = classify_many(points)
-    for report in reports:
-        if report.regime != "Hyperbolic" or report.margin <= 0.0:
-            raise ValueError(
-                f"symmetrizer needs a hyperbolic point with positive margin, "
-                f"got regime {report.regime} with margin {report.margin:.3e}")
-    rr, H_s, H_b, U_s, U_b = _point_arrays(points)
-    roots = np.sort(np.array([r.roots.real for r in reports]).reshape(-1, 4),
-                    axis=1)
+    report = classify_arrays(rho_ratio, H_s, H_b, U_s, U_b, fr_minus,
+                             fr_plus)
+    bad = (report.regime != "Hyperbolic") | (report.margin <= 0.0)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(
+            f"symmetrizer needs a hyperbolic point with positive margin, "
+            f"got regime {report.regime[i]} with margin "
+            f"{report.margin[i]:.3e}")
+    roots = np.sort(report.roots.real, axis=1)
     lo, hi = roots[:, 1], roots[:, 2]
     lams = np.minimum(np.maximum(0.5 * (lo + hi), np.minimum(U_s, U_b)),
                       np.maximum(U_s, U_b))
@@ -515,30 +530,32 @@ def symmetrizers(points):
 
         def min_eig(l):
             return float(np.linalg.eigvalsh(symmetrizer_fields(
-                rr[i], H_s[i], H_b[i], U_s[i], U_b[i], l))[0])
+                rho_ratio[i], H_s[i], H_b[i], U_s[i], U_b[i], l))[0])
 
         lams[i] = _golden_max(min_eig, lo[i] + 1e-12 * gap,
                               hi[i] - 1e-12 * gap, tol=1e-10 * max(gap, 1.0))
 
-    S = symmetrizer_fields(rr, H_s, H_b, U_s, U_b, lams)
-    SA = S @ np.reshape([state_matrix(p) for p in points], (-1, 4, 4))
+    S = symmetrizer_fields(rho_ratio, H_s, H_b, U_s, U_b, lams)
+    SA = S @ state_matrices(rho_ratio, H_s, H_b, U_s, U_b)
     minors = leading_minors(S)
-    min_eigs = np.linalg.eigvalsh(S)[:, 0]
-    certified = np.all(minors > 0.0, axis=1)
-    asymmetry = np.max(np.abs(SA - SA.transpose(0, 2, 1)), axis=(1, 2))
-    return [Symmetrizer(lam=lam, S=S[i], certified=ok,
-                        minors=minors[i], min_eigenvalue=min_eig,
-                        asymmetry=asym)
-            for i, (lam, ok, min_eig, asym) in enumerate(zip(
-                lams.tolist(), certified.tolist(), min_eigs.tolist(),
-                asymmetry.tolist()))]
+    return Symmetrizer(
+        lam=lams, S=S, certified=np.all(minors > 0.0, axis=1), minors=minors,
+        min_eigenvalue=np.linalg.eigvalsh(S)[:, 0],
+        asymmetry=np.max(np.abs(SA - SA.transpose(0, 2, 1)), axis=(1, 2)))
+
+
+def symmetrizers(points):
+    """Construct and certify the symmetrizers of a block of hyperbolic
+    points: the rows of `certify_arrays`."""
+    return _rows(certify_arrays(*_point_arrays(points)))
 
 
 def symmetrizer_fields(rho_ratio, H_s, H_b, U_s, U_b, lam):
     """Stacked symmetrizers S(x) for per-grid-point state arrays.
 
     All arguments broadcast; lam may vary per point. Returns (..., 4, 4).
-    Used by `symmetrizers`; its least eigenvalue over a grid is the coercivity.
+    Used by `certify_arrays`; its least eigenvalue over a grid is the
+    coercivity.
     """
     rr, H_s, H_b, U_s, U_b, lam = np.broadcast_arrays(
         *map(np.asarray, (rho_ratio, H_s, H_b, U_s, U_b, lam)))

@@ -132,6 +132,42 @@ def real_root_count_bruteforce(rho_ratio, H_s, H_b, U_s, U_b, tol=1e-9):
     return int(np.sum(np.abs(lams.imag) <= tol * scale))
 
 
+def regime_by_branches(roots, fr_minus, fr_plus, shear, tol=1e-9):
+    """(real_count, regime, degenerate) of one point from its four roots.
+
+    The classifier's rules as one point's if/else chain: count the roots
+    within tol (1 + max|root|) of the real axis; flag near-collisions,
+    shears within tol of a threshold, four real roots inside the window
+    and odd counts; a flagged four-root or odd count takes the regime of
+    the threshold test.
+    """
+    roots = np.asarray(roots)
+    scale = tol * (1.0 + np.max(np.abs(roots)))
+    nreal = int(np.sum(np.abs(roots.imag) <= scale))
+    gaps = [abs(roots[i] - roots[j])
+            for i in range(4) for j in range(i + 1, 4)]
+    degenerate = bool(min(gaps) <= 10.0 * scale) or (
+        min(abs(shear - fr_minus), abs(shear - fr_plus))
+        <= tol * (1.0 + shear))
+    margin = fr_minus - shear
+    if nreal >= 4:
+        regime = "Hyperbolic" if shear < fr_plus else "FastHyperbolic"
+        if fr_minus < shear < fr_plus:
+            degenerate = True
+            regime = "Hyperbolic" if margin >= 0.0 else "FastHyperbolic"
+    elif nreal == 2:
+        regime = "Elliptic"
+    else:
+        degenerate = True
+        if margin >= 0.0:
+            regime = "Hyperbolic"
+        elif shear >= fr_plus:
+            regime = "FastHyperbolic"
+        else:
+            regime = "Elliptic"
+    return nreal, regime, bool(degenerate)
+
+
 def quartic_discriminant_resultant(b, c, d, e):
     """Discriminant of l^4 + b l^3 + c l^2 + d l + e as a Sylvester resultant.
 

@@ -573,6 +573,21 @@ class TestRunCommands:
         assert "h_ratio must be positive" in capsys.readouterr().err
         assert not recwarn.list
 
+    @pytest.mark.parametrize("rho_ratios", [[1e-12], [0.5, 1e-12]])
+    def test_atlas_rejects_an_unresolved_window_before_writing(
+            self, tmp_path, capsys, rho_ratios):
+        # its curves were once written before the thresholds failed with
+        # an UnresolvedWindowError traceback (exit 1)
+        cfg = write_config(tmp_path, "c.json", {"h_ratio": 0.0001,
+                                                "rho_ratios": rho_ratios})
+        out = tmp_path / "o"
+        code = cli.main(["atlas", "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert not out.exists() or not any(out.iterdir())
+        assert capsys.readouterr().err == (
+            "config error: elliptic window not resolved at (h_ratio, "
+            "rho_ratio) = (0.0001, 1e-12)\n")
+
     def test_atlas_solves_each_density_ratio_once(self, tmp_path,
                                                   monkeypatch):
         calls, solves = [], []

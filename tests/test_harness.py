@@ -258,13 +258,17 @@ class TestStatePoints:
         for n, frac_high in ((1, 0.8), (70, 2.4), (130, 2.4)):
             rng = np.random.default_rng(8)
             ref = np.random.default_rng(8)
-            points = harness.random_state_points(rng, n, frac_high)
-            assert len(points) == n
-            for i, point in enumerate(points):
+            states = harness.random_states(rng, n, frac_high)
+            assert states.shape == (n, 8)
+            for i, state in enumerate(states):
                 want = scalar_state_point(ref, frac_high)
-                # repr also pins plain floats, as failure messages print them
+                assert state.tolist() == [
+                    want.rho_s, want.rho_b, want.H_s, want.H_b, want.U_s,
+                    want.U_b, *want.thresholds], f"point {i} of {n}"
+                # the suites' messages name a row by this point's repr,
+                # which also pins plain floats
+                point = hyperbolicity.StatePoint(*state[:6].tolist())
                 assert repr(point) == repr(want), f"point {i} of {n}"
-                assert point.thresholds == want.thresholds, i
             assert rng.uniform() == ref.uniform(), "generator left elsewhere"
 
     def test_symmetrizer_suite_stops_drawing_where_scalar_loop_does(self):
@@ -281,13 +285,12 @@ class TestStatePoints:
             assert rng.uniform() == ref.uniform(), f"n_points = {n}"
 
     def test_classification_suite_names_first_mismatch(self, monkeypatch):
-        def miscounted(points):
-            reports = hyperbolicity.classify_many(points)
-            for report in reports:
-                report.real_count = 3
-            return reports
+        def miscounted(*arrays):
+            report = hyperbolicity.classify_arrays(*arrays)
+            report.real_count = np.full_like(report.real_count, 3)
+            return report
 
-        monkeypatch.setattr(harness, "classify_many", miscounted)
+        monkeypatch.setattr(harness, "classify_arrays", miscounted)
         ok, detail = harness._suite_classification(
             np.random.default_rng(2), 10)
         ref = np.random.default_rng(2)
@@ -299,38 +302,45 @@ class TestStatePoints:
                                  f"classifier 3, direct eigenvalues ")
 
     def test_classification_suite_solves_thresholds_once(self, monkeypatch):
-        calls = []
+        calls, blocks = [], []
+        classify_block = hyperbolicity.classify_arrays
 
         def counted(*args, **kwargs):
             calls.append(np.size(args[0]))
             return hyperbolicity.critical_froude(*args, **kwargs)
 
+        def counted_classify(*arrays):
+            blocks.append(np.size(arrays[0]))
+            return classify_block(*arrays)
+
         monkeypatch.setattr(harness, "critical_froude", counted)
+        monkeypatch.setattr(harness, "classify_arrays", counted_classify)
         ok, detail = harness._suite_classification(
             np.random.default_rng(0), 1000)
         assert ok, detail
         assert calls == [1000]
+        assert blocks == [64] * 15 + [40]
 
     def test_symmetrizer_suite_certifies_each_block_once(self, monkeypatch):
         blocks, certified, eigensolves = [], [], []
-        draw = harness.random_state_points
-        certify = harness.symmetrizers
+        draw = harness.random_states
+        certify = harness.certify_arrays
         eigvalsh = np.linalg.eigvalsh
 
         def counted_draw(rng, n, frac_high):
             blocks.append(n)
             return draw(rng, n, frac_high)
 
-        def counted_certify(points):
-            certified.append(len(points))
-            return certify(points)
+        def counted_certify(*arrays):
+            certified.append(np.size(arrays[0]))
+            return certify(*arrays)
 
         def counted_eigvalsh(a, *args, **kwargs):
             eigensolves.append(np.shape(a))
             return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "random_state_points", counted_draw)
-        monkeypatch.setattr(harness, "symmetrizers", counted_certify)
+        monkeypatch.setattr(harness, "random_states", counted_draw)
+        monkeypatch.setattr(harness, "certify_arrays", counted_certify)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         ok, detail = harness._suite_symmetrizer(np.random.default_rng(0), 400)
         assert ok and detail.startswith("400 points certified"), detail
@@ -349,12 +359,20 @@ class TestStatePoints:
 
         monkeypatch.setattr(hyperbolicity, "critical_froude", counted)
         rng = np.random.default_rng(4)
-        for point in harness.random_state_points(rng, 2, 0.8):
+        states = harness.random_states(rng, 2, 0.8)
+        # the pair solved to place the shear is handed to the cores as is
+        arrays = harness.state_arrays(states)
+        hyperbolicity.classify_arrays(*arrays)
+        hyperbolicity.certify_arrays(*arrays)
+        assert calls == []
+        for state in states:
+            row = state.tolist()
+            point = hyperbolicity.StatePoint(*row[:6],
+                                             solved_thresholds=row[6:])
             hyperbolicity.classify(point)
             hyperbolicity.in_hyperbolic_set(point, 0.05)
             hyperbolicity.symmetrizers([point])
             assert calls == []
-            # the pair solved to place the shear is handed over as is
             assert point.thresholds == solve(point.H_s / point.H_b,
                                              point.rho_ratio)
 
@@ -420,6 +438,23 @@ class TestCheckAll:
         for row in report["suites"]:
             assert row["status"] == "pass", row
         assert report["seed"] == 5
+
+    def test_random_suites_build_no_state_points(self, monkeypatch):
+        built = []
+        check = hyperbolicity.StatePoint.__post_init__
+
+        def counted(self, *args):
+            built.append(self)
+            check(self, *args)
+
+        monkeypatch.setattr(hyperbolicity.StatePoint, "__post_init__",
+                            counted)
+        report = harness.check_all({"seed": 7})
+        assert report["passed"], report
+        assert built == []
+        # the count sees a point built to name a failure
+        hyperbolicity.StatePoint(0.5, 1.0, 0.4, 0.6, 0.0, 0.1)
+        assert len(built) == 1
 
     def test_kappa_zero_skips_residual_suite(self):
         report = harness.check_all({"seed": 1, "n_points": 10, "kappa": 0.0})

@@ -11,8 +11,10 @@ from pycnolab.hyperbolicity import (
     AtlasCurves,
     StatePoint,
     atlas,
+    certify_arrays,
     characteristic_speed_bound,
     classify,
+    classify_arrays,
     classify_many,
     coefficient_arrays,
     count_line_intersections,
@@ -23,7 +25,7 @@ from pycnolab.hyperbolicity import (
     leading_minors,
     max_characteristic_speed,
     quartic_roots_batch,
-    state_matrix,
+    state_matrices,
     symmetrizer_fields,
     symmetrizers,
 )
@@ -47,6 +49,18 @@ def hyperbolic_state(rng, frac=0.8):
     U_s = rng.uniform(-1.0, 1.0)
     U_b = U_s + rng.choice([-1.0, 1.0]) * frac * fr_minus * np.sqrt(H_b)
     return StatePoint(rho_s=rr, rho_b=1.0, H_s=H_s, H_b=H_b, U_s=U_s, U_b=U_b)
+
+
+def assert_row_equals(block, i, one):
+    """Row i of a block result equals a one-point result, bit for bit."""
+    for name, value in vars(one).items():
+        row = getattr(block, name)[i]
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(row, value), (name, i)
+            assert row.tobytes() == value.astype(row.dtype).tobytes(), (
+                name, i)
+        else:
+            assert row == value and type(row.item()) is type(value), (name, i)
 
 
 class TestCharacteristicPolynomial:
@@ -525,6 +539,82 @@ class TestClassify:
         assert not in_sigma_set(0.1, 0.5, 1.0, 1.0, 1.0, lambda: 0.09)
 
 
+class TestClassificationCore:
+    def test_rows_equal_one_point_reports_and_branch_rules(self):
+        rng = np.random.default_rng(71)
+        pts = [random_state(rng) for _ in range(60)]
+        # shears on each threshold and within the tangency tolerance
+        # 1e-9 (1 + shear) of it, the last pair farther than 1e-9 shear
+        for h, rr in ((1.0, 0.5), (0.4, 0.2)):
+            fm, fp = critical_froude(h, rr)
+            for shear in (fm, fp, fm * (1.0 + 5e-10), fp * (1.0 - 5e-10),
+                          fm + 1e-9 * (fm + 0.5), fp - 1e-9 * (fp + 0.5)):
+                pts.append(StatePoint(rr, 1.0, h, 1.0, 0.0, shear))
+        # near-collision: at rho_s/rho_b = 1e-18 the roots +-sqrt(1 +-
+        # 1e-9) lie pairwise 1e-9 apart; the window is too narrow to
+        # resolve, so the thresholds are given
+        pts.append(StatePoint(1e-18, 1.0, 1.0, 1.0, 0.0, 0.0,
+                              solved_thresholds=(0.5, 2.0)))
+        block = classify_arrays(*hyperbolicity._point_arrays(pts))
+        for i, p in enumerate(pts):
+            one = classify(p)
+            assert_row_equals(block, i, one)
+            assert (block.real_count[i], block.regime[i],
+                    block.degenerate[i]) == oracles.regime_by_branches(
+                        one.roots, *p.thresholds, one.shear), i
+        assert block.degenerate[60:].all()
+        tangent = np.minimum(np.abs(block.shear - block.fr_minus),
+                             np.abs(block.shear - block.fr_plus))
+        assert np.all(tangent[60:72] <= 1e-9 * (1.0 + block.shear[60:72]))
+        assert np.all(tangent[[64, 65, 70, 71]]
+                      > 1e-9 * block.shear[[64, 65, 70, 71]])
+        # the last point's flag comes from its roots alone
+        assert tangent[72] > 0.4
+        assert set(block.regime[:60]) == {"Hyperbolic", "Elliptic",
+                                          "FastHyperbolic"}
+
+    @pytest.mark.parametrize("counted", ["odd", "four"])
+    def test_counts_against_the_window_take_the_threshold_test(
+            self, monkeypatch, counted):
+        solve = hyperbolicity._companion_roots
+
+        def miscounted(coeffs, polish):
+            # "odd": one root of a conjugate pair within the real
+            # tolerance, its partner outside it (three or one real
+            # roots); "four": a pair a +- ib moved to a + b and a - b,
+            # four distinct real roots
+            roots = solve(coeffs, polish).astype(complex)
+            if counted == "four":
+                return roots.real + roots.imag + 0j
+            tol = 1e-9 * (1.0 + np.max(np.abs(roots), axis=-1))
+            roots[:, 2] = roots[:, 2].real + 0.5j * tol
+            roots[:, 3] = roots[:, 3].real - 2.0j * tol
+            return roots
+
+        fm, fp = critical_froude(0.5, 0.3)
+        pts = [StatePoint(0.3, 1.0, 0.5, 1.0, 0.2, 0.2 + f,
+                          solved_thresholds=(fm, fp))
+               for f in (0.5 * fm, 0.5 * (fm + fp), 2.0 * fp)]
+        monkeypatch.setattr(hyperbolicity, "_companion_roots", miscounted)
+        block = classify_arrays(*hyperbolicity._point_arrays(pts))
+        if counted == "odd":
+            assert np.all(block.real_count % 2 == 1)
+            assert list(block.degenerate) == [True, True, True]
+            assert list(block.regime) == ["Hyperbolic", "Elliptic",
+                                          "FastHyperbolic"]
+        else:
+            # only inside the window do the count and the test disagree
+            assert list(block.real_count) == [4, 4, 4]
+            assert list(block.degenerate) == [False, True, False]
+            assert list(block.regime) == ["Hyperbolic", "FastHyperbolic",
+                                          "FastHyperbolic"]
+        for i, p in enumerate(pts):
+            assert_row_equals(block, i, classify(p))
+            assert (block.real_count[i], block.regime[i],
+                    block.degenerate[i]) == oracles.regime_by_branches(
+                        block.roots[i], fm, fp, block.shear[i]), i
+
+
 class TestSymmetrizer:
     def test_symmetrizes_exactly(self):
         rng = np.random.default_rng(51)
@@ -612,17 +702,23 @@ class TestSymmetrizer:
         roots = classify_many(pts)[70].roots
         roots = roots - np.sort(roots.real)[1] + top + 0.5
         lo, hi = np.sort(roots.real)[1:3]
-        classify_all = hyperbolicity.classify_many
+        classify_all = hyperbolicity.classify_arrays
+        key = hyperbolicity._point_arrays([odd])[:5]
 
-        def shifted(points):
-            return [replace(r, roots=roots) if p is odd else r
-                    for p, r in zip(points, classify_all(points))]
+        def shifted(*arrays):
+            report = classify_all(*arrays)
+            rows = np.all([a == k for a, k in zip(arrays, key)], axis=0)
+            report.roots = np.where(rows[:, None], roots, report.roots)
+            return report
 
-        monkeypatch.setattr(hyperbolicity, "classify_many", shifted)
+        monkeypatch.setattr(hyperbolicity, "classify_arrays", shifted)
         certs = symmetrizers(pts[:64]) + symmetrizers(pts[64:])
+        block = certify_arrays(*hyperbolicity._point_arrays(pts))
         assert lo < certs[70].lam < hi and certs[70].lam > top
+        assert block.lam[70] == certs[70].lam
         for i, (p, cert) in enumerate(zip(pts, certs)):
             one = symmetrizers([p])[0]
+            assert_row_equals(block, i, one)
             for name in ("lam", "min_eigenvalue", "asymmetry", "certified"):
                 assert getattr(cert, name) == getattr(one, name), (name, i)
                 assert type(getattr(cert, name)) is type(getattr(one, name))
@@ -689,7 +785,7 @@ class TestAtlas:
     def test_state_matrix_spectrum_matches_polynomial(self):
         rng = np.random.default_rng(61)
         p = random_state(rng)
-        A = state_matrix(p)
+        A = state_matrices(p.rho_ratio, p.H_s, p.H_b, p.U_s, p.U_b)
         eig = np.sort_complex(np.linalg.eigvals(A))
         mine = np.sort_complex(
             oracles.companion_roots(oracles.characteristic_polynomial(p)))
