@@ -36,7 +36,7 @@ and the CSV writers.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -232,13 +232,15 @@ def pointwise_margin(state, params, table=None):
     return table(ratios) - shear
 
 
-def in_margin_set(state, params, sigma):
-    """`in_sigma_set` at every grid point, with the table's Fr_-."""
+def in_margin_set(state, params, sigma, table=None):
+    """`in_sigma_set` at every grid point, with Fr_- from the margin table
+    `table()` makes, or a new one, once the first three conditions hold."""
     hs, hb, _, _ = _totals(state.stacked, params)
     ratios = hs / hb
     return in_sigma_set(sigma, params.rho_ratio, float(ratios.min()),
                         float(ratios.max()), float((hs + hb).min()),
-                        lambda: pointwise_margin(state, params).min())
+                        lambda: pointwise_margin(
+                            state, params, table and table()).min())
 
 
 # ----------------------------------------------------------------------
@@ -270,12 +272,15 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
     as `stratified.march` flags them; an initial state at the floor
     raises BlowUpError.
     """
-    if sigma is not None and not in_margin_set(initial, params, sigma):
+    hs, hb, _, _ = _totals(initial.stacked, params)
+    # the run's one margin table; the sigma gate may build it first
+    run_table = cache(lambda: MarginTable.spanning(params.rho_ratio, hs / hb))
+    if sigma is not None and not in_margin_set(initial, params, sigma,
+                                               run_table):
         raise ValueError(
             f"initial state leaves the sigma = {sigma} margin set")
-    hs, hb, _, _ = _totals(initial.stacked, params)
     check_thickness((hs, hb), initial.t)
-    table = MarginTable.spanning(params.rho_ratio, hs / hb)
+    table = run_table()
 
     def record(st, norm):
         margin = pointwise_margin(st, params, table)

@@ -473,15 +473,20 @@ def refined_check(cfg):
     share kappa (0.1), T (0.3) and dt (the config's, or half the CFL
     limit of the reference). The H^s residual (s = 2) passes when its
     two routes agree to agreement_tol (1e-10) and its bound ratio is at
-    most 1 + ratio_slack (1e-9). Every value is read before any run.
+    most 1 + ratio_slack (1e-9), both finite and >= 0. Every value is
+    read before any run.
     """
     params, levels, _, sharp, state = column_setup(cfg)
     kappa = config_real(cfg, "kappa", 0.1)
     T = config_real(cfg, "T", 0.3)
     s = config_real(cfg, "s", 2.0)
-    given = dict(levels=levels,
-                 agreement_tol=config_real(cfg, "agreement_tol", 1e-10),
-                 ratio_tol=1.0 + config_real(cfg, "ratio_slack", 1e-9))
+    agreement_tol = config_real(cfg, "agreement_tol", 1e-10)
+    ratio_slack = config_real(cfg, "ratio_slack", 1e-9)
+    if not (0.0 <= agreement_tol < math.inf and 0.0 <= ratio_slack < math.inf):
+        raise ConfigError(f"need agreement_tol and ratio_slack finite and "
+                          f">= 0, got {agreement_tol} and {ratio_slack}")
+    given = dict(levels=levels, agreement_tol=agreement_tol,
+                 ratio_tol=1.0 + ratio_slack)
     spec = stratified.PycnoclineSpec(params, config_real(cfg, "epsilon", 0.02),
                                      cfg.get("shape", "tanh"))
     target, _ = stratified.smooth_pycnocline(spec, levels)
@@ -744,6 +749,7 @@ def check_all(config=None):
     n_points = config_count(cfg, "n_points", 1000)
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
+    params_from_config({"kappa": kappa})  # its range, before any suite
     rng = np.random.default_rng(seed)
 
     suites = []

@@ -53,38 +53,31 @@ rr^2 (H_s (1-rr) - us^2), rr^2 P(l)) are positive.
 Both checks work on blocks of points held as arrays, one entry per
 point: `classify_arrays` and `certify_arrays` take (rho_ratio, H_s, H_b,
 U_s, U_b, Fr_-, Fr_+) arrays and return one report whose fields are
-arrays. `classify_many`, `classify` and `symmetrizers` are their
-one-object-per-point wrappers for StatePoints.
+arrays. `classify` is their one-point front for a StatePoint.
 """
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 _REAL_TOL = 1e-9
-_STATE_FIELDS = ("rho_s", "rho_b", "H_s", "H_b", "U_s", "U_b")
 
 
 @dataclass(frozen=True)
 class StatePoint:
-    """One bilayer state: densities, total depths, total velocities.
-
-    Immutable, so its Froude thresholds are solved at most once; a caller
-    that has already solved them for these ratios hands them over as
-    `solved_thresholds`.
-    """
+    """One bilayer state (densities, total depths, total velocities),
+    immutable, so its Froude thresholds are solved once, on first read."""
     rho_s: float
     rho_b: float
     H_s: float
     H_b: float
     U_s: float
     U_b: float
-    solved_thresholds: InitVar[tuple | None] = None
 
-    def __post_init__(self, solved_thresholds):
-        for name in _STATE_FIELDS:
+    def __post_init__(self):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             try:
                 finite = (not isinstance(value, (bool, np.bool_))
@@ -99,17 +92,10 @@ class StatePoint:
             raise ValueError("densities must be positive")
         if self.H_s <= 0.0 or self.H_b <= 0.0:
             raise ValueError(f"depths must be positive, got ({self.H_s}, {self.H_b})")
-        if solved_thresholds is not None:
-            # where cached_property keeps its value
-            self.__dict__["thresholds"] = tuple(solved_thresholds)
 
     @property
     def rho_ratio(self):
         return self.rho_s / self.rho_b
-
-    @property
-    def shear(self):
-        return abs(self.U_b - self.U_s) / np.sqrt(self.H_b)
 
     @cached_property
     def thresholds(self):
@@ -125,8 +111,8 @@ class StatePoint:
 
 @dataclass(eq=False)
 class HyperbolicityReport:
-    """The regime of one state point, or, from `classify_arrays`, of a
-    block: then every field holds one entry (or row) per point."""
+    """The regimes of a block of state points from `classify_arrays`, one
+    entry (or row) per point; from `classify`, the regime of one point."""
     coefficients: np.ndarray
     roots: np.ndarray
     real_count: int
@@ -140,8 +126,8 @@ class HyperbolicityReport:
 
 @dataclass(eq=False)
 class Symmetrizer:
-    """The certified symmetrizer of one hyperbolic point, or, from
-    `certify_arrays`, of a block: one entry (or row) per point."""
+    """The certified symmetrizers of a block of hyperbolic points from
+    `certify_arrays`: one entry (or row) per point."""
     lam: float
     S: np.ndarray
     certified: bool
@@ -408,31 +394,12 @@ def classify_arrays(rho_ratio, H_s, H_b, U_s, U_b, fr_minus, fr_plus):
                                fr_minus, fr_plus, shear, margin, degenerate)
 
 
-def _point_arrays(points):
-    """The cores' (rho_ratio, H_s, H_b, U_s, U_b, Fr_-, Fr_+) arrays of a
-    sequence of points; each must be stably stratified."""
-    for point in points:
-        point.require_stable()
-    return np.array([(p.rho_ratio, p.H_s, p.H_b, p.U_s, p.U_b, *p.thresholds)
-                     for p in points], dtype=float).reshape(-1, 7).T
-
-
-def _rows(block):
-    """The one-point objects of a block result, one per row: 1-D fields
-    give Python numbers and strings, wider ones their rows."""
-    return [type(block)(*row) for row in zip(*(
-        c.tolist() if c.ndim == 1 else c for c in vars(block).values()))]
-
-
-def classify_many(points):
-    """Regime reports for a sequence of state points, one per point: the
-    rows of `classify_arrays`. Requires stable stratification."""
-    return _rows(classify_arrays(*_point_arrays(points)))
-
-
 def classify(point):
-    """Regime report at one state point: `classify_many([point])[0]`."""
-    return classify_many([point])[0]
+    """Regime report at one stable state point, its fields numpy scalars
+    and 1-D arrays: `classify_arrays` on the point's own numbers."""
+    point.require_stable()
+    state = (point.rho_ratio, point.H_s, point.H_b, point.U_s, point.U_b)
+    return classify_arrays(*map(float, state + point.thresholds))
 
 
 def in_sigma_set(sigma, rho_ratio, ratio_min, ratio_max, depth_min, margin):
@@ -452,14 +419,6 @@ def in_sigma_set(sigma, rho_ratio, ratio_min, ratio_max, depth_min, margin):
               & (sigma <= ratio_min) & (ratio_max <= 1.0 / sigma)
               & (depth_min >= sigma))
     return inside & (margin() >= sigma) if np.any(inside) else inside
-
-
-def in_hyperbolic_set(point, sigma):
-    """`in_sigma_set` at one state point, with its exact Fr_-."""
-    ratio = point.H_s / point.H_b
-    return in_sigma_set(sigma, point.rho_ratio, ratio, ratio,
-                        point.H_s + point.H_b,
-                        lambda: point.thresholds[0] - point.shear)
 
 
 # ----------------------------------------------------------------------
@@ -542,12 +501,6 @@ def certify_arrays(rho_ratio, H_s, H_b, U_s, U_b, fr_minus, fr_plus):
         lam=lams, S=S, certified=np.all(minors > 0.0, axis=1), minors=minors,
         min_eigenvalue=np.linalg.eigvalsh(S)[:, 0],
         asymmetry=np.max(np.abs(SA - SA.transpose(0, 2, 1)), axis=(1, 2)))
-
-
-def symmetrizers(points):
-    """Construct and certify the symmetrizers of a block of hyperbolic
-    points: the rows of `certify_arrays`."""
-    return _rows(certify_arrays(*_point_arrays(points)))
 
 
 def symmetrizer_fields(rho_ratio, H_s, H_b, U_s, U_b, lam):

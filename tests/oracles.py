@@ -4,9 +4,10 @@ Everything in this file is deliberately naive: closed-form root formulas,
 O(n^2) transforms, double loops over level indices. These routines were
 written and frozen before the package code and share none of its code
 paths, so agreement between the two is meaningful. Do not "optimize" them
-into calls back into pycnolab. The one exception, `characteristic_polynomial`
-at the end, is no reference: it only lays the package's quartic
-coefficients out in np.polyval order.
+into calls back into pycnolab. The two exceptions at the end are no
+references: `characteristic_polynomial` only lays the package's quartic
+coefficients out in np.polyval order, and `point_arrays` only lays
+StatePoints out as the hyperbolicity cores' arrays.
 """
 
 import numpy as np
@@ -594,7 +595,7 @@ def heat_mode_decay(amplitude, kappa, wavenumber, t):
 
 
 # ----------------------------------------------------------------------
-# the package's quartic, laid out for numpy
+# the package's quartic and state points, laid out for numpy
 # ----------------------------------------------------------------------
 
 def characteristic_polynomial(point):
@@ -602,3 +603,14 @@ def characteristic_polynomial(point):
     c3, c2, c1, c0 = coefficient_arrays(
         point.rho_ratio, point.H_s, point.H_b, point.U_s, point.U_b)
     return np.array([1.0, float(c3), float(c2), float(c1), float(c0)])
+
+
+def point_arrays(points, thresholds=None):
+    """The (rho_ratio, H_s, H_b, U_s, U_b, Fr_-, Fr_+) arrays that
+    `classify_arrays` and `certify_arrays` take, one entry per StatePoint;
+    `thresholds` gives each point's (Fr_-, Fr_+) pair in place of its own."""
+    if thresholds is None:
+        thresholds = [p.thresholds for p in points]
+    return tuple(np.array([(p.rho_ratio, p.H_s, p.H_b, p.U_s, p.U_b, *fr)
+                           for p, fr in zip(points, thresholds)],
+                          dtype=float).reshape(-1, 7).T)

@@ -16,11 +16,11 @@ from pycnolab.core import LevelGrid, SpatialGrid
 from pycnolab.hyperbolicity import (
     StatePoint,
     atlas,
+    certify_arrays,
     classify,
     count_line_intersections,
     critical_froude,
-    in_hyperbolic_set,
-    symmetrizers,
+    in_sigma_set,
 )
 
 PARAMS = bilayer.BilayerParams(0.5, 1.0, 1.0 / 3.0, 2.0 / 3.0)
@@ -116,18 +116,21 @@ class TestAcceptance:
         failures = 0
         while done < 1000:
             p = state_with_shear(rng, rng.uniform(0.0, 0.8))
-            if not in_hyperbolic_set(p, 0.1):
+            arrays = oracles.point_arrays([p])
+            rr, H_s, H_b, U_s, U_b, fr_minus, _ = arrays
+            if not in_sigma_set(0.1, rr, H_s / H_b, H_s / H_b, H_s + H_b,
+                                lambda: fr_minus
+                                - np.abs(U_b - U_s) / np.sqrt(H_b)):
                 continue
-            sym = symmetrizers([p])[0]
-            eigs = np.linalg.eigvalsh(sym.S)
-            if not (sym.certified and np.all(sym.minors > 0.0)
+            sym = certify_arrays(*arrays)
+            eigs = np.linalg.eigvalsh(sym.S[0])
+            if not (sym.certified[0] and np.all(sym.minors[0] > 0.0)
                     and np.all(eigs > 0.0)):
                 failures += 1
-            worst_asym = max(worst_asym, sym.asymmetry)
-            rr = p.rho_ratio
-            want = rr ** 2 * np.polyval(oracles.characteristic_polynomial(p),
-                                        sym.lam)
-            rel = abs(sym.minors[3] - want) / (abs(want) + 1e-30)
+            worst_asym = max(worst_asym, sym.asymmetry[0])
+            want = p.rho_ratio ** 2 * np.polyval(
+                oracles.characteristic_polynomial(p), sym.lam[0])
+            rel = abs(sym.minors[0, 3] - want) / (abs(want) + 1e-30)
             worst_minor_rel = max(worst_minor_rel, rel)
             done += 1
         elapsed = time.monotonic() - t0

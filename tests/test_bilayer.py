@@ -317,6 +317,31 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(fast, PARAMS0, 0.1, sigma=0.3)
 
+    def test_sigma_gated_run_builds_one_margin_table(self, monkeypatch):
+        # the gate reads the run's own table; it once built a second one
+        calls = []
+        solve = bilayer.froude_table
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bilayer, "froude_table", counted)
+        grid = SpatialGrid(32)
+        init = make_initial(grid, "sine", {"H_s": 0.02})
+        integrate(init, PARAMS0, 0.1, sigma=0.1)
+        assert len(calls) == 1
+        # a depth ratio outside the set is rejected before any table
+        thin = state_of(grid, -0.95 * PARAMS0.Hbar_s)
+        with pytest.raises(ValueError, match="leaves the sigma = 0.1"):
+            integrate(thin, PARAMS0, 0.1, sigma=0.1)
+        assert len(calls) == 1
+        # without a gate, a state at the floor fails before any table
+        floor = state_of(grid, -PARAMS0.Hbar_s)
+        with pytest.raises(BlowUpError):
+            integrate(floor, PARAMS0, 0.1)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("sigma", [0.0, 1.0, -0.5, float("nan")])
     def test_sigma_outside_the_unit_interval_rejected(self, sigma):
         # sigma = 0 once divided by zero in the depth-ratio clause
@@ -337,8 +362,11 @@ class TestIntegrate:
                 PARAMS0.rho_s, PARAMS0.rho_b, PARAMS0.Hbar_s + H_s,
                 PARAMS0.Hbar_b, U_s, 0.0)
             verdicts.append(bilayer.in_margin_set(state, PARAMS0, sigma))
-            assert verdicts[-1] == hyperbolicity.in_hyperbolic_set(point,
-                                                                   sigma)
+            ratio = point.H_s / point.H_b
+            assert verdicts[-1] == hyperbolicity.in_sigma_set(
+                sigma, point.rho_ratio, ratio, ratio, point.H_s + point.H_b,
+                lambda: point.thresholds[0]
+                - abs(point.U_b - point.U_s) / np.sqrt(point.H_b))
         assert verdicts == [True, False, True, True, False]
 
     def test_margin_matches_exact_thresholds(self):

@@ -296,6 +296,46 @@ class TestConfigHandling:
             f"config error: sigma must lie in (0, 1), got {float(sigma)}\n")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("tolerances, got", [
+        ({"agreement_tol": -1}, "-1.0 and 1e-09"),
+        ({"agreement_tol": float("nan")}, "nan and 1e-09"),
+        ({"agreement_tol": float("inf"), "ratio_slack": float("inf")},
+         "inf and inf"),
+        ({"ratio_slack": -1e-9}, "1e-10 and -1e-09")])
+    def test_refine_tolerances_are_checked_before_any_run(
+            self, tmp_path, capsys, monkeypatch, tolerances, got):
+        # -1 and NaN once ran the whole experiment and exited 1; two
+        # infinities passed every run (exit 0)
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness.stratified, "integrate", no_run)
+        cfg = write_config(tmp_path, "c.json", {"n_x": 32, "n_r": 8,
+                                                "T": 0.2, **tolerances})
+        out = tmp_path / "o"
+        code = cli.main(["refine", "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"config error: need agreement_tol and ratio_slack finite and "
+            f">= 0, got {got}\n")
+        assert not any(out.iterdir())
+
+    def test_check_all_checks_kappa_before_any_suite(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # kappa = 2 once ran the classification and symmetrizer suites and
+        # only then failed in the conservation suite's two-layer params
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(harness, "_suite_classification", no_suite)
+        cfg = write_config(tmp_path, "c.json", {"kappa": 2})
+        out = tmp_path / "o"
+        code = cli.main(["check-all", "--config", cfg, "--out", str(out)])
+        assert code == cli.CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "config error: kappa must lie in [0, 1], got 2.0\n")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("value", [True, "x", None, 10 ** 400])
     def test_classify_point_values_must_be_numbers(self, tmp_path, capsys,
                                                    value):

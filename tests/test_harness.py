@@ -234,7 +234,8 @@ class TestSweepEpsilon:
 
 
 def scalar_state_point(rng, frac_high):
-    """One random state the point-by-point way: seven scalar draws."""
+    """One random state the point-by-point way, seven scalar draws: the
+    StatePoint and the (Fr_-, Fr_+) pair solved to place its shear."""
     frac = rng.uniform(0.0, frac_high)
     rho_b = rng.uniform(0.5, 2.0)
     rho_s = rho_b * rng.uniform(0.05, 0.95)
@@ -249,8 +250,8 @@ def scalar_state_point(rng, frac_high):
         shear = fr_minus + (frac - 1.0) * (fr_plus - fr_minus)
     sign = 1.0 if rng.uniform() < 0.5 else -1.0
     U_b = U_s + sign * shear * math.sqrt(H_b)
-    return hyperbolicity.StatePoint(rho_s, rho_b, H_s, H_b, U_s, U_b,
-                                    solved_thresholds=(fr_minus, fr_plus))
+    return (hyperbolicity.StatePoint(rho_s, rho_b, H_s, H_b, U_s, U_b),
+            (fr_minus, fr_plus))
 
 
 class TestStatePoints:
@@ -261,10 +262,10 @@ class TestStatePoints:
             states = harness.random_states(rng, n, frac_high)
             assert states.shape == (n, 8)
             for i, state in enumerate(states):
-                want = scalar_state_point(ref, frac_high)
+                want, thresholds = scalar_state_point(ref, frac_high)
                 assert state.tolist() == [
                     want.rho_s, want.rho_b, want.H_s, want.H_b, want.U_s,
-                    want.U_b, *want.thresholds], f"point {i} of {n}"
+                    want.U_b, *thresholds], f"point {i} of {n}"
                 # the suites' messages name a row by this point's repr,
                 # which also pins plain floats
                 point = hyperbolicity.StatePoint(*state[:6].tolist())
@@ -280,8 +281,12 @@ class TestStatePoints:
             ref = np.random.default_rng(9)
             done = 0
             while done < n:
-                point = scalar_state_point(ref, 0.8)
-                done += hyperbolicity.in_hyperbolic_set(point, 0.1)
+                point, (fr_minus, _) = scalar_state_point(ref, 0.8)
+                ratio = point.H_s / point.H_b
+                done += hyperbolicity.in_sigma_set(
+                    0.1, point.rho_ratio, ratio, ratio, point.H_s + point.H_b,
+                    lambda: fr_minus
+                    - abs(point.U_b - point.U_s) / np.sqrt(point.H_b))
             assert rng.uniform() == ref.uniform(), f"n_points = {n}"
 
     def test_classification_suite_names_first_mismatch(self, monkeypatch):
@@ -294,9 +299,9 @@ class TestStatePoints:
         ok, detail = harness._suite_classification(
             np.random.default_rng(2), 10)
         ref = np.random.default_rng(2)
-        point = scalar_state_point(ref, 2.4)
+        point, _ = scalar_state_point(ref, 2.4)
         while hyperbolicity.classify(point).degenerate:
-            point = scalar_state_point(ref, 2.4)
+            point, _ = scalar_state_point(ref, 2.4)
         assert not ok
         assert detail.startswith(f"root-count mismatch at {point}: "
                                  f"classifier 3, direct eigenvalues ")
@@ -365,21 +370,12 @@ class TestStatePoints:
         hyperbolicity.classify_arrays(*arrays)
         hyperbolicity.certify_arrays(*arrays)
         assert calls == []
-        for state in states:
-            row = state.tolist()
-            point = hyperbolicity.StatePoint(*row[:6],
-                                             solved_thresholds=row[6:])
-            hyperbolicity.classify(point)
-            hyperbolicity.in_hyperbolic_set(point, 0.05)
-            hyperbolicity.symmetrizers([point])
-            assert calls == []
-            assert point.thresholds == solve(point.H_s / point.H_b,
-                                             point.rho_ratio)
 
+        # a point solves its own pair once, on first read
         fresh = hyperbolicity.StatePoint(0.5, 1.0, 0.8, 1.1, 0.0, 0.1)
         hyperbolicity.classify(fresh)
-        hyperbolicity.in_hyperbolic_set(fresh, 0.05)
-        hyperbolicity.symmetrizers([fresh])
+        hyperbolicity.classify(fresh)
+        hyperbolicity.certify_arrays(*oracles.point_arrays([fresh]))
         assert len(calls) == 1
 
 

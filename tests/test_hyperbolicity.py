@@ -15,19 +15,16 @@ from pycnolab.hyperbolicity import (
     characteristic_speed_bound,
     classify,
     classify_arrays,
-    classify_many,
     coefficient_arrays,
     count_line_intersections,
     critical_froude,
     froude_table,
-    in_hyperbolic_set,
     in_sigma_set,
     leading_minors,
     max_characteristic_speed,
     quartic_roots_batch,
     state_matrices,
     symmetrizer_fields,
-    symmetrizers,
 )
 
 
@@ -51,16 +48,34 @@ def hyperbolic_state(rng, frac=0.8):
     return StatePoint(rho_s=rr, rho_b=1.0, H_s=H_s, H_b=H_b, U_s=U_s, U_b=U_b)
 
 
-def assert_row_equals(block, i, one):
-    """Row i of a block result equals a one-point result, bit for bit."""
+def assert_row_equals(block, i, one, j=None):
+    """Row i of a block result equals a one-point result, or row j of
+    another block result, bit for bit."""
     for name, value in vars(one).items():
         row = getattr(block, name)[i]
-        if isinstance(value, np.ndarray):
+        value = value if j is None else value[j]
+        if np.ndim(value):
             assert np.array_equal(row, value), (name, i)
             assert row.tobytes() == value.astype(row.dtype).tobytes(), (
                 name, i)
         else:
-            assert row == value and type(row.item()) is type(value), (name, i)
+            row, value = np.asarray(row), np.asarray(value)
+            assert row.dtype == value.dtype, (name, i)
+            assert row.tobytes() == value.tobytes(), (name, i)
+
+
+def certify(points):
+    """`certify_arrays` on a block of StatePoints."""
+    return certify_arrays(*oracles.point_arrays(points))
+
+
+def in_point_set(point, sigma):
+    """`in_sigma_set` at one state point, with its exact Fr_-."""
+    ratio = point.H_s / point.H_b
+    return in_sigma_set(sigma, point.rho_ratio, ratio, ratio,
+                        point.H_s + point.H_b,
+                        lambda: point.thresholds[0]
+                        - abs(point.U_b - point.U_s) / np.sqrt(point.H_b))
 
 
 class TestCharacteristicPolynomial:
@@ -126,18 +141,20 @@ class TestCharacteristicPolynomial:
         batch = quartic_roots_batch(*coefficient_arrays(*(
             np.array([getattr(p, name) for p in pts])
             for name in ("rho_ratio", "H_s", "H_b", "U_s", "U_b"))))
-        reports = classify_many(pts)
+        block = classify_arrays(*oracles.point_arrays(pts))
         kinds = set()
-        for i, (p, rep) in enumerate(zip(pts, reports)):
+        for i, p in enumerate(pts):
             coeffs = oracles.characteristic_polynomial(p)
             want = oracles.companion_roots(coeffs)
-            assert np.array_equal(rep.coefficients, coeffs), i
-            assert np.array_equal(rep.roots, want), f"polished roots at {i}"
+            assert np.array_equal(block.coefficients[i], coeffs), i
+            assert np.array_equal(block.roots[i], want), (
+                f"polished roots at {i}")
             assert np.array_equal(
                 batch[i], oracles.companion_roots(coeffs, polish=False)), i
             kinds.add(np.iscomplexobj(want))
         assert kinds == {False, True}
-        assert classify_many([]) == []
+        assert classify_arrays(*oracles.point_arrays([])).roots.shape == (
+            0, 4)
 
     def test_max_speed_bounds_roots(self):
         rng = np.random.default_rng(16)
@@ -512,20 +529,20 @@ class TestClassify:
 
     def test_membership_in_margin_set(self):
         good = StatePoint(0.5, 1.0, 0.5, 0.5, 0.0, 0.0)
-        assert in_hyperbolic_set(good, 0.1)
+        assert in_point_set(good, 0.1)
         # density ratio too close to 1 fails the first clause
         heavy = StatePoint(0.97, 1.0, 0.5, 0.5, 0.0, 0.0)
-        assert not in_hyperbolic_set(heavy, 0.1)
+        assert not in_point_set(heavy, 0.1)
         # extreme depth ratio fails even at rest
         thin = StatePoint(0.5, 1.0, 0.01, 1.0, 0.0, 0.0)
-        assert not in_hyperbolic_set(thin, 0.1)
+        assert not in_point_set(thin, 0.1)
         # shear eating the margin fails the Froude clause
         fm, _ = critical_froude(1.0, 0.5)
         sheared = StatePoint(0.5, 1.0, 0.5, 0.5, 0.0, (fm - 0.05) * np.sqrt(0.5))
-        assert not in_hyperbolic_set(sheared, 0.1)
+        assert not in_point_set(sheared, 0.1)
         for sigma in (0.0, 1.0, -0.5, float("nan")):
             with pytest.raises(ValueError, match=r"sigma must lie in"):
-                in_hyperbolic_set(good, sigma)
+                in_point_set(good, sigma)
 
     def test_margin_runs_only_inside_the_first_three_conditions(self):
         def margin():
@@ -550,18 +567,23 @@ class TestClassificationCore:
             for shear in (fm, fp, fm * (1.0 + 5e-10), fp * (1.0 - 5e-10),
                           fm + 1e-9 * (fm + 0.5), fp - 1e-9 * (fp + 0.5)):
                 pts.append(StatePoint(rr, 1.0, h, 1.0, 0.0, shear))
+        thresholds = [p.thresholds for p in pts]
         # near-collision: at rho_s/rho_b = 1e-18 the roots +-sqrt(1 +-
         # 1e-9) lie pairwise 1e-9 apart; the window is too narrow to
         # resolve, so the thresholds are given
-        pts.append(StatePoint(1e-18, 1.0, 1.0, 1.0, 0.0, 0.0,
-                              solved_thresholds=(0.5, 2.0)))
-        block = classify_arrays(*hyperbolicity._point_arrays(pts))
+        pts.append(StatePoint(1e-18, 1.0, 1.0, 1.0, 0.0, 0.0))
+        thresholds.append((0.5, 2.0))
+        arrays = oracles.point_arrays(pts, thresholds)
+        block = classify_arrays(*arrays)
         for i, p in enumerate(pts):
-            one = classify(p)
+            # a row alone, as scalars, is the row in the block
+            one = classify_arrays(*(a[i] for a in arrays))
             assert_row_equals(block, i, one)
+            if i < 72:
+                assert_row_equals(block, i, classify(p))
             assert (block.real_count[i], block.regime[i],
                     block.degenerate[i]) == oracles.regime_by_branches(
-                        one.roots, *p.thresholds, one.shear), i
+                        one.roots, *thresholds[i], one.shear), i
         assert block.degenerate[60:].all()
         tangent = np.minimum(np.abs(block.shear - block.fr_minus),
                              np.abs(block.shear - block.fr_plus))
@@ -587,16 +609,18 @@ class TestClassificationCore:
             if counted == "four":
                 return roots.real + roots.imag + 0j
             tol = 1e-9 * (1.0 + np.max(np.abs(roots), axis=-1))
-            roots[:, 2] = roots[:, 2].real + 0.5j * tol
-            roots[:, 3] = roots[:, 3].real - 2.0j * tol
+            roots[..., 2] = roots[..., 2].real + 0.5j * tol
+            roots[..., 3] = roots[..., 3].real - 2.0j * tol
             return roots
 
         fm, fp = critical_froude(0.5, 0.3)
-        pts = [StatePoint(0.3, 1.0, 0.5, 1.0, 0.2, 0.2 + f,
-                          solved_thresholds=(fm, fp))
+        pts = [StatePoint(0.3, 1.0, 0.5, 1.0, 0.2, 0.2 + f)
                for f in (0.5 * fm, 0.5 * (fm + fp), 2.0 * fp)]
+        # the points keep the thresholds read here, before the threshold
+        # solver's companion roots are miscounted too
+        arrays = oracles.point_arrays(pts)
         monkeypatch.setattr(hyperbolicity, "_companion_roots", miscounted)
-        block = classify_arrays(*hyperbolicity._point_arrays(pts))
+        block = classify_arrays(*arrays)
         if counted == "odd":
             assert np.all(block.real_count % 2 == 1)
             assert list(block.degenerate) == [True, True, True]
@@ -618,63 +642,60 @@ class TestClassificationCore:
 class TestSymmetrizer:
     def test_symmetrizes_exactly(self):
         rng = np.random.default_rng(51)
-        for _ in range(40):
-            p = hyperbolic_state(rng)
-            sym = symmetrizers([p])[0]
-            assert sym.asymmetry <= 1e-12, (
-                f"S A asymmetry {sym.asymmetry:.3e} at {p}")
-            assert np.max(np.abs(sym.S - sym.S.T)) == 0.0
+        pts = [hyperbolic_state(rng) for _ in range(40)]
+        sym = certify(pts)
+        i = np.argmax(sym.asymmetry)
+        assert sym.asymmetry[i] <= 1e-12, (
+            f"S A asymmetry {sym.asymmetry[i]:.3e} at {pts[i]}")
+        assert np.array_equal(sym.S, sym.S.transpose(0, 2, 1))
 
     def test_positive_definite_with_positive_minors(self):
         rng = np.random.default_rng(52)
-        for _ in range(40):
-            p = hyperbolic_state(rng)
-            sym = symmetrizers([p])[0]
-            assert sym.certified, f"not certified at {p}"
-            assert np.all(sym.minors > 0.0)
-            assert sym.min_eigenvalue > 0.0
-            eigs = np.linalg.eigvalsh(sym.S)
-            assert eigs[0] > 0.0
+        pts = [hyperbolic_state(rng) for _ in range(40)]
+        sym = certify(pts)
+        assert sym.certified.all(), (
+            f"not certified at {pts[np.argmin(sym.certified)]}")
+        assert np.all(sym.minors > 0.0)
+        assert np.all(sym.min_eigenvalue > 0.0)
+        assert np.all(np.linalg.eigvalsh(sym.S)[:, 0] > 0.0)
 
     def test_minor_closed_forms(self):
         rng = np.random.default_rng(53)
-        for _ in range(30):
-            p = hyperbolic_state(rng)
-            sym = symmetrizers([p])[0]
+        pts = [hyperbolic_state(rng) for _ in range(30)]
+        sym = certify(pts)
+        for p, lam, minors in zip(pts, sym.lam, sym.minors):
             rr = p.rho_ratio
-            us = p.U_s - sym.lam
+            us = p.U_s - lam
             want = np.array([
                 rr,
                 rr * (1.0 - rr),
                 rr ** 2 * (p.H_s * (1.0 - rr) - us ** 2),
-                rr ** 2 * np.polyval(oracles.characteristic_polynomial(p), sym.lam),
+                rr ** 2 * np.polyval(oracles.characteristic_polynomial(p), lam),
             ])
-            rel = np.abs(sym.minors - want) / (np.abs(want) + 1e-30)
+            rel = np.abs(minors - want) / (np.abs(want) + 1e-30)
             assert np.max(rel) <= 1e-9, (
                 f"minor closed forms off by {np.max(rel):.2e} at {p}")
 
     def test_shift_between_middle_roots(self):
         rng = np.random.default_rng(54)
-        for _ in range(20):
-            p = hyperbolic_state(rng)
-            rep = classify(p)
-            sym = symmetrizers([p])[0]
-            lams = np.sort(rep.roots.real)
-            assert lams[1] < sym.lam < lams[2], (
-                f"shift {sym.lam} outside middle-root gap ({lams[1]}, {lams[2]})")
+        pts = [hyperbolic_state(rng) for _ in range(20)]
+        for p, lam in zip(pts, certify(pts).lam):
+            lams = np.sort(classify(p).roots.real)
+            assert lams[1] < lam < lams[2], (
+                f"shift {lam} outside middle-root gap ({lams[1]}, {lams[2]})")
 
     def test_rejects_elliptic_point(self):
         fm, fp = critical_froude(1.0, 0.5)
         p = StatePoint(0.5, 1.0, 1.0, 1.0, 0.0, 0.5 * (fm + fp))
         with pytest.raises(ValueError):
-            symmetrizers([p])
+            certify([p])
 
     def test_field_assembly_matches_pointwise(self):
         # the stacked assembly against S written out entry by entry, one
         # point at a time, as the module docstring states it
         rng = np.random.default_rng(55)
         pts = [hyperbolic_state(rng) for _ in range(6)]
-        lams = np.array([symmetrizers([p])[0].lam for p in pts])
+        lams = certify(pts).lam
         stack = symmetrizer_fields(
             np.array([p.rho_ratio for p in pts]),
             np.array([p.H_s for p in pts]),
@@ -699,11 +720,11 @@ class TestSymmetrizer:
         # the golden-section search
         odd = pts[70]
         top = max(odd.U_s, odd.U_b)
-        roots = classify_many(pts)[70].roots
+        roots = classify(odd).roots
         roots = roots - np.sort(roots.real)[1] + top + 0.5
         lo, hi = np.sort(roots.real)[1:3]
         classify_all = hyperbolicity.classify_arrays
-        key = hyperbolicity._point_arrays([odd])[:5]
+        key = oracles.point_arrays([odd])[:5]
 
         def shifted(*arrays):
             report = classify_all(*arrays)
@@ -712,20 +733,14 @@ class TestSymmetrizer:
             return report
 
         monkeypatch.setattr(hyperbolicity, "classify_arrays", shifted)
-        certs = symmetrizers(pts[:64]) + symmetrizers(pts[64:])
-        block = certify_arrays(*hyperbolicity._point_arrays(pts))
-        assert lo < certs[70].lam < hi and certs[70].lam > top
-        assert block.lam[70] == certs[70].lam
-        for i, (p, cert) in enumerate(zip(pts, certs)):
-            one = symmetrizers([p])[0]
-            assert_row_equals(block, i, one)
-            for name in ("lam", "min_eigenvalue", "asymmetry", "certified"):
-                assert getattr(cert, name) == getattr(one, name), (name, i)
-                assert type(getattr(cert, name)) is type(getattr(one, name))
-            for name in ("S", "minors"):
-                assert getattr(cert, name).tobytes() == \
-                    getattr(one, name).tobytes(), (name, i)
-        assert symmetrizers([]) == []
+        halves = certify(pts[:64]), certify(pts[64:])
+        block = certify(pts)
+        assert lo < block.lam[70] < hi and block.lam[70] > top
+        for i, p in enumerate(pts):
+            one = certify([p])
+            assert_row_equals(block, i, one, 0)
+            assert_row_equals(halves[i // 64], i % 64, one, 0)
+        assert certify([]).S.shape == (0, 4, 4)
 
     def test_minors_helper_is_determinants(self):
         rng = np.random.default_rng(56)
