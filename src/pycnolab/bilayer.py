@@ -36,12 +36,14 @@ and the CSV writers.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
 from .core import (
     CFL_DEFAULT,
+    DEPTH_FLOOR,
+    STEP_HEADROOM,
     LevelGrid,
     SobolevIndex,
     check_thickness,
@@ -191,7 +193,9 @@ class MarginTable:
     Exact thresholds at every grid point and step would cost more than
     the table; the threshold is smooth in the depth ratio, so
     diagnostics read a geometric table instead and extend it on demand.
-    Each run builds and keeps its own table and range.
+    Each run keeps its own table and range; the nodes of a (density
+    ratio, range, node count) are solved once per process and shared,
+    read-only, by every table that reads them.
     """
 
     def __init__(self, rho_ratio, lo, hi):
@@ -209,8 +213,8 @@ class MarginTable:
     def _build(self):
         decades = math.log10(self.hi / self.lo)
         n = max(17, int(decades * MARGIN_NODES_PER_DECADE) + 1)
-        self.nodes, self.fr_minus, _ = froude_table(self.rho_ratio, self.lo,
-                                                    self.hi, n_nodes=n)
+        self.nodes, self.fr_minus = _margin_nodes(self.rho_ratio, self.lo,
+                                                  self.hi, n)
 
     def __call__(self, ratios):
         rmin, rmax = float(np.min(ratios)), float(np.max(ratios))
@@ -219,6 +223,15 @@ class MarginTable:
             self.hi = max(self.hi, 2.0 * rmax)
             self._build()
         return np.interp(ratios, self.nodes, self.fr_minus)
+
+
+@lru_cache(maxsize=32)
+def _margin_nodes(rho_ratio, lo, hi, n):
+    """Read-only (nodes, Fr_-) of an n-node `froude_table` over [lo, hi]."""
+    nodes, fr_minus, _ = froude_table(rho_ratio, lo, hi, n_nodes=n)
+    nodes.flags.writeable = False
+    fr_minus.flags.writeable = False
+    return nodes, fr_minus
 
 
 def pointwise_margin(state, params, table=None):
@@ -262,8 +275,8 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
               sigma=None):
     """March the state to time T with a fixed step.
 
-    The step is chosen once from the CFL limit of the initial state (or
-    from the `dt` request, shrunk to divide T evenly); every step
+    The step is the `dt` request or, by default, STEP_HEADROOM times the
+    CFL limit of the initial state, shrunk to divide T evenly; every step
     re-checks the limit against the current state. Snapshots and
     diagnostics (masses, H^2 norm, worst margin) are stored every
     `snapshot_every` steps. If `sigma` is given (in (0, 1)) the initial
@@ -289,7 +302,7 @@ def integrate(initial, params, T, dt=None, cfl=CFL_DEFAULT, snapshot_every=1,
                 "margin": float(margin.min())}
 
     if dt is None:
-        dt = cfl_limit(initial, params, cfl)
+        dt = STEP_HEADROOM * cfl_limit(initial, params, cfl)
     grid = initial.grid
     work = ColumnWork(grid, 2)
     run = march(initial, initial.stacked,
@@ -316,46 +329,51 @@ def bd_residual(trajectory, params):
     use the five-point fourth-order centered stencil, so only interior
     times appear in the output. Returns (times, residual) with residual
     the root-sum-square of the four equation residuals in discrete L2.
+    The snapshots are stacked as one (m, 4, n_x) array and every spatial
+    derivative and dealias acts on all of them in one call; the
+    transforms work row by row, so each snapshot's residual has the bits
+    it would have alone.
     """
     states = trajectory.states
     if len(states) < 5:
         raise ValueError("need at least five snapshots for the time stencil")
-    dts = np.diff([s.t for s in states])
+    times = np.array([s.t for s in states])
+    dts = np.diff(times)
     if np.max(np.abs(dts - dts[0])) > 1e-12 * max(dts[0], 1e-30):
         raise ValueError("bd_residual needs uniformly spaced snapshots")
     dt = dts[0]
     grid = states[0].grid
     kappa = params.kappa
+    d = grid.derivative
 
-    H = np.array([s.stacked[:2] for s in states])          # (m, 2, n_x)
-    V = np.array([total_velocity(s, params) for s in states])
+    hbar = np.array([[params.Hbar_s], [params.Hbar_b]])
+    ubar = np.array([[params.Ubar_s], [params.Ubar_b]])
+    stacked = np.array([s.stacked for s in states])        # (m, 4, n_x)
+    H = stacked[:, :2]
+    depth = hbar + H                                       # (h_s, h_b)
+    thin = np.min(depth, axis=(1, 2)) <= DEPTH_FLOOR
+    if thin.any():
+        i = int(np.argmax(thin))
+        check_thickness(depth[i], times[i])
+    dHx = d(H)                                             # d_x (H_s, H_b)
+    V = stacked[:, 2:] - kappa * dHx / depth               # (V_s, V_b)
 
     # five-point centered d/dt
     dH = (-H[4:] + 8.0 * H[3:-1] - 8.0 * H[1:-3] + H[:-4]) / (12.0 * dt)
     dV = (-V[4:] + 8.0 * V[3:-1] - 8.0 * V[1:-3] + V[:-4]) / (12.0 * dt)
 
-    times = np.array([s.t for s in states[2:-2]])
-    res = np.zeros(times.size)
-    rr = params.rho_ratio
-    d = grid.derivative
-    scale = np.sqrt(grid.length)
-
-    for j, i in enumerate(range(2, len(states) - 2)):
-        st = states[i]
-        hs, hb, _, _ = _totals(st.stacked, params)
-        dHs, dHb = d(st.H_s), d(st.H_b)
-        vs, vb = V[i]
-        eq = np.zeros((4, grid.n_x))
-        eq[0] = dH[j, 0] + d(grid.dealias(hs * (params.Ubar_s + vs)))
-        eq[1] = dH[j, 1] + d(grid.dealias(hb * (params.Ubar_b + vb)))
-        adv_s = params.Ubar_s + vs - kappa * dHs / hs
-        adv_b = params.Ubar_b + vb - kappa * dHb / hb
-        eq[2] = (dV[j, 0] + grid.dealias(adv_s * d(vs)) + dHs + dHb
-                 - kappa * d(vs, order=2))
-        eq[3] = (dV[j, 1] + grid.dealias(adv_b * d(vb)) + rr * dHs + dHb
-                 - kappa * d(vb, order=2))
-        res[j] = scale * np.sqrt(float(np.sum(np.mean(eq * eq, axis=1))))
-    return times, res
+    inner = slice(2, -2)
+    depth, dHx, v = depth[inner], dHx[inner], V[inner]
+    dHs, dHb = dHx[:, :1], dHx[:, 1:]
+    mass = dH + d(grid.dealias(depth * (ubar + v)))
+    adv = ubar + v - kappa * dHx / depth
+    press = np.concatenate([dHs, params.rho_ratio * dHs], axis=1)
+    momentum = (dV + grid.dealias(adv * d(v)) + press + dHb
+                - kappa * d(v, order=2))
+    eq = np.concatenate([mass, momentum], axis=1)          # (m - 4, 4, n_x)
+    res = np.sqrt(grid.length) * np.sqrt(
+        np.sum(np.mean(eq * eq, axis=-1), axis=-1))
+    return times[inner], res
 
 
 # ----------------------------------------------------------------------

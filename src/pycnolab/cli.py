@@ -252,9 +252,6 @@ def cmd_simulate_bilayer(cfg, art, plots):
     initial = harness.initial_from_config(cfg, grid)
     cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
     dt = config_positive(cfg, "dt", None)
-    if dt is None:
-        # headroom: the limit tightens when the state steepens
-        dt = 0.9 * bilayer.cfl_limit(initial, params, cfl)
     traj = bilayer.integrate(
         initial, params, config_real(cfg, "T", 1.0), dt=dt, cfl=cfl,
         snapshot_every=config_count(cfg, "snapshot_every", 8),
@@ -280,8 +277,6 @@ def cmd_simulate_stratified(cfg, art, plots):
     kappa = config_real(cfg, "kappa", 0.1)
     cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
     dt = config_positive(cfg, "dt", None)
-    if dt is None:
-        dt = 0.9 * stratified.cfl_limit(state, profile, kappa, cfl)
     traj = stratified.integrate(
         state, profile, kappa, config_real(cfg, "T", 1.0), dt=dt, cfl=cfl,
         snapshot_every=config_count(cfg, "snapshot_every", 8))

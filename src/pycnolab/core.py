@@ -24,8 +24,9 @@ each copied, shape-checked and finiteness-checked once by
 
 The failure policy shared by every solver also lives here: one positivity
 floor on cell thickness, one blow-up growth factor, one default CFL
-number, one blow-up exception and one step-limit exception. So does the
-one CSV table writer, `write_table`, and its cell rule `csv_cell`.
+number, one headroom for the default step, one blow-up exception and one
+step-limit exception. So does the one CSV table writer, `write_table`,
+and its cell rule `csv_cell`.
 """
 
 import numpy as np
@@ -34,6 +35,10 @@ DEFAULT_LENGTH = 2.0 * np.pi
 DEPTH_FLOOR = 1e-6
 BLOWUP_FACTOR = 1e3
 CFL_DEFAULT = 0.4
+# a run given no dt steps at this share of its initial CFL limit: the
+# limit tightens as the state steepens, and at the limit itself the
+# default two-layer run breaches it mid-run
+STEP_HEADROOM = 0.9
 
 
 class BlowUpError(RuntimeError):

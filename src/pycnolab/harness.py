@@ -40,7 +40,14 @@ import numpy as np
 from . import bilayer
 from . import refined
 from . import stratified
-from .core import CFL_DEFAULT, LevelGrid, SpatialGrid, write_table
+from .core import (
+    CFL_DEFAULT,
+    STEP_HEADROOM,
+    LevelGrid,
+    SobolevIndex,
+    SpatialGrid,
+    write_table,
+)
 from .hyperbolicity import (
     StatePoint,
     certify_arrays,
@@ -347,16 +354,16 @@ def sweep_kappa(config):
     if kappas[0] <= 0.0:
         raise ValueError("kappa sweep values must be positive")
     T = config_real(cfg, "T", 0.5)
-    s = config_real(cfg, "s", 2.0)
+    s = SobolevIndex(config_real(cfg, "s", 2.0))
     cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
     grid = grid_from_config(cfg)
     base = params_from_config(cfg)
     initial = initial_from_config(cfg, grid)
 
-    # shared step for every member, with headroom for the limit to
-    # tighten as the state steepens
-    dt = 0.9 * min(bilayer.cfl_limit(initial, replace(base, kappa=k), cfl)
-                   for k in [0.0] + kappas)
+    # shared step for every member, with the default step's headroom
+    dt = STEP_HEADROOM * min(
+        bilayer.cfl_limit(initial, replace(base, kappa=k), cfl)
+        for k in [0.0] + kappas)
 
     def final(k, name):
         return _final(bilayer.integrate(
@@ -391,11 +398,11 @@ def sweep_epsilon(config):
     if not epsilons:
         raise ValueError("epsilon sweep needs a non-empty epsilons list")
     T = config_real(cfg, "T", 0.5)
-    s = config_real(cfg, "s", 2.0)
+    s = SobolevIndex(config_real(cfg, "s", 2.0))
     cfl = config_positive(cfg, "cfl", CFL_DEFAULT)
     kappa = config_real(cfg, "kappa", 0.1)
     shape = cfg.get("shape", "tanh")
-    band_factor = config_real(cfg, "band_factor", 3.0)
+    band_factor = config_positive(cfg, "band_factor", 3.0)
     params, levels, bi_initial, _, strat_initial = column_setup(cfg)
     bi_params = replace(params, kappa=kappa)
     grid = bi_initial.grid
@@ -411,7 +418,7 @@ def sweep_epsilon(config):
     dt = bilayer.cfl_limit(bi_initial, bi_params, cfl)
     for profile in targets:
         dt = min(dt, stratified.cfl_limit(strat_initial, profile, kappa, cfl))
-    dt *= 0.9
+    dt *= STEP_HEADROOM
 
     def measure():
         bi_final = _final(bilayer.integrate(
@@ -479,7 +486,7 @@ def refined_check(cfg):
     params, levels, _, sharp, state = column_setup(cfg)
     kappa = config_real(cfg, "kappa", 0.1)
     T = config_real(cfg, "T", 0.3)
-    s = config_real(cfg, "s", 2.0)
+    s = SobolevIndex(config_real(cfg, "s", 2.0))
     agreement_tol = config_real(cfg, "agreement_tol", 1e-10)
     ratio_slack = config_real(cfg, "ratio_slack", 1e-9)
     if not (0.0 <= agreement_tol < math.inf and 0.0 <= ratio_slack < math.inf):
@@ -512,10 +519,11 @@ def refined_check(cfg):
 # invariant suites
 # ----------------------------------------------------------------------
 
-# the suites check their random state points this many at a time, which
-# bounds the stacked eigenproblems; the symmetrizer suite also draws and
-# certifies them in blocks of this size
-_BLOCK = 64
+# the suites check their random state points at most this many at a time;
+# every row gets the same bits in any block, so the size bounds only the
+# memory of the stacked eigenproblems. The symmetrizer suite also draws
+# and certifies its points in blocks of at most this size
+_BLOCK = 1024
 
 
 def random_states(rng, n, frac_high):

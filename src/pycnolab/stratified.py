@@ -54,6 +54,7 @@ from .core import (
     BLOWUP_FACTOR,
     CFL_DEFAULT,
     DEPTH_FLOOR,
+    STEP_HEADROOM,
     BlowUpError,
     StepLimitError,
     check_kappa,
@@ -633,15 +634,15 @@ def integrate(initial, profile, kappa, T, dt=None, cfl=CFL_DEFAULT,
               snapshot_every=1):
     """Fixed-step IF-RK4 trajectory of the stratified system to time T.
 
-    The step comes from the CFL limit of the initial state unless `dt` is
-    given; `march` stores snapshots and diagnostics (per-level masses,
-    worst-level H^2 norm, min depth) every `snapshot_every` steps and
-    flags the run when it blows up.
+    The step is the `dt` request or, by default, STEP_HEADROOM times the
+    CFL limit of the initial state; `march` stores snapshots and
+    diagnostics (per-level masses, worst-level H^2 norm, min depth) every
+    `snapshot_every` steps and flags the run when it blows up.
     """
     _check_levels(initial, profile)
     check_kappa(kappa)
     if dt is None:
-        dt = cfl_limit(initial, profile, kappa, cfl)
+        dt = STEP_HEADROOM * cfl_limit(initial, profile, kappa, cfl)
     grid = initial.grid
     work = ColumnWork(grid, initial.levels.n_r)
     run = march_column(initial, lambda t, y, dt: step(

@@ -461,6 +461,50 @@ def allocating_spectral_if_rk4(h, u, dt, grid, profile, P, kappa):
 
 
 # ----------------------------------------------------------------------
+# the total-velocity residual, one snapshot at a time
+# ----------------------------------------------------------------------
+# Like the allocating step above, no independent route: the residual's
+# per-snapshot form, operation for operation on the grid's own derivative
+# and dealias, so the stacked `bilayer.bd_residual` can be checked
+# against it bit for bit.
+
+def bd_residual_by_snapshots(trajectory, params):
+    """(times, residual) of `bilayer.bd_residual`, snapshot by snapshot."""
+    states = trajectory.states
+    grid = states[0].grid
+    d = grid.derivative
+    kappa, rr = params.kappa, params.rho_s / params.rho_b
+    Hbar = (params.Hbar_s, params.Hbar_b)
+    Ubar = (params.Ubar_s, params.Ubar_b)
+    dt = states[1].t - states[0].t
+    H = np.array([s.stacked[:2] for s in states])
+    V = np.array([[s.stacked[2 + l] - kappa * d(s.stacked[l])
+                   / (Hbar[l] + s.stacked[l]) for l in (0, 1)]
+                  for s in states])
+    dH = (-H[4:] + 8.0 * H[3:-1] - 8.0 * H[1:-3] + H[:-4]) / (12.0 * dt)
+    dV = (-V[4:] + 8.0 * V[3:-1] - 8.0 * V[1:-3] + V[:-4]) / (12.0 * dt)
+    times = np.array([s.t for s in states[2:-2]])
+    res = np.zeros(times.size)
+    for j, i in enumerate(range(2, len(states) - 2)):
+        st = states[i]
+        hs, hb = Hbar[0] + st.stacked[0], Hbar[1] + st.stacked[1]
+        dHs, dHb = d(st.stacked[0]), d(st.stacked[1])
+        vs, vb = V[i]
+        eq = np.zeros((4, grid.n_x))
+        eq[0] = dH[j, 0] + d(grid.dealias(hs * (Ubar[0] + vs)))
+        eq[1] = dH[j, 1] + d(grid.dealias(hb * (Ubar[1] + vb)))
+        adv_s = Ubar[0] + vs - kappa * dHs / hs
+        adv_b = Ubar[1] + vb - kappa * dHb / hb
+        eq[2] = (dV[j, 0] + grid.dealias(adv_s * d(vs)) + dHs + dHb
+                 - kappa * d(vs, order=2))
+        eq[3] = (dV[j, 1] + grid.dealias(adv_b * d(vb)) + rr * dHs + dHb
+                 - kappa * d(vb, order=2))
+        res[j] = np.sqrt(grid.length) * np.sqrt(
+            float(np.sum(np.mean(eq * eq, axis=1))))
+    return times, res
+
+
+# ----------------------------------------------------------------------
 # slow transforms and norms
 # ----------------------------------------------------------------------
 

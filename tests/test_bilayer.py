@@ -1,13 +1,14 @@
 """Tests for the two-layer solver: RHS algebra, stepping, diagnostics."""
 
 import io
+import types
 
 import numpy as np
 import pytest
 
 import oracles
 from pycnolab import bilayer, hyperbolicity, stratified
-from pycnolab.core import BlowUpError, SpatialGrid
+from pycnolab.core import STEP_HEADROOM, BlowUpError, SpatialGrid
 from pycnolab.hyperbolicity import max_characteristic_speed
 from pycnolab.stratified import StratifiedProfile
 from pycnolab.bilayer import (
@@ -34,6 +35,14 @@ def state_of(grid, H_s=0.0, H_b=0.0, U_s=0.0, U_b=0.0):
     """A BilayerState at t = 0; a number stands for a constant field."""
     return BilayerState(0.0, grid, [np.broadcast_to(f, grid.n_x)
                                     for f in (H_s, H_b, U_s, U_b)])
+
+
+@pytest.fixture
+def fresh_margin_nodes():
+    """No margin-table nodes solved yet in this process, nor left behind."""
+    bilayer._margin_nodes.cache_clear()
+    yield
+    bilayer._margin_nodes.cache_clear()
 
 
 def params_with(**kw):
@@ -317,7 +326,8 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(fast, PARAMS0, 0.1, sigma=0.3)
 
-    def test_sigma_gated_run_builds_one_margin_table(self, monkeypatch):
+    def test_sigma_gated_run_builds_one_margin_table(self, monkeypatch,
+                                                     fresh_margin_nodes):
         # the gate reads the run's own table; it once built a second one
         calls = []
         solve = bilayer.froude_table
@@ -382,6 +392,46 @@ class TestIntegrate:
             fm, _ = critical_froude(hs[j] / hb[j], PARAMS0.rho_ratio)
             assert abs(margin[j] - (fm - shear[j])) <= 5e-6, (
                 f"table margin off at node {j}")
+
+    def test_margin_nodes_are_solved_once_and_read_only(
+            self, monkeypatch, fresh_margin_nodes):
+        calls = []
+        solve = bilayer.froude_table
+        monkeypatch.setattr(bilayer, "froude_table", lambda *a, **k: (
+            calls.append(a) or solve(*a, **k)))
+        first, second = MarginTable(0.5, 0.4, 0.6), MarginTable(0.5, 0.4, 0.6)
+        assert len(calls) == 1
+        assert second.nodes is first.nodes
+        assert second.fr_minus is first.fr_minus
+        nodes, fr_minus, _ = solve(0.5, 0.4, 0.6, n_nodes=first.nodes.size)
+        assert np.array_equal(first.nodes, nodes)
+        assert np.array_equal(first.fr_minus, fr_minus)
+        for shared in (first.nodes, first.fr_minus):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.0
+        # a two-layer run reads the same nodes: no second solve
+        integrate(make_initial(SpatialGrid(32), "sine", {"H_s": 0.02}),
+                  PARAMS0, 0.05)
+        integrate(make_initial(SpatialGrid(32), "sine", {"H_s": 0.02}),
+                  params_with(kappa=0.1), 0.05)
+        assert len(calls) == 2
+
+    def test_default_step_leaves_headroom(self):
+        # at the exact initial limit the default two-layer state steepens
+        # past it: a cfl-breach at t = 0.388
+        init = make_initial(SpatialGrid(256), "sine",
+                            {"H_s": 0.05, "U_s": 0.02})
+        limit = cfl_limit(init, PARAMS0)
+        run = integrate(init, PARAMS0, 0.5, snapshot_every=10 ** 9)
+        assert not run.blown_up and run.warnings == ()
+        given = integrate(init, PARAMS0, 0.5, dt=STEP_HEADROOM * limit,
+                          snapshot_every=10 ** 9)
+        assert run.dt == given.dt
+        assert np.array_equal(run.final.stacked, given.final.stacked)
+        exact = integrate(init, PARAMS0, 0.5, dt=limit,
+                          snapshot_every=10 ** 9)
+        assert exact.blown_up
+        assert exact.warnings[0].startswith("cfl-breach")
 
     def test_extended_table_matches_fresh_one(self):
         table = MarginTable(0.5, 0.4, 0.6)
@@ -469,6 +519,31 @@ class TestBDResidual:
         r2 = maxima[1] / maxima[2]
         assert 9.0 <= r1 <= 30.0, f"first halving ratio {r1:.1f}"
         assert 9.0 <= r2 <= 30.0, f"second halving ratio {r2:.1f}"
+
+    @pytest.mark.parametrize("kappa, div", [(0.1, 2.0), (0.1, 4.0),
+                                            (0.0, 2.0)])
+    def test_stacked_residual_is_the_snapshot_loop(self, kappa, div):
+        # the check-all suite's runs: one pass over the stacked snapshots
+        # gives each snapshot's bits
+        grid = SpatialGrid(64)
+        p = params_with(kappa=kappa)
+        init = make_initial(grid, "sine", {"H_s": 0.05, "U_s": 0.03})
+        traj = integrate(init, p, 0.2, dt=cfl_limit(init, p) / div)
+        times, res = bd_residual(traj, p)
+        want_times, want = oracles.bd_residual_by_snapshots(traj, p)
+        assert res.shape == (len(traj.states) - 4,)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(res, want)
+
+    def test_thin_snapshot_is_a_blowup_at_its_time(self):
+        # the first snapshot at the depth floor is named, as the
+        # per-snapshot total velocity named it
+        grid = SpatialGrid(16)
+        thin = [state_of(grid), state_of(grid, -PARAMS0.Hbar_s)]
+        states = [BilayerState(0.1 * i, grid, thin[i in (2, 3)].stacked)
+                  for i in range(6)]
+        with pytest.raises(BlowUpError, match="at t = 0.2$"):
+            bd_residual(types.SimpleNamespace(states=states), PARAMS0)
 
     def test_needs_uniform_snapshots(self):
         traj, p = self.run_traj(1)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pycnolab import bilayer, cli, harness, hyperbolicity, stratified
-from pycnolab.core import LevelGrid, SpatialGrid
+from pycnolab.core import STEP_HEADROOM, LevelGrid, SpatialGrid
 
 
 def write_config(tmp_path, name, payload):
@@ -318,6 +318,40 @@ class TestConfigHandling:
         assert capsys.readouterr().err == (
             f"config error: need agreement_tol and ratio_slack finite and "
             f">= 0, got {got}\n")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, payload, error", [
+        ("refine", {"n_r": 8, "T": 0.2, "s": -1},
+         "Sobolev index must be finite and >= 0, got -1.0"),
+        ("refine", {"n_r": 8, "T": 0.2, "s": float("nan")},
+         "Sobolev index must be finite and >= 0, got nan"),
+        ("sweep-epsilon", {"s": -1},
+         "Sobolev index must be finite and >= 0, got -1.0"),
+        ("sweep-kappa", {"s": -1},
+         "Sobolev index must be finite and >= 0, got -1.0"),
+        ("sweep-epsilon", {"band_factor": -1},
+         "band_factor must be finite and positive, got -1"),
+        ("sweep-epsilon", {"band_factor": 0},
+         "band_factor must be finite and positive, got 0"),
+        ("sweep-epsilon", {"band_factor": float("inf")},
+         "band_factor must be finite and positive, got inf")])
+    def test_norm_and_band_are_checked_before_any_run(
+            self, tmp_path, capsys, monkeypatch, command, payload, error):
+        # "s": -1 once cost refine its reference and refined runs and
+        # each sweep two marches; "band_factor": -1 ran all six marches
+        # of sweep-epsilon and passed
+        marches = []
+        for module, name in ((bilayer, "integrate"),
+                             (stratified, "integrate"),
+                             (harness.refined, "solve_refined")):
+            run = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, run=run, **k: (
+                marches.append(1) or run(*a, **k)))
+        cfg = write_config(tmp_path, "c.json", {"n_x": 32, **payload})
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert (code, marches) == (cli.CONFIG_ERROR, [])
+        assert capsys.readouterr().err == f"config error: {error}\n"
         assert not any(out.iterdir())
 
     def test_check_all_checks_kappa_before_any_suite(self, tmp_path, capsys,
@@ -688,6 +722,33 @@ class TestRunCommands:
             assert (out / name).exists(), name
         summary = read_summary(out, "simulate-bilayer")
         assert summary["slope"] is None
+
+    @pytest.mark.parametrize("command, payload", [
+        ("simulate-bilayer", {"n_x": 64, "T": 0.2}),
+        ("simulate-stratified", {"n_x": 64, "n_r": 16, "T": 0.2})])
+    def test_default_step_is_the_shared_headroom(self, tmp_path, command,
+                                                 payload):
+        # with no dt, each command's run takes STEP_HEADROOM times its
+        # initial limit itself: the artifacts are those of that dt given
+        if command == "simulate-bilayer":
+            grid = harness.grid_from_config(payload)
+            limit = bilayer.cfl_limit(harness.initial_from_config(
+                payload, grid), harness.params_from_config(payload))
+        else:
+            _, _, _, profile, state = harness.column_setup(payload)
+            limit = stratified.cfl_limit(state, profile, 0.1)
+        outs = []
+        for extra in ({}, {"dt": STEP_HEADROOM * limit}):
+            cfg = write_config(tmp_path, "c.json", {**payload, **extra})
+            outs.append(tmp_path / f"o{len(outs)}")
+            code = cli.main([command, "--config", cfg, "--out",
+                             str(outs[-1])])
+            assert code == cli.PASS
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])) and len(names) >= 3
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), name
 
     def test_simulate_bilayer_blowup_exit(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

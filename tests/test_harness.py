@@ -324,6 +324,13 @@ class TestStatePoints:
             np.random.default_rng(0), 1000)
         assert ok, detail
         assert calls == [1000]
+        assert blocks == [1000]
+        # smaller blocks split the same points and reach the same verdict
+        monkeypatch.setattr(harness, "_BLOCK", 64)
+        calls.clear(), blocks.clear()
+        assert harness._suite_classification(
+            np.random.default_rng(0), 1000) == (ok, detail)
+        assert calls == [1000]
         assert blocks == [64] * 15 + [40]
 
     def test_symmetrizer_suite_certifies_each_block_once(self, monkeypatch):
@@ -349,7 +356,9 @@ class TestStatePoints:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         ok, detail = harness._suite_symmetrizer(np.random.default_rng(0), 400)
         assert ok and detail.startswith("400 points certified"), detail
-        assert len(blocks) > 1
+        # the first draw is every point still needed; the points it
+        # leaves outside the margin set are drawn again
+        assert blocks[0] == 400 and len(blocks) > 1
         assert len(certified) == len(blocks) and sum(certified) == 400
         # one stacked eigensolve per block, none per point
         assert eigensolves == [(n, 4, 4) for n in certified]
@@ -465,21 +474,36 @@ class TestCheckAll:
 
     def test_check_all_cost(self, monkeypatch):
         # Richardson marches base, base/2, base/4 and base/8 with no
-        # base/32 reference run (467 two-layer steps per call with it),
-        # and the exact speed solves the quartic only where the pointwise
-        # bound leaves room (6,848 matrices per call when every grid
-        # point was solved)
-        steps, matrices = [], []
+        # base/32 reference run (467 two-layer steps per call with it).
+        # The conservation runs step at the default headroom below their
+        # initial limit (232 steps per call at the limit itself), where
+        # the closed-form bound certifies every step: the quartic is
+        # solved only for the initial limits and where the pointwise
+        # bound leaves room (965 matrices per call at the limit, 6,848
+        # when every grid point was solved). The nine two-layer runs read
+        # one shared margin table, and the 1,000 classification points
+        # are one block
+        steps, matrices, tables, blocks = [], [], [], []
         step, roots = bilayer.step, hyperbolicity.quartic_roots_batch
+        table, classify = bilayer.froude_table, harness.classify_arrays
         monkeypatch.setattr(bilayer, "step",
                             lambda *a, **k: steps.append(1) or step(*a, **k))
         monkeypatch.setattr(hyperbolicity, "quartic_roots_batch",
                             lambda *c: matrices.append(np.size(c[0]))
                             or roots(*c))
-        report = harness.check_all({"seed": 7})
-        assert report["passed"], report
-        assert len(steps) == 232
-        assert sum(matrices) <= 2000, (sum(matrices), len(matrices))
+        monkeypatch.setattr(bilayer, "froude_table", lambda *a, **k: (
+            tables.append(a) or table(*a, **k)))
+        monkeypatch.setattr(harness, "classify_arrays", lambda *a: (
+            blocks.append(np.size(a[0])) or classify(*a)))
+        bilayer._margin_nodes.cache_clear()
+        for built in (1, 0):
+            steps.clear(), matrices.clear(), tables.clear(), blocks.clear()
+            report = harness.check_all({"seed": 7})
+            assert report["passed"], report
+            assert len(steps) == 238
+            assert sum(matrices) < 100, (sum(matrices), len(matrices))
+            assert len(tables) == built
+            assert blocks == [1000]
 
     def test_richardson_suite_fails_first_order_finals(self, monkeypatch):
         # finals carrying an error c dt halve their differences per
