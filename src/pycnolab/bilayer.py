@@ -42,7 +42,6 @@ import numpy as np
 
 from .core import (
     CFL_DEFAULT,
-    DEPTH_FLOOR,
     STEP_HEADROOM,
     LevelGrid,
     SobolevIndex,
@@ -126,8 +125,11 @@ class BilayerState:
 
 
 def _totals(stacked, params):
-    return (params.Hbar_s + stacked[0], params.Hbar_b + stacked[1],
-            params.Ubar_s + stacked[2], params.Ubar_b + stacked[3])
+    """Totals (h_s, h_b, u_s, u_b) of deviations stacked on axis -2."""
+    return (params.Hbar_s + stacked[..., 0, :],
+            params.Hbar_b + stacked[..., 1, :],
+            params.Ubar_s + stacked[..., 2, :],
+            params.Ubar_b + stacked[..., 3, :])
 
 
 def _to_column(stacked, grid, params):
@@ -149,13 +151,20 @@ def rhs(state, params):
     return _from_column(*column_derivative(h, u, state.t, *column), params)
 
 
-def total_velocity(state, params):
-    """(V_s, V_b), the arrays V_l = U_l - kappa d_x H_l / (Hbar_l + H_l)."""
-    hs, hb, _, _ = _totals(state.stacked, params)
-    check_thickness((hs, hb), state.t)
-    d = state.grid.derivative
-    return (state.U_s - params.kappa * d(state.H_s) / hs,
-            state.U_b - params.kappa * d(state.H_b) / hb)
+def total_velocity(stacked, times, grid, params):
+    """Total velocities of stacked states, with the depths and slopes used.
+
+    `stacked` is (m, 4, n_x), one (H_s, H_b, U_s, U_b) state per entry of
+    `times`; each state's depths are checked against the floor at its own
+    time. Returns (depth, dHx, V), each (m, 2, n_x) with rows (s, b): the
+    depths h_l = Hbar_l + H_l, d_x H_l and V_l = U_l - kappa d_x H_l / h_l.
+    """
+    hs, hb, _, _ = _totals(stacked, params)
+    depth = np.stack([hs, hb], axis=1)
+    for dep, t in zip(depth, times):
+        check_thickness(dep, t)
+    dHx = grid.derivative(stacked[:, :2])
+    return depth, dHx, stacked[:, 2:] - params.kappa * dHx / depth
 
 
 def cfl_limit(state, params, cfl=CFL_DEFAULT):
@@ -346,27 +355,21 @@ def bd_residual(trajectory, params):
     kappa = params.kappa
     d = grid.derivative
 
-    hbar = np.array([[params.Hbar_s], [params.Hbar_b]])
-    ubar = np.array([[params.Ubar_s], [params.Ubar_b]])
     stacked = np.array([s.stacked for s in states])        # (m, 4, n_x)
+    depth, dHx, V = total_velocity(stacked, times, grid, params)
     H = stacked[:, :2]
-    depth = hbar + H                                       # (h_s, h_b)
-    thin = np.min(depth, axis=(1, 2)) <= DEPTH_FLOOR
-    if thin.any():
-        i = int(np.argmax(thin))
-        check_thickness(depth[i], times[i])
-    dHx = d(H)                                             # d_x (H_s, H_b)
-    V = stacked[:, 2:] - kappa * dHx / depth               # (V_s, V_b)
+    _, _, us, ub = _totals(np.concatenate([H, V], axis=1), params)
+    u = np.stack([us, ub], axis=1)                         # Ubar_l + V_l
 
     # five-point centered d/dt
     dH = (-H[4:] + 8.0 * H[3:-1] - 8.0 * H[1:-3] + H[:-4]) / (12.0 * dt)
     dV = (-V[4:] + 8.0 * V[3:-1] - 8.0 * V[1:-3] + V[:-4]) / (12.0 * dt)
 
     inner = slice(2, -2)
-    depth, dHx, v = depth[inner], dHx[inner], V[inner]
+    depth, dHx, v, u = depth[inner], dHx[inner], V[inner], u[inner]
     dHs, dHb = dHx[:, :1], dHx[:, 1:]
-    mass = dH + d(grid.dealias(depth * (ubar + v)))
-    adv = ubar + v - kappa * dHx / depth
+    mass = dH + d(grid.dealias(depth * u))
+    adv = u - kappa * dHx / depth
     press = np.concatenate([dHs, params.rho_ratio * dHs], axis=1)
     momentum = (dV + grid.dealias(adv * d(v)) + press + dHb
                 - kappa * d(v, order=2))

@@ -139,7 +139,10 @@ class TestRhs:
         u0 = 0.1
         state = state_of(grid, H_s=a * np.sin(grid.x), U_s=u0)
         p = params_with(kappa=kappa)
-        Vs, Vb = total_velocity(state, p)
+        depth, dHx, V = total_velocity(state.stacked[None], [state.t], grid, p)
+        assert np.array_equal(depth[0, 0], p.Hbar_s + state.H_s)
+        assert np.max(np.abs(dHx[0, 0] - a * np.cos(grid.x))) <= 1e-12
+        Vs, Vb = V[0]
         want = u0 - kappa * a * np.cos(grid.x) / (p.Hbar_s + a * np.sin(grid.x))
         assert np.max(np.abs(Vs - want)) <= 1e-12
         assert np.max(np.abs(Vb)) <= 1e-14  # flat layer: V_b = U_b
@@ -147,7 +150,9 @@ class TestRhs:
     def test_total_velocity_trivial_cases(self):
         grid = SpatialGrid(64)
         state = make_initial(grid, "sine", {"H_s": 0.03, "U_s": 0.02})
-        Vs, _ = total_velocity(state, PARAMS0)  # kappa = 0
+        _, _, V = total_velocity(state.stacked[None], [state.t], grid,
+                                 PARAMS0)  # kappa = 0
+        Vs = V[0, 0]
         assert np.array_equal(Vs, state.U_s)
 
 
