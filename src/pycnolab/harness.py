@@ -521,8 +521,8 @@ def refined_check(cfg):
 
 # the suites check their random state points at most this many at a time;
 # every row gets the same bits in any block, so the size bounds only the
-# memory of the stacked eigenproblems. The symmetrizer suite also draws
-# and certifies its points in blocks of at most this size
+# memory of the stacked eigenproblems. The symmetrizer and Lipschitz
+# suites also draw their points in blocks of at most this size
 _BLOCK = 1024
 
 
@@ -690,25 +690,24 @@ def _suite_embedding():
 def _suite_lipschitz(rng, n_triples):
     """The Montgomery Lipschitz bound on n random (rho1, rho2, h) triples.
 
-    Each triple draws its level count, rho1, the perturbation that makes
-    rho2, and h on 16 columns, in that order, so the generator reads the
-    numbers a triple-by-triple loop would. The triples are then grouped
-    by level count, and each group forms its rho2 in one expression and
-    is checked by one `montgomery_lipschitz_ratios` call.
+    One draw gives every triple its level count. Then, level count by
+    level count in ascending order, blocks of at most `_BLOCK` triples
+    draw rho1, the perturbation that makes rho2, and h on 16 columns as
+    one (k, n_r), (k, n_r) and (k, n_r, 16) array each, and each block is
+    checked by one `montgomery_lipschitz_ratios` call before the next is
+    drawn, so no more than one block's triples are held at once.
     """
-    groups = {}
-    for _ in range(n_triples):
-        n_r = int(rng.integers(4, 48))
-        groups.setdefault(n_r, []).append(
-            (rng.uniform(0.2, 4.0, n_r), rng.uniform(-0.5, 0.5, n_r),
-             rng.standard_normal((n_r, 16))))
+    counts = np.bincount(rng.integers(4, 48, n_triples))
     worst = 0.0
-    for n_r, draws in groups.items():
-        rho1, perturbation, h = (np.array(a) for a in zip(*draws))
-        ratios = stratified.montgomery_lipschitz_ratios(
-            LevelGrid.uniform(n_r), rho1,
-            np.abs(rho1 + perturbation) + 0.05, h)
-        worst = max(worst, float(np.max(ratios)))
+    for n_r in np.flatnonzero(counts):
+        levels = LevelGrid.uniform(n_r)
+        for done in range(0, counts[n_r], _BLOCK):
+            k = min(_BLOCK, counts[n_r] - done)
+            rho1 = rng.uniform(0.2, 4.0, (k, n_r))
+            rho2 = np.abs(rho1 + rng.uniform(-0.5, 0.5, (k, n_r))) + 0.05
+            ratios = stratified.montgomery_lipschitz_ratios(
+                levels, rho1, rho2, rng.standard_normal((k, n_r, 16)))
+            worst = max(worst, float(np.max(ratios)))
     if worst > 1.0 + 1e-9:
         return False, f"bound ratio reached {worst}"
     return True, f"worst ratio {worst:.12f} over {n_triples} triples"

@@ -1,8 +1,10 @@
 """Tests for the sweep/fit/suite orchestration layer."""
 
 import io
+import itertools
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -388,48 +390,100 @@ class TestStatePoints:
         assert len(calls) == 1
 
 
-def lipschitz_triples(rng, n):
-    """The Lipschitz suite's draws, one (rho1, rho2, h) triple at a time."""
-    for _ in range(n):
-        n_r = int(rng.integers(4, 48))
-        rho1 = rng.uniform(0.2, 4.0, n_r)
-        rho2 = np.abs(rho1 + rng.uniform(-0.5, 0.5, n_r)) + 0.05
-        yield rho1, rho2, rng.standard_normal((n_r, 16))
+def lipschitz_blocks(rng, n, block):
+    """The Lipschitz suite's draws, one (rho1, rho2, h) block at a time.
+
+    One `integers` call gives the n level counts; each level count, in
+    ascending order, then draws rho1, the perturbation and h in blocks of
+    at most `block` triples.
+    """
+    levels = rng.integers(4, 48, n)
+    for n_r in sorted(set(levels.tolist())):
+        count = int(np.sum(levels == n_r))
+        for done in range(0, count, block):
+            k = min(block, count - done)
+            rho1 = rng.uniform(0.2, 4.0, (k, n_r))
+            rho2 = np.abs(rho1 + rng.uniform(-0.5, 0.5, (k, n_r))) + 0.05
+            yield rho1, rho2, rng.standard_normal((k, n_r, 16))
+
+
+class CountingGenerator:
+    """A proxy around a `Generator` that counts the draws made through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return draw(*args, **kwargs)
+        return counted
 
 
 class TestLipschitzSuite:
     def test_blocks_match_triple_loop(self, monkeypatch):
+        # every row equals its triple checked alone, at the default block
+        # size and at one small enough to split a level count's triples
         batched = pycnolab.stratified.montgomery_lipschitz_ratios
-        rows = []
+        calls = []
 
         def recorded(levels, rho1, rho2, h):
             assert levels == LevelGrid.uniform(rho1.shape[1])
             ratios = batched(levels, rho1, rho2, h)
-            rows.extend(zip(rho1, rho2, h, ratios.tolist()))
+            calls.append((rho1, rho2, h, ratios.tolist()))
             return ratios
 
         monkeypatch.setattr(pycnolab.stratified,
                             "montgomery_lipschitz_ratios", recorded)
-        for seed in (0, 1, 7):
-            rows.clear()
+        for block, seed in itertools.product((harness._BLOCK, 2), (0, 1, 7)):
+            monkeypatch.setattr(harness, "_BLOCK", block)
+            calls.clear()
             rng = np.random.default_rng(seed)
             ok, detail = harness._suite_lipschitz(rng, 60)
             ref = np.random.default_rng(seed)
-            want = [(rho1, rho2, h, oracles.montgomery_lipschitz_ratio(
-                rho1, rho2, LevelGrid.uniform(rho1.size).w, h))
-                for rho1, rho2, h in lipschitz_triples(ref, 60)]
-            # each block holds one level count's triples in draw order
-            sizes = [w[0].size for w in want]
-            assert min(sizes.count(n) for n in sizes) == 1
-            got = sorted(rows, key=lambda row: row[0].size)
-            assert len(got) == len(want)
-            for g, w in zip(got, sorted(want, key=lambda row: row[0].size)):
-                for a, b in zip(g[:3], w[:3]):
+            want = list(lipschitz_blocks(ref, 60, block))
+            # one call per block, each holding the reference draw's triples
+            assert len(calls) == len(want)
+            sizes = [len(c[3]) for c in calls]
+            assert sum(sizes) == 60 and max(sizes) <= block
+            split = len(calls) > len({c[0].shape[1] for c in calls})
+            assert split == (block == 2)
+            worst = 0.0
+            for got, blk in zip(calls, want):
+                for a, b in zip(got[:3], blk):
                     assert np.array_equal(a, b)
-                assert g[3] == w[3], f"seed {seed}: {g[3]!r} != {w[3]!r}"
-            worst = max(w[3] for w in want)
+                weights = LevelGrid.uniform(blk[0].shape[1]).w
+                for ratio, (rho1, rho2, h) in zip(got[3], zip(*blk)):
+                    alone = oracles.montgomery_lipschitz_ratio(
+                        rho1, rho2, weights, h)
+                    assert ratio == alone, f"seed {seed}: {ratio!r}, {alone!r}"
+                    worst = max(worst, alone)
             assert ok and detail == f"worst ratio {worst:.12f} over 60 triples"
             assert rng.uniform() == ref.uniform(), f"seed {seed}"
+
+    def test_bounded_memory_and_draws(self):
+        # at most one block of triples is held at once, and each level
+        # count draws its triples in three calls
+        rng = CountingGenerator(np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            ok, _ = harness._suite_lipschitz(rng, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < 2.5e6, f"traced peak {peak} B"
+        assert rng.calls <= 1 + 3 * 44, rng.calls
+
+    def test_worst_ratio_below_one(self):
+        for seed in range(20):
+            ok, detail = harness._suite_lipschitz(
+                np.random.default_rng(seed), 1000)
+            worst = float(detail.split()[2])
+            assert ok and worst < 1.0, f"seed {seed}: {detail}"
 
 
 class TestCheckAll:
